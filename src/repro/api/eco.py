@@ -252,7 +252,7 @@ def _run_eco(
     spec: EcoSpec, keep_tree: bool, base_routing: Optional[Any]
 ) -> EcoResult:
     from repro.api.runner import run
-    from repro.metrics import peak_rss_mb
+    from repro.obs.metrics import peak_rss_mb
     from repro.obs.trace import get_tracer
 
     started = time.perf_counter()

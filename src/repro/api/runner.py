@@ -10,7 +10,7 @@ from repro.analysis.validate import validate_result
 from repro.analysis.wirelength import wirelength_report
 from repro.api.registry import get_router
 from repro.api.spec import RunResult, RunSpec
-from repro.metrics import peak_rss_mb
+from repro.obs.metrics import peak_rss_mb
 from repro.obs.trace import StageSpans, get_tracer
 
 __all__ = ["run", "run_safe"]
@@ -21,10 +21,9 @@ def _run_stats(stages: StageSpans, routing, started: float) -> dict:
 
     Per-stage construction times (select/merge/embed) come from the router's
     :class:`MergeStats` when it recorded them; report/validate times from the
-    runner's own stage spans (the :class:`~repro.obs.trace.StageSpans`
-    successor of ``StageTimer``, producing the same ``{name: seconds}``
-    entries).  ``peak_rss_mb`` is the process high-water mark at the end of
-    the run (see :mod:`repro.metrics` for its semantics).
+    runner's own :class:`~repro.obs.trace.StageSpans`.  ``peak_rss_mb`` is
+    the process high-water mark at the end of the run (see
+    :func:`repro.obs.metrics.peak_rss_mb` for its semantics).
     """
     stats = dict(stages.seconds)
     merge_stats = getattr(routing, "stats", None)

@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.api.registry import RouterSpec
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
-from repro.metrics import peak_rss_mb
+from repro.obs.metrics import peak_rss_mb
 from repro.opt.config import BUFFERED_PASSES, OptConfig
 
 __all__ = [

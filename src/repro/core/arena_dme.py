@@ -133,8 +133,11 @@ def route_arena(
             return
         tightest = float(bounds[present[i]].min())
         budget = config.sdr_skew_budget * tightest
-        split = resolve_split(p, target_row, r, c, budget)
         d = p.distance
+        split = resolve_split(
+            p.locus_a, p.locus_b, d, p.cap_a, p.cap_b, p.balance_split,
+            target_row, r, c, budget,
+        )
         split_c = min(max(split, 0.0), d)
         ea = max(split_c, 0.0)
         eb = max(d - split_c, 0.0)

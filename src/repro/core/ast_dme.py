@@ -8,7 +8,9 @@
    whether the subtrees share sink groups and produces the new root's
    placement locus, the two wire lengths (possibly snaked) and the merged
    per-group delay intervals.  Merging continues until one subtree remains,
-   which is then connected to the clock source.
+   which is then connected to the clock source.  On the object layout this
+   loop is :meth:`AstDme.merge_subtrees`, which the ECO engine's re-merge
+   calls as well.
 2. *Top-down embedding.*  Concrete locations are chosen for every internal
    node (:func:`repro.cts.embedding.embed_tree`); booked wire lengths are
    never changed, so all delays and skews decided bottom-up are preserved.
@@ -28,6 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.opt.config import OptConfig
     from repro.opt.report import OptReport
@@ -41,7 +45,8 @@ from repro.core.subtree import Subtree
 from repro.cts.embedding import embed_tree
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
-from repro.geometry.trr import Trr
+from repro.geometry.point import Point
+from repro.geometry.trr import Trr, loci_to_array
 from repro.obs.trace import get_tracer
 
 __all__ = [
@@ -222,7 +227,6 @@ class AstDme:
         start = time.perf_counter()
         tech = instance.technology
         constraints = self._constraints or self.config.constraints()
-        policy = self.config.order_policy()
 
         tree = ClockTree(technology=tech)
         loci: Dict[int, Trr] = {}
@@ -246,8 +250,56 @@ class AstDme:
 
         stats = MergeStats()
         association = GroupAssociation(instance.groups())
-        selector = policy.make_selector()
+        self.merge_subtrees(subtrees, tree, loci, instance.source, stats, association)
 
+        obstacles = instance.obstacle_set() if instance.has_obstacles else None
+        embed_start = time.perf_counter()
+        with get_tracer().span("dme.embed") as embed_span:
+            stats.obstacle_detour = embed_tree(tree, loci, obstacles=obstacles)
+            embed_span.add("obstacle_detour", stats.obstacle_detour)
+        stats.embed_seconds += time.perf_counter() - embed_start
+
+        opt_report = self._run_opt(tree, constraints, obstacles, loci, single_group)
+
+        elapsed = time.perf_counter() - start
+        return RoutingResult(
+            tree=tree,
+            instance=instance,
+            stats=stats,
+            association=association,
+            loci=loci,
+            elapsed_seconds=elapsed,
+            opt=opt_report,
+            single_group=single_group,
+        )
+
+    def merge_subtrees(
+        self,
+        subtrees: List[Subtree],
+        tree: ClockTree,
+        loci: Dict[int, Trr],
+        source: Point,
+        stats: MergeStats,
+        association: GroupAssociation,
+    ) -> None:
+        """Merge ``subtrees`` bottom-up into one tree and connect it to ``source``.
+
+        The object-layout construction loop (Fig. 6): each pass selects
+        disjoint nearest pairs, spends any deferred cross-group freedom now
+        that the partners are known (:mod:`repro.core.lazy_sdr`), plans each
+        merge with :func:`~repro.core.merge_cases.plan_merge` and adds its
+        node to ``tree``.  The last subtree's pending split is resolved
+        towards ``source`` before the source edge is added.  Every merge
+        node's placement locus goes into ``loci``, the pass counters and
+        timings into ``stats`` and each merge's group association into
+        ``association``.  :meth:`route` runs it on one subtree per sink (the
+        object backend and the >64-group fallback); the ECO engine runs it on
+        the frontier stubs of a dirty cone.
+        """
+        tech = tree.technology
+        constraints = self._constraints or self.config.constraints()
+        selector = self.config.order_policy().make_selector()
+        want_bias = self.config.delay_target_weight > 0.0
         tracer = get_tracer()
         while len(subtrees) > 1:
             with tracer.span(
@@ -255,7 +307,11 @@ class AstDme:
             ) as pass_span:
                 select_start = time.perf_counter()
                 with tracer.span("dme.select"):
-                    pairs = selector.pairs_for_pass(subtrees)
+                    pairs = selector.pairs_for_pass_arrays(
+                        loci_to_array([s.locus for s in subtrees]),
+                        [s.node_id for s in subtrees],
+                        np.array([s.max_delay for s in subtrees]) if want_bias else None,
+                    )
                 stats.select_seconds += time.perf_counter() - select_start
                 if not pairs:
                     raise RuntimeError("merging-order policy returned no pairs")
@@ -312,40 +368,18 @@ class AstDme:
                     merge_span.add("nodes_merged", len(merged_indices))
                 stats.merge_seconds += time.perf_counter() - merge_start
 
-        root_subtree = subtrees[0]
+        root = subtrees[0]
         resolve_pending(
-            root_subtree,
-            Trr.from_point(instance.source),
+            root,
+            Trr.from_point(source),
             tech,
             tree,
             loci,
-            max_deviation=self._skew_budget(root_subtree, constraints),
+            max_deviation=self._skew_budget(root, constraints),
         )
-        source_edge = root_subtree.locus.distance_to_point(instance.source)
-        tree.add_source(instance.source, root_subtree.node_id, source_edge)
-
-        obstacles = instance.obstacle_set() if instance.has_obstacles else None
-        embed_start = time.perf_counter()
-        with tracer.span("dme.embed") as embed_span:
-            stats.obstacle_detour = embed_tree(tree, loci, obstacles=obstacles)
-            embed_span.add("obstacle_detour", stats.obstacle_detour)
-        stats.embed_seconds += time.perf_counter() - embed_start
+        tree.add_source(source, root.node_id, root.locus.distance_to_point(source))
         stats.neighbor_full_rebuilds = selector.full_rebuilds
         stats.neighbor_incremental_passes = selector.incremental_passes
-
-        opt_report = self._run_opt(tree, constraints, obstacles, loci, single_group)
-
-        elapsed = time.perf_counter() - start
-        return RoutingResult(
-            tree=tree,
-            instance=instance,
-            stats=stats,
-            association=association,
-            loci=loci,
-            elapsed_seconds=elapsed,
-            opt=opt_report,
-            single_group=single_group,
-        )
 
     # ------------------------------------------------------------------
     def _arena_eligible(self, instance: ClockInstance, single_group: bool) -> bool:

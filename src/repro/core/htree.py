@@ -38,7 +38,6 @@ from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
 from repro.core.group_constraints import GroupAssociation
 from repro.cts.tree import ClockTree
 from repro.delay.elmore import elmore_delays, subtree_capacitances
-from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay, wire_length_for_delay
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
@@ -107,7 +106,9 @@ class HTreeRouter:
             # that spans all groups at once.
             association.associate(groups[0], group)
 
-        opt_report = self._run_opt(tree, obstacles, loci)
+        opt_report = AstDme(self.config)._run_opt(
+            tree, self.config.constraints(), obstacles, loci, single_group=True
+        )
         return RoutingResult(
             tree=tree,
             instance=instance,
@@ -288,23 +289,3 @@ class HTreeRouter:
         total.neighbor_full_rebuilds += leaf.neighbor_full_rebuilds
         total.neighbor_incremental_passes += leaf.neighbor_incremental_passes
         total.obstacle_detour += leaf.obstacle_detour
-
-    # ------------------------------------------------------------------
-    def _run_opt(self, tree: ClockTree, obstacles, loci: Dict[int, Trr]):
-        """Run the configured post-construction optimizer, if any."""
-        if self.config.opt is None or not self.config.opt.enabled:
-            return None
-        from repro.opt.optimizer import Optimizer
-
-        constraints = self.config.constraints()
-        bound_fn = constraints.bound_for
-        if self.config.opt.skew_bound_ps is not None:
-            override = Technology.ps_to_internal(self.config.opt.skew_bound_ps)
-            bound_fn = lambda group: override  # noqa: E731 - trivial closure
-        return Optimizer(self.config.opt).optimize(
-            tree,
-            bound_for=bound_fn,
-            obstacles=obstacles,
-            loci=loci,
-            single_group=True,
-        )

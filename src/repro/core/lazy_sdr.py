@@ -12,11 +12,13 @@ an unconstrained merge -- how much of the corridor lies on each side -- is
 recorded as *pending* instead of being committed.  The pending split is
 resolved lazily, at the moment the merged subtree is about to participate in
 its next merge, by choosing the split whose placement locus is closest to the
-new partner (ties broken towards the delay-balanced split).  Because the two
-sides of an unconstrained merge share no sink group, re-choosing the split
-shifts every group on one side rigidly and can never violate an intra-group
-constraint; the total wire of the pending merge is the corridor length for
-every split, so wirelength bookkeeping is unaffected as well.
+new partner (ties broken towards the delay-balanced split); the corridor scan
+is :func:`repro.core.merge_batch.resolve_split`, shared by every construction
+loop.  Because the two sides of an unconstrained merge share no sink group,
+re-choosing the split shifts every group on one side rigidly and can never
+violate an intra-group constraint; the total wire of the pending merge is the
+corridor length for every split, so wirelength bookkeeping is unaffected as
+well.
 
 DESIGN.md documents this as the substitution for full BST merging regions.
 """
@@ -26,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.core.merge_batch import resolve_split
 from repro.core.subtree import Subtree
 from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay
 from repro.geometry.sdr import merge_locus
 from repro.geometry.trr import Trr
 
-__all__ = ["PendingSplit", "make_pending", "resolve_pending", "resolution_for_target"]
+__all__ = ["PendingSplit", "make_pending", "resolve_pending"]
 
 
 @dataclass
@@ -93,54 +96,8 @@ def make_pending(sub_a: Subtree, sub_b: Subtree, distance: float, balance_split:
     )
 
 
-def _delay_deviation(pending: PendingSplit, split: float, tech: Technology) -> float:
-    """Largest delay shift (either side) of ``split`` relative to the balanced split."""
-    balance = pending.balance_split
-    shift_a = abs(
-        wire_delay(split, pending.cap_a, tech)
-        - wire_delay(balance, pending.cap_a, tech)
-    )
-    shift_b = abs(
-        wire_delay(pending.distance - split, pending.cap_b, tech)
-        - wire_delay(pending.distance - balance, pending.cap_b, tech)
-    )
-    return max(shift_a, shift_b)
-
-
-def resolution_for_target(
-    pending: PendingSplit,
-    target: Trr,
-    tech: Technology,
-    max_deviation: float = float("inf"),
-    samples: int = 129,
-) -> float:
-    """The split bringing the pending merge's locus closest to ``target``.
-
-    Only splits whose delay shift relative to the balanced split stays within
-    ``max_deviation`` (the useful-skew budget) are considered; the balanced
-    split itself always qualifies, so the search never comes back empty.  The
-    distance from the split-``x`` locus to the target is piecewise linear in
-    ``x``; a dense sampling of the corridor followed by a tie-break towards
-    the balanced split is accurate to a tiny fraction of the corridor length
-    and keeps the code free of case analysis.
-    """
-    if pending.distance <= 0.0:
-        return 0.0
-    best_split = pending.balance_split
-    best_key = (
-        round(pending.locus_at(best_split).distance_to(target), 6),
-        0.0,
-    )
-    for index in range(samples):
-        split = pending.distance * index / (samples - 1)
-        if _delay_deviation(pending, split, tech) > max_deviation:
-            continue
-        distance = pending.locus_at(split).distance_to(target)
-        key = (round(distance, 6), abs(split - pending.balance_split))
-        if key < best_key:
-            best_key = key
-            best_split = split
-    return best_split
+def _row(trr: Trr) -> Tuple[float, float, float, float]:
+    return (trr.ulo, trr.uhi, trr.vlo, trr.vhi)
 
 
 def resolve_pending(
@@ -166,7 +123,18 @@ def resolve_pending(
     if target is None:
         split = pending.balance_split
     else:
-        split = resolution_for_target(pending, target, tech, max_deviation)
+        split = resolve_split(
+            _row(pending.locus_a),
+            _row(pending.locus_b),
+            pending.distance,
+            pending.cap_a,
+            pending.cap_b,
+            pending.balance_split,
+            _row(target),
+            tech.unit_resistance,
+            tech.unit_capacitance,
+            max_deviation,
+        )
     subtree.locus = pending.locus_at(split)
     subtree.delays = pending.delays_at(split, tech)
     tree.set_edge_length(pending.child_a_id, split)

@@ -1,9 +1,11 @@
 """Array-at-a-time merge planning and lazy-split resolution.
 
-This module is the batched counterpart of :mod:`repro.core.merge_cases`,
-:mod:`repro.core.balancing` and :mod:`repro.core.lazy_sdr`: the same
-arithmetic, evaluated over whole arrays of candidate pairs at once.  It backs
-the ``tree_backend="arena"`` construction loop (:mod:`repro.core.arena_dme`).
+This module is the batched counterpart of :mod:`repro.core.merge_cases` and
+:mod:`repro.core.balancing`: the same arithmetic, evaluated over whole arrays
+of candidate pairs at once.  It backs the ``tree_backend="arena"``
+construction loop (:mod:`repro.core.arena_dme`).  Its lazy-split scan,
+:func:`resolve_split`, is the only one: :mod:`repro.core.lazy_sdr` resolves
+the object loop's pending splits through it too.
 
 Bit identity is a hard requirement, not an aspiration: the arena backend must
 produce float-for-float the same trees as the object backend, which the bench
@@ -62,8 +64,7 @@ SAME_GROUP_CODE = 1
 SHARED_CODE = 2
 CASE_LABELS = (DISJOINT, SAME_GROUP, SHARED)
 
-#: Corridor samples of the lazy-split scan; keep in sync with the default of
-#: :func:`repro.core.lazy_sdr.resolution_for_target`.
+#: Corridor samples of the lazy-split scan (:func:`resolve_split`).
 SAMPLES = 129
 
 
@@ -303,26 +304,38 @@ def plan_merges(
 
 
 def resolve_split(
-    pending: ArenaPending,
-    target_row: np.ndarray,
+    locus_a,
+    locus_b,
+    distance: float,
+    cap_a: float,
+    cap_b: float,
+    balance_split: float,
+    target_row,
     r: float,
     c: float,
     max_deviation: float,
 ) -> float:
-    """Vectorized :func:`repro.core.lazy_sdr.resolution_for_target`.
+    """The lazy split of a pending merge that brings its locus nearest a target.
 
-    Scans the same ``SAMPLES`` corridor splits the scalar loop does and picks
-    the identical winner under the key ``(round(distance_to_target, 6),
-    abs(split - balance_split))`` with first-sample-wins ties.  Python's
+    ``locus_a``/``locus_b`` are the children's ``(ulo, uhi, vlo, vhi)`` rows,
+    ``distance`` the corridor length, ``cap_a``/``cap_b`` the children's
+    downstream capacitances and ``balance_split`` the delay-balanced wire
+    towards child a.  Only splits whose delay shift on either side, relative
+    to the balanced split, stays within ``max_deviation`` (the useful-skew
+    budget) qualify; the balanced split always does.  ``SAMPLES`` evenly
+    spaced corridor splits are scanned and the winner minimises the key
+    ``(round(distance_to_target, 6), abs(split - balance_split))``, the
+    balanced split first and earlier samples winning ties.  Python's
     ``round`` is monotone, so the minimal rounded distance is the rounding of
     the minimal distance; only samples within a whisker of the minimum can
     share that rounded value, and just those few are re-rounded with Python's
-    ``round`` to reproduce the scalar comparison exactly.
+    ``round`` to keep the comparison exact.  The per-sample scalar reference
+    lives in ``tests/test_core_lazy_sdr.py``.
     """
-    d = pending.distance
+    d = distance
     if d <= 0.0:
         return 0.0
-    balance = pending.balance_split
+    balance = balance_split
 
     # Sample 0 is the balanced split itself so its target distance comes from
     # the same elementwise expressions as the candidates'.
@@ -333,8 +346,8 @@ def resolve_split(
     clamped = np.minimum(np.maximum(splits, 0.0), d)
     ea = np.maximum(clamped, 0.0)
     eb = np.maximum(d - clamped, 0.0)
-    la = pending.locus_a
-    lb = pending.locus_b
+    la = locus_a
+    lb = locus_b
     ulo = np.maximum(la[0] - ea, lb[0] - eb)
     uhi = np.minimum(la[1] + ea, lb[1] + eb)
     vlo = np.maximum(la[2] - ea, lb[2] - eb)
@@ -349,9 +362,9 @@ def resolve_split(
 
     # Deviation filter (the balanced sample always qualifies by construction).
     raw = splits[1:]
-    shift_a = np.abs(_wire_delay(raw, pending.cap_a, r, c) - _wire_delay(balance, pending.cap_a, r, c))
+    shift_a = np.abs(_wire_delay(raw, cap_a, r, c) - _wire_delay(balance, cap_a, r, c))
     shift_b = np.abs(
-        _wire_delay(d - raw, pending.cap_b, r, c) - _wire_delay(d - balance, pending.cap_b, r, c)
+        _wire_delay(d - raw, cap_b, r, c) - _wire_delay(d - balance, cap_b, r, c)
     )
     valid = np.maximum(shift_a, shift_b) <= max_deviation
 

@@ -30,16 +30,15 @@ Three interchangeable *neighbour strategies* implement the candidate search
     performance baseline of the bench harness.
 
 Routers hold per-run selection state in a :class:`MergePairSelector` obtained
-from :meth:`MergeOrderPolicy.make_selector`; the stateless
-:meth:`MergeOrderPolicy.pairs_for_pass` remains for one-shot callers.
+from :meth:`MergeOrderPolicy.make_selector` and call
+:meth:`MergePairSelector.pairs_for_pass_arrays` once per merging pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.subtree import Subtree
 from repro.cts.neighbor_index import NeighborIndex
 from repro.cts.nearest_neighbor import select_merge_pairs
 
@@ -98,41 +97,17 @@ class MergeOrderPolicy:
         """A fresh per-run selector carrying this policy's search state."""
         return MergePairSelector(self)
 
-    def pairs_for_pass(self, subtrees: Sequence[Subtree]) -> List[Tuple[int, int]]:
-        """Indices of the subtree pairs to merge in the current pass.
-
-        Stateless convenience: equivalent to one pass of a fresh selector
-        (identical pairs for every strategy).
-        """
-        return self.make_selector().pairs_for_pass(subtrees)
-
     # ------------------------------------------------------------------
-    def _delay_bias(self, subtrees: Sequence[Subtree]) -> List[float]:
+    def _delay_bias_arrays(self, loci_arr, max_delays) -> "object":
         """Per-subtree additive cost bias implementing delay-target ordering.
 
-        Subtrees whose delay is already large receive a negative bias
-        proportional to the spread of locus sizes, so that (all else equal)
-        slow subtrees are merged before fast ones.
-        """
-        max_delays = [s.max_delay for s in subtrees]
-        largest = max(max_delays)
-        if largest <= 0.0:
-            return [0.0] * len(subtrees)
-        # Scale the bias by a representative geometric distance so that the
-        # two cost components are commensurable.
-        spans = [max(s.locus.width_u, s.locus.width_v) for s in subtrees]
-        xs = [s.locus.center().x for s in subtrees]
-        ys = [s.locus.center().y for s in subtrees]
-        extent = max(max(xs) - min(xs), max(ys) - min(ys), max(spans), 1.0)
-        scale = self.delay_target_weight * extent / max(len(subtrees), 1)
-        return [-scale * (d / largest) for d in max_delays]
-
-    def _delay_bias_arrays(self, loci_arr, max_delays) -> "object":
-        """:meth:`_delay_bias` over the arena backend's native arrays.
-
-        Same expressions elementwise (and therefore the same float values and
-        the same selected pairs) with the subtree attributes read from the
-        ``(n, 4)`` locus array and the dense max-delay vector.
+        Subtrees whose max delay is already large receive a negative bias, so
+        that (all else equal) slow subtrees are merged before fast ones.  The
+        bias is scaled by the extent of the locus centres (and the widest
+        locus) so the two cost components are commensurable.  ``loci_arr``
+        is the ``(n, 4)`` locus array and ``max_delays`` the per-subtree max
+        delay vector; the per-subtree scalar reference lives in
+        ``tests/test_core_merging_order.py``.
         """
         import numpy as np
 
@@ -161,7 +136,7 @@ class MergePairSelector:
     """Per-run pair selection: a policy plus its candidate-search state.
 
     The routers create one selector per routing run and call
-    :meth:`pairs_for_pass` once per merging pass; the ``incremental``
+    :meth:`pairs_for_pass_arrays` once per merging pass; the ``incremental``
     strategy's neighbour index lives here, keyed by subtree node ids, so
     successive passes reuse every candidate list the previous pass did not
     invalidate.
@@ -188,47 +163,15 @@ class MergePairSelector:
         return self._index.incremental_passes if self._index is not None else 0
 
     # ------------------------------------------------------------------
-    def pairs_for_pass(self, subtrees: Sequence[Subtree]) -> List[Tuple[int, int]]:
-        """Indices of the subtree pairs to merge in the current pass."""
-        policy = self.policy
-        n = len(subtrees)
-        if n < 2:
-            return []
-        if policy.multi_merge:
-            max_pairs = max(1, int(round(policy.merge_fraction * (n // 2))))
-        else:
-            max_pairs = 1
-
-        bias = (
-            policy._delay_bias(subtrees)
-            if policy.delay_target_weight > 0.0
-            else None
-        )
-        loci = [s.locus for s in subtrees]
-        if self._index is not None:
-            pairing = self._index.select_pairs(
-                loci, [s.node_id for s in subtrees], max_pairs, bias
-            )
-        else:
-            pairing = select_merge_pairs(
-                loci,
-                max_pairs=max_pairs,
-                cost_bias=bias,
-                k_candidates=policy.neighbor_candidates,
-                engine="scalar" if policy.neighbor_strategy == "scalar" else "vectorized",
-            )
-        return list(pairing.pairs)
-
     def pairs_for_pass_arrays(self, loci_arr, node_ids, max_delays=None) -> List[Tuple[int, int]]:
-        """:meth:`pairs_for_pass` for the arena backend's native arrays.
+        """Indices of the subtree pairs to merge in the current pass.
 
-        ``loci_arr`` is the ``(n, 4)`` locus-interval array, ``node_ids`` the
-        parallel stable keys and ``max_delays`` the dense per-subtree max
-        delay (only read when delay-target ordering is enabled).  Every
-        strategy selects exactly the pairs it would select from the
-        equivalent ``Subtree`` list; the scalar oracle strategy materialises
-        ``Trr`` objects because its per-pair reference arithmetic is defined
-        on them.
+        ``loci_arr`` is the ``(n, 4)`` locus-interval array of the active
+        subtrees, ``node_ids`` the parallel stable keys and ``max_delays`` the
+        per-subtree max delay vector (only read when delay-target ordering is
+        enabled).  Every strategy selects identical pairs; the scalar oracle
+        strategy materialises ``Trr`` objects because its per-pair reference
+        arithmetic is defined on them.
         """
         policy = self.policy
         n = len(loci_arr)

@@ -28,6 +28,7 @@ operations on a server request path, not a hot construction loop.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -39,6 +40,7 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
+    "peak_rss_mb",
 ]
 
 #: Request-latency bucket upper bounds, seconds (``+Inf`` is implicit).
@@ -397,3 +399,23 @@ def iter_samples(text: str) -> Iterable[Tuple[str, str, float]]:
     for name, by_labels in parse_exposition(text).items():
         for labelstring, value in by_labels.items():
             yield name, labelstring, value
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of the current process, in megabytes.
+
+    ``ru_maxrss`` is a high-water mark over the life of the process
+    (kilobytes on Linux, bytes on macOS), so a reading taken after a run is
+    an upper bound that includes everything the process did before.  The
+    runner, the bench harness and the service all report it through this one
+    function.  Returns 0.0 on platforms without ``resource`` (Windows)
+    rather than raising, so callers can record the value unconditionally.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - Windows
+        return 0.0
+    rss = float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    if sys.platform == "darwin":  # pragma: no cover - ru_maxrss is bytes on macOS
+        return rss / (1024.0 * 1024.0)
+    return rss / 1024.0  # kilobytes on Linux/BSD

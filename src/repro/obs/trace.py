@@ -306,9 +306,8 @@ def write_ndjson(events: Iterable[Dict[str, Any]], target: Union[str, IO[str]]) 
 class StageSpans:
     """Named stage timing that is a span *and* a stats entry at once.
 
-    The successor of :class:`repro.metrics.StageTimer` in the api runner:
-    every stage accumulates wall seconds into ``self.seconds`` exactly like
-    the timer did (same two ``perf_counter`` reads, re-entry accumulates),
+    The api runner's stage timer: every stage accumulates wall seconds into
+    ``self.seconds`` (two ``perf_counter`` reads, re-entry accumulates),
     and -- when tracing is active -- additionally emits a span carrying *the
     same measurement*, so exported NDJSON stage totals agree with
     ``RunResult.stats`` by construction, not within tolerance.

@@ -69,7 +69,7 @@ MAX_HEADER_LINES = 100
 
 
 def _peak_rss() -> float:
-    from repro.metrics import peak_rss_mb
+    from repro.obs.metrics import peak_rss_mb
 
     return peak_rss_mb()
 
@@ -465,7 +465,7 @@ class RoutingService:
 
     def stats_payload(self) -> Dict[str, Any]:
         import repro
-        from repro.metrics import peak_rss_mb
+        from repro.obs.metrics import peak_rss_mb
 
         with self._base_lock:
             base_routings = len(self._base_routings)

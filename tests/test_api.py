@@ -613,7 +613,7 @@ class TestConfigPropagation:
 
 
 class TestRunResultStats:
-    """The shared resource-measurement path (RunResult.stats / repro.metrics)."""
+    """The shared resource-measurement path (RunResult.stats / repro.obs.metrics)."""
 
     @pytest.fixture(scope="class")
     def result(self):
@@ -668,23 +668,12 @@ class TestRunResultStats:
         assert result.stats["peak_rss_mb"] > 0.0
 
     def test_peak_rss_mb_is_positive_and_stable(self):
-        from repro.metrics import peak_rss_mb
+        from repro.obs.metrics import peak_rss_mb
 
         first = peak_rss_mb()
         second = peak_rss_mb()
         assert first > 0.0
         assert second >= first  # a high-water mark never shrinks
-
-    def test_stage_timer_accumulates(self):
-        from repro.metrics import StageTimer
-
-        timer = StageTimer()
-        with timer.stage("x"):
-            pass
-        with timer.stage("x"):
-            pass
-        assert timer.seconds["x"] >= 0.0
-        assert set(timer.seconds) == {"x"}
 
     def test_service_stats_payload_reports_rss(self):
         from repro.service.server import RoutingService, ServiceConfig

@@ -1,12 +1,15 @@
 """Tests for merging-order policies and nearest-neighbour pairing."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.merging_order import MergeOrderPolicy
 from repro.core.subtree import Subtree
 from repro.cts.nearest_neighbor import select_merge_pairs
 from repro.geometry.point import Point
-from repro.geometry.trr import Trr
+from repro.geometry.trr import Trr, loci_to_array
 
 
 def loci_from_points(points):
@@ -61,6 +64,33 @@ class TestSelectMergePairs:
         assert len(used) == len(set(used))
 
 
+def scalar_delay_bias(policy, subtrees):
+    """Oracle: the per-subtree delay-target bias, one Python float at a time.
+
+    The original scalar form of ``MergeOrderPolicy._delay_bias_arrays``; the
+    array form must reproduce it bit for bit.
+    """
+    max_delays = [s.max_delay for s in subtrees]
+    largest = max(max_delays)
+    if largest <= 0.0:
+        return [0.0] * len(subtrees)
+    spans = [max(s.locus.width_u, s.locus.width_v) for s in subtrees]
+    xs = [s.locus.center().x for s in subtrees]
+    ys = [s.locus.center().y for s in subtrees]
+    extent = max(max(xs) - min(xs), max(ys) - min(ys), max(spans), 1.0)
+    scale = policy.delay_target_weight * extent / max(len(subtrees), 1)
+    return [-scale * (d / largest) for d in max_delays]
+
+
+def pairs_for_pass(policy, subtrees):
+    """One pass of a fresh selector over ``subtrees``."""
+    return policy.make_selector().pairs_for_pass_arrays(
+        loci_to_array([s.locus for s in subtrees]),
+        [s.node_id for s in subtrees],
+        np.array([s.max_delay for s in subtrees]),
+    )
+
+
 class TestMergeOrderPolicy:
     def make_subtrees(self, coords, delays=None):
         subtrees = []
@@ -74,22 +104,22 @@ class TestMergeOrderPolicy:
     def test_single_merge_mode_returns_one_pair(self):
         policy = MergeOrderPolicy(multi_merge=False)
         subtrees = self.make_subtrees([(0, 0), (5, 0), (100, 0), (104, 0)])
-        assert len(policy.pairs_for_pass(subtrees)) == 1
+        assert len(pairs_for_pass(policy, subtrees)) == 1
 
     def test_multi_merge_returns_several_pairs(self):
         policy = MergeOrderPolicy(multi_merge=True, merge_fraction=1.0)
         subtrees = self.make_subtrees([(i * 10.0, 0.0) for i in range(8)])
-        assert len(policy.pairs_for_pass(subtrees)) == 4
+        assert len(pairs_for_pass(policy, subtrees)) == 4
 
     def test_merge_fraction_limits_pairs(self):
         policy = MergeOrderPolicy(multi_merge=True, merge_fraction=0.5)
         subtrees = self.make_subtrees([(i * 10.0, 0.0) for i in range(8)])
-        assert len(policy.pairs_for_pass(subtrees)) == 2
+        assert len(pairs_for_pass(policy, subtrees)) == 2
 
     def test_empty_and_singleton_inputs(self):
         policy = MergeOrderPolicy()
-        assert policy.pairs_for_pass([]) == []
-        assert policy.pairs_for_pass(self.make_subtrees([(0, 0)])) == []
+        assert pairs_for_pass(policy, []) == []
+        assert pairs_for_pass(policy, self.make_subtrees([(0, 0)])) == []
 
     def test_delay_target_bias_prefers_slow_subtrees(self):
         # Two tied-distance pairs; the delay-target enhancement should pick
@@ -99,8 +129,40 @@ class TestMergeOrderPolicy:
         subtrees = self.make_subtrees(coords, delays)
         plain = MergeOrderPolicy(multi_merge=False, delay_target_weight=0.0)
         biased = MergeOrderPolicy(multi_merge=False, delay_target_weight=5.0)
-        assert plain.pairs_for_pass(subtrees)[0] == (0, 1)
-        assert biased.pairs_for_pass(subtrees)[0] == (2, 3)
+        assert pairs_for_pass(plain, subtrees)[0] == (0, 1)
+        assert pairs_for_pass(biased, subtrees)[0] == (2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=-1e5, max_value=1e5),
+                st.floats(min_value=-1e5, max_value=1e5),
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5e3)),
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5e3)),
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        weight=st.floats(min_value=0.0, max_value=10.0),
+    )
+    def test_delay_bias_arrays_match_scalar_oracle(self, rows, weight):
+        subtrees = [
+            Subtree(
+                node_id=index,
+                locus=Trr(u, u + wu, v, v + wv),
+                cap=20.0,
+                delays={0: (0.0, delay)},
+            )
+            for index, (u, v, wu, wv, delay) in enumerate(rows)
+        ]
+        policy = MergeOrderPolicy(delay_target_weight=weight)
+        bias = policy._delay_bias_arrays(
+            loci_to_array([s.locus for s in subtrees]),
+            np.array([s.max_delay for s in subtrees]),
+        )
+        assert bias.tolist() == scalar_delay_bias(policy, subtrees)
 
     def test_invalid_configuration_raises(self):
         with pytest.raises(ValueError):

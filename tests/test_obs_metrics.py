@@ -1,5 +1,5 @@
-"""Tests of the metrics registry (repro.obs.metrics), the trace summariser
-(repro.obs.summarize) and the resource helpers (repro.metrics)."""
+"""Tests of the metrics registry and resource helpers (repro.obs.metrics)
+and the trace summariser (repro.obs.summarize)."""
 
 from __future__ import annotations
 
@@ -250,11 +250,11 @@ class TestSummarize:
 
 
 # ----------------------------------------------------------------------
-# repro.metrics resource helpers
+# Resource helpers
 # ----------------------------------------------------------------------
 class TestResourceHelpers:
     def test_peak_rss_mb_falls_back_to_zero_without_resource(self, monkeypatch):
-        from repro import metrics
+        from repro.obs import metrics
 
         real_import = builtins.__import__
 
@@ -265,52 +265,3 @@ class TestResourceHelpers:
 
         monkeypatch.setattr(builtins, "__import__", no_resource)
         assert metrics.peak_rss_mb() == 0.0
-
-    def test_stage_timer_reentry_accumulates(self):
-        from repro.metrics import StageTimer
-
-        timer = StageTimer()
-        with timer.stage("x"):
-            pass
-        first = timer.seconds["x"]
-        with timer.stage("x"):
-            sum(range(1000))
-        assert timer.seconds["x"] > first
-        assert set(timer.seconds) == {"x"}
-
-    def test_stage_timer_nested_stages_overlap(self):
-        from repro.metrics import StageTimer
-
-        timer = StageTimer()
-        with timer.stage("outer"):
-            with timer.stage("inner"):
-                sum(range(1000))
-        assert set(timer.seconds) == {"outer", "inner"}
-        # The outer stage's wall time covers the inner stage entirely.
-        assert timer.seconds["outer"] >= timer.seconds["inner"] > 0.0
-
-    def test_stage_timer_records_on_exception(self):
-        from repro.metrics import StageTimer
-
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("x"):
-                raise RuntimeError("boom")
-        assert timer.seconds["x"] >= 0.0
-
-    def test_threads_share_one_lockless_dict_safely(self):
-        from repro.metrics import StageTimer
-
-        timer = StageTimer()
-
-        def work():
-            for _ in range(50):
-                with timer.stage(threading.current_thread().name):
-                    pass
-
-        threads = [threading.Thread(target=work, name="t%d" % i) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert set(timer.seconds) == {"t0", "t1", "t2", "t3"}
