@@ -38,12 +38,18 @@ Invariants:
 The arena also memoises the derived orders used by the vectorized kernels:
 nodes grouped by depth (for top-down passes) and by height above the leaves
 (for bottom-up passes), plus reachability from the root.
+
+Snapshots are never modified after they are handed out.  When only
+setter-mutable attributes changed (edge length, location, buffer),
+:meth:`TreeArena.refreshed` builds the next snapshot from the previous one:
+it shares the topology arrays and memoised levels and re-reads just the
+changed rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,79 +189,57 @@ class TreeArena:
     @classmethod
     def from_clock_tree(cls, tree) -> "TreeArena":
         """Snapshot ``tree`` into arrays.  Requires contiguous node ids."""
-        n = len(tree)
-        kinds = np.empty(n, dtype=np.int8)
-        parents = np.full(n, -1, dtype=np.int64)
-        edge_lengths = np.zeros(n, dtype=np.float64)
-        xs = np.full(n, np.nan, dtype=np.float64)
-        ys = np.full(n, np.nan, dtype=np.float64)
-        has_location = np.zeros(n, dtype=bool)
-        sink_caps = np.zeros(n, dtype=np.float64)
-        groups = np.zeros(n, dtype=np.int64)
-        has_group = np.zeros(n, dtype=bool)
-        names: List[Optional[str]] = [None] * n
-        buffers: List[Optional[object]] = [None] * n
-        buffer_mask = np.zeros(n, dtype=bool)
-        buffer_input_caps = np.zeros(n, dtype=np.float64)
-        buffer_intrinsics = np.zeros(n, dtype=np.float64)
-        buffer_drive_res = np.zeros(n, dtype=np.float64)
-        counts = np.zeros(n + 1, dtype=np.int64)
-
-        node_list = list(tree.nodes())
-        for i, node in enumerate(node_list):
+        nodes = list(tree.nodes())
+        for i, node in enumerate(nodes):
             if node.node_id != i:
                 raise ValueError(
                     "arena conversion requires contiguous node ids (saw id %d "
                     "at position %d)" % (node.node_id, i)
                 )
-            kinds[i] = _KIND_CODES[node.kind]
-            if node.parent is not None:
-                parents[i] = node.parent
-            edge_lengths[i] = node.edge_length
-            if node.location is not None:
-                xs[i] = node.location.x
-                ys[i] = node.location.y
-                has_location[i] = True
-            sink_caps[i] = node.sink_cap
-            if node.group is not None:
-                groups[i] = node.group
-                has_group[i] = True
-            names[i] = node.name
-            if node.buffer is not None:
-                buffers[i] = node.buffer
-                buffer_mask[i] = True
-                buffer_input_caps[i] = node.buffer.input_cap
-                buffer_intrinsics[i] = node.buffer.intrinsic_delay
-                buffer_drive_res[i] = node.buffer.drive_resistance
-            counts[i + 1] = len(node.children)
-
-        child_offsets = np.cumsum(counts)
-        child_ids = np.empty(int(child_offsets[-1]), dtype=np.int64)
-        for i, node in enumerate(node_list):
-            if node.children:
-                child_ids[child_offsets[i] : child_offsets[i + 1]] = node.children
-
+        groups = [node.group for node in nodes]
+        child_offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+        child_offsets[1:] = np.cumsum([len(node.children) for node in nodes])
         return cls(
-            kinds=kinds,
-            parents=parents,
-            edge_lengths=edge_lengths,
-            xs=xs,
-            ys=ys,
-            has_location=has_location,
-            sink_caps=sink_caps,
-            groups=groups,
-            has_group=has_group,
-            names=names,
+            kinds=np.array([_KIND_CODES[node.kind] for node in nodes], dtype=np.int8),
+            parents=np.array(
+                [-1 if node.parent is None else node.parent for node in nodes], dtype=np.int64
+            ),
+            sink_caps=np.array([node.sink_cap for node in nodes], dtype=np.float64),
+            groups=np.array([0 if g is None else g for g in groups], dtype=np.int64),
+            has_group=np.array([g is not None for g in groups], dtype=bool),
+            names=[node.name for node in nodes],
             root=-1 if tree.root_id is None else tree.root_id,
             child_offsets=child_offsets,
-            child_ids=child_ids,
+            child_ids=np.array(
+                [child for node in nodes for child in node.children], dtype=np.int64
+            ),
             technology=tree.technology,
-            buffers=buffers,
-            buffer_mask=buffer_mask,
-            buffer_input_caps=buffer_input_caps,
-            buffer_intrinsics=buffer_intrinsics,
-            buffer_drive_res=buffer_drive_res,
+            **_attribute_columns(nodes),
         )
+
+    def refreshed(self, tree, node_ids: Iterable[int]) -> "TreeArena":
+        """A new snapshot of ``tree`` that re-reads only the rows ``node_ids``.
+
+        Valid while ``tree`` has seen no structural edit since this snapshot
+        was taken, so that only the setter-mutable columns (edge length,
+        location, buffer) can differ, and only on ``node_ids``.  Those rows
+        are re-read with the same code :meth:`from_clock_tree` uses, into
+        copies of the columns; the topology arrays and the memoised levels
+        are shared.  ``self`` is left unchanged.
+        """
+        ids = sorted(node_ids)
+        columns = _attribute_columns([tree.node(i) for i in ids])
+        changes = {}
+        for name, values in columns.items():
+            if name == "buffers":
+                merged = list(self.buffers)
+                for i, cell in zip(ids, values):
+                    merged[i] = cell
+            else:
+                merged = getattr(self, name).copy()
+                merged[ids] = values
+            changes[name] = merged
+        return replace(self, **changes)
 
     def to_clock_tree(self):
         """Rebuild the object tree this arena describes.
@@ -289,3 +273,31 @@ class TreeArena:
         tree._next_id = self.num_nodes
         tree.root_id = None if self.root < 0 else self.root
         return tree
+
+
+def _attribute_columns(nodes: Sequence) -> Dict[str, object]:
+    """The setter-mutable columns of ``nodes``, one row per node.
+
+    Edge length, location and buffer are the attributes ``ClockTree``'s
+    setters change in place.  The full conversion and the row refresh both
+    read them here, so a refreshed row is exactly the row a rebuild gives.
+    """
+    locations = [node.location for node in nodes]
+    cells = [node.buffer for node in nodes]
+    return {
+        "edge_lengths": np.array([node.edge_length for node in nodes], dtype=np.float64),
+        "xs": np.array([np.nan if p is None else p.x for p in locations], dtype=np.float64),
+        "ys": np.array([np.nan if p is None else p.y for p in locations], dtype=np.float64),
+        "has_location": np.array([p is not None for p in locations], dtype=bool),
+        "buffers": cells,
+        "buffer_mask": np.array([c is not None for c in cells], dtype=bool),
+        "buffer_input_caps": np.array(
+            [0.0 if c is None else c.input_cap for c in cells], dtype=np.float64
+        ),
+        "buffer_intrinsics": np.array(
+            [0.0 if c is None else c.intrinsic_delay for c in cells], dtype=np.float64
+        ),
+        "buffer_drive_res": np.array(
+            [0.0 if c is None else c.drive_resistance for c in cells], dtype=np.float64
+        ),
+    }

@@ -11,7 +11,7 @@ structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.geometry.point import Point
@@ -73,11 +73,11 @@ class ClockTree:
         self._nodes: Dict[int, ClockNode] = {}
         self._next_id = 0
         self.root_id: Optional[int] = None
-        # Arena snapshot cache: any structural or attribute mutation bumps
-        # _mutations, invalidating the cached struct-of-arrays view.
-        self._mutations = 0
+        # Arena snapshot cache.  Structural edits drop it; the attribute
+        # setters record their node id in _stale_rows, and the next
+        # as_arena() re-reads only those rows (see TreeArena.refreshed).
         self._arena = None
-        self._arena_version = -1
+        self._stale_rows: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -148,24 +148,27 @@ class ClockTree:
         parent.children.append(child_id)
         child.parent = parent_id
         child.edge_length = edge_length
-        self._mutations += 1
+        self._arena = None
 
     def set_location(self, node_id: int, location: Point) -> None:
         """Record the embedded location of a node."""
         self.node(node_id).location = location
-        self._mutations += 1
+        if self._arena is not None:
+            self._stale_rows.add(node_id)
 
     def set_edge_length(self, node_id: int, edge_length: float) -> None:
         """Update the wire length between ``node_id`` and its parent."""
         if edge_length < 0.0:
             raise ValueError("edge length must be non-negative")
         self.node(node_id).edge_length = edge_length
-        self._mutations += 1
+        if self._arena is not None:
+            self._stale_rows.add(node_id)
 
     def set_buffer(self, node_id: int, cell: Optional["BufferCell"]) -> None:
         """Place (or with ``None`` remove) a buffer cell at ``node_id``."""
         self.node(node_id).buffer = cell
-        self._mutations += 1
+        if self._arena is not None:
+            self._stale_rows.add(node_id)
 
     def copy_subtree_from(self, other: "ClockTree", root_id: int) -> Dict[int, int]:
         """Graft a copy of ``other``'s subtree rooted at ``root_id`` into this tree.
@@ -218,24 +221,24 @@ class ClockTree:
             if children:
                 stack.extend(children[::-1])
         self._next_id = next_id
-        self._mutations += 1
+        self._arena = None
         return id_map
 
     def mark_mutated(self) -> None:
         """Invalidate cached derived views after direct node mutations.
 
-        Bulk editors (the opt passes' snapshot/restore loops) write
-        ``node.edge_length`` / ``node.location`` in place instead of going
-        through the setters above; they must call this once afterwards or the
-        cached arena snapshot — and everything computed from it, such as the
-        array Elmore engine — keeps serving the pre-mutation tree.
+        Everything in this library edits nodes through the methods above.
+        Code that writes ``ClockNode`` fields in place instead must call this
+        once afterwards, or the cached arena snapshot -- and everything
+        computed from it, such as the array Elmore engine -- keeps serving
+        the pre-mutation tree.  The next :meth:`as_arena` rebuilds in full.
         """
-        self._mutations += 1
+        self._arena = None
 
     def _add_node(self, node: ClockNode) -> int:
         self._nodes[node.node_id] = node
         self._next_id += 1
-        self._mutations += 1
+        self._arena = None
         return node.node_id
 
     # ------------------------------------------------------------------
@@ -343,17 +346,25 @@ class ClockTree:
     def as_arena(self):
         """A struct-of-arrays snapshot of this tree (see repro.cts.arena).
 
-        The snapshot is cached and reused until the next mutation (node
-        addition, attach, location or edge-length update), so repeated
-        analysis passes over an unchanged tree pay the conversion once.
-        Callers must treat the returned arena as read-only.
+        The snapshot is cached and reused until the next mutation, so
+        repeated analysis passes over an unchanged tree pay the conversion
+        once.  After structural edits (node addition, :meth:`attach`,
+        :meth:`copy_subtree_from`) and :meth:`mark_mutated` the snapshot is
+        rebuilt in full; after :meth:`set_location`, :meth:`set_edge_length`
+        and :meth:`set_buffer` only the rows those setters touched are
+        re-read.  Either way a new arena is returned and every snapshot
+        handed out earlier stays as it was.  Callers must treat the returned
+        arena as read-only.
         """
-        if self._arena is None or self._arena_version != self._mutations:
+        arena = self._arena
+        if arena is None:
             from repro.cts.arena import TreeArena
 
-            self._arena = TreeArena.from_clock_tree(self)
-            self._arena_version = self._mutations
-        return self._arena
+            arena = self._arena = TreeArena.from_clock_tree(self)
+        elif self._stale_rows:
+            arena = self._arena = arena.refreshed(self, self._stale_rows)
+        self._stale_rows.clear()
+        return arena
 
     def to_networkx(self):
         """The tree as a ``networkx.DiGraph`` (edges point from parent to child)."""

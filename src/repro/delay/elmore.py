@@ -24,11 +24,15 @@ Two engines compute the same numbers:
 :data:`ARENA_THRESHOLD` nodes or more, where the conversion cost is repaid
 many times over, and the object walk below it.  Both engines return exactly
 equal dictionaries, which the test-suite asserts.
+
+:func:`arena_elmore` is the arena engine's public entry for callers that
+already hold a snapshot and want node-indexed arrays rather than
+dictionaries (the optimizer's skew scoring, ECO's frontier stubs).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -38,6 +42,7 @@ __all__ = [
     "subtree_capacitances",
     "elmore_delays",
     "sink_delays",
+    "arena_elmore",
     "ELMORE_ENGINES",
     "ARENA_THRESHOLD",
 ]
@@ -72,7 +77,7 @@ def subtree_capacitances(tree, engine: str = "auto") -> Dict[int, float]:
     if _use_arena(tree, engine):
         tree.root()  # same "no root yet" error as the object walk
         arena = tree.as_arena()
-        caps, _ = _arena_capacitances(arena)
+        caps, _ = arena_elmore(arena)
         ids = np.flatnonzero(arena.reachable_mask())
         return dict(zip(ids.tolist(), caps[ids].tolist()))
     caps, _ = _object_capacitances(tree)
@@ -117,8 +122,7 @@ def elmore_delays(tree, engine: str = "auto") -> Dict[int, float]:
     if _use_arena(tree, engine):
         tree.root()
         arena = tree.as_arena()
-        caps, internal = _arena_capacitances(arena)
-        delays = _arena_delays(arena, caps, internal)
+        _, delays = arena_elmore(arena)
         ids = np.flatnonzero(arena.reachable_mask())
         return dict(zip(ids.tolist(), delays[ids].tolist()))
     tech = tree.technology
@@ -153,6 +157,21 @@ def sink_delays(tree, engine: str = "auto") -> Dict[int, float]:
 # ----------------------------------------------------------------------
 # Arena passes
 # ----------------------------------------------------------------------
+def arena_elmore(arena) -> Tuple[np.ndarray, np.ndarray]:
+    """``(seen_caps, delays)`` of every node of a :class:`TreeArena`.
+
+    Both arrays are indexed by node id.  ``seen_caps`` is what
+    :func:`subtree_capacitances` reports: the downstream capacitance seen
+    from upstream, which a buffered node decouples to its cell's input cap.
+    ``delays`` is what :func:`elmore_delays` reports: the root-to-node delay
+    with the source resistance term, and with each buffer's stage delay in
+    front of everything below it.  Nodes unreachable from the root hold
+    meaningless values; the dictionary entries above leave them out.
+    """
+    caps, internal = _arena_capacitances(arena)
+    return caps, _arena_delays(arena, caps, internal)
+
+
 def _arena_capacitances(arena):
     """Bottom-up capacitance accumulation over height levels.
 

@@ -60,7 +60,7 @@ from repro.core.subtree import Subtree
 from repro.cts.arena import SINK_KIND
 from repro.cts.embedding import embed_new_nodes
 from repro.cts.tree import ClockTree
-from repro.delay.elmore import _arena_capacitances, _arena_delays
+from repro.delay.elmore import arena_elmore
 from repro.eco.delta import EcoDelta, EcoDeltaError
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.trr import Trr
@@ -499,8 +499,7 @@ def _frontier_stub_data(
     if not frontier:
         return []
     arena = tree.as_arena()
-    caps, internal = _arena_capacitances(arena)
-    delays = _arena_delays(arena, caps, internal)
+    caps, delays = arena_elmore(arena)
     roots = np.asarray(frontier, dtype=np.int64)
     label = np.full(arena.num_nodes, -1, dtype=np.int64)
     label[roots] = np.arange(len(frontier), dtype=np.int64)

@@ -10,6 +10,8 @@ blockage model the rest of the library builds on:
   queries, shortest obstacle-avoiding rectilinear routing (escape graph over
   the Hanan grid of the blockage corners) and the Manhattan *detour distance*
   that obstacle-aware embedding and validation are defined in terms of.
+  Detour distances are memoised per set, since the opt passes ask for the
+  same edges again and again.
 
 Wires may run along blockage *boundaries* -- only the open interior is
 forbidden, which matches the usual physical-design convention (routing over
@@ -21,7 +23,7 @@ boundary are never misclassified as inside.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.geometry.point import Point
@@ -127,11 +129,24 @@ class Rect:
         )
 
 
+@dataclass
+class _DetourMemo:
+    """Detour distances by ``(start, end)``, and how many were computed."""
+
+    distances: Dict[Tuple[Point, Point], float] = field(default_factory=dict)
+    computed: int = 0
+
+
 @dataclass(frozen=True)
 class ObstacleSet:
     """An immutable set of rectangular blockages with routing queries."""
 
     rects: Tuple[Rect, ...] = ()
+    #: Per-set cache of :meth:`detour_distance`; not part of the set's value
+    #: (left out of ``==``, ``hash`` and ``repr``) and dropped with the set.
+    _memo: _DetourMemo = field(
+        default_factory=_DetourMemo, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rects", tuple(self.rects))
@@ -160,6 +175,11 @@ class ObstacleSet:
     def total_area(self) -> float:
         """Sum of blockage areas (overlaps counted twice)."""
         return sum(rect.area for rect in self.rects)
+
+    @property
+    def detours_computed(self) -> int:
+        """Detour distances this set computed rather than read from its memo."""
+        return self._memo.computed
 
     # ------------------------------------------------------------------
     # Queries
@@ -245,12 +265,19 @@ class ObstacleSet:
         """Length of the shortest obstacle-avoiding rectilinear path.
 
         Equals the plain Manhattan distance whenever an unobstructed L-shape
-        exists; otherwise strictly larger.
+        exists; otherwise strictly larger.  Results are memoised by
+        ``(start, end)``; a failed query (an endpoint inside a blockage) is
+        not, so it raises again on every call.
         """
         if not self.rects:
             return start.distance_to(end)
-        path = self.route(start, end)
-        return path_length(path)
+        memo = self._memo
+        key = (start, end)
+        distance = memo.distances.get(key)
+        if distance is None:
+            memo.computed += 1
+            distance = memo.distances[key] = path_length(self.route(start, end))
+        return distance
 
     # ------------------------------------------------------------------
     def l_shape_path(self, start: Point, end: Point) -> "List[Point] | None":

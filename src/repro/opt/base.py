@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
-from repro.delay.elmore import sink_delays, subtree_capacitances
+import numpy as np
+
+from repro.delay.elmore import arena_elmore, sink_delays, subtree_capacitances
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.trr import Trr
@@ -35,6 +37,10 @@ class OptContext:
     (the blockage-avoiding detour distance each booked length must cover) are
     cached and only recomputed when a pass reports geometry changes via
     :meth:`invalidate_geometry`.
+
+    Skew is scored on arrays: :meth:`elmore` runs one arena Elmore pass per
+    tree snapshot, and the per-group spreads reduce over sink ids and group
+    indices fixed here, since no pass adds or removes sinks.
     """
 
     def __init__(
@@ -60,6 +66,16 @@ class OptContext:
         self.single_group = single_group
         self.technology: Technology = tree.technology
         self._required: Optional[Dict[int, float]] = None
+        sinks = tree.sinks()
+        groups = [self.group_of(sink) for sink in sinks]
+        #: Group ids in first-occurrence order over the sinks, the key order
+        #: of :meth:`group_spreads`.
+        self._group_keys: List[int] = list(dict.fromkeys(groups))
+        slot = {group: index for index, group in enumerate(self._group_keys)}
+        self._sink_ids = np.array([sink.node_id for sink in sinks], dtype=np.int64)
+        self._sink_slots = np.array([slot[g] for g in groups], dtype=np.int64)
+        self._elmore_arena = None
+        self._elmore: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Absolute cap on *net* wire growth (set by the Optimizer from
         #: ``config.max_added_wire_fraction``); ``math.inf`` when unlimited.
         self.wire_budget: float = float("inf")
@@ -83,40 +99,54 @@ class OptContext:
     def subtree_capacitances(self) -> Dict[int, float]:
         return subtree_capacitances(self.tree)
 
+    def elmore(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(seen_caps, delays)`` of the current tree, indexed by node id.
+
+        One :func:`~repro.delay.elmore.arena_elmore` pass per tree snapshot:
+        the result is reused until a mutation produces a new snapshot.  The
+        arrays are shared, so callers must not write to them.
+        """
+        arena = self.tree.as_arena()
+        if arena is not self._elmore_arena:
+            self._elmore = arena_elmore(arena)
+            self._elmore_arena = arena
+        return self._elmore
+
     def group_of(self, node) -> int:
         if self.single_group:
             return 0
         return node.group if node.group is not None else 0
 
-    def group_spreads(self, delays: Optional[Dict[int, float]] = None) -> Dict[int, float]:
-        """Per-group intra-group skew (hi - lo sink delay), internal units."""
-        if delays is None:
-            delays = self.sink_delays()
-        lo: Dict[int, float] = {}
-        hi: Dict[int, float] = {}
-        for sink in self.tree.sinks():
-            group = self.group_of(sink)
-            delay = delays[sink.node_id]
-            if group in lo:
-                lo[group] = min(lo[group], delay)
-                hi[group] = max(hi[group], delay)
-            else:
-                lo[group] = hi[group] = delay
-        return {group: hi[group] - lo[group] for group in lo}
+    def group_spreads(self, delays: Optional[np.ndarray] = None) -> Dict[int, float]:
+        """Per-group intra-group skew (hi - lo sink delay), internal units.
 
-    def skew_violations(self, delays: Optional[Dict[int, float]] = None) -> int:
+        ``delays`` is a node-indexed delay array (default: the current
+        tree's, from :meth:`elmore`).  Groups come back in first-occurrence
+        order over the sinks.
+        """
+        if delays is None:
+            delays = self.elmore()[1]
+        count = len(self._group_keys)
+        lo = np.full(count, np.inf)
+        hi = np.full(count, -np.inf)
+        values = delays[self._sink_ids]
+        np.minimum.at(lo, self._sink_slots, values)
+        np.maximum.at(hi, self._sink_slots, values)
+        return dict(zip(self._group_keys, (hi - lo).tolist()))
+
+    def skew_violations(self, delays: Optional[np.ndarray] = None) -> int:
         """Number of groups whose intra-group skew exceeds the bound."""
         spreads = self.group_spreads(delays)
         return sum(1 for g, s in spreads.items() if s > self.bound_for(g) + 1e-9)
 
-    def worst_excess(self, delays: Optional[Dict[int, float]] = None) -> float:
+    def worst_excess(self, delays: Optional[np.ndarray] = None) -> float:
         """Largest per-group skew excess over its bound (<= 0 when repaired)."""
         spreads = self.group_spreads(delays)
         return max(
             (s - self.bound_for(g) for g, s in spreads.items()), default=0.0
         )
 
-    def cap_violations(self, caps: Optional[Dict[int, float]] = None) -> int:
+    def cap_violations(self) -> int:
         """Nodes whose driver-seen capacitance exceeds ``config.max_cap``.
 
         The seen cap is the decoupled subtree capacitance -- what the wire
@@ -127,9 +157,8 @@ class OptContext:
         max_cap = self.config.max_cap
         if max_cap is None:
             return 0
-        if caps is None:
-            caps = self.subtree_capacitances()
-        return sum(1 for value in caps.values() if value > max_cap + 1e-9)
+        seen = self.elmore()[0][self._elmore_arena.reachable_mask()]
+        return int(np.count_nonzero(seen > max_cap + 1e-9))
 
     # ------------------------------------------------------------------
     # Geometry helpers

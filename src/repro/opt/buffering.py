@@ -63,21 +63,20 @@ class BufferInsertPass:
         tree = ctx.tree
         root_id = tree.root().node_id
 
-        delays = ctx.sink_delays()
+        caps, delays = ctx.elmore()
         violations = ctx.skew_violations(delays)
         worst = ctx.worst_excess(delays)
-        caps = ctx.subtree_capacitances()
         # Leaves-first, so a deep insertion relieves every driver above it
         # before the shallower (larger) loads are even considered.
         for node_id in tree.reverse_topological_order():
             node = tree.node(node_id)
             if node.is_sink or node_id == root_id or node.buffer is not None:
                 continue
-            if caps[node_id] <= max_cap:
+            load = float(caps[node_id])
+            if load <= max_cap:
                 continue
-            cell = _pick_cell(library, caps[node_id], max_cap)
-            tree.set_buffer(node_id, cell)
-            new_delays = ctx.sink_delays()
+            tree.set_buffer(node_id, _pick_cell(library, load, max_cap))
+            new_caps, new_delays = ctx.elmore()
             new_violations = ctx.skew_violations(new_delays)
             new_worst = ctx.worst_excess(new_delays)
             degrades = new_violations > violations or (
@@ -88,8 +87,7 @@ class BufferInsertPass:
             if degrades:
                 tree.set_buffer(node_id, None)
                 continue
-            violations, worst = new_violations, new_worst
-            caps = ctx.subtree_capacitances()
+            violations, worst, caps = new_violations, new_worst, new_caps
             outcome.buffers_inserted += 1
         outcome.seconds = time.perf_counter() - started
         return outcome

@@ -95,12 +95,11 @@ class Optimizer:
             bound_ps=Technology.internal_to_ps(min(bounds)) if bounds else 0.0,
             wirelength_before=tree.total_wirelength(),
         )
-        delays = ctx.sink_delays()
-        spreads = ctx.group_spreads(delays)
+        spreads = ctx.group_spreads()
         report.max_intra_skew_before_ps = Technology.internal_to_ps(
             max(spreads.values(), default=0.0)
         )
-        report.skew_violations_before = ctx.skew_violations(delays)
+        report.skew_violations_before = ctx.skew_violations()
 
         tracer = get_tracer()
         for iteration in range(self.config.max_iterations):
@@ -110,6 +109,7 @@ class Optimizer:
                 with tracer.span(
                     "opt.pass", pass_name=opt_pass.name, iteration=iteration
                 ) as pass_span:
+                    detours_before = _detours_computed(ctx)
                     snapshot = _snapshot(tree)
                     spent_before = ctx.wire_net_added
                     before = _quality(ctx)
@@ -124,7 +124,9 @@ class Optimizer:
                         ctx.wire_net_added = spent_before
                         outcome.reverted = True
                     pass_span.set(
-                        changed=outcome.changed, reverted=outcome.reverted
+                        changed=outcome.changed,
+                        reverted=outcome.reverted,
+                        detours_computed=_detours_computed(ctx) - detours_before,
                     )
                 if outcome.reverted:
                     report.passes.append(outcome)
@@ -139,12 +141,11 @@ class Optimizer:
         if ctx.worst_excess() <= 0.0:
             report.converged = True
 
-        delays = ctx.sink_delays()
-        spreads = ctx.group_spreads(delays)
+        spreads = ctx.group_spreads()
         report.max_intra_skew_after_ps = Technology.internal_to_ps(
             max(spreads.values(), default=0.0)
         )
-        report.skew_violations_after = ctx.skew_violations(delays)
+        report.skew_violations_after = ctx.skew_violations()
         report.wirelength_after = tree.total_wirelength()
 
         if self.config.verify_oracle:
@@ -163,12 +164,20 @@ def _snapshot(tree) -> Dict[int, tuple]:
 
 
 def _restore(tree, snapshot: Dict[int, tuple]) -> None:
+    """Undo a pass through the tree's setters, touching only changed nodes."""
     for node_id, (edge_length, location, buffer) in snapshot.items():
         node = tree.node(node_id)
-        node.edge_length = edge_length
-        node.location = location
-        node.buffer = buffer
-    tree.mark_mutated()
+        if node.edge_length != edge_length:
+            tree.set_edge_length(node_id, edge_length)
+        if node.location != location:
+            tree.set_location(node_id, location)
+        if node.buffer != buffer:
+            tree.set_buffer(node_id, buffer)
+
+
+def _detours_computed(ctx: OptContext) -> int:
+    """Detours the context's obstacle set has computed so far (0 without)."""
+    return 0 if ctx.obstacles is None else ctx.obstacles.detours_computed
 
 
 def _quality(ctx: OptContext) -> tuple:
@@ -186,7 +195,7 @@ def _quality(ctx: OptContext) -> tuple:
     as the progress it is: a lower floor is exactly the slack the repair and
     recovery passes harvest next.
     """
-    delays = ctx.sink_delays()
+    delays = ctx.elmore()[1]
     return (
         ctx.skew_violations(delays),
         ctx.cap_violations(),

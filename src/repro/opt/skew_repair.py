@@ -331,8 +331,8 @@ class SkewRepairPass:
                 self._alignment_sweep(ctx, probe)
                 score = self._polish_score(ctx)
                 for node_id, length in baseline.items():
-                    tree.node(node_id).edge_length = length
-                tree.mark_mutated()
+                    if tree.node(node_id).edge_length != length:
+                        tree.set_edge_length(node_id, length)
                 ctx.wire_net_added = spent_baseline
                 if score < current and (best is None or score < best[0]):
                     best = (score, move)

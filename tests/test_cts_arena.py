@@ -4,7 +4,9 @@ routing backend's bit-identity with the object walk.
 Three layers:
 
 * ``TreeArena`` unit tests: CSR children gathers, depth/height levels,
-  reachability, cycle / non-contiguous-id rejection, snapshot caching;
+  reachability, cycle / non-contiguous-id rejection, snapshot caching, and
+  a hypothesis oracle holding every cached or row-refreshed snapshot equal
+  to a full rebuild;
 * lossless round-trip: ``from_clock_tree`` -> ``to_clock_tree`` reproduces
   routed trees node for node, including obstacle-detoured trees whose edge
   lengths exceed the Manhattan distance (hypothesis-driven);
@@ -14,6 +16,8 @@ Three layers:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -25,7 +29,9 @@ from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
 from repro.cts.arena import INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
 from repro.cts.tree import ClockTree
+from repro.delay.buffer import default_library
 from repro.geometry.point import Point
+from repro.opt import BUFFERED_PASSES, OptConfig
 
 
 def small_tree() -> ClockTree:
@@ -169,8 +175,8 @@ class TestTreeArena:
         assert fresh.num_nodes == stale.num_nodes + len(mapping)
 
     def test_mark_mutated_invalidates_after_in_place_edits(self):
-        """Bulk editors that write node attributes directly (the opt passes'
-        snapshot/restore loops) must be able to invalidate the cache."""
+        """Code outside the library that writes node attributes directly
+        must be able to invalidate the cache."""
         tree = small_tree()
         stale = tree.as_arena()
         tree.node(0).edge_length = 42.0  # bypasses set_edge_length
@@ -179,6 +185,122 @@ class TestTreeArena:
         fresh = tree.as_arena()
         assert fresh is not stale
         assert fresh.edge_lengths[0] == 42.0
+
+    def test_setters_refresh_rows_and_share_topology(self):
+        """Attribute setters re-read only their rows: the next snapshot shares
+        the topology arrays and memoised levels, and the old one is kept."""
+        tree = small_tree()
+        stale = tree.as_arena()
+        levels = stale.depth_levels()
+        tree.set_edge_length(0, 7.5)
+        tree.set_buffer(2, default_library().cells[0])
+        fresh = tree.as_arena()
+        assert fresh is not stale
+        assert fresh.parents is stale.parents and fresh.child_ids is stale.child_ids
+        assert fresh.depth_levels() is levels
+        assert fresh.edge_lengths[0] == 7.5 and stale.edge_lengths[0] == 5.0
+        assert fresh.buffer_mask.tolist() == [False, False, True, False]
+        assert not stale.buffer_mask.any()
+        assert_arenas_equal(fresh, TreeArena.from_clock_tree(tree))
+
+        tree.attach(2, tree.add_sink(Point(1.0, 1.0), sink_cap=1.0), 3.0)
+        rebuilt = tree.as_arena()
+        assert rebuilt.parents is not fresh.parents
+
+
+ARENA_COLUMNS = (
+    "kinds", "parents", "edge_lengths", "xs", "ys", "has_location", "sink_caps",
+    "groups", "has_group", "child_offsets", "child_ids", "buffer_mask",
+    "buffer_input_caps", "buffer_intrinsics", "buffer_drive_res",
+)
+
+
+def assert_arenas_equal(got: TreeArena, expected: TreeArena) -> None:
+    """Column-for-column equality (NaN-aware), derived levels included."""
+    for name in ARENA_COLUMNS:
+        column, reference = getattr(got, name), getattr(expected, name)
+        assert column.dtype == reference.dtype, name
+        np.testing.assert_array_equal(column, reference, err_msg=name)
+    assert got.names == expected.names
+    assert got.buffers == expected.buffers
+    assert got.root == expected.root
+    assert got.technology == expected.technology
+    for mine, theirs in (
+        (got.depth_levels(), expected.depth_levels()),
+        (got.height_levels(), expected.height_levels()),
+    ):
+        assert [level.tolist() for level in mine] == [level.tolist() for level in theirs]
+    assert got.reachable_mask().tolist() == expected.reachable_mask().tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _routed_base(kind: str) -> ClockTree:
+    """Read-only routed trees the snapshot oracle copies before editing."""
+    if kind == "buffered":
+        spec = RunSpec(
+            instance=InstanceSpec.from_family("blocked", 120, seed=1, groups=4),
+            router=RouterSpec("ast-dme", {"skew_bound_ps": 10.0}),
+            opt=OptConfig(enabled=True, passes=BUFFERED_PASSES, max_cap=800.0),
+        )
+        tree = run(spec, keep_tree=True).routing.tree
+        assert tree.num_buffers() >= 1
+        return tree
+    if kind == "blocked":
+        return routed_tree(60, seed=5, groups=2, family="blocked")
+    return routed_tree(60, seed=5, groups=4)
+
+
+_CELLS = (None,) + tuple(default_library().cells)
+_EDITS = st.tuples(
+    st.sampled_from(
+        ["location", "length", "buffer", "snapshot", "direct", "add_sink", "attach", "graft"]
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=-100.0, max_value=1e5, allow_nan=False),
+)
+
+
+class TestSnapshotOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "blocked", "buffered"]),
+        edits=st.lists(_EDITS, min_size=1, max_size=30),
+    )
+    def test_snapshots_match_a_full_rebuild(self, kind, edits):
+        """Interleave setters, structural edits, ``mark_mutated`` and
+        ``as_arena``: every snapshot equals a rebuild taken at the same moment,
+        and no snapshot handed out earlier changes afterwards."""
+        tree = TreeArena.from_clock_tree(_routed_base(kind)).to_clock_tree()
+        orphans = []
+        taken = []
+        for op, pick, value in edits + [("snapshot", 0, 0.0)]:
+            node = pick % len(tree)
+            if op == "location":
+                tree.set_location(node, None if value < 0 else Point(value, value / 3.0))
+            elif op == "length":
+                tree.set_edge_length(node, abs(value))
+            elif op == "buffer":
+                tree.set_buffer(node, _CELLS[pick % len(_CELLS)])
+            elif op == "direct":
+                tree.node(node).edge_length = abs(value)
+                tree.mark_mutated()
+            elif op == "add_sink":
+                orphans.append(tree.add_sink(Point(value, 0.0), sink_cap=1.0, group=pick % 3))
+            elif op == "attach" and orphans:
+                orphan = orphans.pop()
+                parent = pick % len(tree)
+                if parent != orphan:
+                    tree.attach(parent, orphan, abs(value))
+            elif op == "graft":
+                donor = small_tree()
+                tree.copy_subtree_from(donor, pick % len(donor))
+            elif op == "snapshot":
+                snapshot = tree.as_arena()
+                rebuild = TreeArena.from_clock_tree(tree)
+                assert_arenas_equal(snapshot, rebuild)
+                taken.append((snapshot, rebuild))
+                for earlier, its_rebuild in taken:
+                    assert_arenas_equal(earlier, its_rebuild)
 
 
 # ----------------------------------------------------------------------

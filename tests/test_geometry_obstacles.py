@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.analysis.validate import validate_routes, validate_tree
 from repro.api.registry import get_router
 from repro.cts.routing import route_edges
-from repro.geometry.obstacles import ObstacleSet, Rect, _simplify
+from repro.geometry.obstacles import ObstacleSet, Rect, _simplify, path_length
 from repro.geometry.point import Point
 
 # ----------------------------------------------------------------------
@@ -168,10 +168,26 @@ class TestRoutingProperties:
     @given(rects_strategy(), free_point_strategy(), free_point_strategy())
     def test_detour_at_least_manhattan_and_symmetric(self, obstacles, start, end):
         if obstacles.blocks_point(start) or obstacles.blocks_point(end):
+            # Failed queries are not memoised: every call raises again.
+            for _ in range(2):
+                with pytest.raises(ValueError, match="inside a blockage"):
+                    obstacles.detour_distance(start, end)
             return
         detour = obstacles.detour_distance(start, end)
         assert detour >= start.distance_to(end) - 1e-6
         assert detour == pytest.approx(obstacles.detour_distance(end, start), abs=1e-6)
+        # The memo: a repeat call and a fresh equal set both return exactly
+        # the routed path's length, and a warm memo leaves ==/hash alone.
+        exact = path_length(obstacles.route(start, end))
+        fresh = ObstacleSet(obstacles.rects)
+        assert fresh == obstacles and hash(fresh) == hash(obstacles)
+        computed = obstacles.detours_computed
+        assert obstacles.detour_distance(start, end) == detour == exact
+        assert obstacles.detours_computed == computed  # served from the memo
+        assert obstacles.detour_distance(start, start) == 0.0  # keyed by both ends
+        assert fresh.detour_distance(start, end) == exact
+        assert ObstacleSet(obstacles.rects) == obstacles
+        assert hash(ObstacleSet(obstacles.rects)) == hash(obstacles)
 
     @settings(max_examples=60, deadline=None)
     @given(rects_strategy(), free_point_strategy())

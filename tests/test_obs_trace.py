@@ -18,6 +18,7 @@ from repro.obs.trace import (
     write_ndjson,
 )
 from repro.obs.trace import _NOOP  # noqa: F401 - the disabled-path contract is public behaviour
+from repro.opt import BUFFERED_PASSES, OptConfig
 
 
 @pytest.fixture()
@@ -272,3 +273,34 @@ class TestTracedRuns:
 
     def test_tracing_leaves_the_process_tracer_off(self, traced):
         assert get_tracer().enabled is False
+
+
+class TestOptPassSpans:
+    """Each ``opt.pass`` span reports the detours the pass computed, as
+    opposed to read from the obstacle set's memo."""
+
+    @staticmethod
+    def _opt_spans(instance):
+        result = run(
+            RunSpec(
+                instance=instance,
+                router=RouterSpec("ast-dme", {"skew_bound_ps": 10.0}),
+                validate=True,
+                opt=OptConfig(enabled=True, passes=BUFFERED_PASSES, max_cap=1200.0),
+            ),
+            trace=True,
+        )
+        assert result.ok
+        return [event for event in result.trace if event["name"] == "opt.pass"]
+
+    def test_blocked_repair_counts_detours(self):
+        spans = self._opt_spans(InstanceSpec.from_family("blocked", 200, seed=0, groups=4))
+        assert {span["attrs"]["pass_name"] for span in spans} == set(BUFFERED_PASSES)
+        counts = [span["attrs"]["detours_computed"] for span in spans]
+        assert all(isinstance(count, int) and count >= 0 for count in counts)
+        assert sum(counts) > 0
+
+    def test_obstacle_free_repair_computes_no_detours(self):
+        spans = self._opt_spans(InstanceSpec.from_random(60, seed=3, groups=4))
+        assert spans
+        assert all(span["attrs"]["detours_computed"] == 0 for span in spans)

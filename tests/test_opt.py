@@ -11,10 +11,12 @@ from repro.api.registry import RouterSpec
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
 from repro.core.ast_dme import AstDme, AstDmeConfig
+from repro.delay.elmore import sink_delays, subtree_capacitances
 from repro.delay.technology import Technology
 from repro.opt import (
     BUFFERED_PASSES,
     OptConfig,
+    OptContext,
     OptReport,
     Optimizer,
     PassOutcome,
@@ -166,11 +168,12 @@ class TestOptimizer:
         assert report.max_intra_skew_after_ps <= 10.0 + 1e-6
 
     def test_repairs_with_the_arena_elmore_engine(self, monkeypatch):
-        """Regression: the repair passes' bulk snapshot-restore loops write
-        node attributes in place; without `mark_mutated` the cached arena
-        snapshot went stale and the arena Elmore engine (the `auto` choice for
-        trees past the size threshold) scored every candidate move against the
-        pre-mutation tree, leaving violations unrepaired at bench sizes."""
+        """Regression: the repair passes' bulk snapshot-restore loops once
+        wrote node attributes in place, the cached arena snapshot went stale
+        and the arena Elmore engine (the `auto` choice for trees past the
+        size threshold) scored every candidate move against the pre-mutation
+        tree, leaving violations unrepaired at bench sizes.  The undo now
+        goes through the setters, which refresh the snapshot's rows."""
         import repro.delay.elmore as elmore
 
         monkeypatch.setattr(elmore, "ARENA_THRESHOLD", 1)
@@ -284,6 +287,86 @@ class TestOptimizer:
             OptConfig(enabled=True, passes=("skew-repair",), verify_oracle=False)
         ).optimize(blocked_routing.tree, bound_for=lambda g: bound)
         assert {outcome.name for outcome in report.passes} == {"skew-repair"}
+
+
+# ----------------------------------------------------------------------
+# Array skew scoring against the per-sink reference
+# ----------------------------------------------------------------------
+def reference_group_spreads(ctx, delays):
+    """The historical per-sink walk: ``{group: hi - lo}`` from a delay dict,
+    groups in first-occurrence order over ``tree.sinks()``."""
+    lo = {}
+    hi = {}
+    for sink in ctx.tree.sinks():
+        group = ctx.group_of(sink)
+        delay = delays[sink.node_id]
+        if group in lo:
+            lo[group] = min(lo[group], delay)
+            hi[group] = max(hi[group], delay)
+        else:
+            lo[group] = hi[group] = delay
+    return {group: hi[group] - lo[group] for group in lo}
+
+
+def _context(tree, single_group=False, **config):
+    bound = Technology.ps_to_internal(10.0)
+    return OptContext(
+        tree,
+        OptConfig(enabled=True, **config),
+        lambda group: bound,
+        single_group=single_group,
+    )
+
+
+class TestArraySkewScoring:
+    @pytest.mark.parametrize("groups", [1, 4, 8])
+    @pytest.mark.parametrize("single_group", [False, True])
+    def test_spreads_match_the_reference_walk(self, groups, single_group):
+        tree = run(_blocked_spec(num_sinks=150, groups=groups), keep_tree=True).routing.tree
+        ctx = _context(tree, single_group=single_group)
+        expected = reference_group_spreads(ctx, sink_delays(tree))
+        got = ctx.group_spreads()
+        assert list(got.items()) == list(expected.items())
+        if not single_group:
+            assert len(got) == groups
+        # An edit moves the spreads; the scoring follows the new snapshot.
+        sink = tree.sinks()[3]
+        tree.set_edge_length(sink.node_id, sink.edge_length + 500.0)
+        assert list(ctx.group_spreads().items()) == list(
+            reference_group_spreads(ctx, sink_delays(tree)).items()
+        )
+
+    def test_sinks_without_a_group_score_as_group_zero(self):
+        tree = run(_blocked_spec(num_sinks=80, groups=4), keep_tree=True).routing.tree
+        for sink in tree.sinks()[::3]:
+            sink.group = None
+        tree.mark_mutated()
+        ctx = _context(tree)
+        got = ctx.group_spreads()
+        assert list(got.items()) == list(
+            reference_group_spreads(ctx, sink_delays(tree)).items()
+        )
+        assert 0 in got
+
+    def test_buffered_trees_match_the_reference_walk(self):
+        spec = _blocked_spec(
+            num_sinks=500,
+            groups=4,
+            opt=OptConfig(enabled=True, passes=BUFFERED_PASSES, max_cap=8000.0),
+        )
+        tree = run(spec, keep_tree=True).routing.tree
+        assert tree.num_buffers() >= 1
+        ctx = _context(tree, max_cap=8000.0)
+        got = ctx.group_spreads()
+        assert list(got.items()) == list(
+            reference_group_spreads(ctx, sink_delays(tree)).items()
+        )
+        delays = ctx.elmore()[1]
+        assert ctx.skew_violations(delays) == sum(
+            1 for s in got.values() if s > ctx.bound_for(0) + 1e-9
+        )
+        caps = subtree_capacitances(tree)
+        assert ctx.cap_violations() == sum(1 for c in caps.values() if c > 8000.0 + 1e-9)
 
 
 # ----------------------------------------------------------------------
