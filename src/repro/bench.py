@@ -65,7 +65,6 @@ __all__ = [
     "SMOKE_ECO_SIZES",
     "SUITES",
     "GATE_SPEEDUP",
-    "GATE_BACKEND_SPEEDUP",
     "GATE_ECO_SPEEDUP",
     "BENCH_MAX_CAP",
     "GATE_HTREE_MAX_WIRELENGTH_RATIO",
@@ -97,7 +96,10 @@ __all__ = [
 #: ``h-tree`` comparison rows and buffered-insertion rows on the blocked
 #: scenarios, and the ``buffered`` (buffer-free runs stay bit-identical;
 #: buffered runs insert and validate) and ``htree`` (valid tree within the
-#: wirelength ratio ceiling versus ast-dme) gates.
+#: wirelength ratio ceiling versus ast-dme) gates.  Since the object merge
+#: loop left the library every row's ``tree_backend`` reads ``"arena"`` and
+#: no run emits ``backend`` gates; the validator still accepts them, so older
+#: v7 files (the committed trajectory) stay valid.
 SCHEMA = "repro-bench/v7"
 
 #: The suites ``repro bench --suite`` can run.
@@ -109,7 +111,7 @@ DEFAULT_SIZES = (500, 2000, 8000)
 #: Sink counts of the ``--smoke`` suite (seconds, not minutes; CI-friendly).
 SMOKE_SIZES = (60, 120)
 
-#: Sink counts of the large suite (the arena backend's home turf).
+#: Sink counts of the large suite.
 LARGE_SIZES = (50000, 200000)
 
 #: Large-suite sizes under ``--smoke`` (one size CI can afford).
@@ -118,10 +120,6 @@ SMOKE_LARGE_SIZES = (50000,)
 #: Wall-time improvement the gate demands of the incremental strategy over
 #: the scalar seed reference on the single-merge greedy-DME configuration.
 GATE_SPEEDUP = 5.0
-
-#: Wall-time improvement the backend gate demands of the arena tree core over
-#: the object walk on the largest scaling-size ast-dme row.
-GATE_BACKEND_SPEEDUP = 5.0
 
 #: Wall-time ceilings (seconds) of the large-suite resource gates, per sink
 #: count.  Measured arena walls are ~5.7s at 50k and ~30s at 200k on the
@@ -206,6 +204,8 @@ SPEEDUP_GATE_KEYS = frozenset(
     }
 )
 
+#: Keys of the ``backend`` gates (arena-vs-object loop identity and speed-up)
+#: that v7 files written before the object loop left the library carry.
 BACKEND_GATE_KEYS = frozenset(
     {
         "kind", "name", "baseline_label", "candidate_label", "speedup",
@@ -270,8 +270,7 @@ def scaling_configs(
     """
     configs: List[Dict[str, Any]] = []
     for n in sizes:
-        # Headline trajectory: default configuration per router (the arena
-        # tree core since v5 -- it is the library default).
+        # Headline trajectory: default configuration per router.
         for router, groups in (("ast-dme", 8), ("greedy-dme", 1), ("ext-bst", 1)):
             label = "%s-n%d" % (router, n)
             configs.append(
@@ -288,31 +287,7 @@ def scaling_configs(
                     ).to_dict(),
                 }
             )
-        # Backend-identity row: the same ast-dme run on the object-walk tree
-        # core.  The backend gate asserts the arena headline row routes a
-        # bit-identical tree and, at the largest size, wins the wall clock.
-        label = "ast-dme-object-n%d" % n
-        configs.append(
-            {
-                "label": label,
-                "order": "multi",
-                "family": "uniform",
-                "neighbor_strategy": "incremental",
-                "tree_backend": "object",
-                "spec": RunSpec(
-                    instance=InstanceSpec.from_random(n, seed=seed, groups=8),
-                    router=RouterSpec(
-                        "ast-dme",
-                        {"skew_bound_ps": 10.0, "tree_backend": "object"},
-                    ),
-                    label=label,
-                ).to_dict(),
-            }
-        )
         # Perf-gate rows: strict single-merge order, one row per strategy.
-        # Pinned to the object tree core so the strategy speed-up trajectory
-        # keeps measuring the neighbour engines against the same merge loop
-        # the v1-v4 files measured.
         for strategy in ("scalar", "rebuild", "incremental"):
             label = "greedy-dme-single-%s-n%d" % (strategy, n)
             configs.append(
@@ -321,16 +296,12 @@ def scaling_configs(
                     "order": "single",
                     "family": "uniform",
                     "neighbor_strategy": strategy,
-                    "tree_backend": "object",
+                    "tree_backend": "arena",
                     "spec": RunSpec(
                         instance=InstanceSpec.from_random(n, seed=seed),
                         router=RouterSpec(
                             "greedy-dme",
-                            {
-                                "multi_merge": False,
-                                "neighbor_strategy": strategy,
-                                "tree_backend": "object",
-                            },
+                            {"multi_merge": False, "neighbor_strategy": strategy},
                         ),
                         label=label,
                     ).to_dict(),
@@ -434,10 +405,7 @@ def large_configs(
 ) -> List[Dict[str, Any]]:
     """The bench configurations of the large suite (``--suite large``).
 
-    One grouped ast-dme row and one single-group greedy-dme row per size --
-    both on the arena tree core, whose point is exactly this regime -- plus
-    one object-walk identity row at the smallest size so the backend gate
-    keeps asserting bit-identity where the object core is still affordable.
+    One grouped ast-dme row and one single-group greedy-dme row per size.
     """
     configs: List[Dict[str, Any]] = []
     for n in sizes:
@@ -460,24 +428,6 @@ def large_configs(
                     ).to_dict(),
                 }
             )
-    n = min(sizes)
-    label = "ast-dme-large-object-n%d" % n
-    configs.append(
-        {
-            "label": label,
-            "order": "multi",
-            "family": "uniform",
-            "neighbor_strategy": "incremental",
-            "tree_backend": "object",
-            "spec": RunSpec(
-                instance=InstanceSpec.from_random(n, seed=seed, groups=8),
-                router=RouterSpec(
-                    "ast-dme", {"skew_bound_ps": 10.0, "tree_backend": "object"}
-                ),
-                label=label,
-            ).to_dict(),
-        }
-    )
     return configs
 
 
@@ -746,9 +696,6 @@ def _gates(
                 "passed": usable and identical and speedup >= required,
             }
         )
-    gates.extend(
-        _backend_gates(rows, sizes, GATE_BACKEND_SPEEDUP if threshold else 0.0)
-    )
     gates.extend(_repair_gates(rows, sizes))
     gates.extend(_buffered_gates(rows, sizes))
     gates.extend(_htree_gates(rows, sizes))
@@ -764,68 +711,11 @@ _IDENTITY_KEYS = (
 )
 
 
-def _backend_gate(
-    baseline: Optional[Dict[str, Any]],
-    candidate: Optional[Dict[str, Any]],
-    name: str,
-    threshold: float,
-) -> Optional[Dict[str, Any]]:
-    """One arena-vs-object gate: identical trees, and (when ``threshold`` is
-    non-zero) the arena candidate beats the object baseline's wall clock."""
-    if not baseline or not candidate:
-        return None
-    usable = baseline["ok"] and candidate["ok"]
-    speedup = (
-        baseline["wall_seconds"] / candidate["wall_seconds"]
-        if usable and candidate["wall_seconds"] > 0.0
-        else 0.0
-    )
-    identical = usable and all(
-        baseline[key] == candidate[key] for key in _IDENTITY_KEYS
-    )
-    return {
-        "kind": "backend",
-        "name": name,
-        "baseline_label": baseline["label"],
-        "candidate_label": candidate["label"],
-        "speedup": speedup,
-        "threshold": threshold,
-        "identical_results": identical,
-        "passed": usable and identical and speedup >= threshold,
-    }
-
-
-def _backend_gates(
-    rows: List[Dict[str, Any]], sizes: Sequence[int], threshold: float
-) -> List[Dict[str, Any]]:
-    """One gate per size comparing the arena headline ast-dme row against the
-    object identity row.  Identity is demanded everywhere; the speed-up
-    threshold only at the largest size (small runs are noise-bound)."""
-    by_label = {row["label"]: row for row in rows}
-    gates: List[Dict[str, Any]] = []
-    largest = max(sizes)
-    for n in sizes:
-        gate = _backend_gate(
-            by_label.get("ast-dme-object-n%d" % n),
-            by_label.get("ast-dme-n%d" % n),
-            "ast-dme-backend-n%d" % n,
-            threshold if n == largest else 0.0,
-        )
-        if gate is not None:
-            gates.append(gate)
-    return gates
-
-
-def _large_gates(
-    rows: List[Dict[str, Any]], sizes: Sequence[int], smoke: bool
-) -> List[Dict[str, Any]]:
+def _large_gates(rows: List[Dict[str, Any]], smoke: bool) -> List[Dict[str, Any]]:
     """The large-suite gates: per-row wall/RSS ceilings (waived under
-    ``--smoke``, where only completion gates) plus the arena-vs-object
-    identity gate at the smallest size."""
+    ``--smoke``, where only completion gates)."""
     gates: List[Dict[str, Any]] = []
     for row in rows:
-        if row["tree_backend"] != "arena":
-            continue
         max_wall = 0.0 if smoke else LARGE_WALL_LIMITS.get(row["num_sinks"], 0.0)
         max_rss = 0.0 if smoke else LARGE_RSS_LIMITS.get(row["num_sinks"], 0.0)
         within_wall = max_wall == 0.0 or row["wall_seconds"] <= max_wall
@@ -842,18 +732,6 @@ def _large_gates(
                 "passed": row["ok"] and within_wall and within_rss,
             }
         )
-    by_label = {row["label"]: row for row in rows}
-    n = min(sizes)
-    gate = _backend_gate(
-        by_label.get("ast-dme-large-object-n%d" % n),
-        by_label.get("ast-dme-large-n%d" % n),
-        "ast-dme-backend-large-n%d" % n,
-        # The large identity row exists precisely where the arena core wins
-        # big; demand the speed-up outside smoke mode.
-        0.0 if smoke else GATE_BACKEND_SPEEDUP,
-    )
-    if gate is not None:
-        gates.append(gate)
     return gates
 
 
@@ -1121,7 +999,7 @@ def run_suite(
             trace_events=trace_events,
         )
         rows.extend(large_rows)
-        gates.extend(_large_gates(large_rows, used_large_sizes, smoke))
+        gates.extend(_large_gates(large_rows, smoke))
     used_eco_sizes: List[int] = []
     if suite in ("eco", "all"):
         if eco_sizes is None:
@@ -1265,19 +1143,15 @@ def format_rows(payload: Dict[str, Any], profile: bool = False) -> str:
     eco = [row for row in payload["rows"] if row["kind"] == "eco"]
     if routing and profile:
         lines.append(
-            "%-36s %7s %9s %9s %9s %9s %9s %9s"
-            % (
-                "label", "backend", "wall s", "select s", "merge s",
-                "embed s", "delay s", "rss MB",
-            )
+            "%-36s %9s %9s %9s %9s %9s %9s"
+            % ("label", "wall s", "select s", "merge s", "embed s", "delay s", "rss MB")
         )
         for row in routing:
             status = "" if row["ok"] else "  ERROR %s" % (row["error"] or "")
             lines.append(
-                "%-36s %7s %9.3f %9.3f %9.3f %9.3f %9.3f %9.1f%s"
+                "%-36s %9.3f %9.3f %9.3f %9.3f %9.3f %9.1f%s"
                 % (
                     row["label"],
-                    row["tree_backend"],
                     row["wall_seconds"],
                     row["select_seconds"],
                     row["merge_seconds"],

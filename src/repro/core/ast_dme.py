@@ -3,21 +3,40 @@
 ``AstDme.route`` runs the full two-phase construction:
 
 1. *Bottom-up merging.*  Every sink starts as a one-node subtree.  In each
-   pass a merging-order policy proposes disjoint nearest pairs; each pair is
-   merged by :func:`repro.core.merge_cases.plan_merge`, which dispatches on
-   whether the subtrees share sink groups and produces the new root's
-   placement locus, the two wire lengths (possibly snaked) and the merged
-   per-group delay intervals.  Merging continues until one subtree remains,
-   which is then connected to the clock source.  On the object layout this
-   loop is :meth:`AstDme.merge_subtrees`, which the ECO engine's re-merge
-   calls as well.
+   pass a merging-order policy proposes disjoint nearest pairs; the pass
+   plans all of its merges at once (:func:`repro.core.merge_batch.plan_merges`,
+   the batched form of :func:`repro.core.merge_cases.plan_merge`), which
+   dispatches on whether the subtrees share sink groups and produces each new
+   root's placement locus, the two wire lengths (possibly snaked) and the
+   merged per-group delay intervals.  Merging continues until one subtree
+   remains, which is then connected to the clock source.  This loop is
+   :meth:`AstDme.merge_rows`; the ECO engine's re-merge runs it as well.
 2. *Top-down embedding.*  Concrete locations are chosen for every internal
-   node (:func:`repro.cts.embedding.embed_tree`); booked wire lengths are
-   never changed, so all delays and skews decided bottom-up are preserved.
-   When the instance carries routing blockages the embedding is obstacle
-   aware: locations are chosen by blockage-avoiding detour distance and edges
-   whose booked wire cannot cover the detour are extended (the total
-   extension is reported as ``MergeStats.obstacle_detour``).
+   node, one depth level at a time; booked wire lengths are never changed,
+   so all delays and skews decided bottom-up are preserved.  When the
+   instance carries routing blockages the embedding is obstacle aware
+   (:func:`repro.cts.embedding.embed_tree`): locations are chosen by
+   blockage-avoiding detour distance and edges whose booked wire cannot
+   cover the detour are extended (the total extension is reported as
+   ``MergeStats.obstacle_detour``).
+
+The merge loop holds the active subtrees as struct-of-arrays rows
+(:class:`SubtreeRows`, ``m`` rows over ``G`` dense routing groups):
+
+``loci``
+    ``(m, 4)`` TRR interval rows ``(ulo, uhi, vlo, vhi)`` in rotated
+    coordinates.
+``cap`` / ``node_id``
+    ``(m,)`` downstream capacitance and clock-tree node id.
+``delays`` / ``present``
+    ``(m, G, 2)`` per-group delay intervals with a ``(m, G)`` presence mask
+    (entries are zero and never read where the mask is False).
+
+The merges of an unconstrained (cross-group) pair keep their split along the
+corridor pending until the merged subtree's next partner is known; see
+:func:`repro.core.merge_batch.resolve_split`.  The built nodes accumulate in
+flat arrays indexed by node id (:class:`MergedTree`) and are added to a
+:class:`~repro.cts.tree.ClockTree` once, at the end.
 
 Running the router with ``single_group=True`` ignores the instance's grouping
 and yields the conventional bounded-skew (EXT-BST) or zero-skew (greedy-DME)
@@ -38,34 +57,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.circuits.instance import ClockInstance
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
-from repro.core.lazy_sdr import make_pending, resolve_pending
-from repro.core.merge_cases import DISJOINT, MergeDecision, plan_merge
+from repro.core.merge_batch import (
+    ArenaPending,
+    CASE_LABELS,
+    DISJOINT_CODE,
+    plan_merges,
+    resolve_split,
+)
 from repro.core.merging_order import MergeOrderPolicy
-from repro.core.subtree import Subtree
 from repro.cts.embedding import embed_tree
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
 from repro.geometry.point import Point
-from repro.geometry.trr import Trr, loci_to_array
+from repro.geometry.trr import Trr
 from repro.obs.trace import get_tracer
 
 __all__ = [
     "AstDmeConfig",
     "MergeStats",
     "RoutingResult",
+    "SubtreeRows",
+    "MergedTree",
     "AstDme",
-    "TREE_BACKENDS",
-    "ARENA_MAX_GROUPS",
+    "point_loci",
 ]
 
-#: Supported tree-core backends.
-TREE_BACKENDS = ("arena", "object")
-
-#: The arena backend stores per-group delay intervals densely as an
-#: ``(m, G, 2)`` array; beyond this many distinct routing groups the dense
-#: layout stops paying for itself and the router silently falls back to the
-#: object backend (which is bit-identical anyway).
-ARENA_MAX_GROUPS = 64
+_EPS = 1e-9  # Trr intersection tolerance (repro.geometry.trr._EPS)
+_TOL = 1e-6  # embedding edge-length tolerance (repro.cts.embedding._TOL)
 
 
 @dataclass(frozen=True)
@@ -94,8 +112,9 @@ class AstDmeConfig:
     allow_snaking: bool = True
     #: Fraction of the intra-group skew bound each cross-group merge may spend
     #: as positional freedom when its split is resolved lazily (see
-    #: repro.core.lazy_sdr).  Small values guarantee later shared-group merges
-    #: stay feasible; large values chase wirelength more aggressively.
+    #: repro.core.merge_batch.resolve_split).  Small values guarantee later
+    #: shared-group merges stay feasible; large values chase wirelength more
+    #: aggressively.
     sdr_skew_budget: float = 0.45
     #: Post-construction optimization (repro.opt): when set and enabled, the
     #: router runs the configured pass pipeline -- detour-aware re-embedding,
@@ -103,19 +122,6 @@ class AstDmeConfig:
     #: tree and attaches the OptReport to the RoutingResult.  ``None`` (the
     #: default) keeps routing bit-identical to previous releases.
     opt: Optional["OptConfig"] = None
-    #: Tree-core backend: "arena" (struct-of-arrays state, batched merge
-    #: planning and vectorised embedding; the default) or "object" (the
-    #: per-``Subtree`` reference implementation, kept as the bit-identity
-    #: oracle).  Both backends produce float-for-float identical trees and
-    #: statistics; see docs/architecture.md.
-    tree_backend: str = "arena"
-
-    def __post_init__(self) -> None:
-        if self.tree_backend not in TREE_BACKENDS:
-            raise ValueError(
-                "unknown tree_backend %r; expected one of %s"
-                % (self.tree_backend, TREE_BACKENDS)
-            )
 
     def order_policy(self) -> MergeOrderPolicy:
         """The merging-order policy implied by this configuration."""
@@ -144,11 +150,10 @@ class MergeStats:
     max_violation: float = 0.0
     #: Wall time spent selecting merge pairs (the neighbour engine).
     select_seconds: float = 0.0
-    #: Wall time spent resolving pendings, planning merges and materialising
-    #: the new nodes (everything in a merging pass after pair selection).
+    #: Wall time spent resolving pendings, planning merges and recording the
+    #: new nodes (everything in a merging pass after pair selection).
     merge_seconds: float = 0.0
-    #: Wall time spent embedding locations (plus, for the arena backend,
-    #: materialising the ClockTree).
+    #: Wall time spent embedding locations and materialising the ClockTree.
     embed_seconds: float = 0.0
     #: Full neighbour-index rebuilds / incremental repairs (incremental
     #: strategy only; both stay 0 for the stateless strategies).
@@ -157,13 +162,6 @@ class MergeStats:
     #: Extra wire added at embedding time to route around blockages (0 for
     #: obstacle-free instances).
     obstacle_detour: float = 0.0
-
-    def record(self, decision: MergeDecision) -> None:
-        self.merges_by_case[decision.case] = self.merges_by_case.get(decision.case, 0) + 1
-        if decision.snaked:
-            self.snaked_merges += 1
-            self.total_detour += decision.edges.detour
-        self.max_violation = max(self.max_violation, decision.violation)
 
     @property
     def total_merges(self) -> int:
@@ -193,6 +191,92 @@ class RoutingResult:
         return self.tree.total_wirelength()
 
 
+@dataclass
+class SubtreeRows:
+    """Subtrees to merge, one row each (see the module docstring).
+
+    ``group_ids[k]`` is the routing group id of dense column ``k``; the ids
+    ascend, so the dense order is the group order.
+    """
+
+    loci: np.ndarray
+    cap: np.ndarray
+    delays: np.ndarray
+    present: np.ndarray
+    node_id: np.ndarray
+    group_ids: List[int]
+
+
+@dataclass
+class MergedTree:
+    """The nodes :meth:`AstDme.merge_rows` built, as flat arrays by node id.
+
+    Ids ``first_id .. source_id - 1`` are the new merge nodes in creation
+    order and ``source_id`` is the clock source; ``child_a``/``child_b`` and
+    ``loci`` hold their children and placement loci.  ``parent`` and
+    ``edge`` hold the parent and booked wire of every node below them, the
+    input rows' nodes included.
+    """
+
+    child_a: np.ndarray
+    child_b: np.ndarray
+    parent: np.ndarray
+    edge: np.ndarray
+    loci: np.ndarray
+    first_id: int
+    source_id: int
+
+    def add_to(
+        self,
+        tree: ClockTree,
+        source: Point,
+        xs: Optional[np.ndarray] = None,
+        ys: Optional[np.ndarray] = None,
+    ) -> Dict[int, Trr]:
+        """Add the merge nodes and the source to ``tree``; return their loci.
+
+        ``tree`` must hold exactly the ``first_id`` nodes the rows refer to,
+        so the new nodes get the ids the loop gave them.  With ``xs``/``ys``
+        (locations by node id) the merge nodes are placed, otherwise they are
+        left for an embedding pass.  Only the new rows become Python lists.
+        """
+        if len(tree) != self.first_id:
+            raise ValueError(
+                "tree holds %d nodes, the merge started at id %d"
+                % (len(tree), self.first_id)
+            )
+        first, last = self.first_id, self.source_id
+        children_a = self.child_a[first:last]
+        children_b = self.child_b[first:last]
+        edges_a = self.edge[children_a].tolist()
+        edges_b = self.edge[children_b].tolist()
+        rows = self.loci[first:last].tolist()
+        if xs is None:
+            locations = [None] * (last - first)
+        else:
+            locations = [
+                Point(x, y) for x, y in zip(xs[first:last].tolist(), ys[first:last].tolist())
+            ]
+        loci: Dict[int, Trr] = {}
+        for ca, cb, ea, eb, row, location in zip(
+            children_a.tolist(), children_b.tolist(), edges_a, edges_b, rows, locations
+        ):
+            node_id = tree.add_internal(
+                children=[ca, cb], edge_lengths=[ea, eb], location=location
+            )
+            loci[node_id] = Trr(row[0], row[1], row[2], row[3])
+        root_id = int(self.child_a[last])
+        tree.add_source(source, root_id, float(self.edge[root_id]))
+        return loci
+
+
+def point_loci(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``(m, 4)`` locus rows of single points: ``Trr.from_point``, row-wise."""
+    u = xs + ys
+    v = xs - ys
+    return np.stack((u, u, v, v), axis=1)
+
+
 class AstDme:
     """Associative skew clock router (the paper's contribution)."""
 
@@ -220,42 +304,57 @@ class AstDme:
                 baselines.  Sink nodes of the resulting tree still carry the
                 original group ids so that skew reports stay comparable.
         """
-        if self._arena_eligible(instance, single_group):
-            from repro.core.arena_dme import route_arena
-
-            return route_arena(self, instance, single_group)
         start = time.perf_counter()
         tech = instance.technology
         constraints = self._constraints or self.config.constraints()
+        sinks = instance.sinks
+        n = len(sinks)
 
-        tree = ClockTree(technology=tech)
-        loci: Dict[int, Trr] = {}
-        subtrees: List[Subtree] = []
-        for sink in instance.sinks:
-            node_id = tree.add_sink(
-                location=sink.location,
-                sink_cap=sink.cap,
-                group=sink.group,
-                name="sink-%d" % sink.sink_id,
-            )
-            routing_group = 0 if single_group else sink.group
-            subtrees.append(
-                Subtree.for_sink(
-                    node_id=node_id,
-                    locus=Trr.from_point(sink.location),
-                    cap=sink.cap,
-                    group=routing_group,
-                )
-            )
+        # One row per sink; node ids 0..n-1 are the sinks, in instance order.
+        group_ids: List[int] = [0] if single_group else instance.groups()
+        gindex = {g: k for k, g in enumerate(group_ids)}
+        xs0 = np.fromiter((s.location.x for s in sinks), dtype=np.float64, count=n)
+        ys0 = np.fromiter((s.location.y for s in sinks), dtype=np.float64, count=n)
+        present = np.zeros((n, len(group_ids)), dtype=bool)
+        sink_gidx = np.fromiter(
+            (gindex[0 if single_group else s.group] for s in sinks),
+            dtype=np.int64,
+            count=n,
+        )
+        present[np.arange(n), sink_gidx] = True
+        rows = SubtreeRows(
+            loci=point_loci(xs0, ys0),
+            cap=np.fromiter((s.cap for s in sinks), dtype=np.float64, count=n),
+            delays=np.zeros((n, len(group_ids), 2), dtype=np.float64),
+            present=present,
+            node_id=np.arange(n, dtype=np.int64),
+            group_ids=group_ids,
+        )
 
         stats = MergeStats()
         association = GroupAssociation(instance.groups())
-        self.merge_subtrees(subtrees, tree, loci, instance.source, stats, association)
+        src = instance.source
+        merged = self.merge_rows(rows, n, src, tech, stats, association)
 
-        obstacles = instance.obstacle_set() if instance.has_obstacles else None
         embed_start = time.perf_counter()
         with get_tracer().span("dme.embed") as embed_span:
-            stats.obstacle_detour = embed_tree(tree, loci, obstacles=obstacles)
+            obstacles = instance.obstacle_set() if instance.has_obstacles else None
+            xs = ys = None
+            if obstacles is None:
+                xs, ys = _embed_levels(merged, xs0, ys0, src)
+            tree = ClockTree(technology=tech)
+            for sink in sinks:
+                tree.add_sink(
+                    location=sink.location,
+                    sink_cap=sink.cap,
+                    group=sink.group,
+                    name="sink-%d" % sink.sink_id,
+                )
+            loci = merged.add_to(tree, src, xs, ys)
+            if obstacles is None:
+                stats.obstacle_detour = 0.0
+            else:
+                stats.obstacle_detour = embed_tree(tree, loci, obstacles=obstacles)
             embed_span.add("obstacle_detour", stats.obstacle_detour)
         stats.embed_seconds += time.perf_counter() - embed_start
 
@@ -273,122 +372,250 @@ class AstDme:
             single_group=single_group,
         )
 
-    def merge_subtrees(
+    def merge_rows(
         self,
-        subtrees: List[Subtree],
-        tree: ClockTree,
-        loci: Dict[int, Trr],
+        rows: SubtreeRows,
+        first_id: int,
         source: Point,
+        tech: Technology,
         stats: MergeStats,
         association: GroupAssociation,
-    ) -> None:
-        """Merge ``subtrees`` bottom-up into one tree and connect it to ``source``.
+    ) -> MergedTree:
+        """Merge ``rows`` bottom-up into one tree and connect it to ``source``.
 
-        The object-layout construction loop (Fig. 6): each pass selects
-        disjoint nearest pairs, spends any deferred cross-group freedom now
-        that the partners are known (:mod:`repro.core.lazy_sdr`), plans each
-        merge with :func:`~repro.core.merge_cases.plan_merge` and adds its
-        node to ``tree``.  The last subtree's pending split is resolved
-        towards ``source`` before the source edge is added.  Every merge
-        node's placement locus goes into ``loci``, the pass counters and
-        timings into ``stats`` and each merge's group association into
-        ``association``.  :meth:`route` runs it on one subtree per sink (the
-        object backend and the >64-group fallback); the ECO engine runs it on
-        the frontier stubs of a dirty cone.
+        The construction loop (Fig. 6): each pass selects disjoint nearest
+        pairs, spends any deferred cross-group freedom now that the partners
+        are known, plans every merge of the pass at once and numbers the new
+        nodes from ``first_id`` in pair order.  The last subtree's pending
+        split is resolved towards ``source`` before the source edge is
+        booked.  The pass counters and timings go into ``stats`` and each
+        merge's group association into ``association``.  :meth:`route` runs
+        it on one row per sink; the ECO engine runs it on the frontier stubs
+        and fresh sinks of a dirty cone.
         """
-        tech = tree.technology
-        constraints = self._constraints or self.config.constraints()
-        selector = self.config.order_policy().make_selector()
-        want_bias = self.config.delay_target_weight > 0.0
+        config = self.config
+        constraints = self._constraints or config.constraints()
+        r = tech.unit_resistance
+        c = tech.unit_capacitance
+        group_ids = rows.group_ids
+        num_groups = len(group_ids)
+        bounds = np.array([constraints.bound_for(g) for g in group_ids], dtype=np.float64)
+
+        loci = rows.loci
+        cap = rows.cap
+        delays = rows.delays
+        present = rows.present
+        node_id = rows.node_id
+        m = int(node_id.shape[0])
+        pending: List[Optional[ArenaPending]] = [None] * m
+
+        # The built nodes: m - 1 merges and the source, after the first_id
+        # nodes the rows refer to.
+        total_nodes = first_id + m
+        t_child_a = np.full(total_nodes, -1, dtype=np.int64)
+        t_child_b = np.full(total_nodes, -1, dtype=np.int64)
+        t_parent = np.full(total_nodes, -1, dtype=np.int64)
+        t_edge = np.zeros(total_nodes, dtype=np.float64)
+        t_loci = np.zeros((total_nodes, 4), dtype=np.float64)
+        next_id = first_id
+
+        selector = config.order_policy().make_selector()
+        want_bias = config.delay_target_weight > 0.0
+
+        def _resolve_row(i: int, target_row: np.ndarray) -> None:
+            """Resolve row ``i``'s pending split towards ``target_row``.
+
+            The useful-skew budget is a fraction of the tightest bound among
+            the row's groups, so two independently resolved commitments of
+            the same group pair can still be reconciled within the bound when
+            their subtrees later merge.
+            """
+            p = pending[i]
+            tightest = float(bounds[present[i]].min())
+            budget = config.sdr_skew_budget * tightest
+            d = p.distance
+            split = resolve_split(
+                p.locus_a, p.locus_b, d, p.cap_a, p.cap_b, p.balance_split,
+                target_row, r, c, budget,
+            )
+            split_c = min(max(split, 0.0), d)
+            ea = max(split_c, 0.0)
+            eb = max(d - split_c, 0.0)
+            la = p.locus_a
+            lb = p.locus_b
+            ulo = max(la[0] - ea, lb[0] - eb)
+            uhi = min(la[1] + ea, lb[1] + eb)
+            vlo = max(la[2] - ea, lb[2] - eb)
+            vhi = min(la[3] + ea, lb[3] + eb)
+            if uhi < ulo - _EPS or vhi < vlo - _EPS:  # pragma: no cover - defensive
+                raise RuntimeError("pending split produced an empty locus")
+            uhi = max(uhi, ulo)
+            vhi = max(vhi, vlo)
+            loci[i, 0] = ulo
+            loci[i, 1] = uhi
+            loci[i, 2] = vlo
+            loci[i, 3] = vhi
+            delay_a = r * split_c * (c * split_c / 2.0 + p.cap_a)
+            delay_b = r * (d - split_c) * (c * (d - split_c) / 2.0 + p.cap_b)
+            row = delays[i]
+            row[:] = 0.0
+            row[p.present_a] = p.delays_a[p.present_a] + delay_a
+            row[p.present_b] = p.delays_b[p.present_b] + delay_b
+            t_edge[p.child_a_id] = split
+            t_edge[p.child_b_id] = d - split
+            t_loci[node_id[i]] = loci[i]
+            pending[i] = None
+
         tracer = get_tracer()
-        while len(subtrees) > 1:
-            with tracer.span(
-                "dme.pass", index=stats.passes, subtrees=len(subtrees)
-            ) as pass_span:
+        while m > 1:
+            with tracer.span("dme.pass", index=stats.passes, subtrees=m) as pass_span:
                 select_start = time.perf_counter()
+                max_delays = (
+                    np.where(present, delays[:, :, 1], -np.inf).max(axis=1)
+                    if want_bias
+                    else None
+                )
                 with tracer.span("dme.select"):
                     pairs = selector.pairs_for_pass_arrays(
-                        loci_to_array([s.locus for s in subtrees]),
-                        [s.node_id for s in subtrees],
-                        np.array([s.max_delay for s in subtrees]) if want_bias else None,
+                        loci, node_id.tolist(), max_delays
                     )
                 stats.select_seconds += time.perf_counter() - select_start
                 if not pairs:
                     raise RuntimeError("merging-order policy returned no pairs")
                 stats.passes += 1
                 pass_span.set(pairs=len(pairs))
+
                 merge_start = time.perf_counter()
                 with tracer.span("dme.merge") as merge_span:
-                    merged_indices = set()
-                    new_subtrees: List[Subtree] = []
-                    for index_a, index_b in pairs:
-                        sub_a = subtrees[index_a]
-                        sub_b = subtrees[index_b]
-                        # Spend any deferred cross-group freedom now that the
-                        # next merge partner is known (see repro.core.lazy_sdr).
-                        resolve_pending(
-                            sub_a, sub_b.locus, tech, tree, loci,
-                            max_deviation=self._skew_budget(sub_a, constraints),
-                        )
-                        resolve_pending(
-                            sub_b, sub_a.locus, tech, tree, loci,
-                            max_deviation=self._skew_budget(sub_b, constraints),
-                        )
-                        decision = plan_merge(
-                            sub_a,
-                            sub_b,
-                            constraints,
-                            tech,
-                            allow_snaking=self.config.allow_snaking,
-                        )
-                        node_id = tree.add_internal(
-                            children=[sub_a.node_id, sub_b.node_id],
-                            edge_lengths=[decision.edges.ea, decision.edges.eb],
-                        )
-                        loci[node_id] = decision.locus
-                        merged_subtree = Subtree(
-                            node_id=node_id,
-                            locus=decision.locus,
-                            cap=decision.cap,
-                            delays=decision.delays,
-                            num_sinks=sub_a.num_sinks + sub_b.num_sinks,
-                        )
-                        if decision.case == DISJOINT and not decision.edges.snaked:
-                            merged_subtree.pending = make_pending(
-                                sub_a, sub_b, decision.edges.distance, decision.edges.ea
+                    # Spend deferred cross-group freedom now that the partners
+                    # are known, sequentially in pair order: each side resolves
+                    # towards the partner's current (possibly just updated)
+                    # locus.
+                    for ia, ib in pairs:
+                        if pending[ia] is not None:
+                            _resolve_row(ia, loci[ib])
+                        if pending[ib] is not None:
+                            _resolve_row(ib, loci[ia])
+
+                    num_pairs = len(pairs)
+                    a_idx = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=num_pairs)
+                    b_idx = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=num_pairs)
+                    plan = plan_merges(
+                        loci[a_idx],
+                        loci[b_idx],
+                        cap[a_idx],
+                        cap[b_idx],
+                        delays[a_idx],
+                        delays[b_idx],
+                        present[a_idx],
+                        present[b_idx],
+                        bounds,
+                        r,
+                        c,
+                        config.allow_snaking,
+                    )
+
+                    # Record the new merge nodes: ids continue in pair order.
+                    new_ids = np.arange(next_id, next_id + num_pairs, dtype=np.int64)
+                    ca_ids = node_id[a_idx]
+                    cb_ids = node_id[b_idx]
+                    t_child_a[new_ids] = ca_ids
+                    t_child_b[new_ids] = cb_ids
+                    t_parent[ca_ids] = new_ids
+                    t_parent[cb_ids] = new_ids
+                    t_edge[ca_ids] = plan.ea
+                    t_edge[cb_ids] = plan.eb
+                    t_loci[new_ids] = plan.locus
+                    next_id += num_pairs
+
+                    # Statistics, group association and new pendings, in pair order.
+                    case_list = plan.case_codes.tolist()
+                    snaked_list = plan.snaked.tolist()
+                    detour_list = plan.detour.tolist()
+                    viol_list = plan.violation.tolist()
+                    ea_list = plan.ea.tolist()
+                    dist_list = plan.distance.tolist()
+                    by_case = stats.merges_by_case
+                    new_pending: List[Optional[ArenaPending]] = [None] * num_pairs
+                    for t in range(num_pairs):
+                        label = CASE_LABELS[case_list[t]]
+                        by_case[label] = by_case.get(label, 0) + 1
+                        if snaked_list[t]:
+                            stats.snaked_merges += 1
+                            stats.total_detour += detour_list[t]
+                        stats.max_violation = max(stats.max_violation, viol_list[t])
+                        ia = int(a_idx[t])
+                        ib = int(b_idx[t])
+                        # Every group of both sides is now associated with the
+                        # smallest group of side a.
+                        if num_groups == 1:
+                            association.associate(group_ids[0], group_ids[0])
+                        else:
+                            ga = [group_ids[k] for k in np.flatnonzero(present[ia]).tolist()]
+                            gb = [group_ids[k] for k in np.flatnonzero(present[ib]).tolist()]
+                            anchor = ga[0]
+                            for g in ga[1:]:
+                                association.associate(anchor, g)
+                            for g in gb:
+                                association.associate(anchor, g)
+                        if case_list[t] == DISJOINT_CODE and not snaked_list[t]:
+                            new_pending[t] = ArenaPending(
+                                child_a_id=int(ca_ids[t]),
+                                child_b_id=int(cb_ids[t]),
+                                locus_a=loci[ia].copy(),
+                                locus_b=loci[ib].copy(),
+                                distance=dist_list[t],
+                                cap_a=float(cap[ia]),
+                                cap_b=float(cap[ib]),
+                                delays_a=delays[ia].copy(),
+                                delays_b=delays[ib].copy(),
+                                present_a=present[ia].copy(),
+                                present_b=present[ib].copy(),
+                                balance_split=ea_list[t],
                             )
-                        new_subtrees.append(merged_subtree)
-                        stats.record(decision)
-                        self._record_association(association, sub_a, sub_b)
-                        merged_indices.add(index_a)
-                        merged_indices.add(index_b)
-                    subtrees = [
-                        s for i, s in enumerate(subtrees) if i not in merged_indices
-                    ] + new_subtrees
-                    merge_span.add("nodes_merged", len(merged_indices))
+
+                    # Compact: survivors keep their order, merged rows append
+                    # in pair order.
+                    keep_mask = np.ones(m, dtype=bool)
+                    keep_mask[a_idx] = False
+                    keep_mask[b_idx] = False
+                    keep = np.flatnonzero(keep_mask)
+                    loci = np.concatenate((loci[keep], plan.locus))
+                    cap = np.concatenate((cap[keep], plan.cap))
+                    delays = np.concatenate((delays[keep], plan.delays))
+                    present = np.concatenate((present[keep], plan.present))
+                    node_id = np.concatenate((node_id[keep], new_ids))
+                    pending = [pending[k] for k in keep.tolist()] + new_pending
+                    m = int(node_id.shape[0])
+                    merge_span.add("nodes_merged", 2 * num_pairs)
                 stats.merge_seconds += time.perf_counter() - merge_start
 
-        root = subtrees[0]
-        resolve_pending(
-            root,
-            Trr.from_point(source),
-            tech,
-            tree,
-            loci,
-            max_deviation=self._skew_budget(root, constraints),
-        )
-        tree.add_source(source, root.node_id, root.locus.distance_to_point(source))
+        # Source connection.
+        if pending[0] is not None:
+            su = source.x + source.y
+            sv = source.x - source.y
+            _resolve_row(0, np.array([su, su, sv, sv], dtype=np.float64))
+        root = loci[0]
+        root_trr = Trr(float(root[0]), float(root[1]), float(root[2]), float(root[3]))
+        source_id = next_id
+        root_id = int(node_id[0])
+        t_child_a[source_id] = root_id
+        t_parent[root_id] = source_id
+        t_edge[root_id] = root_trr.distance_to_point(source)
+
         stats.neighbor_full_rebuilds = selector.full_rebuilds
         stats.neighbor_incremental_passes = selector.incremental_passes
+        return MergedTree(
+            child_a=t_child_a,
+            child_b=t_child_b,
+            parent=t_parent,
+            edge=t_edge,
+            loci=t_loci,
+            first_id=first_id,
+            source_id=source_id,
+        )
 
     # ------------------------------------------------------------------
-    def _arena_eligible(self, instance: ClockInstance, single_group: bool) -> bool:
-        """Whether this run goes through the arena construction loop."""
-        if self.config.tree_backend != "arena":
-            return False
-        num_groups = 1 if single_group else instance.num_groups
-        return num_groups <= ARENA_MAX_GROUPS
-
     def _run_opt(
         self,
         tree: ClockTree,
@@ -414,30 +641,57 @@ class AstDme:
             single_group=single_group,
         )
 
-    def _skew_budget(self, subtree: Subtree, constraints: SkewConstraints) -> float:
-        """Delay deviation a lazy resolution of ``subtree`` may spend.
 
-        The budget is a fraction of the tightest intra-group bound among the
-        groups present in the subtree, so that two independently-resolved
-        commitments of the same group pair can still be reconciled within the
-        bound when their subtrees later merge.
-        """
-        # Iterate the delays dict directly: same group set as subtree.groups
-        # without materialising a frozenset on this hot path.
-        tightest = min(constraints.bound_for(group) for group in subtree.delays)
-        return self.config.sdr_skew_budget * tightest
+def _embed_levels(
+    merged: MergedTree, xs0: np.ndarray, ys0: np.ndarray, src: Point
+) -> tuple:
+    """Vectorised obstacle-free top-down embedding of a routed tree.
 
-    @staticmethod
-    def _record_association(
-        association: GroupAssociation, sub_a: Subtree, sub_b: Subtree
-    ) -> None:
-        """Record that every group of ``sub_a`` is now associated with those of ``sub_b``."""
-        groups_a = sorted(sub_a.groups)
-        groups_b = sorted(sub_b.groups)
-        if not groups_a or not groups_b:
-            return
-        anchor = groups_a[0]
-        for group in groups_a[1:]:
-            association.associate(anchor, group)
-        for group in groups_b:
-            association.associate(anchor, group)
+    Node ids ``0..first_id-1`` are the sinks at ``xs0``/``ys0``.  Mirrors
+    :func:`repro.cts.embedding.embed_tree`: every internal node is placed at
+    the point of its locus nearest (in Manhattan distance) to its parent's
+    already-chosen location, one depth level at a time.  The booked edge
+    lengths are then verified against the realised geometry exactly like the
+    scalar ``_check_edge``.
+    """
+    n = merged.first_id
+    source_id = merged.source_id
+    t_child_a, t_child_b = merged.child_a, merged.child_b
+    t_parent, t_edge, t_loci = merged.parent, merged.edge, merged.loci
+    count = source_id + 1
+    xs = np.empty(count, dtype=np.float64)
+    ys = np.empty(count, dtype=np.float64)
+    xs[:n] = xs0
+    ys[:n] = ys0
+    xs[source_id] = src.x
+    ys[source_id] = src.y
+
+    frontier = np.array([source_id], dtype=np.int64)
+    while frontier.size:
+        children = np.concatenate((t_child_a[frontier], t_child_b[frontier]))
+        children = children[children >= 0]
+        internal = children[children >= n]
+        if internal.size:
+            parents = t_parent[internal]
+            # Trr.nearest_point_to(parent): rotate, clamp per axis, rotate back.
+            pu = xs[parents] + ys[parents]
+            pv = xs[parents] - ys[parents]
+            rows = t_loci[internal]
+            cu = np.minimum(np.maximum(pu, rows[:, 0]), rows[:, 1])
+            cv = np.minimum(np.maximum(pv, rows[:, 2]), rows[:, 3])
+            xs[internal] = (cu + cv) / 2.0
+            ys[internal] = (cu - cv) / 2.0
+        frontier = children
+
+    # _check_edge over every parented node at once.
+    nodes = np.flatnonzero(t_parent[:count] >= 0)
+    parents = t_parent[nodes]
+    distance = np.abs(xs[parents] - xs[nodes]) + np.abs(ys[parents] - ys[nodes])
+    bad = distance > t_edge[nodes] + _TOL
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            "edge to node %d needs %.6g wire but only %.6g was booked"
+            % (int(nodes[k]), float(distance[k]), float(t_edge[nodes[k]]))
+        )
+    return xs, ys

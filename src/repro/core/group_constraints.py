@@ -32,11 +32,15 @@ class SkewConstraints:
     per_group: Dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.default_bound < 0.0:
-            raise ValueError("skew bounds must be non-negative")
+        # ``not bound >= 0`` also rejects NaN, which every comparison with a
+        # spread would silently treat as satisfied.  Infinity stays allowed.
+        if not self.default_bound >= 0.0:
+            raise ValueError("skew bounds must be non-negative, got %r" % (self.default_bound,))
         for group, bound in self.per_group.items():
-            if bound < 0.0:
-                raise ValueError("skew bound for group %r is negative" % (group,))
+            if not bound >= 0.0:
+                raise ValueError(
+                    "skew bound for group %r must be non-negative, got %r" % (group, bound)
+                )
 
     def bound_for(self, group: int) -> float:
         """The intra-group skew bound applying to ``group``."""

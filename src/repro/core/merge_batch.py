@@ -2,14 +2,15 @@
 
 This module is the batched counterpart of :mod:`repro.core.merge_cases` and
 :mod:`repro.core.balancing`: the same arithmetic, evaluated over whole arrays
-of candidate pairs at once.  It backs the ``tree_backend="arena"``
-construction loop (:mod:`repro.core.arena_dme`).  Its lazy-split scan,
-:func:`resolve_split`, is the only one: :mod:`repro.core.lazy_sdr` resolves
-the object loop's pending splits through it too.
+of candidate pairs at once.  It backs the router's construction loop
+(:meth:`repro.core.ast_dme.AstDme.merge_rows`).  Its lazy-split scan,
+:func:`resolve_split`, is the only one: the object reference loop in
+``tests/reference_dme.py`` resolves its pending splits through it too.
 
-Bit identity is a hard requirement, not an aspiration: the arena backend must
-produce float-for-float the same trees as the object backend, which the bench
-identity gates assert.  Every expression here therefore mirrors its scalar
+Bit identity is a hard requirement, not an aspiration: the loop must produce
+float-for-float the same trees as the scalar merge equations applied one
+merge at a time, which the identity tests against the reference loop
+assert.  Every expression here therefore mirrors its scalar
 original term by term -- same association, same operand order, same clamps --
 because IEEE-754 addition and multiplication are not associative and numpy
 evaluates ``a + b + c`` exactly like Python does only when written
@@ -95,7 +96,12 @@ class BatchMergePlan:
 
 @dataclass
 class ArenaPending:
-    """Array-native :class:`~repro.core.lazy_sdr.PendingSplit`."""
+    """The free split of an unconstrained merge, kept until its next partner.
+
+    ``balance_split`` (the delay-balanced wire towards child a) is the
+    tie-breaker of :func:`resolve_split`; the rest describes the two
+    children the split runs between.
+    """
 
     child_a_id: int
     child_b_id: int
@@ -249,7 +255,7 @@ def plan_merges(
         a_coef = r * c / 2.0
         b_coef = r * snake_cap[rows]
         # Citardauq root, float-op-identical to the scalar wire_length_for_delay
-        # (the backend identity gates compare the two paths bit for bit).
+        # (the reference-loop identity tests compare the two bit for bit).
         length = (2.0 * t) / (b_coef + np.sqrt(b_coef * b_coef + 4.0 * a_coef * t))
         if towards_a:
             ea[rows] = np.maximum(length, dist[rows])
@@ -329,8 +335,8 @@ def resolve_split(
     ``round`` is monotone, so the minimal rounded distance is the rounding of
     the minimal distance; only samples within a whisker of the minimum can
     share that rounded value, and just those few are re-rounded with Python's
-    ``round`` to keep the comparison exact.  The per-sample scalar reference
-    lives in ``tests/test_core_lazy_sdr.py``.
+    ``round`` to keep the comparison exact.  The per-sample scalar reference,
+    ``resolution_for_target``, lives in the tests.
     """
     d = distance
     if d <= 0.0:

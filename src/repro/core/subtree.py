@@ -32,8 +32,9 @@ class Subtree:
     cap: float
     delays: Dict[int, Tuple[float, float]] = field(default_factory=dict)
     num_sinks: int = 1
-    #: Unresolved split of a cross-group merge (see :mod:`repro.core.lazy_sdr`).
-    #: ``None`` for sinks and for constrained merges.
+    #: Unresolved split of a cross-group merge, as the object reference loop
+    #: in ``tests/reference_dme.py`` keeps it.  ``None`` for sinks and for
+    #: constrained merges.
     pending: Optional[object] = None
 
     def __post_init__(self) -> None:

@@ -16,20 +16,22 @@ subtrees back in unchanged:
 3. *Frontier.*  The maximal clean subtrees: clean nodes whose parent lies in
    the cone.  Each frontier subtree is copied into the new tree node for
    node (:meth:`~repro.cts.tree.ClockTree.copy_subtree_from`), bit-identical
-   by construction, and summarised as a :class:`~repro.core.subtree.Subtree`
-   stub whose placement locus is the *point* the frontier root is embedded
-   at.  Its downstream capacitance comes from
-   :func:`~repro.delay.elmore.subtree_capacitances` and its per-group delay
-   intervals from the Elmore decomposition ``delay(v -> s) = t(s) - t(v)``
-   (everything above ``v`` is a common term that cancels), both evaluated on
-   the base tree through the cached arena snapshot -- so the stubs describe
-   the tree *as embedded*, detour extensions and prior repairs included.
-4. *Re-merge.*  The frontier stubs plus fresh sink stubs (added, moved and
-   blockage-displaced sinks) go through
-   :meth:`~repro.core.ast_dme.AstDme.merge_subtrees`, the router's own
+   by construction, and summarised as one merge row
+   (:class:`~repro.core.ast_dme.SubtreeRows`) whose placement locus is the
+   *point* the frontier root is embedded at.  Its downstream capacitance
+   and its per-group delay intervals come from one Elmore pass over the base
+   tree's arena snapshot (:func:`~repro.delay.elmore.arena_elmore`), the
+   intervals through the decomposition ``delay(v -> s) = t(s) - t(v)``
+   (everything above ``v`` is a common term that cancels) -- so the stubs
+   describe the tree *as embedded*, detour extensions and prior repairs
+   included.
+4. *Re-merge.*  The frontier rows plus one row per fresh sink (added, moved
+   and blockage-displaced sinks) go through
+   :meth:`~repro.core.ast_dme.AstDme.merge_rows`, the router's own
    bottom-up loop -- the configured merging-order policy with its
-   incremental ``NeighborIndex``, lazy SDR resolution, snaking merges --
-   followed by top-down embedding of the new nodes.  Point loci make the
+   incremental ``NeighborIndex``, lazy split resolution, snaking merges.
+   Only the nodes it creates are added to the stitched tree, followed by
+   top-down embedding of those nodes.  Point loci make the
    merge arithmetic around the frontier exact; clean nodes already carry
    locations so the embedding never touches them (and clean edges satisfy
    the detour check by step 1, so obstacle-aware embedding never extends
@@ -54,9 +56,15 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.analysis.skew import skew_report
-from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
+from repro.core.ast_dme import (
+    AstDme,
+    AstDmeConfig,
+    MergeStats,
+    RoutingResult,
+    SubtreeRows,
+    point_loci,
+)
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
-from repro.core.subtree import Subtree
 from repro.cts.arena import SINK_KIND
 from repro.cts.embedding import embed_new_nodes
 from repro.cts.tree import ClockTree
@@ -264,7 +272,7 @@ def eco_reroute(
 
     # ------------------------------------------------------------------
     # 3. Frontier: maximal clean subtrees, copied verbatim and summarised as
-    #    point-locus merge stubs.
+    #    point-locus merge rows.
     # ------------------------------------------------------------------
     # Node ids are assigned in insertion order, so sorting reproduces the
     # deterministic enumeration order of a full tree scan without paying O(n).
@@ -278,14 +286,19 @@ def eco_reroute(
 
         new_tree = ClockTree(technology=tech)
         new_loci: Dict[int, Trr] = {}
-        subtrees: List[Subtree] = []
         preserved_roots: Dict[int, int] = {}
         reused = 0
-        stub_data = _frontier_stub_data(tree, frontier, single_group)
+        group_ids = [0] if single_group else new_instance.groups()
+        stub_caps, stub_delays, stub_present, stub_sinks = _frontier_stub_data(
+            tree, frontier, group_ids, single_group
+        )
         base_loci = base.loci
-        for fid, (cap, intervals, num_sinks) in zip(frontier, stub_data):
-            frontier_node = tree.node(fid)
-            if frontier_node.location is None:
+        row_ids: List[int] = []
+        xs: List[float] = []
+        ys: List[float] = []
+        for fid in frontier:
+            location = tree.node(fid).location
+            if location is None:
                 raise ValueError(
                     "base tree is not fully embedded (node %d has no location)" % fid
                 )
@@ -296,15 +309,9 @@ def eco_reroute(
                 locus = base_loci.get(old_id)
                 if locus is not None:
                     new_loci[new_id] = locus
-            subtrees.append(
-                Subtree(
-                    node_id=id_map[fid],
-                    locus=Trr.from_point(frontier_node.location),
-                    cap=cap,
-                    delays=intervals,
-                    num_sinks=num_sinks,
-                )
-            )
+            row_ids.append(id_map[fid])
+            xs.append(location.x)
+            ys.append(location.y)
 
         # Sinks that must be (re)created: added sinks, moved sinks, and clean-id
         # sinks the blockage scan displaced (inside a new blockage is impossible
@@ -327,48 +334,65 @@ def eco_reroute(
                 )
             if sid not in removed_ids:
                 recreate.add(sid)
+        gindex = {g: k for k, g in enumerate(group_ids)}
+        fresh_caps: List[float] = []
+        fresh_gidx: List[int] = []
         for sink in new_instance.sinks:
             if sink.sink_id in base_ids and sink.sink_id not in recreate:
                 continue
-            node_id = new_tree.add_sink(
-                location=sink.location,
-                sink_cap=sink.cap,
-                group=sink.group,
-                name="sink-%d" % sink.sink_id,
-            )
-            routing_group = 0 if single_group else sink.group
-            subtrees.append(
-                Subtree.for_sink(
-                    node_id=node_id,
-                    locus=Trr.from_point(sink.location),
-                    cap=sink.cap,
-                    group=routing_group,
+            row_ids.append(
+                new_tree.add_sink(
+                    location=sink.location,
+                    sink_cap=sink.cap,
+                    group=sink.group,
+                    name="sink-%d" % sink.sink_id,
                 )
             )
+            xs.append(sink.location.x)
+            ys.append(sink.location.y)
+            fresh_caps.append(sink.cap)
+            fresh_gidx.append(gindex[0 if single_group else sink.group])
 
-        total_sinks = sum(sub.num_sinks for sub in subtrees)
+        total_sinks = int(stub_sinks.sum()) + len(fresh_caps)
         if total_sinks != new_instance.num_sinks:
             raise RuntimeError(
                 "ECO stitching lost sinks: stubs cover %d of %d"
                 % (total_sinks, new_instance.num_sinks)
             )
+        num_stubs = len(frontier)
+        num_rows = len(row_ids)
+        delays = np.zeros((num_rows, len(group_ids), 2), dtype=np.float64)
+        delays[:num_stubs] = stub_delays
+        present = np.zeros((num_rows, len(group_ids)), dtype=bool)
+        present[:num_stubs] = stub_present
+        present[np.arange(num_stubs, num_rows), fresh_gidx] = True
+        rows = SubtreeRows(
+            loci=point_loci(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)),
+            cap=np.concatenate((stub_caps, np.array(fresh_caps, dtype=np.float64))),
+            delays=delays,
+            present=present,
+            node_id=np.array(row_ids, dtype=np.int64),
+            group_ids=group_ids,
+        )
         stitch_span.set(frontier=len(frontier), reused=reused)
 
     # ------------------------------------------------------------------
-    # 4. Re-merge the frontier through the router's own bottom-up loop, then
-    #    embed the new nodes.  The cone is small, which is the whole point of
-    #    ECO.  A frontier stub may span several groups: associate them first.
+    # 4. Re-merge the frontier through the router's own bottom-up loop, add
+    #    the new nodes, then embed them.  The cone is small, which is the
+    #    whole point of ECO.  A frontier stub may span several groups:
+    #    associate them first.
     # ------------------------------------------------------------------
     stats = MergeStats()
     association = GroupAssociation(new_instance.groups())
-    for sub in subtrees:
-        groups = sorted(sub.delays)
+    for stub_present_row in stub_present.tolist():
+        groups = [g for g, here in zip(group_ids, stub_present_row) if here]
         for group in groups[1:]:
             association.associate(groups[0], group)
     with tracer.span("eco.remerge") as remerge_span:
-        AstDme(config.router, constraints).merge_subtrees(
-            subtrees, new_tree, new_loci, new_instance.source, stats, association
+        merged = AstDme(config.router, constraints).merge_rows(
+            rows, len(new_tree), new_instance.source, tech, stats, association
         )
+        new_loci.update(merged.add_to(new_tree, new_instance.source))
         remerge_span.set(passes=stats.passes)
 
     obstacles = new_instance.obstacle_set() if new_instance.has_obstacles else None
@@ -485,19 +509,28 @@ def _sink_nodes_by_id(
 
 
 def _frontier_stub_data(
-    tree: ClockTree, frontier: List[int], single_group: bool
-) -> List[Tuple[float, Dict[int, Tuple[float, float]], int]]:
-    """Per-frontier-root ``(cap, delay intervals, num_sinks)`` stub summaries.
+    tree: ClockTree, frontier: List[int], group_ids: List[int], single_group: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merge-row summaries of the frontier subtrees, one row per frontier root.
 
-    Computed in bulk over the base tree's arena snapshot: the frontier labels
-    propagate top-down over the depth levels, after which the per-group delay
+    Returns ``(cap, delays, present, num_sinks)``: each root's downstream
+    capacitance, its ``(G, 2)`` per-group delay intervals over the dense
+    ``group_ids`` columns with their ``(G,)`` presence mask, and its sink
+    count.  Computed in bulk over the base tree's arena snapshot: the
+    frontier labels propagate top-down over the depth levels, after which the
     intervals reduce via ``minimum.at``/``maximum.at`` on the Elmore
     decomposition ``t(sink) - t(frontier root)``.  The arena delay/cap passes
     replay the object walk bit for bit (see :mod:`repro.delay.elmore`), so
     the stubs are float-exact against the embedded base tree.
     """
+    shape = (len(frontier), len(group_ids))
     if not frontier:
-        return []
+        return (
+            np.zeros(0),
+            np.zeros(shape + (2,)),
+            np.zeros(shape, dtype=bool),
+            np.zeros(0, dtype=np.int64),
+        )
     arena = tree.as_arena()
     caps, delays = arena_elmore(arena)
     roots = np.asarray(frontier, dtype=np.int64)
@@ -510,25 +543,21 @@ def _frontier_stub_data(
     sink_labels = label[sink_ids]
     relative = delays[sink_ids] - delays[roots[sink_labels]]
     if single_group:
-        group_values = np.zeros(1, dtype=np.int64)
         group_index = np.zeros(len(sink_ids), dtype=np.int64)
     else:
         raw = np.where(arena.has_group[sink_ids], arena.groups[sink_ids], 0)
-        group_values, group_index = np.unique(raw, return_inverse=True)
-    shape = (len(frontier), len(group_values))
+        dense = np.asarray(group_ids, dtype=np.int64)
+        group_index = np.minimum(np.searchsorted(dense, raw), len(dense) - 1)
+        if not np.array_equal(dense[group_index], raw):
+            raise ValueError("frontier sinks carry groups the changed instance lacks")
     lo = np.full(shape, np.inf)
     hi = np.full(shape, -np.inf)
     np.minimum.at(lo, (sink_labels, group_index), relative)
     np.maximum.at(hi, (sink_labels, group_index), relative)
+    present = hi > -np.inf
+    intervals = np.where(present[:, :, None], np.stack((lo, hi), axis=2), 0.0)
     counts = np.bincount(sink_labels, minlength=len(frontier))
-    data: List[Tuple[float, Dict[int, Tuple[float, float]], int]] = []
-    for i in range(len(frontier)):
-        present = np.flatnonzero(hi[i] > -np.inf)
-        intervals = {
-            int(group_values[g]): (float(lo[i, g]), float(hi[i, g])) for g in present
-        }
-        data.append((float(caps[roots[i]]), intervals, int(counts[i])))
-    return data
+    return caps[roots], intervals, present, counts
 
 
 def _repair_if_violating(

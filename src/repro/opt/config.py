@@ -75,6 +75,10 @@ class OptConfig:
         object.__setattr__(self, "passes", tuple(self.passes))
         if self.max_cap is not None and not self.max_cap > 0.0:
             raise ValueError("max_cap must be positive")
+        if self.skew_bound_ps is not None and not self.skew_bound_ps > 0.0:
+            # NaN would make every ``spread > bound`` test False, so the repair
+            # would see no violation at all.
+            raise ValueError("skew_bound_ps must be positive, got %r" % (self.skew_bound_ps,))
         library = self.buffer_library
         if library is not None and not isinstance(library, str):
             from repro.delay.buffer import BufferCell

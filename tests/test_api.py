@@ -58,6 +58,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="bogus"):
             get_router("ast-dme", {"bogus": 1})
 
+    @pytest.mark.parametrize("router", ["ast-dme", "greedy-dme", "ext-bst"])
+    def test_removed_tree_backend_option_rejected(self, router):
+        # Specs written while the object merge loop existed still parse; the
+        # option itself now fails like any other unknown one.
+        spec = RouterSpec.from_dict({"name": router, "options": {"tree_backend": "object"}})
+        with pytest.raises(ValueError, match=r"unknown router options \['tree_backend'\]"):
+            spec.build()
+        result = run_safe(RunSpec(instance=InstanceSpec.from_random(10, seed=1), router=spec))
+        assert "unknown router options" in result.error
+
     def test_spec_plus_separate_options_rejected(self):
         with pytest.raises(ValueError):
             get_router(RouterSpec("ast-dme"), {"skew_bound_ps": 1.0})
@@ -542,7 +552,6 @@ def _changed_choices():
 
     return {
         "neighbor_strategy": "scalar",
-        "tree_backend": "object",
         "opt": OptConfig(enabled=True, max_iterations=2),
     }
 

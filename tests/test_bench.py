@@ -27,12 +27,11 @@ class TestSuiteDefinition:
     def test_configs_cover_routers_strategies_and_scenarios(self):
         configs = scaling_configs(sizes=(500, 2000), seed=1)
         labels = {config["label"] for config in configs}
-        # 3 headline routers + 1 object-backend identity row + 3 single-merge
-        # strategies + 3 blocked-scenario rows + 3 buffered/h-tree rows (v7),
-        # per size.
-        assert len(configs) == 26
+        # 3 headline routers + 3 single-merge strategies + 3 blocked-scenario
+        # rows + 3 buffered/h-tree rows (v7), per size.
+        assert len(configs) == 24
         assert "ast-dme-n500" in labels
-        assert "ast-dme-object-n2000" in labels
+        assert not any("object" in label for label in labels)
         assert "greedy-dme-single-scalar-n2000" in labels
         assert "greedy-dme-single-incremental-n2000" in labels
         assert "ast-dme-blocked-n500" in labels
@@ -66,7 +65,7 @@ class TestRunSuite:
         assert smoke_payload["sizes"] == [60]
         assert smoke_payload["large_sizes"] == []
         assert smoke_payload["service_sizes"] == []
-        assert len(smoke_payload["rows"]) == 13
+        assert len(smoke_payload["rows"]) == 12
         assert all(row["kind"] == "routing" for row in smoke_payload["rows"])
         json.dumps(smoke_payload)  # JSON-serialisable end to end
 
@@ -269,33 +268,36 @@ class TestCli:
 
 
 class TestV5Schema:
-    """The v5 additions: backend columns/gates and the large suite."""
+    """The v5 additions: the backend column, stage columns and the large suite."""
 
     def test_row_columns_carry_stage_breakdown(self, smoke_payload):
         for row in smoke_payload["rows"]:
-            assert row["tree_backend"] in ("arena", "object")
+            assert row["tree_backend"] == "arena"
             for key in ("merge_seconds", "embed_seconds", "delay_seconds"):
                 assert row[key] >= 0.0, key
 
     def test_backend_rows_pin_the_expected_backend(self, smoke_payload):
+        # One merge loop: the strategy rows run it like every other router.
         by_label = {row["label"]: row for row in smoke_payload["rows"]}
         assert by_label["ast-dme-n60"]["tree_backend"] == "arena"
-        assert by_label["ast-dme-object-n60"]["tree_backend"] == "object"
-        # Strategy rows keep measuring the v1-v4 object merge loop.
-        assert by_label["greedy-dme-single-scalar-n60"]["tree_backend"] == "object"
-
-    def test_backend_gates_assert_identity(self, smoke_payload):
-        gates = [g for g in smoke_payload["gates"] if g["kind"] == "backend"]
-        assert len(gates) == len(smoke_payload["sizes"])
-        for gate in gates:
-            assert gate["identical_results"], gate
-            assert gate["passed"], gate
+        assert by_label["greedy-dme-single-scalar-n60"]["tree_backend"] == "arena"
+        assert not any(g["kind"] == "backend" for g in smoke_payload["gates"])
 
     def test_validate_accepts_backend_and_resource_gates(self, smoke_payload):
         payload = dict(
             smoke_payload,
             gates=smoke_payload["gates"]
             + [
+                {
+                    "kind": "backend",
+                    "name": "ast-dme-backend-n60",
+                    "baseline_label": "ast-dme-object-n60",
+                    "candidate_label": "ast-dme-n60",
+                    "speedup": 1.0,
+                    "threshold": 0.0,
+                    "identical_results": True,
+                    "passed": True,
+                },
                 {
                     "kind": "resource",
                     "name": "resource-x",
@@ -344,7 +346,6 @@ class TestLargeSuite:
             "greedy-dme-large-n50000",
             "ast-dme-large-n200000",
             "greedy-dme-large-n200000",
-            "ast-dme-large-object-n50000",
         }
         json.dumps(configs)
 
@@ -354,19 +355,17 @@ class TestLargeSuite:
         assert large_payload["sizes"] == []
         # --suite large --sizes applies the explicit sizes to the large sweep.
         assert large_payload["large_sizes"] == [80]
-        assert len(large_payload["rows"]) == 3
+        assert len(large_payload["rows"]) == 2
 
-    def test_rows_ok_and_identity_gate_passes(self, large_payload):
+    def test_rows_ok_and_gates_pass(self, large_payload):
         for row in large_payload["rows"]:
             assert row["ok"], row["error"]
-        backend = [g for g in large_payload["gates"] if g["kind"] == "backend"]
-        assert len(backend) == 1
-        assert backend[0]["identical_results"]
-        assert backend[0]["passed"]
+        assert {g["kind"] for g in large_payload["gates"]} == {"resource"}
+        assert all(g["passed"] for g in large_payload["gates"])
 
     def test_resource_gates_waived_in_smoke(self, large_payload):
         resource = [g for g in large_payload["gates"] if g["kind"] == "resource"]
-        assert len(resource) == 2  # one per arena row
+        assert len(resource) == 2  # one per row
         for gate in resource:
             assert gate["max_wall_seconds"] == 0.0
             assert gate["max_peak_rss_mb"] == 0.0

@@ -1,4 +1,5 @@
-"""Tests for lazy split resolution (repro.core.lazy_sdr, merge_batch.resolve_split).
+"""Tests for lazy split resolution (merge_batch.resolve_split and the
+reference loop's PendingSplit in tests/reference_dme.py).
 
 The per-sample scalar corridor scan that production used before the batched
 :func:`~repro.core.merge_batch.resolve_split` became the only one is kept
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lazy_sdr import PendingSplit, make_pending, resolve_pending
 from repro.core.merge_batch import resolve_split
 from repro.core.subtree import Subtree
 from repro.cts.tree import ClockTree
@@ -17,6 +17,7 @@ from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
+from tests.reference_dme import PendingSplit, make_pending, resolve_pending
 
 TECH = Technology.r_benchmark()
 

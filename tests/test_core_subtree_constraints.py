@@ -83,6 +83,15 @@ class TestSkewConstraints:
             SkewConstraints(default_bound=-1.0)
         with pytest.raises(ValueError):
             SkewConstraints(per_group={0: -1.0})
+        # NaN compares False against everything, so it must not slip through
+        # as "not negative"; an unbounded group stays expressible.
+        with pytest.raises(ValueError):
+            SkewConstraints(default_bound=float("nan"))
+        with pytest.raises(ValueError):
+            SkewConstraints(per_group={0: 5.0, 1: float("nan")})
+        with pytest.raises(ValueError):
+            SkewConstraints.bounded_ps(float("nan"))
+        assert SkewConstraints(per_group={0: float("inf")}).bound_for(0) == float("inf")
 
 
 class TestGroupAssociation:

@@ -1,5 +1,5 @@
-"""Tests for the struct-of-arrays tree core (repro.cts.arena) and the arena
-routing backend's bit-identity with the object walk.
+"""Tests for the struct-of-arrays tree core (repro.cts.arena) and the merge
+loop's bit-identity with the object reference loop.
 
 Three layers:
 
@@ -10,9 +10,11 @@ Three layers:
 * lossless round-trip: ``from_clock_tree`` -> ``to_clock_tree`` reproduces
   routed trees node for node, including obstacle-detoured trees whose edge
   lengths exceed the Manhattan distance (hypothesis-driven);
-* backend equivalence: ``tree_backend="arena"`` and ``"object"`` route
-  bit-identical results across routers, group counts, obstacle scenarios and
-  neighbour strategies.
+* loop equivalence: ``AstDme.route`` (the arena loop, ``merge_rows``) and
+  the object reference loop in ``tests/reference_dme.py`` route
+  bit-identical results across routers, group counts (up to 70), obstacle
+  scenarios and neighbour strategies, and merge random multi-group stub
+  rows -- what ECO feeds the loop -- identically.
 """
 
 from __future__ import annotations
@@ -24,14 +26,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.registry import RouterSpec
+from repro.api.registry import RouterSpec, get_router
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
+from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, SubtreeRows
+from repro.core.group_constraints import GroupAssociation, SkewConstraints
+from repro.core.subtree import Subtree
 from repro.cts.arena import INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
 from repro.cts.tree import ClockTree
 from repro.delay.buffer import default_library
+from repro.delay.technology import Technology
 from repro.geometry.point import Point
+from repro.geometry.trr import Trr
 from repro.opt import BUFFERED_PASSES, OptConfig
+from tests.reference_dme import merge_subtrees, route_reference
 
 
 def small_tree() -> ClockTree:
@@ -341,7 +349,7 @@ class TestRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Backend equivalence (arena vs object construction path)
+# Loop equivalence (the arena loop vs the object reference loop)
 # ----------------------------------------------------------------------
 BACKEND_SCENARIOS = [
     ("ast-dme", 8, "random", {}),
@@ -354,7 +362,30 @@ BACKEND_SCENARIOS = [
     ("greedy-dme", 1, "random", {"multi_merge": False, "neighbor_strategy": "rebuild"}),
     ("ast-dme", 8, "random", {"delay_target_weight": 0.3}),
     ("ast-dme", 8, "random", {"allow_snaking": False}),
+    # Beyond the 64 groups that used to drop to the object loop.
+    ("ast-dme", 70, "random", {}),
 ]
+
+#: MergeStats fields both loops must agree on (everything but wall times).
+STAT_COUNTERS = (
+    "passes", "merges_by_case", "snaked_merges", "total_detour", "max_violation",
+    "obstacle_detour", "neighbor_full_rebuilds", "neighbor_incremental_passes",
+)
+
+
+def assert_loci_identical(got, expected) -> None:
+    assert set(got) == set(expected)
+    for node_id, locus in expected.items():
+        other = got[node_id]
+        assert (other.ulo, other.uhi, other.vlo, other.vhi) == (
+            locus.ulo, locus.uhi, locus.vlo, locus.vhi,
+        )
+
+
+def assert_merges_identical(got_stats, expected_stats, got_assoc, expected_assoc) -> None:
+    for name in STAT_COUNTERS:
+        assert getattr(got_stats, name) == getattr(expected_stats, name), name
+    assert got_assoc.association_events == expected_assoc.association_events
 
 
 class TestBackendIdentity:
@@ -362,33 +393,102 @@ class TestBackendIdentity:
     def test_arena_routes_bit_identical_trees(self, router, groups, family, options):
         n = 90
         if family == "blocked":
-            instance = InstanceSpec.from_family(
+            spec = InstanceSpec.from_family(
                 "blocked", num_sinks=n, seed=3, num_blockages=5, groups=groups
             )
         else:
-            instance = InstanceSpec.from_random(n, seed=3, groups=groups)
-        results = {}
-        for backend in ("arena", "object"):
-            spec = RunSpec(
-                instance=instance,
-                router=RouterSpec(router, dict(options, tree_backend=backend)),
-            )
-            results[backend] = run(spec, keep_tree=True)
-            assert results[backend].error is None
-        arena, obj = results["arena"], results["object"]
-        assert arena.wirelength == obj.wirelength
-        assert arena.global_skew_ps == obj.global_skew_ps
-        assert arena.max_intra_group_skew_ps == obj.max_intra_group_skew_ps
-        assert arena.num_nodes == obj.num_nodes
-        assert arena.routing.stats.passes == obj.routing.stats.passes
-        assert arena.routing.stats.obstacle_detour == obj.routing.stats.obstacle_detour
-        assert_trees_identical(arena.routing.tree, obj.routing.tree)
-        assert set(arena.routing.loci) == set(obj.routing.loci)
-        for node_id, locus in obj.routing.loci.items():
-            got = arena.routing.loci[node_id]
-            assert (got.ulo, got.uhi, got.vlo, got.vhi) == (
-                locus.ulo,
-                locus.uhi,
-                locus.vlo,
-                locus.vhi,
-            )
+            spec = InstanceSpec.from_random(n, seed=3, groups=groups)
+        instance = spec.build()
+        routed = get_router(router, dict(options))
+        got = routed.route(instance)
+        # greedy-dme and ext-bst wrap an AstDme run with every sink in one group.
+        if isinstance(routed, AstDme):
+            expected = route_reference(routed, instance)
+        else:
+            expected = route_reference(AstDme(routed.config), instance, single_group=True)
+        assert got.wirelength == expected.wirelength
+        assert_trees_identical(got.tree, expected.tree)
+        assert_loci_identical(got.loci, expected.loci)
+        assert_merges_identical(
+            got.stats, expected.stats, got.association, expected.association
+        )
+
+
+#: Sparse group ids, so the dense column mapping is not the identity.
+STUB_GROUPS = (0, 3, 4, 9, 17, 40, 41)
+_coord = st.floats(min_value=0.0, max_value=100_000.0, allow_nan=False)
+_width = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3_000.0))
+
+
+@st.composite
+def stub_rows(draw):
+    """Frontier-like stubs (a point or box locus, a cap and 1-6 delay
+    intervals each), a source point and per-group skew bounds."""
+    stubs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        x, y = draw(_coord), draw(_coord)
+        row = (x + y, x + y + draw(_width), x - y, x - y + draw(_width))
+        groups = draw(
+            st.lists(st.sampled_from(STUB_GROUPS), min_size=1, max_size=6, unique=True)
+        )
+        delays = {}
+        for group in groups:
+            lo = draw(st.floats(min_value=0.0, max_value=200_000.0))
+            delays[group] = (lo, lo + draw(st.floats(min_value=0.0, max_value=30_000.0)))
+        cap = draw(st.floats(min_value=1e-3, max_value=800.0))
+        stubs.append((row, cap, delays))
+    bounds = {g: draw(st.floats(min_value=0.0, max_value=40_000.0)) for g in STUB_GROUPS}
+    return stubs, Point(draw(_coord), draw(_coord)), SkewConstraints(per_group=bounds)
+
+
+def _stub_tree(count: int, tech: Technology) -> ClockTree:
+    """A tree holding ``count`` placeholder nodes for the stubs to stand for."""
+    tree = ClockTree(technology=tech)
+    for _ in range(count):
+        tree.add_sink(Point(0.0, 0.0), sink_cap=1.0)
+    return tree
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=stub_rows(), weight=st.sampled_from([0.0, 0.3]))
+def test_random_stub_rows_merge_identically(data, weight):
+    """The rows ECO feeds the loop -- any loci, caps and interval sets -- come
+    out of both loops as the same node ids, edges, loci and statistics."""
+    stubs, source, constraints = data
+    tech = Technology.r_benchmark()
+    router = AstDme(AstDmeConfig(delay_target_weight=weight), constraints)
+
+    expected_tree = _stub_tree(len(stubs), tech)
+    expected_loci = {}
+    expected_stats = MergeStats()
+    expected_assoc = GroupAssociation(STUB_GROUPS)
+    subtrees = [
+        Subtree(node_id=i, locus=Trr(*row), cap=cap, delays=dict(delays))
+        for i, (row, cap, delays) in enumerate(stubs)
+    ]
+    merge_subtrees(
+        router, subtrees, expected_tree, expected_loci, source, expected_stats,
+        expected_assoc,
+    )
+
+    group_ids = sorted({group for _, _, delays in stubs for group in delays})
+    rows = SubtreeRows(
+        loci=np.array([row for row, _, _ in stubs], dtype=np.float64),
+        cap=np.array([cap for _, cap, _ in stubs], dtype=np.float64),
+        delays=np.array(
+            [[delays.get(g, (0.0, 0.0)) for g in group_ids] for _, _, delays in stubs],
+            dtype=np.float64,
+        ),
+        present=np.array([[g in delays for g in group_ids] for _, _, delays in stubs]),
+        node_id=np.arange(len(stubs), dtype=np.int64),
+        group_ids=group_ids,
+    )
+    got_tree = _stub_tree(len(stubs), tech)
+    got_stats = MergeStats()
+    got_assoc = GroupAssociation(STUB_GROUPS)
+    merged = router.merge_rows(rows, len(stubs), source, tech, got_stats, got_assoc)
+    got_loci = merged.add_to(got_tree, source)
+
+    assert_trees_identical(got_tree, expected_tree)
+    assert_loci_identical(got_loci, expected_loci)
+    assert_merges_identical(got_stats, expected_stats, got_assoc, expected_assoc)

@@ -1,12 +1,13 @@
-"""Seeded ECO chains: pinned outputs and the >64-group object fallback.
+"""Seeded ECO chains: pinned outputs, on a few groups and on many.
 
 ``tests/golden/eco_chain.json`` pins two seeded 20-delta ECO chains, one on
-a small 4-group base and one on a 70-group base (beyond
-``ARENA_MAX_GROUPS``, so the base route and every re-merge take the object
-loop).  After each delta it records the wirelength, the worst intra-group
-skew, the node count, the merge passes and the violation slack of the
-stitched routing.  Counts must match exactly and floats to a relative 1e-12,
-so a refactor of the re-merge loop that moves a single split fails here.
+a small 4-group base and one on a 70-group base (wide enough that the dense
+``(m, G, 2)`` delay rows carry mostly absent groups).  After each delta it
+records the wirelength, the worst intra-group skew, the node count, the
+merge passes and the violation slack of the stitched routing.  Counts must
+match exactly and floats to a relative 1e-12, so a refactor of the re-merge
+loop that moves a single split fails here (``tests/golden/merge_loop.json``
+pins the same chains' trees exactly).
 
 To regenerate after an *intentional* behaviour change::
 
@@ -27,7 +28,7 @@ import pytest
 from repro.analysis.skew import skew_report
 from repro.analysis.validate import validate_result
 from repro.circuits.generator import random_instance
-from repro.core.ast_dme import ARENA_MAX_GROUPS, AstDme, AstDmeConfig
+from repro.core.ast_dme import AstDme, AstDmeConfig
 from repro.eco import (
     EcoConfig,
     EcoDelta,
@@ -145,12 +146,11 @@ def test_eco_chain_reproduces_golden_file(name):
 
 
 class TestWideGroupFallback:
-    """Beyond ``ARENA_MAX_GROUPS`` the router and ECO share the object loop."""
+    """A 70-group route and its ECO chain, once the >64-group object fallback."""
 
     @pytest.fixture(scope="class")
     def base(self):
         routing, _ = _base(300, 70, 11)
-        assert routing.instance.num_groups > ARENA_MAX_GROUPS
         return routing
 
     def test_route_validates_clean(self, base):

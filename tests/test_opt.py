@@ -75,11 +75,17 @@ class TestOptConfig:
             {"repair_sweeps": 0},
             {"max_added_wire_fraction": -0.1},
             {"polish_steps": -1},
+            {"skew_bound_ps": float("nan")},
+            {"skew_bound_ps": 0.0},
+            {"skew_bound_ps": -10.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OptConfig(**kwargs)
+
+    def test_infinite_skew_bound_allowed(self):
+        assert OptConfig(skew_bound_ps=float("inf")).skew_bound_ps == float("inf")
 
 
 class TestReports:
