@@ -462,7 +462,7 @@ class RunResult:
     opt: Optional[OptReport] = None
     #: Resource/stage measurements of the run (``peak_rss_mb``,
     #: ``wall_seconds``, per-stage ``*_seconds``), shared verbatim by the
-    #: bench harness and the service ``/stats`` endpoint.  Excluded from
+    #: service ``/stats`` endpoint.  Excluded from
     #: equality so cached results compare equal across re-runs.
     stats: Dict[str, float] = field(default_factory=dict, compare=False)
     #: Span trace of the run (the NDJSON event dicts of

@@ -15,8 +15,8 @@ Subcommands::
     repro routers   -- list the routers available in the registry
     repro serve     -- run the routing service (async HTTP server with a
                        content-addressed RunSpec -> RunResult cache)
-    repro bench     -- run the perf-gate suites (scaling and/or the service
-                       load test), write BENCH_*.json
+    repro bench     -- run the service load test and its gates, write
+                       BENCH_service.json
     repro table1    -- reproduce Table I (clustered sink groups)
     repro table2    -- reproduce Table II (intermingled sink groups)
     repro figure1   -- reproduce Figure 1 (zero vs bounded skew)
@@ -370,67 +370,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the perf-gate suites (scaling and/or service load test) "
-        "and write BENCH_*.json",
+        help="run the service load test and its gates and write "
+        "BENCH_service.json",
     )
     bench.add_argument(
-        "--suite",
-        choices=("scaling", "large", "service", "eco", "all"),
-        default="scaling",
-        help="which suite to run: the construction-side scaling sweep, the "
-        "large-instance sweep (50k/200k sinks, resource gates), the "
-        "serving-side load test, the ECO incremental re-route suite, or "
-        "all of them (default: scaling)",
-    )
-    bench.add_argument(
-        "--eco-sizes",
-        nargs="+",
-        type=int,
-        default=None,
-        help="sink counts of the ECO incremental re-route suite (default: "
-        "2000 8000, or 120 with --smoke)",
-    )
-    bench.add_argument(
-        "--service-sizes",
-        nargs="+",
-        type=int,
-        default=None,
-        help="sink counts of the service load suite (default: 500 2000, or "
-        "120 with --smoke)",
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_scaling.json",
-        help="path of the JSON trajectory file to write (default: BENCH_scaling.json)",
+        "--smoke",
+        action="store_true",
+        help="tiny CI-sized run: same schema, latency threshold waived",
     )
     bench.add_argument(
         "--sizes",
         nargs="+",
         type=int,
         default=None,
-        help="sink counts to sweep (default: 500 2000 8000, or 60 120 with --smoke)",
+        help="sink counts to load-test (default: 500 2000, or 120 with --smoke)",
     )
     bench.add_argument("--seed", type=int, default=1, help="instance seed")
     bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny CI-sized suite: same schema, speed-up threshold waived",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the per-stage construction breakdown (select/merge/embed/"
-        "delay seconds) instead of the compact columns",
+        "--out",
+        default="BENCH_service.json",
+        help="path of the JSON payload to write (default: BENCH_service.json)",
     )
     bench.add_argument(
         "--json", action="store_true", help="also print the full JSON payload"
-    )
-    bench.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="record span traces of every bench row and write them as one "
-        "NDJSON file (span ids are namespaced per row label)",
     )
 
     trace = sub.add_parser(
@@ -756,36 +718,19 @@ def _cmd_serve(args: argparse.Namespace, _writer: OutputWriter) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace, writer: OutputWriter) -> int:
-    from repro.bench import format_rows, run_suite, validate_bench_payload
+    from repro.service.loadtest import format_rows, run_service_suite
 
     def progress(row):
         status = "ok" if row["ok"] else "ERROR"
-        if row["kind"] == "routing":
-            seconds = row["wall_seconds"]
-        elif row["kind"] == "eco":
-            seconds = row["eco_seconds"]
-        else:
-            seconds = row["cold_seconds"]
-        writer.info("bench %-36s %9.3f s  %s" % (row["label"], seconds, status))
+        writer.info("bench %-36s %9.3f s  %s" % (row["label"], row["cold_seconds"], status))
 
-    trace_events: Optional[List[dict]] = [] if args.trace_out is not None else None
-    payload = run_suite(
-        sizes=args.sizes,
-        seed=args.seed,
-        smoke=args.smoke,
-        progress=progress,
-        suite=args.suite,
-        service_sizes=args.service_sizes,
-        eco_sizes=args.eco_sizes,
-        trace_events=trace_events,
+    payload = run_service_suite(
+        sizes=args.sizes, seed=args.seed, smoke=args.smoke, progress=progress
     )
-    validate_bench_payload(payload)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    if trace_events is not None:
-        _write_trace(trace_events, args.trace_out, writer)
-    writer.out(format_rows(payload, profile=args.profile))
+    writer.out(format_rows(payload))
     writer.info("wrote %s" % args.out)
     if args.json:
         writer.emit_json(payload)

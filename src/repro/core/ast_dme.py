@@ -100,14 +100,6 @@ class AstDmeConfig:
     delay_target_weight: float = 0.0
     #: KD-tree candidates examined per subtree during pair selection.
     neighbor_candidates: int = 8
-    #: Neighbour-candidate engine: "incremental" (maintained index, default),
-    #: "rebuild" (vectorised, stateless per pass) or "scalar" (the seed
-    #: per-pair reference).  All strategies select identical merge pairs; see
-    #: docs/performance.md.
-    neighbor_strategy: str = "incremental"
-    #: Fraction of candidate lists a pass may invalidate before the
-    #: incremental strategy falls back to a full rebuild.
-    staleness_threshold: float = 0.25
     #: Allow wire snaking in constrained merges (required for exactness).
     allow_snaking: bool = True
     #: Fraction of the intra-group skew bound each cross-group merge may spend
@@ -123,6 +115,11 @@ class AstDmeConfig:
     #: default) keeps routing bit-identical to previous releases.
     opt: Optional["OptConfig"] = None
 
+    def __post_init__(self) -> None:
+        # Written so NaN fails too; an infinite budget stays allowed.
+        if not self.sdr_skew_budget >= 0.0:
+            raise ValueError("sdr_skew_budget must be non-negative")
+
     def order_policy(self) -> MergeOrderPolicy:
         """The merging-order policy implied by this configuration."""
         return MergeOrderPolicy(
@@ -130,8 +127,6 @@ class AstDmeConfig:
             merge_fraction=self.merge_fraction,
             delay_target_weight=self.delay_target_weight,
             neighbor_candidates=self.neighbor_candidates,
-            neighbor_strategy=self.neighbor_strategy,
-            staleness_threshold=self.staleness_threshold,
         )
 
     def constraints(self) -> SkewConstraints:
@@ -155,8 +150,7 @@ class MergeStats:
     merge_seconds: float = 0.0
     #: Wall time spent embedding locations and materialising the ClockTree.
     embed_seconds: float = 0.0
-    #: Full neighbour-index rebuilds / incremental repairs (incremental
-    #: strategy only; both stay 0 for the stateless strategies).
+    #: Full neighbour-index rebuilds / incremental repairs.
     neighbor_full_rebuilds: int = 0
     neighbor_incremental_passes: int = 0
     #: Extra wire added at embedding time to route around blockages (0 for

@@ -12,22 +12,14 @@ adopts two enhancements from earlier work (Chapter V.F), both exposed here:
 A policy turns the list of active subtrees into the list of index pairs to
 merge in the current pass; the router is agnostic to how they were chosen.
 
-Three interchangeable *neighbour strategies* implement the candidate search
-(all selecting identical pairs; see ``docs/performance.md``):
-
-``incremental`` (default)
-    A stateful :class:`~repro.cts.neighbor_index.NeighborIndex` maintained
-    across passes: only candidate lists invalidated by the previous pass are
-    recomputed, with a staleness threshold that falls back to a full rebuild.
-
-``rebuild``
-    Stateless vectorised selection: a fresh KD-tree and batch distance
-    kernels every pass.
-
-``scalar``
-    The seed per-pair reference implementation (KD-tree rebuilt every pass,
-    scalar ``Trr.distance_to`` calls); kept as the equivalence oracle and the
-    performance baseline of the bench harness.
+The candidate search is one engine, the incremental
+:class:`~repro.cts.neighbor_index.NeighborIndex`: it is maintained across
+passes, recomputes only the candidate lists the previous pass invalidated,
+and rebuilds from scratch when a pass invalidated too many of them.  It
+selects exactly the pairs a stateless
+:func:`~repro.cts.nearest_neighbor.select_merge_pairs` call selects each
+pass; ``tests/reference_neighbors.py`` keeps that engine and the seed's
+per-pair one as oracles (see ``docs/performance.md``).
 
 Routers hold per-run selection state in a :class:`MergePairSelector` obtained
 from :meth:`MergeOrderPolicy.make_selector` and call
@@ -37,15 +29,11 @@ from :meth:`MergeOrderPolicy.make_selector` and call
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.cts.neighbor_index import NeighborIndex
-from repro.cts.nearest_neighbor import select_merge_pairs
 
-__all__ = ["MergeOrderPolicy", "MergePairSelector", "NEIGHBOR_STRATEGIES"]
-
-#: Supported neighbour-candidate strategies.
-NEIGHBOR_STRATEGIES = ("incremental", "rebuild", "scalar")
+__all__ = ["MergeOrderPolicy", "MergePairSelector"]
 
 
 @dataclass(frozen=True)
@@ -63,34 +51,20 @@ class MergeOrderPolicy:
             the current median pair distance from the cost of pairs involving
             slow subtrees, so they are merged earlier.
         neighbor_candidates: KD-tree candidate count per subtree.
-        neighbor_strategy: candidate-search engine (see module docstring);
-            every strategy selects identical pairs.
-        staleness_threshold: fraction of candidate lists a pass may
-            invalidate before the ``incremental`` strategy rebuilds from
-            scratch instead of repairing.
     """
 
     multi_merge: bool = True
     merge_fraction: float = 0.5
     delay_target_weight: float = 0.0
     neighbor_candidates: int = 8
-    neighbor_strategy: str = "incremental"
-    staleness_threshold: float = 0.25
 
     def __post_init__(self) -> None:
         if not 0.0 < self.merge_fraction <= 1.0:
             raise ValueError("merge_fraction must lie in (0, 1]")
-        if self.delay_target_weight < 0.0:
+        if not self.delay_target_weight >= 0.0:
             raise ValueError("delay_target_weight must be non-negative")
         if self.neighbor_candidates < 1:
             raise ValueError("neighbor_candidates must be at least 1")
-        if self.neighbor_strategy not in NEIGHBOR_STRATEGIES:
-            raise ValueError(
-                "unknown neighbor_strategy %r; expected one of %s"
-                % (self.neighbor_strategy, NEIGHBOR_STRATEGIES)
-            )
-        if not 0.0 <= self.staleness_threshold <= 1.0:
-            raise ValueError("staleness_threshold must lie in [0, 1]")
 
     # ------------------------------------------------------------------
     def make_selector(self) -> "MergePairSelector":
@@ -133,34 +107,28 @@ class MergeOrderPolicy:
 
 
 class MergePairSelector:
-    """Per-run pair selection: a policy plus its candidate-search state.
+    """Per-run pair selection: a policy plus its neighbour index.
 
     The routers create one selector per routing run and call
-    :meth:`pairs_for_pass_arrays` once per merging pass; the ``incremental``
-    strategy's neighbour index lives here, keyed by subtree node ids, so
-    successive passes reuse every candidate list the previous pass did not
-    invalidate.
+    :meth:`pairs_for_pass_arrays` once per merging pass; the index is keyed
+    by subtree node ids, so successive passes reuse every candidate list the
+    previous pass did not invalidate.
     """
 
     def __init__(self, policy: MergeOrderPolicy) -> None:
         self.policy = policy
-        self._index: Optional[NeighborIndex] = None
-        if policy.neighbor_strategy == "incremental":
-            self._index = NeighborIndex(
-                k_candidates=policy.neighbor_candidates,
-                staleness_threshold=policy.staleness_threshold,
-            )
+        self._index = NeighborIndex(k_candidates=policy.neighbor_candidates)
 
     # ------------------------------------------------------------------
     @property
     def full_rebuilds(self) -> int:
-        """Full index rebuilds performed so far (0 for stateless strategies)."""
-        return self._index.full_rebuilds if self._index is not None else 0
+        """Full index rebuilds performed so far."""
+        return self._index.full_rebuilds
 
     @property
     def incremental_passes(self) -> int:
         """Passes answered by incremental repair instead of a rebuild."""
-        return self._index.incremental_passes if self._index is not None else 0
+        return self._index.incremental_passes
 
     # ------------------------------------------------------------------
     def pairs_for_pass_arrays(self, loci_arr, node_ids, max_delays=None) -> List[Tuple[int, int]]:
@@ -169,9 +137,7 @@ class MergePairSelector:
         ``loci_arr`` is the ``(n, 4)`` locus-interval array of the active
         subtrees, ``node_ids`` the parallel stable keys and ``max_delays`` the
         per-subtree max delay vector (only read when delay-target ordering is
-        enabled).  Every strategy selects identical pairs; the scalar oracle
-        strategy materialises ``Trr`` objects because its per-pair reference
-        arithmetic is defined on them.
+        enabled).
         """
         policy = self.policy
         n = len(loci_arr)
@@ -187,25 +153,5 @@ class MergePairSelector:
             if policy.delay_target_weight > 0.0
             else None
         )
-        if self._index is not None:
-            pairing = self._index.select_pairs(loci_arr, node_ids, max_pairs, bias)
-        elif policy.neighbor_strategy == "scalar":
-            from repro.geometry.trr import Trr
-
-            loci = [Trr(row[0], row[1], row[2], row[3]) for row in loci_arr.tolist()]
-            pairing = select_merge_pairs(
-                loci,
-                max_pairs=max_pairs,
-                cost_bias=None if bias is None else bias.tolist(),
-                k_candidates=policy.neighbor_candidates,
-                engine="scalar",
-            )
-        else:
-            pairing = select_merge_pairs(
-                loci_arr,
-                max_pairs=max_pairs,
-                cost_bias=bias,
-                k_candidates=policy.neighbor_candidates,
-                engine="vectorized",
-            )
+        pairing = self._index.select_pairs(loci_arr, node_ids, max_pairs, bias)
         return list(pairing.pairs)

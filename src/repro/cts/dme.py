@@ -9,11 +9,11 @@ classic balanced DME merge and the result is an (Elmore) zero-skew tree.
 The engine lives in :mod:`repro.core.ast_dme`; it is imported lazily here so
 that ``repro.core`` and ``repro.cts`` can be imported in either order.
 
-All merging-order and neighbour-engine knobs are inherited from the supplied
+All merging-order knobs are inherited from the supplied
 :class:`~repro.core.ast_dme.AstDmeConfig` (via ``dataclasses.replace``), so
-``GreedyDme(AstDmeConfig(neighbor_strategy="scalar"))`` runs the zero-skew
-baseline on the seed reference engine while the default uses the vectorised
-incremental neighbour index -- with bit-identical routed trees either way.
+``GreedyDme(AstDmeConfig(multi_merge=False))`` runs Edahiro's strict
+single-merge order while the default merges many disjoint pairs per pass.
+Both select their pairs with the incremental neighbour index.
 """
 
 from __future__ import annotations

@@ -10,24 +10,15 @@ subtrees (plus an optional additive cost bias per subtree, used by the
 delay-target enhancement) and get back a set of disjoint pairs ordered by
 cost.  Candidate generation uses a KD-tree on locus centres in rotated
 coordinates with the Chebyshev metric, followed by exact locus-to-locus
-distances on the candidates.
+distances on the candidates, computed with the batch kernels of
+:mod:`repro.geometry.trr` (array-of-intervals representation, numpy
+broadcasting).
 
-Two engines implement the same contract:
-
-``vectorized`` (default)
-    Candidate pairs and their exact TRR distances are produced with the batch
-    kernels of :mod:`repro.geometry.trr` (array-of-intervals representation,
-    numpy broadcasting); the enumeration order of candidates reproduces the
-    scalar reference exactly, so the selected pairs are identical.
-
-``scalar``
-    The original per-pair implementation, kept as the executable reference:
-    the property tests assert the vectorized engine against it and the bench
-    harness uses it as the performance baseline of the seed implementation.
-
-For repeated selection over an evolving population (one selection per merging
-pass) see :class:`repro.cts.neighbor_index.NeighborIndex`, which maintains
-candidate lists incrementally instead of recomputing them from scratch.
+:func:`select_merge_pairs` is the stateless one-shot call.  The routers run
+:class:`repro.cts.neighbor_index.NeighborIndex` instead, which maintains the
+candidate lists across merging passes and selects exactly what a fresh call
+here would.  The seed's per-pair implementation is kept in
+``tests/reference_neighbors.py`` as the oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -49,9 +40,6 @@ __all__ = [
     "select_from_candidates",
     "select_merge_pairs",
 ]
-
-#: Supported pair-selection engines.
-ENGINES = ("vectorized", "scalar")
 
 
 @dataclass
@@ -76,7 +64,7 @@ class CandidateArrays:
     region distance of each pair.  Rows are in canonical enumeration order
     (first occurrence while scanning locus ``i`` ascending, then that locus's
     neighbours in query-rank order), which is what makes selection results
-    independent of the engine that generated the candidates.
+    independent of how the candidates were generated.
     """
 
     dist: np.ndarray
@@ -88,7 +76,7 @@ class CandidateArrays:
 
 
 # ----------------------------------------------------------------------
-# Candidate generation (vectorized engine)
+# Candidate generation
 # ----------------------------------------------------------------------
 def locus_centres(arr: np.ndarray) -> np.ndarray:
     """The ``(n, 2)`` array of region centres in rotated coordinates."""
@@ -179,7 +167,7 @@ def candidate_pairs(
     k_candidates: int = 8,
     exhaustive_threshold: int = 48,
 ) -> CandidateArrays:
-    """Candidate merge pairs for the given loci (vectorized engine).
+    """Candidate merge pairs for the given loci.
 
     Below ``exhaustive_threshold`` every pair is a candidate; above it, each
     locus contributes its ``k_candidates`` nearest centres (KD-tree, Chebyshev
@@ -189,7 +177,7 @@ def candidate_pairs(
 
 
 # ----------------------------------------------------------------------
-# Selection (shared by every engine and by the incremental index)
+# Selection (shared with the incremental index)
 # ----------------------------------------------------------------------
 def select_from_candidates(
     candidates: CandidateArrays,
@@ -232,88 +220,6 @@ def select_from_candidates(
 
 
 # ----------------------------------------------------------------------
-# Scalar reference engine (the seed implementation, kept as the oracle)
-# ----------------------------------------------------------------------
-def _candidate_pairs(
-    loci: Sequence[Trr], k_candidates: int
-) -> List[Tuple[float, int, int]]:
-    """Candidate (distance, i, j) triples from a KD-tree over locus centres."""
-    n = len(loci)
-    centres = np.empty((n, 2), dtype=float)
-    for index, locus in enumerate(loci):
-        centres[index, 0] = (locus.ulo + locus.uhi) / 2.0
-        centres[index, 1] = (locus.vlo + locus.vhi) / 2.0
-    tree = cKDTree(centres)
-    k = min(k_candidates + 1, n)
-    _, neighbors = tree.query(centres, k=k, p=np.inf)
-    # scipy squeezes k == 1 queries to shape (n,); reshape uniformly so every
-    # degenerate population (n == 1, n == 2, k_candidates >= n) takes the same
-    # path instead of special-casing k == 1 only.
-    neighbors = np.asarray(neighbors).reshape(n, -1)
-    seen = set()
-    candidates: List[Tuple[float, int, int]] = []
-    for i in range(n):
-        for j in neighbors[i]:
-            j = int(j)
-            if j == i:
-                continue
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append((loci[i].distance_to(loci[j]), key[0], key[1]))
-    return candidates
-
-
-def _all_pairs(loci: Sequence[Trr]) -> List[Tuple[float, int, int]]:
-    """Every pair with its exact distance; used for small instance counts."""
-    n = len(loci)
-    return [
-        (loci[i].distance_to(loci[j]), i, j) for i in range(n) for j in range(i + 1, n)
-    ]
-
-
-def _select_merge_pairs_scalar(
-    loci: Sequence[Trr],
-    max_pairs: Optional[int],
-    cost_bias: Optional[Sequence[float]],
-    k_candidates: int,
-    exhaustive_threshold: int,
-) -> NeighborPairing:
-    """The seed implementation of :func:`select_merge_pairs`, per-pair scalar."""
-    n = len(loci)
-    if n <= exhaustive_threshold:
-        candidates = _all_pairs(loci)
-    else:
-        candidates = _candidate_pairs(loci, k_candidates)
-
-    def pair_cost(item: Tuple[float, int, int]) -> float:
-        distance, i, j = item
-        if cost_bias is None:
-            return distance
-        return distance + cost_bias[i] + cost_bias[j]
-
-    candidates.sort(key=pair_cost)
-
-    limit = max_pairs if max_pairs is not None else n // 2
-    limit = max(1, min(limit, n // 2))
-
-    used = set()
-    pairing = NeighborPairing()
-    for item in candidates:
-        if len(pairing) >= limit:
-            break
-        _, i, j = item
-        if i in used or j in used:
-            continue
-        used.add(i)
-        used.add(j)
-        pairing.pairs.append((i, j))
-        pairing.costs.append(pair_cost(item))
-    return pairing
-
-
-# ----------------------------------------------------------------------
 # Public entry point
 # ----------------------------------------------------------------------
 def select_merge_pairs(
@@ -322,7 +228,6 @@ def select_merge_pairs(
     cost_bias: Optional[Sequence[float]] = None,
     k_candidates: int = 8,
     exhaustive_threshold: int = 48,
-    engine: str = "vectorized",
 ) -> NeighborPairing:
     """Select disjoint nearest pairs among the given loci.
 
@@ -336,24 +241,16 @@ def select_merge_pairs(
             is used.
         exhaustive_threshold: below this many subtrees every pair is examined
             exactly instead of going through the KD-tree.
-        engine: ``"vectorized"`` (batch kernels, default) or ``"scalar"`` (the
-            seed per-pair reference implementation).
 
     Returns:
         A :class:`NeighborPairing` with the selected index pairs in increasing
         cost order.  At least one pair is returned whenever two or more loci
         are supplied.
     """
-    if engine not in ENGINES:
-        raise ValueError("unknown engine %r; expected one of %s" % (engine, ENGINES))
     n = len(loci)
     if n < 2:
         return NeighborPairing()
     if cost_bias is not None and len(cost_bias) != n:
         raise ValueError("cost_bias must have one entry per locus")
-    if engine == "scalar":
-        return _select_merge_pairs_scalar(
-            loci, max_pairs, cost_bias, k_candidates, exhaustive_threshold
-        )
     candidates = candidate_pairs(loci, k_candidates, exhaustive_threshold)
     return select_from_candidates(candidates, n, max_pairs, cost_bias)

@@ -39,8 +39,10 @@ merging loop does.  Pass ``keys=None`` to disable incremental reuse.
 
 The candidate *sets* produced this way are identical to a full rebuild
 (modulo exact distance ties at the ``k``-th neighbour, which cannot occur for
-generic instances), which is what keeps routing results bit-identical between
-the ``rebuild`` and ``incremental`` neighbour strategies.
+generic instances), so the index selects exactly what a stateless
+:func:`~repro.cts.nearest_neighbor.select_merge_pairs` call selects.  It is
+the routers' only pair-selection engine; that stateless call and the seed's
+per-pair engine (``tests/reference_neighbors.py``) are its test oracles.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ def _pair_block(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Exact TRR distances between ``rows[t]`` and every region in ``cands[t]``.
 
     ``rows`` is ``(r, 4)`` and ``cands`` is ``(r, w, 4)``; the result is
-    ``(r, w)``, via the one shared batch kernel so every engine evaluates the
-    identical arithmetic.
+    ``(r, w)``, via the one shared batch kernel so the index and the
+    stateless selection evaluate the identical arithmetic.
     """
     return region_distances(rows[:, np.newaxis, :], cands)
 
@@ -95,8 +97,8 @@ class NeighborIndex:
     key lookups; keys are only used to diff successive populations.
 
     Counters (``full_rebuilds``, ``incremental_passes``,
-    ``exhaustive_passes``) expose how the index behaved; the bench harness
-    and the router's merge statistics report them.
+    ``exhaustive_passes``) expose how the index behaved; the router's merge
+    statistics report them.
     """
 
     def __init__(
@@ -181,7 +183,8 @@ class NeighborIndex:
 
         ``keys`` are stable per-subtree identifiers (``None`` disables
         incremental reuse); candidate arrays index into ``loci`` positionally,
-        exactly like the stateless engines.
+        exactly like the stateless
+        :func:`~repro.cts.nearest_neighbor.candidate_pairs`.
         """
         n = len(loci)
         if n <= self.exhaustive_threshold or self.k_candidates + 1 >= n:
@@ -217,7 +220,7 @@ class NeighborIndex:
 
         A flat ``argmin`` over the row-major ``(n, w)`` cost matrix returns
         the first minimum in exactly the enumeration order the stateless
-        engines sort by, so ties resolve identically.
+        selection sorts by, so ties resolve identically.
         """
         costs = self._pair_d
         if cost_bias is not None:

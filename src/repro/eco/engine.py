@@ -98,8 +98,8 @@ class EcoConfig:
     """Parameters of an ECO re-route.
 
     ``router`` configures the re-merge of the rebuilt cone exactly like a
-    full :class:`~repro.core.ast_dme.AstDme` run (merging order, neighbour
-    strategy, snaking, SDR budget).  ``repair`` optionally enables the local
+    full :class:`~repro.core.ast_dme.AstDme` run (merging order, snaking,
+    SDR budget).  ``repair`` optionally enables the local
     post-stitch optimizer: it runs only when the stitched tree violates a
     skew bound, and only on the violating groups, so the untouched-subtree
     bit-identity guarantee survives whenever no repair is needed.

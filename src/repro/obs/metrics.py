@@ -407,8 +407,7 @@ def peak_rss_mb() -> float:
     ``ru_maxrss`` is a high-water mark over the life of the process
     (kilobytes on Linux, bytes on macOS), so a reading taken after a run is
     an upper bound that includes everything the process did before.  The
-    runner, the bench harness and the service all report it through this one
-    function.  Returns 0.0 on platforms without ``resource`` (Windows)
+    runner and the service both report it through this one function.  Returns 0.0 on platforms without ``resource`` (Windows)
     rather than raising, so callers can record the value unconditionally.
     """
     try:

@@ -2,7 +2,7 @@
 
 :class:`OptConfig` is a frozen, JSON-round-trippable block that rides along
 inside :class:`~repro.core.ast_dme.AstDmeConfig` (library users) and
-:class:`~repro.api.spec.RunSpec` (the api facade / CLI / bench harness).  It
+:class:`~repro.api.spec.RunSpec` (the api facade / CLI / service).  It
 deliberately has no heavy imports so that spec modules can depend on it
 without pulling the optimizer machinery in.
 """

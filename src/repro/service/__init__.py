@@ -13,8 +13,8 @@ fronted by a content-addressed result cache so repeat traffic never re-routes.
   streaming ``POST /batch``, ``GET /routers``, ``GET /stats``,
   ``GET /healthz``, ``POST /cache/clear``);
 * :mod:`repro.service.client`: :class:`ServiceClient`, the blocking client;
-* :mod:`repro.service.loadtest`: the ``repro bench --suite service`` load
-  harness (requests/sec, p50/p99, hit-rate gates).
+* :mod:`repro.service.loadtest`: the load test ``repro bench`` runs
+  (requests/sec, p50/p99, hit-rate gates).
 
 Quickstart::
 

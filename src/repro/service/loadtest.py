@@ -1,4 +1,4 @@
-"""The service load harness behind ``repro bench --suite service``.
+"""The service load test behind ``repro bench``.
 
 For each configured sink count it stands up a real server (background-thread
 event loop, ephemeral port, fresh disk cache in a temp dir), then drives it
@@ -11,19 +11,20 @@ traffic:
 
 Each size contributes one ``kind == "service"`` row (requests/sec, p50/p99
 latency, hit rate, cold-run wall) and one ``kind == "service"`` gate to the
-bench payload: the hot hit rate must reach :data:`GATE_SERVICE_HIT_RATE`,
-every hot result must be byte-identical (via ``to_dict()``) to the cold one,
-and -- at the largest size of a full (non-smoke) suite -- the hot p50 must
-beat the cold routing run by :data:`GATE_SERVICE_SPEEDUP`.  This is the
-serving-side analogue of the construction-side speed-up gates in
-``repro.bench``.
+payload: the hot hit rate must reach :data:`GATE_SERVICE_HIT_RATE`, every hot
+result must be byte-identical (via ``to_dict()``) to the cold one, and -- at
+the largest size of a full (non-smoke) run -- the hot p50 must beat the cold
+routing run by :data:`GATE_SERVICE_SPEEDUP`.
+
+The payload (schema :data:`SCHEMA`) is what ``repro bench`` writes.  Timing
+claims about routing itself come from the flow benchmark in ``flowbench/``.
 """
 
 from __future__ import annotations
 
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.api.registry import RouterSpec
 from repro.api.spec import InstanceSpec, RunSpec
@@ -31,13 +32,18 @@ from repro.service.client import ServiceClient
 from repro.service.server import ServerThread, ServiceConfig
 
 __all__ = [
+    "SCHEMA",
     "DEFAULT_SERVICE_SIZES",
     "SMOKE_SERVICE_SIZES",
     "GATE_SERVICE_HIT_RATE",
     "GATE_SERVICE_SPEEDUP",
     "service_spec",
     "run_service_suite",
+    "format_rows",
 ]
+
+#: Schema identifier stamped into every payload ``repro bench`` writes.
+SCHEMA = "repro-bench/v8"
 
 #: Sink counts of the full service suite (the latency gate runs at the last;
 #: 2000 is the "cold n=2000 routing run" the hot path is gated against).
@@ -60,8 +66,8 @@ GATE_SERVICE_SPEEDUP = 20.0
 
 
 def service_spec(num_sinks: int, seed: int = 1) -> RunSpec:
-    """The spec one load-test size revolves around (mirrors the headline
-    ``ast-dme`` scaling row: 8 intermingled groups, 10 ps bound)."""
+    """The spec one load-test size revolves around: ast-dme on 8
+    intermingled groups with a 10 ps bound."""
     label = "service-ast-dme-n%d" % num_sinks
     return RunSpec(
         instance=InstanceSpec.from_random(num_sinks, seed=seed, groups=8),
@@ -80,7 +86,7 @@ def _percentile_ms(sorted_seconds: List[float], fraction: float) -> float:
 def _load_one_size(
     num_sinks: int, seed: int, hot_requests: int, workers: int
 ) -> Dict[str, Any]:
-    """Stand up a server, drive cold + hot traffic, return the bench row."""
+    """Stand up a server, drive cold + hot traffic, return the row."""
     spec = service_spec(num_sinks, seed=seed)
     row: Dict[str, Any] = {
         "kind": "service",
@@ -190,9 +196,8 @@ def run_service_suite(
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     hot_requests: Optional[int] = None,
     workers: int = 1,
-) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-    """Run the service load suite; returns ``(rows, gates)`` for the bench
-    payload (:mod:`repro.bench` merges them into the schema-v4 document).
+) -> Dict[str, Any]:
+    """Run the service load test; returns the ``repro bench`` payload.
 
     Args:
         sizes: sink counts to load-test (defaults to 500/2000, or 120 with
@@ -218,4 +223,47 @@ def run_service_suite(
         rows.append(row)
         if progress is not None:
             progress(row)
-    return rows, _service_gates(rows, sizes, threshold)
+    return {
+        "schema": SCHEMA,
+        "smoke": smoke,
+        "seed": seed,
+        "sizes": list(sizes),
+        "rows": rows,
+        "gates": _service_gates(rows, sizes, threshold),
+    }
+
+
+def format_rows(payload: Dict[str, Any]) -> str:
+    """A human-readable table of a payload (what ``repro bench`` prints)."""
+    lines = [
+        "%-36s %9s %9s %9s %9s %9s"
+        % ("label", "cold s", "req/s", "p50 ms", "p99 ms", "hit rate")
+    ]
+    for row in payload["rows"]:
+        status = "" if row["ok"] else "  ERROR %s" % (row["error"] or "")
+        lines.append(
+            "%-36s %9.3f %9.1f %9.2f %9.2f %9.3f%s"
+            % (
+                row["label"],
+                row["cold_seconds"],
+                row["requests_per_sec"],
+                row["p50_ms"],
+                row["p99_ms"],
+                row["hit_rate"],
+                status,
+            )
+        )
+    for gate in payload["gates"]:
+        lines.append(
+            "gate %-31s hit rate %.3f (>= %.2f)  hot x%.0f (>= x%.0f)  identical=%s  %s"
+            % (
+                gate["name"],
+                gate["hit_rate"],
+                gate["min_hit_rate"],
+                gate["hot_speedup"],
+                gate["speedup_threshold"],
+                gate["identical_results"],
+                "PASS" if gate["passed"] else "FAIL",
+            )
+        )
+    return "\n".join(lines)

@@ -475,7 +475,7 @@ class RoutingService:
             "eco_cache": self.eco_cache.stats().to_dict(),
             "base_routings": base_routings,
             "server": self.stats.to_dict(),
-            # Same measurement path as RunResult.stats / the bench harness.
+            # Same measurement path as RunResult.stats.
             "resources": {"peak_rss_mb": peak_rss_mb()},
         }
 

@@ -1,0 +1,155 @@
+"""Reference pair-selection engines, kept as oracles of the incremental index.
+
+The library selects merge pairs with one engine, the incremental
+:class:`~repro.cts.neighbor_index.NeighborIndex`.  The two engines it
+replaced live here, so tests can check that it selects exactly what they do:
+
+``scalar``
+    The seed implementation: a KD-tree rebuilt every pass and one scalar
+    ``Trr.distance_to`` call per candidate pair.
+``rebuild``
+    The stateless vectorised :func:`repro.cts.nearest_neighbor.select_merge_pairs`,
+    run afresh every pass.
+
+:func:`use_selector` swaps either engine in for a whole route by patching
+:meth:`MergeOrderPolicy.make_selector`, so ``AstDme.route`` and the object
+loop of ``tests/reference_dme.py`` both select their pairs through it.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from repro.core.merging_order import MergeOrderPolicy, MergePairSelector
+from repro.cts.nearest_neighbor import NeighborPairing, select_merge_pairs
+from repro.geometry.trr import Trr
+
+#: Selection engines a route can run on: the library's and the two oracles.
+STRATEGIES = ("incremental", "rebuild", "scalar")
+
+
+def scalar_candidate_pairs(
+    loci: Sequence[Trr], k_candidates: int
+) -> List[Tuple[float, int, int]]:
+    """Candidate (distance, i, j) triples from a KD-tree over locus centres."""
+    n = len(loci)
+    centres = np.empty((n, 2), dtype=float)
+    for index, locus in enumerate(loci):
+        centres[index, 0] = (locus.ulo + locus.uhi) / 2.0
+        centres[index, 1] = (locus.vlo + locus.vhi) / 2.0
+    tree = cKDTree(centres)
+    k = min(k_candidates + 1, n)
+    _, neighbors = tree.query(centres, k=k, p=np.inf)
+    # scipy squeezes k == 1 queries to shape (n,); reshape uniformly so every
+    # degenerate population (n == 1, n == 2, k_candidates >= n) takes the same
+    # path.
+    neighbors = np.asarray(neighbors).reshape(n, -1)
+    seen = set()
+    candidates: List[Tuple[float, int, int]] = []
+    for i in range(n):
+        for j in neighbors[i]:
+            j = int(j)
+            if j == i:
+                continue
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                continue
+            seen.add(key)
+            candidates.append((loci[i].distance_to(loci[j]), key[0], key[1]))
+    return candidates
+
+
+def scalar_select_merge_pairs(
+    loci: Sequence[Trr],
+    max_pairs: Optional[int] = None,
+    cost_bias: Optional[Sequence[float]] = None,
+    k_candidates: int = 8,
+    exhaustive_threshold: int = 48,
+) -> NeighborPairing:
+    """:func:`~repro.cts.nearest_neighbor.select_merge_pairs`, per pair."""
+    n = len(loci)
+    if n < 2:
+        return NeighborPairing()
+    if cost_bias is not None and len(cost_bias) != n:
+        raise ValueError("cost_bias must have one entry per locus")
+    if n <= exhaustive_threshold:
+        candidates = [
+            (loci[i].distance_to(loci[j]), i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+    else:
+        candidates = scalar_candidate_pairs(loci, k_candidates)
+
+    def pair_cost(item: Tuple[float, int, int]) -> float:
+        distance, i, j = item
+        if cost_bias is None:
+            return distance
+        return distance + cost_bias[i] + cost_bias[j]
+
+    candidates.sort(key=pair_cost)
+
+    limit = max_pairs if max_pairs is not None else n // 2
+    limit = max(1, min(limit, n // 2))
+
+    used = set()
+    pairing = NeighborPairing()
+    for item in candidates:
+        if len(pairing) >= limit:
+            break
+        _, i, j = item
+        if i in used or j in used:
+            continue
+        used.add(i)
+        used.add(j)
+        pairing.pairs.append((i, j))
+        pairing.costs.append(pair_cost(item))
+    return pairing
+
+
+class StatelessIndex:
+    """Stands in for a selector's ``NeighborIndex``: selects afresh per pass."""
+
+    full_rebuilds = 0
+    incremental_passes = 0
+
+    def __init__(self, strategy: str, k_candidates: int) -> None:
+        self.strategy = strategy
+        self.k_candidates = k_candidates
+
+    def select_pairs(self, loci_arr, keys, max_pairs, cost_bias) -> NeighborPairing:
+        if self.strategy == "scalar":
+            return scalar_select_merge_pairs(
+                [Trr(*row) for row in loci_arr.tolist()],
+                max_pairs=max_pairs,
+                cost_bias=None if cost_bias is None else cost_bias.tolist(),
+                k_candidates=self.k_candidates,
+            )
+        return select_merge_pairs(
+            loci_arr,
+            max_pairs=max_pairs,
+            cost_bias=cost_bias,
+            k_candidates=self.k_candidates,
+        )
+
+
+def oracle_selector(policy: MergeOrderPolicy, strategy: str) -> MergePairSelector:
+    """A selector for ``policy`` that picks pairs with an oracle engine."""
+    selector = MergePairSelector(policy)
+    selector._index = StatelessIndex(strategy, policy.neighbor_candidates)
+    return selector
+
+
+def use_selector(monkeypatch, strategy: str) -> None:
+    """Make every route in this test select its pairs with ``strategy``."""
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r; expected one of %s" % (strategy, STRATEGIES))
+    if strategy != "incremental":
+        monkeypatch.setattr(
+            MergeOrderPolicy,
+            "make_selector",
+            lambda policy: oracle_selector(policy, strategy),
+        )

@@ -60,13 +60,21 @@ class TestRegistry:
 
     @pytest.mark.parametrize("router", ["ast-dme", "greedy-dme", "ext-bst"])
     def test_removed_tree_backend_option_rejected(self, router):
-        # Specs written while the object merge loop existed still parse; the
-        # option itself now fails like any other unknown one.
-        spec = RouterSpec.from_dict({"name": router, "options": {"tree_backend": "object"}})
-        with pytest.raises(ValueError, match=r"unknown router options \['tree_backend'\]"):
-            spec.build()
-        result = run_safe(RunSpec(instance=InstanceSpec.from_random(10, seed=1), router=spec))
-        assert "unknown router options" in result.error
+        # Specs written while the object merge loop and the oracle neighbour
+        # engines existed still parse; each removed option now fails like any
+        # other unknown one.
+        for option, value in (
+            ("tree_backend", "object"),
+            ("neighbor_strategy", "scalar"),
+            ("staleness_threshold", 0.25),
+        ):
+            spec = RouterSpec.from_dict({"name": router, "options": {option: value}})
+            with pytest.raises(ValueError, match=r"unknown router options \['%s'\]" % option):
+                spec.build()
+            result = run_safe(
+                RunSpec(instance=InstanceSpec.from_random(10, seed=1), router=spec)
+            )
+            assert "unknown router options ['%s']" % option in result.error
 
     def test_spec_plus_separate_options_rejected(self):
         with pytest.raises(ValueError):
@@ -322,6 +330,22 @@ class TestRun:
         assert "no-such-router" in result.error
         assert not result.ok
 
+    def test_run_safe_rejects_nan_merge_knobs(self):
+        # JSON NaN parses; it must fail where it enters, not route as 0.
+        for option, message in (
+            ("sdr_skew_budget", "sdr_skew_budget must be non-negative"),
+            ("delay_target_weight", "delay_target_weight must be non-negative"),
+        ):
+            spec = RunSpec.from_dict(
+                json.loads(
+                    '{"instance": {"kind": "random", "num_sinks": 40, "seed": 1, '
+                    '"groups": 4}, "router": {"name": "ast-dme", "options": '
+                    '{"skew_bound_ps": 10.0, "%s": NaN}}}' % option
+                )
+            )
+            result = run_safe(spec)
+            assert result.error.startswith("ValueError: %s" % message), result.error
+
 
 # ----------------------------------------------------------------------
 # BatchRunner
@@ -551,7 +575,6 @@ def _changed_choices():
     from repro.opt import OptConfig
 
     return {
-        "neighbor_strategy": "scalar",
         "opt": OptConfig(enabled=True, max_iterations=2),
     }
 

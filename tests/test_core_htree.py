@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis.validate import validate_result
-from repro.api.registry import get_router
-from repro.api.spec import InstanceSpec
+from repro.api.registry import RouterSpec, get_router
+from repro.api.runner import run
+from repro.api.spec import InstanceSpec, RunSpec
 from repro.circuits.generator import random_instance
 from repro.circuits.instance import ClockInstance, Sink
 from repro.core.ast_dme import AstDme, AstDmeConfig
@@ -101,6 +102,31 @@ class TestRouting:
         deep = route_htree(instance, trunk_levels=3)
         assert len(shallow.tree.sinks()) == len(deep.tree.sinks()) == 64
         assert len(deep.tree) >= len(shallow.tree)
+
+    @pytest.mark.parametrize("num_sinks", [60, 120])
+    def test_repaired_blocked_tree_validates_within_wirelength_ratio(self, num_sinks):
+        """The trunk's symmetry and junction snaking cost wire, but at most
+        1.5x what ast-dme spends on the same repaired blocked instance."""
+        instance = InstanceSpec.from_family("blocked", num_sinks, seed=1, groups=8)
+        repair = OptConfig(enabled=True)
+        htree = run(
+            RunSpec(
+                instance=instance,
+                router=RouterSpec("h-tree", {"skew_bound_ps": 10.0, "trunk_levels": 2}),
+                validate=True,
+                opt=repair,
+            )
+        )
+        baseline = run(
+            RunSpec(
+                instance=instance,
+                router=RouterSpec("ast-dme", {"skew_bound_ps": 10.0}),
+                opt=repair,
+            )
+        )
+        assert htree.issues == []
+        ratio = htree.opt.wirelength_after / baseline.opt.wirelength_after
+        assert 0.0 < ratio <= 1.5
 
 
 class TestRegistry:

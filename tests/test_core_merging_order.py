@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ast_dme import AstDmeConfig
 from repro.core.merging_order import MergeOrderPolicy
 from repro.core.subtree import Subtree
 from repro.cts.nearest_neighbor import select_merge_pairs
@@ -170,4 +171,10 @@ class TestMergeOrderPolicy:
         with pytest.raises(ValueError):
             MergeOrderPolicy(delay_target_weight=-1.0)
         with pytest.raises(ValueError):
+            MergeOrderPolicy(delay_target_weight=float("nan"))
+        with pytest.raises(ValueError):
             MergeOrderPolicy(neighbor_candidates=0)
+        for budget in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="sdr_skew_budget"):
+                AstDmeConfig(sdr_skew_budget=budget)
+        assert AstDmeConfig(sdr_skew_budget=float("inf")).sdr_skew_budget == float("inf")

@@ -358,8 +358,7 @@ BACKEND_SCENARIOS = [
     ("greedy-dme", 1, "random", {}),
     ("greedy-dme", 1, "blocked", {}),
     ("ext-bst", 1, "random", {}),
-    ("greedy-dme", 1, "random", {"multi_merge": False, "neighbor_strategy": "scalar"}),
-    ("greedy-dme", 1, "random", {"multi_merge": False, "neighbor_strategy": "rebuild"}),
+    ("greedy-dme", 1, "random", {"multi_merge": False}),
     ("ast-dme", 8, "random", {"delay_target_weight": 0.3}),
     ("ast-dme", 8, "random", {"allow_snaking": False}),
     # Beyond the 64 groups that used to drop to the object loop.

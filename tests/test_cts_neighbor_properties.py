@@ -4,9 +4,9 @@ Seeded-random loops (100 instances each) assert the invariants the merging
 loop relies on:
 
 * ``select_merge_pairs`` always returns mutually disjoint pairs with costs
-  sorted ascending, for every engine;
-* the ``vectorized`` engine selects exactly what the ``scalar`` seed
-  reference selects;
+  sorted ascending, and so does the ``scalar`` seed engine kept in
+  ``tests/reference_neighbors.py``;
+* ``select_merge_pairs`` selects exactly what that ``scalar`` oracle selects;
 * a :class:`~repro.cts.neighbor_index.NeighborIndex` maintained across an
   evolving population selects exactly what a stateless full rebuild selects;
 * the degenerate ``k_candidates + 1 > n`` populations (n = 2, 3) are handled
@@ -20,13 +20,16 @@ import pytest
 
 from repro.cts.nearest_neighbor import (
     NeighborPairing,
-    _candidate_pairs,
     candidate_pairs,
     select_merge_pairs,
 )
 from repro.cts.neighbor_index import NeighborIndex
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
+from tests.reference_neighbors import scalar_candidate_pairs, scalar_select_merge_pairs
+
+#: The library's one-shot selection and the seed's per-pair oracle.
+ENGINES = {"vectorized": select_merge_pairs, "scalar": scalar_select_merge_pairs}
 
 
 def random_loci(rng: np.random.Generator, n: int, layout: float = 100_000.0):
@@ -48,7 +51,7 @@ def assert_same_pairing(got: NeighborPairing, ref: NeighborPairing) -> None:
 
 
 # ----------------------------------------------------------------------
-# select_merge_pairs invariants (both engines)
+# select_merge_pairs invariants (and the oracle's)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
 def test_pairs_disjoint_and_costs_ascending(engine):
@@ -57,7 +60,7 @@ def test_pairs_disjoint_and_costs_ascending(engine):
         n = int(rng.integers(2, 120))
         loci = random_loci(rng, n)
         max_pairs = [None, 1, 3][trial % 3]
-        pairing = select_merge_pairs(loci, max_pairs=max_pairs, engine=engine)
+        pairing = ENGINES[engine](loci, max_pairs=max_pairs)
         assert len(pairing) >= 1
         used = [index for pair in pairing.pairs for index in pair]
         assert len(used) == len(set(used)), "pairs must be mutually disjoint"
@@ -73,15 +76,9 @@ def test_vectorized_engine_matches_scalar_reference():
         n = int(rng.integers(2, 150))
         loci = random_loci(rng, n)
         max_pairs = [None, 1, 4][trial % 3]
-        ref = select_merge_pairs(loci, max_pairs=max_pairs, engine="scalar")
-        got = select_merge_pairs(loci, max_pairs=max_pairs, engine="vectorized")
+        ref = scalar_select_merge_pairs(loci, max_pairs=max_pairs)
+        got = select_merge_pairs(loci, max_pairs=max_pairs)
         assert_same_pairing(got, ref)
-
-
-def test_unknown_engine_rejected():
-    loci = random_loci(np.random.default_rng(0), 4)
-    with pytest.raises(ValueError, match="unknown engine"):
-        select_merge_pairs(loci, engine="quantum")
 
 
 def test_cost_bias_changes_priorities_identically():
@@ -90,8 +87,8 @@ def test_cost_bias_changes_priorities_identically():
         n = int(rng.integers(3, 80))
         loci = random_loci(rng, n)
         bias = rng.uniform(-10_000.0, 0.0, size=n).tolist()
-        ref = select_merge_pairs(loci, cost_bias=bias, engine="scalar")
-        got = select_merge_pairs(loci, cost_bias=bias, engine="vectorized")
+        ref = scalar_select_merge_pairs(loci, cost_bias=bias)
+        got = select_merge_pairs(loci, cost_bias=bias)
         assert_same_pairing(got, ref)
 
 
@@ -220,7 +217,7 @@ def test_index_rejects_mismatched_keys_and_bias():
 def test_candidate_pairs_degenerate_populations(n, k_candidates):
     """n = 2 and n = 3 loci survive every k through the KD-tree path."""
     loci = random_loci(np.random.default_rng(n * 10 + k_candidates), n)
-    candidates = _candidate_pairs(loci, k_candidates)
+    candidates = scalar_candidate_pairs(loci, k_candidates)
     all_pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
     got = {(i, j) for _, i, j in candidates}
     # Unordered pairs appear at most once, whatever shape scipy returned for
@@ -240,11 +237,10 @@ def test_candidate_pairs_degenerate_populations(n, k_candidates):
 def test_select_merge_pairs_degenerate_via_kd_path(n, engine):
     """Tiny populations forced through the KD-tree branch select correctly."""
     loci = random_loci(np.random.default_rng(n), n)
-    pairing = select_merge_pairs(
-        loci, max_pairs=1, k_candidates=8, exhaustive_threshold=0, engine=engine
-    )
+    select = ENGINES[engine]
+    pairing = select(loci, max_pairs=1, k_candidates=8, exhaustive_threshold=0)
     assert len(pairing) == 1
-    reference = select_merge_pairs(loci, max_pairs=1, engine=engine)
+    reference = select(loci, max_pairs=1)
     assert_same_pairing(pairing, reference)
 
 

@@ -1,11 +1,13 @@
-"""Equivalence regression: every neighbour strategy routes the same trees.
+"""Equivalence regression: every pair-selection engine routes the same trees.
 
-The ``incremental`` neighbour index and the ``rebuild`` vectorised engine are
-pure accelerations of the ``scalar`` seed reference -- routed trees must stay
-*identical* (topology exactly, delays / skews / wirelength to 1e-9).  These
-tests route the same seeded instances through all strategies and compare the
+The routers select merge pairs with the incremental neighbour index, a pure
+acceleration of the stateless ``rebuild`` selection and of the ``scalar``
+seed engine, both kept in ``tests/reference_neighbors.py`` as oracles.
+Routed trees must stay *identical* (topology exactly, delays / skews /
+wirelength to 1e-9).  These tests route the same seeded instances once per
+engine, swapping the oracles in through ``use_selector``, and compare the
 full embedded trees, the skew reports and the wirelength totals, so any
-future drift in the fast paths fails loudly.
+drift in the index fails loudly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from repro.circuits.grouping import intermingled_groups
 from repro.core.ast_dme import AstDme, AstDmeConfig
 from repro.cts.bst import ExtBst
 from repro.cts.dme import GreedyDme
+from tests.reference_dme import route_reference
+from tests.reference_neighbors import use_selector
 
 TOL = 1e-9
 
@@ -51,56 +55,57 @@ def assert_equivalent(result_a, result_b):
         assert value == pytest.approx(skew_b.per_group_skew[group], abs=TOL)
 
 
-def configs_for(strategy: str, multi_merge: bool = True) -> AstDmeConfig:
-    return AstDmeConfig(neighbor_strategy=strategy, multi_merge=multi_merge)
+def route_with(monkeypatch, strategy, router, instance):
+    """Route ``instance`` with ``router``, selecting pairs by ``strategy``."""
+    with monkeypatch.context() as patch:
+        use_selector(patch, strategy)
+        return router.route(instance)
 
 
 @pytest.mark.parametrize("seed", [3, 17])
-def test_greedy_dme_strategies_identical(seed):
+def test_greedy_dme_strategies_identical(monkeypatch, seed):
     instance = random_instance("equiv-%d" % seed, num_sinks=220, seed=seed)
-    reference = GreedyDme(configs_for("scalar")).route(instance)
+    reference = route_with(monkeypatch, "scalar", GreedyDme(), instance)
     for strategy in ("rebuild", "incremental"):
-        assert_equivalent(GreedyDme(configs_for(strategy)).route(instance), reference)
+        assert_equivalent(route_with(monkeypatch, strategy, GreedyDme(), instance), reference)
 
 
-def test_greedy_dme_single_merge_strategies_identical():
+def test_greedy_dme_single_merge_strategies_identical(monkeypatch):
     instance = random_instance("equiv-single", num_sinks=160, seed=5)
-    reference = GreedyDme(configs_for("scalar", multi_merge=False)).route(instance)
+    router = GreedyDme(AstDmeConfig(multi_merge=False))
+    reference = route_with(monkeypatch, "scalar", router, instance)
     for strategy in ("rebuild", "incremental"):
-        assert_equivalent(
-            GreedyDme(configs_for(strategy, multi_merge=False)).route(instance),
-            reference,
-        )
+        assert_equivalent(route_with(monkeypatch, strategy, router, instance), reference)
+    # The object reference loop selects through the same patched policy.
+    with monkeypatch.context() as patch:
+        use_selector(patch, "scalar")
+        objects = route_reference(AstDme(router.config), instance, single_group=True)
+    assert_equivalent(objects, reference)
 
 
 @pytest.mark.parametrize("strategy", ["rebuild", "incremental"])
-def test_ast_dme_strategies_identical(strategy):
+def test_ast_dme_strategies_identical(monkeypatch, strategy):
     instance = intermingled_groups(
         random_instance("equiv-ast", num_sinks=200, seed=9), 6, seed=1
     )
-    reference = AstDme(configs_for("scalar")).route(instance)
-    assert_equivalent(AstDme(configs_for(strategy)).route(instance), reference)
+    reference = route_with(monkeypatch, "scalar", AstDme(), instance)
+    assert_equivalent(route_with(monkeypatch, strategy, AstDme(), instance), reference)
 
 
 @pytest.mark.parametrize("strategy", ["rebuild", "incremental"])
-def test_ast_dme_delay_target_strategies_identical(strategy):
+def test_ast_dme_delay_target_strategies_identical(monkeypatch, strategy):
     """The cost-bias path (delay-target merging order) stays equivalent too."""
     instance = intermingled_groups(
         random_instance("equiv-bias", num_sinks=150, seed=21), 4, seed=2
     )
-    config = AstDmeConfig(neighbor_strategy="scalar", delay_target_weight=0.4)
-    reference = AstDme(config).route(instance)
-    fast = AstDme(
-        AstDmeConfig(neighbor_strategy=strategy, delay_target_weight=0.4)
-    ).route(instance)
-    assert_equivalent(fast, reference)
+    router = AstDme(AstDmeConfig(delay_target_weight=0.4))
+    reference = route_with(monkeypatch, "scalar", router, instance)
+    assert_equivalent(route_with(monkeypatch, strategy, router, instance), reference)
 
 
 @pytest.mark.parametrize("strategy", ["rebuild", "incremental"])
-def test_ext_bst_strategies_identical(strategy):
+def test_ext_bst_strategies_identical(monkeypatch, strategy):
     instance = random_instance("equiv-bst", num_sinks=180, seed=27)
-    reference = ExtBst(skew_bound_ps=10.0, config=configs_for("scalar")).route(instance)
-    assert_equivalent(
-        ExtBst(skew_bound_ps=10.0, config=configs_for(strategy)).route(instance),
-        reference,
-    )
+    router = ExtBst(skew_bound_ps=10.0)
+    reference = route_with(monkeypatch, "scalar", router, instance)
+    assert_equivalent(route_with(monkeypatch, strategy, router, instance), reference)

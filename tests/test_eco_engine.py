@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.validate import validate_result
 from repro.analysis.wirelength import wirelength_report
+from repro.api.spec import InstanceSpec
 from repro.circuits.generator import random_instance
 from repro.core.ast_dme import AstDme, AstDmeConfig
 from repro.eco import (
@@ -194,6 +195,31 @@ class TestStitchingInvariants:
         assert identical, "case %d: preserved subtree changed" % case
         expected_sinks = instance.num_sinks - len(removed) + len(delta.add)
         assert outcome.routing.instance.num_sinks == expected_sinks
+
+
+    def test_many_spread_moves(self):
+        """Fifteen sinks spread over the instance move at once: many small
+        cones, each clean subtree between them stitched back unchanged."""
+        config = AstDmeConfig(skew_bound_ps=10.0)
+        instance = InstanceSpec.from_random(120, seed=1, groups=8).build()
+        base = AstDme(config).route(instance)
+        moved = range(0, 120, 8)
+        delta = EcoDelta(
+            move=tuple(
+                SinkMove(
+                    sid,
+                    Point(
+                        instance.sinks[sid].location.x + 800.0,
+                        instance.sinks[sid].location.y - 400.0,
+                    ),
+                )
+                for sid in moved
+            )
+        )
+        outcome = eco_reroute(base, delta, EcoConfig(router=config))
+        issues, contiguous, identical = _checks(base, outcome)
+        assert issues == [] and contiguous and identical
+        assert outcome.eco.sinks_moved == len(moved) == 15
 
 
 class TestErrors:

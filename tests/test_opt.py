@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -207,11 +208,19 @@ class TestOptimizer:
         assert report.oracle_max_diff < 1e-3
 
     def test_single_group_router_repairs_under_validation_bound(self):
-        result = run(_blocked_spec(groups=1, router="greedy-dme"), keep_tree=True)
-        report = optimize_routing(
-            result.routing, OptConfig(enabled=True), intra_bound_ps=10.0
-        )
-        assert report.skew_violations_after == 0
+        for router in ("greedy-dme", "ext-bst"):
+            violations = 0
+            for num_sinks in (60, 120):
+                result = run(
+                    _blocked_spec(num_sinks=num_sinks, groups=1, router=router),
+                    keep_tree=True,
+                )
+                report = optimize_routing(
+                    result.routing, OptConfig(enabled=True), intra_bound_ps=10.0
+                )
+                assert report.skew_violations_after == 0, (router, num_sinks)
+                violations += report.skew_violations_before
+            assert violations > 0, router
 
     def test_needs_a_positive_bound(self):
         result = run(_blocked_spec(num_sinks=40, groups=1), keep_tree=True)
@@ -387,6 +396,19 @@ class TestBufferInsert:
         outcome = report.passes[0]
         assert outcome.buffers_inserted == 0
         assert not outcome.changed
+
+    def test_buffer_free_pipeline_is_bit_identical(self):
+        """With no cap limit the insertion pass leaves the routed tree exactly
+        as the run without an optimizer built it."""
+        spec = RunSpec(
+            instance=InstanceSpec.from_random(60, seed=1, groups=8),
+            router=RouterSpec("ast-dme", {"skew_bound_ps": 10.0}),
+        )
+        plain = run(spec)
+        free = run(replace(spec, opt=OptConfig(enabled=True, passes=("buffer-insert",))))
+        assert sum(p.buffers_inserted for p in free.opt.passes) == 0
+        for key in ("wirelength", "global_skew_ps", "max_intra_group_skew_ps", "num_nodes"):
+            assert getattr(free, key) == getattr(plain, key), key
 
     def test_inserts_buffers_and_clears_cap_violations(self):
         spec = _blocked_spec(
