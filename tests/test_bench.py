@@ -1,4 +1,5 @@
-"""Tests for ``repro bench``: the service load test and its v8 payload."""
+"""Tests for ``repro bench``: the service load test and its v8 payload, and
+the routing gates its former smoke suite asserted, now on plain runs."""
 
 from __future__ import annotations
 
@@ -6,14 +7,121 @@ import json
 
 import pytest
 
+from repro.api.registry import RouterSpec
+from repro.api.runner import run
+from repro.api.spec import InstanceSpec, RunSpec
 from repro.cli import build_parser, main
+from repro.opt import BUFFERED_PASSES, OptConfig
 from repro.service.loadtest import SCHEMA, format_rows, run_service_suite
+from tests.reference_neighbors import use_selector
+from tests.test_cts_strategy_equivalence import tree_signature
+
+#: Sink count and seed of the routing smoke rows.
+SMOKE_N = 60
+SMOKE_SEED = 1
+
+#: Run fields the strategy rows must agree on exactly.
+IDENTITY_KEYS = ("wirelength", "global_skew_ps", "max_intra_group_skew_ps", "num_nodes")
 
 
 @pytest.fixture(scope="module")
 def service_payload():
     """One tiny load test shared by the payload and gate tests."""
     return run_service_suite(sizes=(40,), smoke=True)
+
+
+def _smoke_specs():
+    """The routing smoke rows by label: strict single-merge greedy-dme once
+    per pair-selection engine, and the repaired blocked scenario through every
+    router, the cap-limited buffered pipeline and the h-tree trunk hybrid."""
+    def blocked(groups):
+        return InstanceSpec.from_family("blocked", SMOKE_N, seed=SMOKE_SEED, groups=groups)
+
+    specs = {}
+    for strategy in ("scalar", "rebuild", "incremental"):
+        specs["greedy-dme-single-%s" % strategy] = (
+            strategy,
+            RunSpec(
+                instance=InstanceSpec.from_random(SMOKE_N, seed=SMOKE_SEED),
+                router=RouterSpec("greedy-dme", {"multi_merge": False}),
+            ),
+        )
+    for router, groups in (("ast-dme", 8), ("greedy-dme", 1), ("ext-bst", 1)):
+        specs["%s-blocked" % router] = (
+            "incremental",
+            RunSpec(
+                instance=blocked(groups),
+                router=RouterSpec(router, {"skew_bound_ps": 10.0}),
+                opt=OptConfig(enabled=True),
+            ),
+        )
+    specs["ast-dme-buffered-blocked"] = (
+        "incremental",
+        RunSpec(
+            instance=blocked(8),
+            router=RouterSpec("ast-dme", {"skew_bound_ps": 10.0}),
+            validate=True,
+            opt=OptConfig(enabled=True, passes=BUFFERED_PASSES, max_cap=8000.0),
+        ),
+    )
+    specs["h-tree-blocked"] = (
+        "incremental",
+        RunSpec(
+            instance=blocked(8),
+            router=RouterSpec("h-tree", {"skew_bound_ps": 10.0, "trunk_levels": 2}),
+            validate=True,
+            opt=OptConfig(enabled=True),
+        ),
+    )
+    return specs
+
+
+@pytest.fixture(scope="module")
+def smoke_rows():
+    """Every routing smoke row, routed once with its selection engine."""
+    rows = {}
+    for label, (strategy, spec) in _smoke_specs().items():
+        with pytest.MonkeyPatch.context() as patch:
+            use_selector(patch, strategy)
+            rows[label] = run(spec, keep_tree=True)
+        assert rows[label].error is None, (label, rows[label].error)
+    return rows
+
+
+class TestRunSuite:
+    """The strategy-identity and repair gates of the routing smoke rows."""
+
+    def test_gates_identical_results(self, smoke_rows):
+        baseline = smoke_rows["greedy-dme-single-scalar"]
+        for label in ("greedy-dme-single-incremental", "greedy-dme-single-rebuild"):
+            for key in IDENTITY_KEYS:
+                assert getattr(smoke_rows[label], key) == getattr(baseline, key), (label, key)
+
+    def test_repair_gates_pass(self, smoke_rows):
+        blocked = [row for label, row in smoke_rows.items() if label.endswith("-blocked")]
+        assert len(blocked) == 5
+        pre = sum(row.opt.skew_violations_before for row in blocked)
+        post = sum(row.opt.skew_violations_after for row in blocked)
+        # The routers leave violations on this instance; the repair must
+        # eliminate at least 90% of them.
+        assert pre > 0
+        assert post <= 0.1 * pre, (pre, post)
+
+    def test_single_merge_strategies_agree_exactly(self, smoke_rows):
+        reference = tree_signature(smoke_rows["greedy-dme-single-scalar"].routing)
+        for strategy in ("rebuild", "incremental"):
+            routing = smoke_rows["greedy-dme-single-%s" % strategy].routing
+            assert tree_signature(routing) == reference, strategy
+
+
+class TestV7BufferedSchema:
+    """The buffered smoke row: cap-limited insertion on the blocked scenario."""
+
+    def test_buffered_row_inserts_and_validates(self, smoke_rows):
+        row = smoke_rows["ast-dme-buffered-blocked"]
+        assert sum(outcome.buffers_inserted for outcome in row.opt.passes) >= 1
+        assert row.routing.tree.num_buffers() >= 1
+        assert row.issues == []
 
 
 class TestServiceSuite:
