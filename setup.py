@@ -35,8 +35,10 @@ setup(
     install_requires=[
         "numpy",
         "scipy",
-        "networkx",
     ],
+    # networkx only backs the graph exports (ClockTree.to_networkx,
+    # RcTree.graph); routing, validation and the service never import it.
+    extras_require={"graph": ["networkx"]},
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",

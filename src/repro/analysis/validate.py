@@ -11,7 +11,12 @@
   blockage and every edge books enough wire for a blockage-avoiding path
   (the *detour distance*);
 * the Elmore delays computed by the fast evaluator agree with the independent
-  :class:`~repro.delay.rc_tree.RcTree` oracle.
+  segmented RC oracle (:mod:`repro.delay.rc_tree`).
+
+The structure, geometry and oracle passes read one snapshot built fresh from
+the node objects, never the cached ``as_arena()`` the engine reads, so a stale
+cache shows up as ``delay`` issues.  Delays are undefined off the root's tree,
+so a disconnected or cyclic tree skips only the delay and skew checks.
 
 ``validate_result`` additionally checks the routing result's bookkeeping
 (loci containing the embedded locations, intra-group skew within the
@@ -23,13 +28,16 @@ obstacle set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
-import networkx as nx
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.analysis.skew import skew_report
+from repro.cts.arena import SINK_KIND, SOURCE_KIND, TreeArena
 from repro.delay.elmore import sink_delays
-from repro.delay.rc_tree import oracle_delays
+from repro.delay.rc_tree import arena_oracle_delays
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
 
@@ -65,20 +73,26 @@ def validate_tree(
     given); pass an :class:`ObstacleSet` explicitly to check a bare tree.
     Returns a list of issues; an empty list means the tree passed every check.
     """
+    return _validate_tree(tree, instance, obstacles)[0]
+
+
+def _validate_tree(tree, instance, obstacles) -> Tuple[List[ValidationIssue], bool]:
+    """``validate_tree``'s issues, and whether the tree's delays are defined."""
     if obstacles is None and instance is not None and instance.has_obstacles:
         obstacles = instance.obstacle_set()
-    issues: List[ValidationIssue] = []
-    issues.extend(_check_structure(tree))
-    if any(issue.message == "the tree has no root" for issue in issues):
+    arena = TreeArena.from_clock_tree(tree)
+    if arena.root < 0:
         # Without a root the electrical checks cannot run at all.
-        return issues
-    issues.extend(_check_geometry(tree))
+        return [ValidationIssue("structure", "the tree has no root")], False
+    issues, is_tree = _check_structure(arena)
+    issues.extend(_check_geometry(arena))
     if obstacles:
         issues.extend(_check_blockages(tree, obstacles))
-    issues.extend(_check_delays(tree))
+    if is_tree:
+        issues.extend(_check_delays(tree, arena))
     if instance is not None:
         issues.extend(_check_instance_coverage(tree, instance))
-    return issues
+    return issues, is_tree
 
 
 def validate_routes(
@@ -124,7 +138,7 @@ def validate_result(
         locus_tolerance: geometric tolerance (micrometres) applied to the
             off-locus placement checks.
     """
-    issues = validate_tree(result.tree, result.instance)
+    issues, is_tree = _validate_tree(result.tree, result.instance, None)
     obstacles = (
         result.instance.obstacle_set() if result.instance.has_obstacles else None
     )
@@ -153,7 +167,7 @@ def validate_result(
                 "node %d embedded at %r outside its placement locus" % (node_id, node.location),
             )
         )
-    if intra_bound_ps is not None:
+    if intra_bound_ps is not None and is_tree:
         report = skew_report(result.tree)
         bound = Technology.ps_to_internal(intra_bound_ps)
         slack = max(result.stats.max_violation, 0.0)
@@ -172,59 +186,53 @@ def validate_result(
 # ----------------------------------------------------------------------
 # Individual checks
 # ----------------------------------------------------------------------
-def _check_structure(tree) -> List[ValidationIssue]:
+def _check_structure(arena) -> Tuple[List[ValidationIssue], bool]:
+    """Structure issues of a rooted snapshot, and whether it is one tree.
+
+    Each node has at most one parent edge, so every weakly connected component
+    holds one parentless node or one cycle: cycles = components - (nodes - edges).
+    """
+    messages = []
+    if arena.kinds[arena.root] != SOURCE_KIND:
+        messages.append("the tree root is not a source node")
+    nodes = arena.num_nodes
+    children = np.flatnonzero(arena.parents >= 0)
+    edges = len(children)
+    graph = coo_matrix((np.ones(edges), (arena.parents[children], children)), (nodes, nodes))
+    components = connected_components(graph, connection="weak", return_labels=False)
+    if components != 1:
+        messages.append("the tree is not connected")
+    if components != nodes - edges:
+        messages.append("the tree contains a cycle")
+    if edges != nodes - 1:
+        messages.append("edge count %d does not match node count %d minus one" % (edges, nodes))
+    sinks = np.flatnonzero((arena.kinds == SINK_KIND) & (arena.child_counts() > 0))
+    messages.extend("sink node %d has children" % node_id for node_id in sinks.tolist())
+    is_tree = components == 1 and edges == nodes - 1
+    return [ValidationIssue("structure", message) for message in messages], is_tree
+
+
+def _check_geometry(arena) -> List[ValidationIssue]:
+    """Every edge is embedded and books at least its Manhattan length."""
+    children = np.flatnonzero(arena.parents >= 0)
+    parents = arena.parents[children]
+    embedded = arena.has_location[children] & arena.has_location[parents]
+    # Operands in manhattan_distance order: the same bits as Point.distance_to.
+    distance = np.abs(arena.xs[children] - arena.xs[parents]) + np.abs(
+        arena.ys[children] - arena.ys[parents]
+    )
+    booked = arena.edge_lengths[children]
+    short = embedded & (booked < distance - _GEOM_TOL)
     issues: List[ValidationIssue] = []
-    try:
-        root = tree.root()
-    except ValueError:
-        return [ValidationIssue("structure", "the tree has no root")]
-    if not root.is_source:
-        issues.append(ValidationIssue("structure", "the tree root is not a source node"))
-
-    graph = tree.to_networkx()
-    undirected = graph.to_undirected()
-    if graph.number_of_nodes() and not nx.is_connected(undirected):
-        issues.append(ValidationIssue("structure", "the tree is not connected"))
-    if not nx.is_directed_acyclic_graph(graph):
-        issues.append(ValidationIssue("structure", "the tree contains a cycle"))
-    if graph.number_of_edges() != graph.number_of_nodes() - 1:
-        issues.append(
-            ValidationIssue(
-                "structure",
-                "edge count %d does not match node count %d minus one"
-                % (graph.number_of_edges(), graph.number_of_nodes()),
+    for k in np.flatnonzero(~embedded | short).tolist():
+        parent, child = int(parents[k]), int(children[k])
+        if embedded[k]:
+            message = "edge %d -> %d books %.6g wire for a %.6g distance" % (
+                parent, child, booked[k], distance[k]
             )
-        )
-    for node in tree.nodes():
-        if node.is_sink and node.children:
-            issues.append(
-                ValidationIssue("structure", "sink node %d has children" % node.node_id)
-            )
-    return issues
-
-
-def _check_geometry(tree) -> List[ValidationIssue]:
-    issues: List[ValidationIssue] = []
-    for node in tree.nodes():
-        if node.parent is None:
-            continue
-        parent = tree.node(node.parent)
-        if node.location is None or parent.location is None:
-            issues.append(
-                ValidationIssue(
-                    "geometry", "edge %d -> %d is not embedded" % (parent.node_id, node.node_id)
-                )
-            )
-            continue
-        distance = node.location.distance_to(parent.location)
-        if node.edge_length < distance - _GEOM_TOL:
-            issues.append(
-                ValidationIssue(
-                    "geometry",
-                    "edge %d -> %d books %.6g wire for a %.6g distance"
-                    % (parent.node_id, node.node_id, node.edge_length, distance),
-                )
-            )
+        else:
+            message = "edge %d -> %d is not embedded" % (parent, child)
+        issues.append(ValidationIssue("geometry", message))
     return issues
 
 
@@ -271,22 +279,22 @@ def _check_blockages(tree, obstacles: ObstacleSet) -> List[ValidationIssue]:
     return issues
 
 
-def _check_delays(tree) -> List[ValidationIssue]:
-    issues: List[ValidationIssue] = []
+def _check_delays(tree, arena) -> List[ValidationIssue]:
+    """The engine's sink delays (cached snapshot) against the oracle (fresh one)."""
     fast = sink_delays(tree)
-    oracle = oracle_delays(tree)
-    for sink_id, fast_delay in fast.items():
-        oracle_delay = oracle[sink_id]
-        scale = max(abs(fast_delay), abs(oracle_delay), 1.0)
-        if abs(fast_delay - oracle_delay) > _DELAY_REL_TOL * scale + 1e-6:
-            issues.append(
-                ValidationIssue(
-                    "delay",
-                    "sink %d: fast Elmore %.6g differs from RC oracle %.6g"
-                    % (sink_id, fast_delay, oracle_delay),
-                )
-            )
-    return issues
+    sinks = np.fromiter(fast.keys(), dtype=np.int64, count=len(fast))
+    fast_delays = np.fromiter(fast.values(), dtype=np.float64, count=len(fast))
+    oracle = arena_oracle_delays(arena)[sinks]
+    scale = np.maximum(np.maximum(np.abs(fast_delays), np.abs(oracle)), 1.0)
+    off = np.abs(fast_delays - oracle) > _DELAY_REL_TOL * scale + 1e-6
+    return [
+        ValidationIssue(
+            "delay",
+            "sink %d: fast Elmore %.6g differs from RC oracle %.6g"
+            % (sinks[k], fast_delays[k], oracle[k]),
+        )
+        for k in np.flatnonzero(off).tolist()
+    ]
 
 
 def _check_instance_coverage(tree, instance) -> List[ValidationIssue]:

@@ -10,9 +10,10 @@ decisions; this package provides:
   :func:`wire_length_for_delay`) used by the merge balancing equations.
 * :func:`elmore_delays` -- Elmore source-to-node delays of an embedded clock
   tree.
-* :class:`RcTree` -- an independent, networkx-backed RC-tree evaluator used as
-  the verification oracle (it re-derives the same delays through a different
-  code path, standing in for the paper's SPICE cross-check).
+* :func:`oracle_delays` -- the verification oracle: it re-derives the same
+  delays from a segmented RC network over a fresh arena snapshot, standing
+  in for the paper's SPICE cross-check; :class:`RcTree` builds such a
+  network node by node in plain dictionaries.
 """
 
 from repro.delay.technology import Technology, DEFAULT_TECHNOLOGY

@@ -3,9 +3,9 @@
 These functions are the primary delay engine: a bottom-up pass accumulates
 downstream capacitances and a top-down pass accumulates source-to-node delays,
 both using the stored wire lengths (which include any snaking).  The
-independent :class:`repro.delay.rc_tree.RcTree` oracle re-derives the same
-numbers through an explicit node-by-node RC network and is used to verify this
-module in the test-suite.
+independent :func:`repro.delay.rc_tree.oracle_delays` re-derives the same
+numbers through an explicit segmented RC network; validation, the optimizer
+and the test-suite check this module against it.
 
 Two engines compute the same numbers:
 

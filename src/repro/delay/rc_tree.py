@@ -9,22 +9,22 @@ and the Elmore delay of every node is computed as the classic sum
 
 For the Elmore metric the discretisation is exact for any segment count, so
 the oracle must agree with :mod:`repro.delay.elmore` to numerical precision --
-which is exactly what the test-suite asserts.
-
-The network itself is stored in plain dictionaries (parent/children/cap/
-resistance); ``networkx`` is no longer part of the construction or evaluation
-path.  :meth:`RcTree.graph` still exposes the network as a ``DiGraph`` for
-analysis and reporting code, built lazily and cached until the next mutation.
+which validation, the optimizer's ``verify_oracle`` and the test-suite assert.
+:func:`oracle_delays` expands a tree's edges as array passes and never calls
+the Elmore engine or its closed form ``r L (c L / 2 + C)``.  :class:`RcTree`
+builds such a network node by node in plain dictionaries; only its
+:meth:`RcTree.graph` export imports ``networkx``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as _replace
 from typing import Dict, List
+
+import numpy as np
 
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 
-__all__ = ["RcTree", "oracle_delays"]
+__all__ = ["RcTree", "arena_oracle_delays", "oracle_delays"]
 
 
 class RcTree:
@@ -191,69 +191,59 @@ class RcTree:
 
 
 def oracle_delays(tree, segments_per_edge: int = 4) -> Dict[int, float]:
-    """Independent per-stage RC re-derivation of a clock tree's Elmore delays.
+    """Independent RC re-derivation of the Elmore delay of every node reachable
+    from the root: :func:`arena_oracle_delays` over a snapshot built fresh from
+    the nodes, never the cached ``as_arena()`` the engine reads."""
+    from repro.cts.arena import TreeArena
 
-    The buffer-aware replacement for ``RcTree.from_clock_tree(t)
-    .elmore_delays()``: a buffer decouples its subtree, so the tree is split
-    into stages at buffered nodes.  Each stage becomes its own discretised RC
-    network whose driver resistance is the source resistance (top stage) or
-    the stage buffer's drive resistance; a buffered node appears in its parent
-    stage as a leaf carrying only the buffer input cap, and its recorded delay
-    is the arrival at the buffer *input* -- exactly the convention of
-    :mod:`repro.delay.elmore`.  Stage delays compose as ``arrival + intrinsic
-    + network delay``.  On buffer-free trees this is precisely the historical
-    single-network oracle.
+    tree.root()  # same "no root yet" error as the engine
+    arena = TreeArena.from_clock_tree(tree)
+    ids = np.flatnonzero(arena.reachable_mask())
+    return dict(zip(ids.tolist(), arena_oracle_delays(arena, segments_per_edge)[ids].tolist()))
+
+
+def arena_oracle_delays(arena, segments_per_edge: int = 4) -> np.ndarray:
+    """Node-indexed delays of a :class:`TreeArena` from its segmented RC network.
+
+    Each edge becomes ``segments_per_edge`` sections of resistance ``r L / S``
+    with half of ``c L / S`` at either end, as in :meth:`RcTree.add_wire`.
+    Bottom-up over height levels, each edge's load grows one section at a
+    time and its delay sums ``R_k * C_downstream(k)``; top-down over depth
+    levels, the edge delays add up from the root.  A buffered node is a leaf
+    of its parent stage carrying the cell's input cap, its delay is the
+    arrival at that pin (a buffered root's pin is driven by the source
+    resistance), and every node below adds ``intrinsic + drive * C_stage``.
     """
-    tech = tree.technology
-    root = tree.root()
-    result: Dict[int, float] = {}
-    # (stage_root_id, delay at the stage driver's output start, driver ohms)
-    stages: List[tuple] = []
-    if root.buffer is not None:
-        # Degenerate top stage: the source drives only the buffer input pin.
-        result[root.node_id] = tech.source_resistance * root.buffer.input_cap
-        stages.append(
-            (
-                root.node_id,
-                result[root.node_id] + root.buffer.intrinsic_delay,
-                root.buffer.drive_resistance,
-            )
+    if segments_per_edge < 1:
+        raise ValueError("a wire needs at least one segment")
+    tech = arena.technology
+    lengths = np.where(arena.parents >= 0, arena.edge_lengths, 0.0) / segments_per_edge
+    section_res = tech.unit_resistance * lengths
+    section_cap = tech.unit_capacitance * lengths
+    buffered = arena.buffer_mask
+    stage_load = np.zeros(arena.num_nodes)  # own cap plus the child wires' loads
+    pin_load = np.zeros(arena.num_nodes)  # a buffer's input cap, else stage_load
+    presented = np.zeros(arena.num_nodes)  # a node's wire and load, seen from its parent
+    edge_delay = np.zeros(arena.num_nodes)
+    for level in arena.height_levels():
+        children, at = arena.children_of(level)
+        below = np.bincount(at, weights=presented[children], minlength=len(level))
+        stage_load[level] = arena.sink_caps[level] + below
+        pin_load[level] = np.where(
+            buffered[level], arena.buffer_input_caps[level], stage_load[level]
         )
-    else:
-        stages.append((root.node_id, 0.0, tech.source_resistance))
-    while stages:
-        stage_root, base, drive = stages.pop()
-        stage_tech = _replace(tech, source_resistance=drive)
-        rc = RcTree(stage_root, technology=stage_tech)
-        rc.add_cap(stage_root, tree.node(stage_root).sink_cap)
-        members: List[int] = []
-        boundaries = []
-        queue = [stage_root]
-        while queue:
-            nid = queue.pop()
-            for child in tree.children_of(nid):
-                rc.add_wire(child.node_id, nid, child.edge_length, segments_per_edge)
-                members.append(child.node_id)
-                if child.buffer is not None:
-                    rc.add_cap(child.node_id, child.buffer.input_cap)
-                    boundaries.append(child)
-                else:
-                    rc.add_cap(child.node_id, child.sink_cap)
-                    queue.append(child.node_id)
-        delays = rc.elmore_delays()
-        if stage_root not in result:
-            # Top stage only: deeper stage roots keep the buffer-input arrival
-            # recorded by their parent stage.
-            result[stage_root] = base + delays[stage_root]
-        for nid in members:
-            result[nid] = base + delays[nid]
-        for child in boundaries:
-            if child.children:
-                stages.append(
-                    (
-                        child.node_id,
-                        result[child.node_id] + child.buffer.intrinsic_delay,
-                        child.buffer.drive_resistance,
-                    )
-                )
-    return result
+        down = section_cap[level] / 2.0 + pin_load[level]  # the last section ends on the node
+        drop = section_res[level] * down
+        for _ in range(segments_per_edge - 1):
+            down = down + section_cap[level]
+            drop = drop + section_res[level] * down
+        presented[level] = down + section_cap[level] / 2.0
+        edge_delay[level] = drop
+    stage_delay = np.where(
+        buffered, arena.buffer_intrinsics + arena.buffer_drive_res * stage_load, 0.0
+    )
+    delays = tech.source_resistance * pin_load  # kept at the roots only
+    for level in arena.depth_levels()[1:]:
+        parents = arena.parents[level]
+        delays[level] = delays[parents] + stage_delay[parents] + edge_delay[level]
+    return delays

@@ -58,7 +58,7 @@ class OptConfig:
     #: cross it, and reports non-convergence when the cap binds.
     max_added_wire_fraction: float = 1.0
     #: Cross-check the optimized tree's Elmore delays against the independent
-    #: RcTree oracle and record the agreement in the report.
+    #: RC oracle (``oracle_delays``) and record the agreement in the report.
     verify_oracle: bool = True
     #: Capacitance limit (femtofarads) a single driver -- the source or a
     #: buffer -- may see before the buffer-insertion pass decouples the load.

@@ -74,7 +74,7 @@ class OptReport:
     skew_violations_after: int = 0
     passes: List[PassOutcome] = field(default_factory=list)
     total_seconds: float = 0.0
-    #: RcTree oracle cross-check of the optimized tree (when enabled):
+    #: RC oracle cross-check of the optimized tree (when enabled):
     #: largest |fast - oracle| sink-delay difference, in internal units.
     oracle_checked: bool = False
     oracle_max_diff: float = 0.0

@@ -1,11 +1,20 @@
 """Tests for the analysis subsystem (skew, wirelength, validation, reporting)."""
 
+import dataclasses
+import functools
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analysis.report import TableRow, format_table, rows_to_csv
 from repro.analysis.skew import skew_report
 from repro.analysis.validate import ValidationIssue, validate_result, validate_tree
 from repro.analysis.wirelength import reduction_percent, wirelength_report
+from repro.api.runner import run
+from repro.api.spec import InstanceSpec, RunSpec
 from repro.core.ast_dme import AstDme, AstDmeConfig
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
@@ -113,6 +122,76 @@ class TestValidation:
         tree.add_sink(Point(0, 0), 1.0)
         issues = validate_tree(tree)
         assert any(issue.code == "structure" for issue in issues)
+
+
+@functools.lru_cache(maxsize=None)
+def _routed_random(num_sinks):
+    spec = RunSpec(instance=InstanceSpec.from_random(num_sinks, seed=1, groups=4))
+    return run(spec, keep_tree=True).routing
+
+
+def _broken_copy(num_sinks, corruption):
+    """A routed random tree with one internal node detached or made a child
+    of its own child, through direct field writes and ``mark_mutated``."""
+    routing = _routed_random(num_sinks)
+    tree = routing.tree.as_arena().to_clock_tree()
+    node = next(
+        n for n in tree.nodes() if n.is_internal and len(tree.path_to_root(n.node_id)) > 3
+    )
+    tree.node(node.parent).children.remove(node.node_id)
+    if corruption == "detach":
+        node.parent = None
+    else:
+        child = tree.node(node.children[0])
+        node.parent = child.node_id
+        child.children.append(node.node_id)
+    tree.mark_mutated()
+    return tree, routing.instance
+
+
+class TestBrokenStructure:
+    """Disconnected and cyclic trees get their structure issue back; only the
+    delay checks, undefined off the root's tree, are skipped.  (Under 2048
+    nodes the Elmore engine walks objects, above it reads the arena: both
+    used to raise out of the delay check.)"""
+
+    @pytest.mark.parametrize("num_sinks", [300, 3000])
+    def test_detached_subtree_is_reported(self, num_sinks):
+        tree, instance = _broken_copy(num_sinks, "detach")
+        issues = validate_tree(tree, instance)
+        nodes = len(tree)
+        assert issues == [
+            ValidationIssue("structure", "the tree is not connected"),
+            ValidationIssue(
+                "structure",
+                "edge count %d does not match node count %d minus one" % (nodes - 2, nodes),
+            ),
+        ]
+
+    @pytest.mark.parametrize("num_sinks", [300, 3000])
+    def test_parent_cycle_is_reported(self, num_sinks):
+        tree, instance = _broken_copy(num_sinks, "cycle")
+        issues = validate_tree(tree, instance)
+        assert ValidationIssue("structure", "the tree is not connected") in issues
+        assert ValidationIssue("structure", "the tree contains a cycle") in issues
+        assert not any(issue.code == "delay" for issue in issues)
+
+    def test_validate_result_skips_only_the_skew_check(self):
+        tree, instance = _broken_copy(300, "cycle")
+        result = dataclasses.replace(_routed_random(300), tree=tree)
+        assert validate_result(result, intra_bound_ps=10.0) == validate_tree(tree, instance)
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    """networkx is an optional extra: only the graph exports import it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('networkx')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestIssueFormatting:

@@ -126,6 +126,7 @@ class TestMetrics:
 
 class TestExport:
     def test_to_networkx_structure(self):
+        pytest.importorskip("networkx")
         tree, _ = build_sample_tree()
         graph = tree.to_networkx()
         assert graph.number_of_nodes() == len(tree)

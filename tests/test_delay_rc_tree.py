@@ -81,6 +81,7 @@ class TestOracleAgainstFastEvaluator:
             assert oracle[sink_id] == pytest.approx(fast_value, rel=1e-12)
 
     def test_graph_is_a_tree(self, tech):
+        pytest.importorskip("networkx")
         rc = RcTree("root", tech)
         rc.add_wire("a", "root", 500.0)
         rc.add_wire("b", "root", 700.0)
@@ -149,6 +150,7 @@ class TestGraphView:
         return rc
 
     def test_graph_matches_network(self, tech):
+        pytest.importorskip("networkx")
         rc = self.build(tech)
         graph = rc.graph()
         assert set(graph.nodes) == {"root", "a", "b"}
@@ -157,6 +159,7 @@ class TestGraphView:
         assert graph.nodes["b"]["cap"] == 4.0
 
     def test_graph_is_cached_until_mutation(self, tech):
+        pytest.importorskip("networkx")
         rc = self.build(tech)
         first = rc.graph()
         assert rc.graph() is first
@@ -166,6 +169,7 @@ class TestGraphView:
         assert second.nodes["b"]["cap"] == 5.0
 
     def test_add_node_invalidates_cache(self, tech):
+        pytest.importorskip("networkx")
         rc = self.build(tech)
         first = rc.graph()
         rc.add_node("c", "b", 1.0)
