@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from repro.delay.elmore import sink_delays
+import numpy as np
+
+from repro.delay.elmore import SinkGroups, arena_elmore
 from repro.delay.technology import Technology
 
 __all__ = ["SkewReport", "skew_report"]
@@ -67,30 +69,29 @@ class SkewReport:
 
 
 def skew_report(tree) -> SkewReport:
-    """Compute the :class:`SkewReport` of an embedded clock tree."""
-    delays = sink_delays(tree)
-    if not delays:
+    """Compute the :class:`SkewReport` of an embedded clock tree.
+
+    Sinks without a group count as group 0.  Raises ``ValueError`` when the
+    tree has no root or no sinks, or when a sink is not reachable from the
+    root (its delay is undefined).
+    """
+    tree.root()  # "the tree has no root yet" before anything else
+    arena = tree.as_arena()
+    groups = SinkGroups.of(arena)
+    if not groups.sink_ids.size:
         raise ValueError("the tree has no sinks")
-    sinks = tree.sinks()
-    values = list(delays.values())
-    max_delay = max(values)
-    min_delay = min(values)
-
-    per_group_range: Dict[int, Tuple[float, float]] = {}
-    for sink in sinks:
-        group = sink.group if sink.group is not None else 0
-        delay = delays[sink.node_id]
-        if group in per_group_range:
-            lo, hi = per_group_range[group]
-            per_group_range[group] = (min(lo, delay), max(hi, delay))
-        else:
-            per_group_range[group] = (delay, delay)
-
-    per_group_skew = {g: hi - lo for g, (lo, hi) in per_group_range.items()}
+    unreached = np.flatnonzero(~arena.reachable_mask()[groups.sink_ids])
+    if unreached.size:
+        raise ValueError(
+            "sink %d is not reachable from the root" % groups.sink_ids[unreached[0]]
+        )
+    lo, hi = groups.ranges(arena_elmore(arena)[1])
+    max_delay = float(hi.max())
+    min_delay = float(lo.min())
     return SkewReport(
         global_skew=max_delay - min_delay,
         max_delay=max_delay,
         min_delay=min_delay,
-        per_group_skew=per_group_skew,
-        per_group_delay_range=per_group_range,
+        per_group_skew=dict(zip(groups.keys, (hi - lo).tolist())),
+        per_group_delay_range=dict(zip(groups.keys, zip(lo.tolist(), hi.tolist()))),
     )

@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.analysis.skew import skew_report
 from repro.cts.arena import SINK_KIND, SOURCE_KIND, TreeArena
-from repro.delay.elmore import sink_delays
+from repro.delay.elmore import arena_elmore
 from repro.delay.rc_tree import arena_oracle_delays
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
@@ -281,9 +281,8 @@ def _check_blockages(tree, obstacles: ObstacleSet) -> List[ValidationIssue]:
 
 def _check_delays(tree, arena) -> List[ValidationIssue]:
     """The engine's sink delays (cached snapshot) against the oracle (fresh one)."""
-    fast = sink_delays(tree)
-    sinks = np.fromiter(fast.keys(), dtype=np.int64, count=len(fast))
-    fast_delays = np.fromiter(fast.values(), dtype=np.float64, count=len(fast))
+    sinks = np.flatnonzero(arena.kinds == SINK_KIND)
+    fast_delays = arena_elmore(tree.as_arena())[1][sinks]
     oracle = arena_oracle_delays(arena)[sinks]
     scale = np.maximum(np.maximum(np.abs(fast_delays), np.abs(oracle)), 1.0)
     off = np.abs(fast_delays - oracle) > _DELAY_REL_TOL * scale + 1e-6

@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     eco.add_argument(
         "--repair",
         action="store_true",
-        help="run the local post-stitch repair on groups the rebuilt cone "
-        "left over the skew bound",
+        help="run the local post-stitch repair when the stitched tree "
+        "violates a skew bound; it holds every group to its bound",
     )
     eco.add_argument(
         "--json", action="store_true", help="emit a machine-readable JSON summary"

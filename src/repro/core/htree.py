@@ -37,7 +37,7 @@ from repro.circuits.instance import ClockInstance, Sink
 from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
 from repro.core.group_constraints import GroupAssociation
 from repro.cts.tree import ClockTree
-from repro.delay.elmore import elmore_delays, subtree_capacitances
+from repro.delay.elmore import arena_elmore
 from repro.delay.wire import wire_delay, wire_length_for_delay
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
@@ -261,18 +261,18 @@ class HTreeRouter:
             name="htree-tap",
         )
         loci[tap_id] = Trr.from_point(region.center)
-        caps = subtree_capacitances(leaf_tree)
-        delays = elmore_delays(leaf_tree)
+        caps, delays = arena_elmore(leaf_tree.as_arena())
+        cap = float(caps[leaf_root.node_id])
         # Delays relative to the tap: strip the leaf run's source-resistance
         # component (in the composite tree the source drives the trunk root).
-        shift = tech.source_resistance * caps[leaf_root.node_id]
-        relative = [delays[s.node_id] - shift for s in leaf_tree.sinks()]
+        shift = tech.source_resistance * cap
+        relative = delays[[s.node_id for s in leaf_tree.sinks()]] - shift
         return _Handoff(
             tap_id,
             region.center,
-            caps[leaf_root.node_id],
-            min(relative),
-            max(relative),
+            cap,
+            float(relative.min()),
+            float(relative.max()),
         )
 
     @staticmethod

@@ -8,8 +8,11 @@ decisions; this package provides:
   micrometres, resistances in ohms and capacitances in femtofarads).
 * wire-level helpers (:func:`wire_delay`, :func:`wire_capacitance`,
   :func:`wire_length_for_delay`) used by the merge balancing equations.
-* :func:`elmore_delays` -- Elmore source-to-node delays of an embedded clock
-  tree.
+* :func:`elmore_delays`, :func:`sink_delays`, :func:`subtree_capacitances`
+  -- Elmore delays and downstream capacitances of an embedded clock tree, as
+  dictionaries.  They view the one Elmore engine,
+  :func:`repro.delay.elmore.arena_elmore`: array passes over the tree's
+  cached arena snapshot.
 * :func:`oracle_delays` -- the verification oracle: it re-derives the same
   delays from a segmented RC network over a fresh arena snapshot, standing
   in for the paper's SPICE cross-check; :class:`RcTree` builds such a

@@ -1,70 +1,51 @@
 """Elmore delay evaluation of an embedded clock tree.
 
-These functions are the primary delay engine: a bottom-up pass accumulates
-downstream capacitances and a top-down pass accumulates source-to-node delays,
-both using the stored wire lengths (which include any snaking).  The
-independent :func:`repro.delay.rc_tree.oracle_delays` re-derives the same
+One engine computes every Elmore number in the library: array passes over
+the tree's struct-of-arrays snapshot
+(:meth:`~repro.cts.tree.ClockTree.as_arena`).  A bottom-up pass accumulates
+downstream capacitances over height levels and a top-down pass accumulates
+source-to-node delays over depth levels, both using the stored wire lengths
+(which include any snaking).  Child contributions are added slot by slot in
+attach order, so every float accumulation replays a per-node walk over the
+``ClockNode`` objects bit for bit; the test-suite keeps that walk as the
+engine's oracle.
+
+:func:`arena_elmore` is the engine's entry: node-indexed arrays of one
+snapshot.  :func:`subtree_capacitances`, :func:`elmore_delays` and
+:func:`sink_delays` are dictionary views of one such pass over the nodes
+reachable from the root.  :class:`SinkGroups` reduces node-indexed delays to
+per-group ``(lo, hi)`` ranges, for the skew report and the optimizer alike.
+
+The independent :func:`repro.delay.rc_tree.oracle_delays` re-derives the same
 numbers through an explicit segmented RC network; validation, the optimizer
 and the test-suite check this module against it.
-
-Two engines compute the same numbers:
-
-``object``
-    The per-node reference walk over ``ClockNode`` objects (the historical
-    code path).
-
-``arena``
-    Array passes over the tree's struct-of-arrays snapshot
-    (:meth:`~repro.cts.tree.ClockTree.as_arena`): capacitances accumulate
-    bottom-up over height levels, delays propagate top-down over depth
-    levels.  Child contributions are added slot-by-slot in attach order, so
-    every float accumulation replays the object walk bit for bit.
-
-``engine="auto"`` (the default) picks ``arena`` for trees of
-:data:`ARENA_THRESHOLD` nodes or more, where the conversion cost is repaid
-many times over, and the object walk below it.  Both engines return exactly
-equal dictionaries, which the test-suite asserts.
-
-:func:`arena_elmore` is the arena engine's public entry for callers that
-already hold a snapshot and want node-indexed arrays rather than
-dictionaries (the optimizer's skew scoring, ECO's frontier stubs).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
-
-from repro.delay.wire import wire_capacitance, wire_delay
 
 __all__ = [
     "subtree_capacitances",
     "elmore_delays",
     "sink_delays",
     "arena_elmore",
-    "ELMORE_ENGINES",
-    "ARENA_THRESHOLD",
+    "SinkGroups",
 ]
 
-#: Supported delay-evaluation engines.
-ELMORE_ENGINES = ("auto", "arena", "object")
 
-#: Node count at which ``engine="auto"`` switches to the arena passes.
-ARENA_THRESHOLD = 2048
-
-
-def _use_arena(tree, engine: str) -> bool:
-    if engine not in ELMORE_ENGINES:
-        raise ValueError(
-            "unknown elmore engine %r; expected one of %s" % (engine, ELMORE_ENGINES)
-        )
-    if engine == "auto":
-        return len(tree) >= ARENA_THRESHOLD
-    return engine == "arena"
+def _reachable_view(tree, column: int) -> Dict[int, float]:
+    """One :func:`arena_elmore` column as a dict over the reachable nodes."""
+    tree.root()  # "the tree has no root yet" before any snapshot
+    arena = tree.as_arena()
+    values = arena_elmore(arena)[column]
+    ids = np.flatnonzero(arena.reachable_mask())
+    return dict(zip(ids.tolist(), values[ids].tolist()))
 
 
-def subtree_capacitances(tree, engine: str = "auto") -> Dict[int, float]:
+def subtree_capacitances(tree) -> Dict[int, float]:
     """Downstream capacitance *seen from upstream* at every reachable node.
 
     For an unbuffered node this is the sum of every sink capacitance below it
@@ -74,41 +55,10 @@ def subtree_capacitances(tree, engine: str = "auto") -> Dict[int, float]:
     is *not* included in that node's value (it belongs to the parent's subtree
     view), matching the usual Elmore bookkeeping.
     """
-    if _use_arena(tree, engine):
-        tree.root()  # same "no root yet" error as the object walk
-        arena = tree.as_arena()
-        caps, _ = arena_elmore(arena)
-        ids = np.flatnonzero(arena.reachable_mask())
-        return dict(zip(ids.tolist(), caps[ids].tolist()))
-    caps, _ = _object_capacitances(tree)
-    return caps
+    return _reachable_view(tree, 0)
 
 
-def _object_capacitances(tree):
-    """Object-walk capacitances: ``(seen_from_upstream, internal_at_buffers)``.
-
-    ``internal`` holds the true subtree capacitance (the buffer's load) for
-    buffered nodes only; buffer-free trees get an empty dict and float
-    accumulation identical to the historical walk.
-    """
-    tech = tree.technology
-    caps: Dict[int, float] = {}
-    internal: Dict[int, float] = {}
-    for node_id in tree.reverse_topological_order():
-        node = tree.node(node_id)
-        total = node.sink_cap
-        for child_id in node.children:
-            child = tree.node(child_id)
-            total += caps[child_id] + wire_capacitance(child.edge_length, tech)
-        if node.buffer is None:
-            caps[node_id] = total
-        else:
-            internal[node_id] = total
-            caps[node_id] = node.buffer.input_cap
-    return caps, internal
-
-
-def elmore_delays(tree, engine: str = "auto") -> Dict[int, float]:
+def elmore_delays(tree) -> Dict[int, float]:
     """Elmore delay from the tree root to every reachable node.
 
     The delay accumulated over an edge of length ``L`` into a child whose
@@ -119,39 +69,59 @@ def elmore_delays(tree, engine: str = "auto") -> Dict[int, float]:
     delay ``intrinsic + drive_resistance * C_internal`` (see
     :mod:`repro.delay.buffer`).
     """
-    if _use_arena(tree, engine):
-        tree.root()
-        arena = tree.as_arena()
-        _, delays = arena_elmore(arena)
-        ids = np.flatnonzero(arena.reachable_mask())
-        return dict(zip(ids.tolist(), delays[ids].tolist()))
-    tech = tree.technology
-    caps, internal = _object_capacitances(tree)
-    root = tree.root()
-    delays: Dict[int, float] = {}
-    source_component = tech.source_resistance * caps[root.node_id]
-    delays[root.node_id] = source_component
-    for node_id in tree.topological_order():
-        node = tree.node(node_id)
-        base = delays[node_id]
-        if node.buffer is not None:
-            # Same float association as the arena pass (base + stage, with
-            # stage = intrinsic + drive * C_internal) so both engines agree
-            # bit for bit on buffered trees too.
-            base = base + (
-                node.buffer.intrinsic_delay
-                + node.buffer.drive_resistance * internal[node_id]
-            )
-        for child_id in node.children:
-            child = tree.node(child_id)
-            delays[child_id] = base + wire_delay(child.edge_length, caps[child_id], tech)
-    return delays
+    return _reachable_view(tree, 1)
 
 
-def sink_delays(tree, engine: str = "auto") -> Dict[int, float]:
+def sink_delays(tree) -> Dict[int, float]:
     """Elmore delay from the root to every sink, keyed by sink node id."""
-    delays = elmore_delays(tree, engine=engine)
+    delays = elmore_delays(tree)
     return {sink.node_id: delays[sink.node_id] for sink in tree.sinks()}
+
+
+class SinkGroups:
+    """Sinks bucketed by group: the per-group reduction of node delays.
+
+    ``sink_ids[i]`` belongs to group ``groups[i]``.  ``keys`` holds the group
+    ids in first-occurrence order over the sinks; every per-group array below
+    follows that order.
+    """
+
+    def __init__(self, sink_ids: np.ndarray, groups: np.ndarray) -> None:
+        keys, first, inverse = np.unique(groups, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        slot = np.empty(len(keys), dtype=np.int64)
+        slot[order] = np.arange(len(keys))
+        self.keys: List[int] = keys[order].tolist()
+        self.sink_ids = np.asarray(sink_ids, dtype=np.int64)
+        self.slots = slot[inverse]
+
+    @classmethod
+    def of(cls, arena, single_group: bool = False) -> "SinkGroups":
+        """The sinks of a snapshot in node order, ungrouped ones in group 0.
+
+        ``single_group`` puts every sink in group 0, as for routes that
+        ignored the instance's grouping.
+        """
+        from repro.cts.arena import SINK_KIND
+
+        sink_ids = np.flatnonzero(arena.kinds == SINK_KIND)
+        groups = np.where(arena.has_group[sink_ids], arena.groups[sink_ids], 0)
+        return cls(sink_ids, np.zeros_like(groups) if single_group else groups)
+
+    def ranges(self, delays: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-group ``(lo, hi)`` sink delays of a node-indexed delay array."""
+        values = delays[self.sink_ids]
+        lo = np.full(len(self.keys), np.inf)
+        hi = np.full(len(self.keys), -np.inf)
+        np.minimum.at(lo, self.slots, values)
+        np.maximum.at(hi, self.slots, values)
+        return lo, hi
+
+    def roof_sinks(self, delays: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per group, the first of its sinks whose delay equals its ``hi``."""
+        at_roof = np.flatnonzero(delays[self.sink_ids] == hi[self.slots])
+        _, first = np.unique(self.slots[at_roof], return_index=True)
+        return self.sink_ids[at_roof[first]]
 
 
 # ----------------------------------------------------------------------
@@ -176,12 +146,12 @@ def _arena_capacitances(arena):
     """Bottom-up capacitance accumulation over height levels.
 
     Child contributions are added one attach-order slot at a time
-    (``total = total + (caps[child] + c * length)``), replaying the object
+    (``total = total + (caps[child] + c * length)``), replaying a per-node
     walk's sequential float additions exactly.  Returns ``(seen, internal)``
     arrays: ``seen`` is decoupled at buffered nodes (the buffer input cap),
     ``internal`` is None on buffer-free trees and otherwise holds the true
     subtree capacitance at buffered slots.  The buffer-free path performs no
-    extra float operation, keeping it bit-identical to the historical pass.
+    extra float operation.
     """
     c = arena.technology.unit_capacitance
     caps = arena.sink_caps.copy()
@@ -215,8 +185,7 @@ def _arena_delays(arena, caps: np.ndarray, internal=None) -> np.ndarray:
     """Top-down delay propagation over depth levels (root component included).
 
     Buffered parents add their stage delay ``intrinsic + drive * C_internal``
-    in front of every child edge; the buffer-free path adds nothing and stays
-    bit-identical to the historical pass.
+    in front of every child edge; the buffer-free path adds nothing.
     """
     tech = arena.technology
     r = tech.unit_resistance

@@ -42,9 +42,9 @@ The stitched :class:`RoutingResult` carries ``max(base, rebuilt)`` as its
 already exceed the bound (post-detour, post-repair) and re-merges above the
 frontier bound the spreads they can actually control.  When the optional
 local repair is configured it runs only if the stitched tree violates a
-bound, and only on the violating groups -- the untouched-subtree
-bit-identity guarantee therefore holds exactly on the no-repair path (see
-docs/eco.md for the tolerance semantics).
+bound, and then holds every group to its own bound -- the
+untouched-subtree bit-identity guarantee therefore holds exactly on the
+no-repair path (see docs/eco.md for the tolerance semantics).
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ class EcoConfig:
     full :class:`~repro.core.ast_dme.AstDme` run (merging order, snaking,
     SDR budget).  ``repair`` optionally enables the local
     post-stitch optimizer: it runs only when the stitched tree violates a
-    skew bound, and only on the violating groups, so the untouched-subtree
-    bit-identity guarantee survives whenever no repair is needed.
+    skew bound, and then holds every group to its own bound, so the
+    untouched-subtree bit-identity guarantee survives whenever no repair is
+    needed.
     """
 
     router: AstDmeConfig = field(default_factory=AstDmeConfig)
@@ -519,9 +520,9 @@ def _frontier_stub_data(
     count.  Computed in bulk over the base tree's arena snapshot: the
     frontier labels propagate top-down over the depth levels, after which the
     intervals reduce via ``minimum.at``/``maximum.at`` on the Elmore
-    decomposition ``t(sink) - t(frontier root)``.  The arena delay/cap passes
-    replay the object walk bit for bit (see :mod:`repro.delay.elmore`), so
-    the stubs are float-exact against the embedded base tree.
+    decomposition ``t(sink) - t(frontier root)``.  These are the library's
+    Elmore numbers (see :mod:`repro.delay.elmore`), so the stubs are
+    float-exact against the embedded base tree.
     """
     shape = (len(frontier), len(group_ids))
     if not frontier:
@@ -570,33 +571,24 @@ def _repair_if_violating(
 ):
     """Run the local repair when (and only when) the stitched tree violates.
 
-    The repair is restricted to the violating groups via the optimizer's
-    ``bound_for`` hook: non-violating groups get an unbounded target, so the
-    passes have no incentive to touch their subtrees.  Returns
-    ``(opt_report, repaired)``.
+    The repair targets every group's own bound (``constraints.bound_for``),
+    so while it fixes the violating groups it must keep the others within
+    theirs.  Returns ``(opt_report, repaired)``.
     """
     if config.repair is None or not config.repair.enabled:
         return None, False
     report = skew_report(tree)
-    if single_group:
-        bound = constraints.bound_for(0)
-        if report.global_skew <= bound + _REPAIR_TOL:
-            return None, False
-        bound_fn = lambda group: bound  # noqa: E731 - trivial closure
-    else:
-        violating = {
-            group: constraints.bound_for(group)
-            for group, skew in report.per_group_skew.items()
-            if skew > constraints.bound_for(group) + _REPAIR_TOL
-        }
-        if not violating:
-            return None, False
-        bound_fn = lambda group: violating.get(group, float("inf"))  # noqa: E731
+    spreads = {0: report.global_skew} if single_group else report.per_group_skew
+    if all(
+        skew <= constraints.bound_for(group) + _REPAIR_TOL
+        for group, skew in spreads.items()
+    ):
+        return None, False
     from repro.opt.optimizer import Optimizer
 
     opt_report = Optimizer(config.repair).optimize(
         tree,
-        bound_for=bound_fn,
+        bound_for=constraints.bound_for,
         obstacles=obstacles,
         loci=loci,
         single_group=single_group,

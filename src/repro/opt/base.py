@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_chec
 
 import numpy as np
 
-from repro.delay.elmore import arena_elmore, sink_delays, subtree_capacitances
+from repro.delay.elmore import SinkGroups, arena_elmore
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.trr import Trr
@@ -39,8 +39,8 @@ class OptContext:
     :meth:`invalidate_geometry`.
 
     Skew is scored on arrays: :meth:`elmore` runs one arena Elmore pass per
-    tree snapshot, and the per-group spreads reduce over sink ids and group
-    indices fixed here, since no pass adds or removes sinks.
+    tree snapshot, and :attr:`sink_groups`, fixed here since no pass adds or
+    removes sinks, reduces its delays to per-group ranges.
     """
 
     def __init__(
@@ -66,14 +66,9 @@ class OptContext:
         self.single_group = single_group
         self.technology: Technology = tree.technology
         self._required: Optional[Dict[int, float]] = None
-        sinks = tree.sinks()
-        groups = [self.group_of(sink) for sink in sinks]
-        #: Group ids in first-occurrence order over the sinks, the key order
-        #: of :meth:`group_spreads`.
-        self._group_keys: List[int] = list(dict.fromkeys(groups))
-        slot = {group: index for index, group in enumerate(self._group_keys)}
-        self._sink_ids = np.array([sink.node_id for sink in sinks], dtype=np.int64)
-        self._sink_slots = np.array([slot[g] for g in groups], dtype=np.int64)
+        #: The sinks by :meth:`group_of`; its key order is the order of
+        #: :meth:`group_spreads`.
+        self.sink_groups = SinkGroups.of(tree.as_arena(), single_group)
         self._elmore_arena = None
         self._elmore: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Absolute cap on *net* wire growth (set by the Optimizer from
@@ -93,12 +88,6 @@ class OptContext:
     # ------------------------------------------------------------------
     # Delay / skew helpers
     # ------------------------------------------------------------------
-    def sink_delays(self) -> Dict[int, float]:
-        return sink_delays(self.tree)
-
-    def subtree_capacitances(self) -> Dict[int, float]:
-        return subtree_capacitances(self.tree)
-
     def elmore(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(seen_caps, delays)`` of the current tree, indexed by node id.
 
@@ -126,13 +115,8 @@ class OptContext:
         """
         if delays is None:
             delays = self.elmore()[1]
-        count = len(self._group_keys)
-        lo = np.full(count, np.inf)
-        hi = np.full(count, -np.inf)
-        values = delays[self._sink_ids]
-        np.minimum.at(lo, self._sink_slots, values)
-        np.maximum.at(hi, self._sink_slots, values)
-        return dict(zip(self._group_keys, (hi - lo).tolist()))
+        lo, hi = self.sink_groups.ranges(delays)
+        return dict(zip(self.sink_groups.keys, (hi - lo).tolist()))
 
     def skew_violations(self, delays: Optional[np.ndarray] = None) -> int:
         """Number of groups whose intra-group skew exceeds the bound."""

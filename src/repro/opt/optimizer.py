@@ -226,10 +226,11 @@ def _acceptable(before: tuple, after: tuple) -> bool:
 
 def _oracle_max_diff(ctx: OptContext) -> float:
     """Largest fast-vs-RC-oracle sink-delay disagreement on the optimized tree."""
-    fast = ctx.sink_delays()
+    fast = ctx.elmore()[1].tolist()
     oracle = oracle_delays(ctx.tree)
     return max(
-        (abs(fast[nid] - oracle[nid]) for nid in fast), default=0.0
+        (abs(fast[nid] - oracle[nid]) for nid in ctx.sink_groups.sink_ids.tolist()),
+        default=0.0,
     )
 
 

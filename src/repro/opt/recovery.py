@@ -41,15 +41,15 @@ class WirelengthRecoveryPass:
         r = tech.unit_resistance
         c = tech.unit_capacitance
         required = ctx.required_lengths()
-        delays = ctx.sink_delays()
-        caps = ctx.subtree_capacitances()
-
-        floors: Dict[int, float] = {}
-        for sink in tree.sinks():
-            group = ctx.group_of(sink)
-            floors[group] = max(
-                floors.get(group, -math.inf), delays[sink.node_id] - ctx.bound_for(group)
-            )
+        seen_caps, node_delays = ctx.elmore()
+        caps = seen_caps.tolist()
+        delays = node_delays.tolist()
+        # max(d - bound) over a group is max(d) - bound: rounding is monotone.
+        _, hi = ctx.sink_groups.ranges(node_delays)
+        floors = {
+            group: roof - ctx.bound_for(group)
+            for group, roof in zip(ctx.sink_groups.keys, hi.tolist())
+        }
 
         upstream_r: Dict[int, float] = {tree.root().node_id: 0.0}
         for nid in tree.topological_order():

@@ -130,7 +130,7 @@ class SkewRepairPass:
                     else:
                         merged[g] = [lo, hi]
             if node.buffer is not None:
-                # Same decoupling as the Elmore engines: upstream sees only
+                # Same decoupling as the Elmore engine: upstream sees only
                 # the buffer input pin, and every sink below arrives one
                 # stage delay later than the buffer input does.
                 stage = (
@@ -300,7 +300,7 @@ class SkewRepairPass:
         for _ in range(ctx.config.polish_steps):
             if current[1] <= 0.0 and current[2] == 0:
                 break
-            caps = ctx.subtree_capacitances()
+            caps = ctx.elmore()[0].tolist()
             moves = (
                 self._trim_moves(ctx, required, caps)
                 + self._extend_moves(ctx, caps)
@@ -351,7 +351,7 @@ class SkewRepairPass:
             current = self._polish_score(ctx)
 
     def _trim_moves(
-        self, ctx: OptContext, required: Dict[int, float], caps: Dict[int, float]
+        self, ctx: OptContext, required: Dict[int, float], caps: List[float]
     ) -> List[List[Tuple[int, float]]]:
         """Candidate trims of over-booked edges, by rough delay leverage."""
         tree = ctx.tree
@@ -370,7 +370,7 @@ class SkewRepairPass:
         return moves
 
     def _extend_moves(
-        self, ctx: OptContext, caps: Dict[int, float]
+        self, ctx: OptContext, caps: List[float]
     ) -> List[List[Tuple[int, float]]]:
         """Candidate extensions raising a violating group's slowest deficits.
 
@@ -382,26 +382,24 @@ class SkewRepairPass:
         tree = ctx.tree
         tech = ctx.technology
         unit_cap = tech.unit_capacitance
-        delays = ctx.sink_delays()
-
-        hi: Dict[int, float] = {}
-        lo: Dict[int, float] = {}
-        for sink in tree.sinks():
-            g = ctx.group_of(sink)
-            d = delays[sink.node_id]
-            hi[g] = max(hi.get(g, d), d)
-            lo[g] = min(lo.get(g, d), d)
+        groups = ctx.sink_groups
+        node_delays = ctx.elmore()[1]
+        lo, hi = groups.ranges(node_delays)
+        roof = dict(zip(groups.keys, hi.tolist()))
         violating = {
-            g for g in hi if hi[g] - lo[g] > ctx.bound_for(g) + 1e-9
+            g
+            for g, low, high in zip(groups.keys, lo.tolist(), hi.tolist())
+            if high - low > ctx.bound_for(g) + 1e-9
         }
         if not violating:
             return []
 
         # Deficit of every sink against its own group roof; min over subtrees.
+        delays = node_delays.tolist()
         deficit: Dict[int, float] = {}
         for sink in tree.sinks():
             g = ctx.group_of(sink)
-            target = hi[g] - ctx.config.safety * ctx.bound_for(g)
+            target = roof[g] - ctx.config.safety * ctx.bound_for(g)
             deficit[sink.node_id] = max(0.0, target - delays[sink.node_id])
         min_def: Dict[int, float] = {}
         for nid in tree.reverse_topological_order():
@@ -445,7 +443,7 @@ class SkewRepairPass:
         return moves
 
     def _spine_moves(
-        self, ctx: OptContext, required: Dict[int, float], caps: Dict[int, float]
+        self, ctx: OptContext, required: Dict[int, float], caps: List[float]
     ) -> List[List[Tuple[int, float]]]:
         """Composite moves lowering a roof sink's *spine* while holding its
         side subtrees in place.
@@ -461,24 +459,19 @@ class SkewRepairPass:
         tree = ctx.tree
         tech = ctx.technology
         unit_cap = tech.unit_capacitance
-        delays = ctx.sink_delays()
-
-        hi: Dict[int, float] = {}
-        hi_sink: Dict[int, int] = {}
-        lo: Dict[int, float] = {}
-        for sink in tree.sinks():
-            g = ctx.group_of(sink)
-            d = delays[sink.node_id]
-            if g not in hi or d > hi[g]:
-                hi[g], hi_sink[g] = d, sink.node_id
-            lo[g] = min(lo.get(g, d), d)
+        groups = ctx.sink_groups
+        delays = ctx.elmore()[1]
+        lo, hi = groups.ranges(delays)
+        roofs = groups.roof_sinks(delays, hi)
 
         moves: List[List[Tuple[int, float]]] = []
-        for g in sorted(hi):
-            excess = hi[g] - lo[g] - ctx.bound_for(g)
+        for g, low, high, roof in sorted(
+            zip(groups.keys, lo.tolist(), hi.tolist(), roofs.tolist())
+        ):
+            excess = high - low - ctx.bound_for(g)
             if excess <= 1e-9:
                 continue
-            path = tree.path_to_root(hi_sink[g])
+            path = tree.path_to_root(roof)
             for index, nid in enumerate(path):
                 node = tree.node(nid)
                 if node.parent is None or nid not in required:

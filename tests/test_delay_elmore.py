@@ -6,6 +6,7 @@ from repro.cts.tree import ClockTree
 from repro.delay.elmore import elmore_delays, sink_delays, subtree_capacitances
 from repro.delay.technology import Technology
 from repro.geometry.point import Point
+from tests import reference_elmore as reference
 
 
 def build_two_sink_tree(tech=None, length_a=1000.0, length_b=1000.0, cap_a=50.0, cap_b=50.0):
@@ -85,7 +86,8 @@ class TestElmoreDelays:
 
 
 class TestEngines:
-    """The arena array passes must replay the object walk bit for bit."""
+    """The arena engine equals the object walk of tests/reference_elmore.py
+    bit for bit (tests/test_elmore_oracle.py sweeps router families)."""
 
     def routed(self, n=300, groups=4):
         from repro.api.runner import run
@@ -100,50 +102,37 @@ class TestEngines:
 
     def test_capacitances_identical_across_engines(self):
         tree = self.routed()
-        assert subtree_capacitances(tree, engine="arena") == subtree_capacitances(
-            tree, engine="object"
-        )
+        assert subtree_capacitances(tree) == reference.subtree_capacitances(tree)
 
     def test_delays_identical_across_engines(self):
         tree = self.routed()
-        assert elmore_delays(tree, engine="arena") == elmore_delays(
-            tree, engine="object"
-        )
+        assert elmore_delays(tree) == reference.elmore_delays(tree)
 
     def test_sink_delays_identical_across_engines(self):
         tree = self.routed()
-        assert sink_delays(tree, engine="arena") == sink_delays(tree, engine="object")
+        assert sink_delays(tree) == reference.sink_delays(tree)
 
     def test_engines_identical_on_hand_built_tree(self):
         tree, _, _, _ = build_two_sink_tree()
-        assert elmore_delays(tree, engine="arena") == elmore_delays(
-            tree, engine="object"
-        )
+        assert elmore_delays(tree) == reference.elmore_delays(tree)
 
-    def test_auto_engine_matches_both(self):
+    def test_small_routed_tree_matches_oracle(self):
         tree = self.routed(n=100)
-        assert elmore_delays(tree, engine="auto") == elmore_delays(
-            tree, engine="object"
-        )
-
-    def test_unknown_engine_raises(self):
-        tree, _, _, _ = build_two_sink_tree()
-        with pytest.raises(ValueError, match="unknown elmore engine"):
-            elmore_delays(tree, engine="simd")
+        assert elmore_delays(tree) == reference.elmore_delays(tree)
 
     def test_no_root_raises_same_error_for_both_engines(self):
         tree = ClockTree()
         tree.add_sink(Point(0.0, 0.0), 1.0)
         messages = []
-        for engine in ("arena", "object"):
+        for evaluate in (elmore_delays, reference.elmore_delays):
             with pytest.raises(ValueError) as excinfo:
-                elmore_delays(tree, engine=engine)
+                evaluate(tree)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
     def test_arena_restricts_to_reachable_nodes(self):
         tree, _, _, _ = build_two_sink_tree()
         orphan = tree.add_sink(Point(5.0, 5.0), 1.0)  # never attached
-        for engine in ("arena", "object"):
-            delays = elmore_delays(tree, engine=engine)
-            assert orphan not in delays
+        delays = elmore_delays(tree)
+        assert orphan not in delays
+        assert delays == reference.elmore_delays(tree)

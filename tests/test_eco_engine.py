@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.analysis.skew import skew_report
 from repro.analysis.validate import validate_result
 from repro.analysis.wirelength import wirelength_report
 from repro.api.spec import InstanceSpec
@@ -129,6 +130,23 @@ class TestRepair:
         # Whether the repair fired depends on the stitched skew; either way
         # the flag must agree with the stats.
         assert isinstance(outcome.eco.repaired, bool)
+
+    def test_repair_keeps_every_group_within_its_bound(self):
+        """Regression: the repair once gave the groups that were within bound
+        an infinite one, so it traded their skew away (group 0 of this base
+        went from 7.8 to 13.1 ps) while its own report counted no violation."""
+        config = AstDmeConfig(skew_bound_ps=10.0)
+        instance = InstanceSpec.from_random(120, seed=16, groups=4, grouping_seed=16).build()
+        base = AstDme(config).route(instance)
+        outcome = eco_reroute(
+            base, EcoDelta(), EcoConfig(router=config, repair=OptConfig(enabled=True))
+        )
+        assert outcome.eco.repaired
+        issues = validate_result(outcome.routing, intra_bound_ps=10.0)
+        assert issues == []
+        assert skew_report(outcome.routing.tree).max_intra_group_skew_ps <= 10.0 + 1e-6
+        # The repair's own verdict agrees with validation's.
+        assert outcome.routing.opt.skew_violations_after == 0
 
 
 class TestSubtreeSignature:

@@ -174,16 +174,12 @@ class TestOptimizer:
         assert not post
         assert report.max_intra_skew_after_ps <= 10.0 + 1e-6
 
-    def test_repairs_with_the_arena_elmore_engine(self, monkeypatch):
+    def test_repairs_with_the_arena_elmore_engine(self):
         """Regression: the repair passes' bulk snapshot-restore loops once
         wrote node attributes in place, the cached arena snapshot went stale
-        and the arena Elmore engine (the `auto` choice for trees past the
-        size threshold) scored every candidate move against the pre-mutation
-        tree, leaving violations unrepaired at bench sizes.  The undo now
-        goes through the setters, which refresh the snapshot's rows."""
-        import repro.delay.elmore as elmore
-
-        monkeypatch.setattr(elmore, "ARENA_THRESHOLD", 1)
+        and the arena Elmore engine scored every candidate move against the
+        pre-mutation tree, leaving violations unrepaired.  The undo now goes
+        through the setters, which refresh the snapshot's rows."""
         result = run(_blocked_spec(), keep_tree=True)
         report = optimize_routing(
             result.routing, OptConfig(enabled=True), intra_bound_ps=10.0

@@ -29,7 +29,7 @@ from repro.api.registry import RouterSpec
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
 from repro.cts.arena import TreeArena
-from repro.delay.elmore import ARENA_THRESHOLD, arena_elmore
+from repro.delay.elmore import arena_elmore
 from repro.delay.rc_tree import oracle_delays
 from repro.geometry.obstacles import Rect
 from repro.opt import BUFFERED_PASSES, OptConfig
@@ -75,14 +75,12 @@ def routed(kind: str):
             router=router,
             opt=OptConfig(enabled=True, passes=BUFFERED_PASSES, max_cap=800.0),
         )
-    else:  # "large": enough nodes for sink_delays to read the cached arena
+    else:  # "large"
         spec = RunSpec(instance=InstanceSpec.from_random(3000, seed=3, groups=8), router=router)
     result = run(spec, keep_tree=True)
     assert result.error is None
     if kind == "buffered":
         assert result.routing.tree.num_buffers() >= 1
-    if kind == "large":
-        assert len(result.routing.tree) >= ARENA_THRESHOLD
     return result.routing
 
 
@@ -163,8 +161,9 @@ class TestValidatorMatchesReference:
     def test_corrupted_large_route(self, corruption):
         assert_matches_reference(routed("large"), corruption, pick=7)
 
-    def test_stale_snapshot_shows_up_as_delay_issues(self):
-        issues = validate_result(corrupted(routed("large"), "stale", pick=7))
+    @pytest.mark.parametrize("kind", ["random", "blocked", "buffered", "large"])
+    def test_stale_snapshot_shows_up_as_delay_issues(self, kind):
+        issues = validate_result(corrupted(routed(kind), "stale", pick=7))
         assert issues and {issue.code for issue in issues} == {"delay"}
 
 
