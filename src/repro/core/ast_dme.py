@@ -1,6 +1,8 @@
 """The AST-DME router (Fig. 6 of the paper) and its configuration.
 
-``AstDme.route`` runs the full two-phase construction:
+``AstDme.route`` runs the full two-phase construction through
+:meth:`AstDme.grow`, the one construction step, which the ECO engine's
+re-merge runs as well:
 
 1. *Bottom-up merging.*  Every sink starts as a one-node subtree.  In each
    pass a merging-order policy proposes disjoint nearest pairs; the pass
@@ -10,8 +12,8 @@
    root's placement locus, the two wire lengths (possibly snaked) and the
    merged per-group delay intervals.  Merging continues until one subtree
    remains, which is then connected to the clock source.  This loop is
-   :meth:`AstDme.merge_rows`; the ECO engine's re-merge runs it as well.
-2. *Top-down embedding.*  Concrete locations are chosen for every internal
+   :meth:`AstDme.merge_rows`.
+2. *Top-down embedding.*  Concrete locations are chosen for every new merge
    node, one depth level at a time; booked wire lengths are never changed,
    so all delays and skews decided bottom-up are preserved.  When the
    instance carries routing blockages the embedding is obstacle aware
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.opt.config import OptConfig
     from repro.opt.report import OptReport
 
-from repro.circuits.instance import ClockInstance
+from repro.circuits.instance import ClockInstance, Sink
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
 from repro.core.merge_batch import (
     ArenaPending,
@@ -67,7 +69,9 @@ from repro.core.merge_batch import (
 from repro.core.merging_order import MergeOrderPolicy
 from repro.cts.embedding import embed_tree
 from repro.cts.tree import ClockTree
+from repro.delay.elmore import SubtreeSummary
 from repro.delay.technology import Technology
+from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.obs.trace import get_tracer
@@ -299,58 +303,15 @@ class AstDme:
                 original group ids so that skew reports stay comparable.
         """
         start = time.perf_counter()
-        tech = instance.technology
         constraints = self._constraints or self.config.constraints()
-        sinks = instance.sinks
-        n = len(sinks)
-
-        # One row per sink; node ids 0..n-1 are the sinks, in instance order.
-        group_ids: List[int] = [0] if single_group else instance.groups()
-        gindex = {g: k for k, g in enumerate(group_ids)}
-        xs0 = np.fromiter((s.location.x for s in sinks), dtype=np.float64, count=n)
-        ys0 = np.fromiter((s.location.y for s in sinks), dtype=np.float64, count=n)
-        present = np.zeros((n, len(group_ids)), dtype=bool)
-        sink_gidx = np.fromiter(
-            (gindex[0 if single_group else s.group] for s in sinks),
-            dtype=np.int64,
-            count=n,
-        )
-        present[np.arange(n), sink_gidx] = True
-        rows = SubtreeRows(
-            loci=point_loci(xs0, ys0),
-            cap=np.fromiter((s.cap for s in sinks), dtype=np.float64, count=n),
-            delays=np.zeros((n, len(group_ids), 2), dtype=np.float64),
-            present=present,
-            node_id=np.arange(n, dtype=np.int64),
-            group_ids=group_ids,
-        )
-
+        obstacles = instance.obstacle_set() if instance.has_obstacles else None
+        tree = ClockTree(technology=instance.technology)
         stats = MergeStats()
         association = GroupAssociation(instance.groups())
-        src = instance.source
-        merged = self.merge_rows(rows, n, src, tech, stats, association)
-
-        embed_start = time.perf_counter()
-        with get_tracer().span("dme.embed") as embed_span:
-            obstacles = instance.obstacle_set() if instance.has_obstacles else None
-            xs = ys = None
-            if obstacles is None:
-                xs, ys = _embed_levels(merged, xs0, ys0, src)
-            tree = ClockTree(technology=tech)
-            for sink in sinks:
-                tree.add_sink(
-                    location=sink.location,
-                    sink_cap=sink.cap,
-                    group=sink.group,
-                    name="sink-%d" % sink.sink_id,
-                )
-            loci = merged.add_to(tree, src, xs, ys)
-            if obstacles is None:
-                stats.obstacle_detour = 0.0
-            else:
-                stats.obstacle_detour = embed_tree(tree, loci, obstacles=obstacles)
-            embed_span.add("obstacle_detour", stats.obstacle_detour)
-        stats.embed_seconds += time.perf_counter() - embed_start
+        group_ids = [0] if single_group else instance.groups()
+        loci = self.grow(
+            tree, instance.sinks, instance.source, group_ids, stats, association, obstacles
+        )
 
         opt_report = self._run_opt(tree, constraints, obstacles, loci, single_group)
 
@@ -365,6 +326,81 @@ class AstDme:
             opt=opt_report,
             single_group=single_group,
         )
+
+    def grow(
+        self,
+        tree: ClockTree,
+        sinks: Sequence[Sink],
+        source: Point,
+        group_ids: List[int],
+        stats: MergeStats,
+        association: GroupAssociation,
+        obstacles: Optional[ObstacleSet] = None,
+        stubs: Sequence[int] = (),
+        stub_summary: Optional[SubtreeSummary] = None,
+    ) -> Dict[int, Trr]:
+        """Add to ``tree`` one tree over ``stubs`` and ``sinks``, driven from ``source``.
+
+        This is the construction step of Fig. 6.  :meth:`route` runs it on an
+        empty tree; the ECO engine runs it on a stitched one.
+
+        ``stubs`` are ids of placed subtree roots already in ``tree``; row
+        ``k`` of ``stub_summary`` (:func:`~repro.delay.elmore.subtree_summary`)
+        describes ``stubs[k]``.  The sinks take the ids after the tree's
+        nodes, in order.  With one group column, every sink falls in it.
+
+        Each stub and sink becomes one merge row at its point, and
+        :meth:`merge_rows` merges them.  The sinks, the merge nodes and the
+        source then join ``tree``, embedded top-down: without ``obstacles``
+        level by level from the rows' points, with them through
+        :func:`~repro.cts.embedding.embed_tree`, whose detour extension goes
+        to ``stats.obstacle_detour``.  The stubs' subtrees are not touched.
+        Returns the merge nodes' loci by node id.
+        """
+        first = len(tree)
+        n = len(sinks)
+        row_ids = np.concatenate(
+            (np.asarray(stubs, dtype=np.int64), np.arange(first, first + n, dtype=np.int64))
+        )
+        points = [tree.node(i).location for i in stubs] + [s.location for s in sinks]
+        xs = np.fromiter((p.x for p in points), dtype=np.float64, count=len(points))
+        ys = np.fromiter((p.y for p in points), dtype=np.float64, count=len(points))
+        gindex = {g: k for k, g in enumerate(group_ids)}
+        single = len(group_ids) == 1
+        sink_gidx = np.fromiter(
+            (0 if single else gindex[s.group] for s in sinks), dtype=np.int64, count=n
+        )
+        present = np.zeros((n, len(group_ids)), dtype=bool)
+        present[np.arange(n), sink_gidx] = True
+        cap = np.fromiter((s.cap for s in sinks), dtype=np.float64, count=n)
+        delays = np.zeros((n, len(group_ids), 2), dtype=np.float64)
+        if stub_summary is not None:
+            cap = np.concatenate((stub_summary.caps, cap))
+            delays = np.concatenate((stub_summary.delays, delays))
+            present = np.concatenate((stub_summary.present, present))
+        rows = SubtreeRows(point_loci(xs, ys), cap, delays, present, row_ids, group_ids)
+        merged = self.merge_rows(rows, first + n, source, tree.technology, stats, association)
+
+        embed_start = time.perf_counter()
+        with get_tracer().span("dme.embed") as embed_span:
+            placed_xs = placed_ys = None
+            if obstacles is None:
+                placed_xs, placed_ys = _embed_levels(merged, row_ids, xs, ys, source)
+            for sink in sinks:
+                tree.add_sink(
+                    location=sink.location,
+                    sink_cap=sink.cap,
+                    group=sink.group,
+                    name="sink-%d" % sink.sink_id,
+                )
+            loci = merged.add_to(tree, source, placed_xs, placed_ys)
+            if obstacles is None:
+                stats.obstacle_detour = 0.0
+            else:
+                stats.obstacle_detour = embed_tree(tree, loci, obstacles=obstacles)
+            embed_span.add("obstacle_detour", stats.obstacle_detour)
+        stats.embed_seconds += time.perf_counter() - embed_start
+        return loci
 
     def merge_rows(
         self,
@@ -383,9 +419,8 @@ class AstDme:
         nodes from ``first_id`` in pair order.  The last subtree's pending
         split is resolved towards ``source`` before the source edge is
         booked.  The pass counters and timings go into ``stats`` and each
-        merge's group association into ``association``.  :meth:`route` runs
-        it on one row per sink; the ECO engine runs it on the frontier stubs
-        and fresh sinks of a dirty cone.
+        merge's group association into ``association``.  :meth:`grow` runs
+        it on one row per subtree stub and per sink.
         """
         config = self.config
         constraints = self._constraints or config.constraints()
@@ -623,13 +658,9 @@ class AstDme:
             return None
         from repro.opt.optimizer import Optimizer
 
-        bound_fn = constraints.bound_for
-        if self.config.opt.skew_bound_ps is not None:
-            override = Technology.ps_to_internal(self.config.opt.skew_bound_ps)
-            bound_fn = lambda group: override  # noqa: E731 - trivial closure
         return Optimizer(self.config.opt).optimize(
             tree,
-            bound_for=bound_fn,
+            bound_for=constraints.bound_for,
             obstacles=obstacles,
             loci=loci,
             single_group=single_group,
@@ -637,26 +668,27 @@ class AstDme:
 
 
 def _embed_levels(
-    merged: MergedTree, xs0: np.ndarray, ys0: np.ndarray, src: Point
+    merged: MergedTree, row_ids: np.ndarray, xs0: np.ndarray, ys0: np.ndarray, src: Point
 ) -> tuple:
-    """Vectorised obstacle-free top-down embedding of a routed tree.
+    """Vectorised obstacle-free top-down embedding of the merge nodes.
 
-    Node ids ``0..first_id-1`` are the sinks at ``xs0``/``ys0``.  Mirrors
-    :func:`repro.cts.embedding.embed_tree`: every internal node is placed at
-    the point of its locus nearest (in Manhattan distance) to its parent's
-    already-chosen location, one depth level at a time.  The booked edge
-    lengths are then verified against the realised geometry exactly like the
-    scalar ``_check_edge``.
+    The merged rows' nodes ``row_ids`` are placed at ``xs0``/``ys0``.
+    Mirrors :func:`repro.cts.embedding.embed_tree`: every merge node is
+    placed at the point of its locus nearest (in Manhattan distance) to its
+    parent's already-chosen location, one depth level at a time.  The booked
+    edge lengths are then verified against the realised geometry exactly
+    like the scalar ``_check_edge``.  Returns location arrays by node id,
+    defined at the rows' nodes, the merge nodes and the source.
     """
-    n = merged.first_id
+    first = merged.first_id
     source_id = merged.source_id
     t_child_a, t_child_b = merged.child_a, merged.child_b
     t_parent, t_edge, t_loci = merged.parent, merged.edge, merged.loci
     count = source_id + 1
     xs = np.empty(count, dtype=np.float64)
     ys = np.empty(count, dtype=np.float64)
-    xs[:n] = xs0
-    ys[:n] = ys0
+    xs[row_ids] = xs0
+    ys[row_ids] = ys0
     xs[source_id] = src.x
     ys[source_id] = src.y
 
@@ -664,7 +696,7 @@ def _embed_levels(
     while frontier.size:
         children = np.concatenate((t_child_a[frontier], t_child_b[frontier]))
         children = children[children >= 0]
-        internal = children[children >= n]
+        internal = children[children >= first]
         if internal.size:
             parents = t_parent[internal]
             # Trr.nearest_point_to(parent): rotate, clamp per axis, rotate back.
@@ -675,7 +707,7 @@ def _embed_levels(
             cv = np.minimum(np.maximum(pv, rows[:, 2]), rows[:, 3])
             xs[internal] = (cu + cv) / 2.0
             ys[internal] = (cu - cv) / 2.0
-        frontier = children
+        frontier = internal
 
     # _check_edge over every parented node at once.
     nodes = np.flatnonzero(t_parent[:count] >= 0)

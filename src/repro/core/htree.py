@@ -37,7 +37,7 @@ from repro.circuits.instance import ClockInstance, Sink
 from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
 from repro.core.group_constraints import GroupAssociation
 from repro.cts.tree import ClockTree
-from repro.delay.elmore import arena_elmore
+from repro.delay.elmore import subtree_summary
 from repro.delay.wire import wire_delay, wire_length_for_delay
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
@@ -236,7 +236,6 @@ class HTreeRouter:
         stats: MergeStats,
         leaf_router: AstDme,
     ) -> _Handoff:
-        tech = instance.technology
         sub = replace(
             instance,
             name="%s-htree-leaf" % instance.name,
@@ -261,19 +260,11 @@ class HTreeRouter:
             name="htree-tap",
         )
         loci[tap_id] = Trr.from_point(region.center)
-        caps, delays = arena_elmore(leaf_tree.as_arena())
-        cap = float(caps[leaf_root.node_id])
-        # Delays relative to the tap: strip the leaf run's source-resistance
-        # component (in the composite tree the source drives the trunk root).
-        shift = tech.source_resistance * cap
-        relative = delays[[s.node_id for s in leaf_tree.sinks()]] - shift
-        return _Handoff(
-            tap_id,
-            region.center,
-            cap,
-            float(relative.min()),
-            float(relative.max()),
-        )
+        # Delays relative to the tap, which the leaf run's source was: in the
+        # composite tree the source drives the trunk root instead.
+        leaf = subtree_summary(leaf_tree.as_arena(), [leaf_root.node_id], [0])
+        lo, hi = leaf.delays[0, 0].tolist()
+        return _Handoff(tap_id, region.center, float(leaf.caps[0]), lo, hi)
 
     @staticmethod
     def _merge_stats(total: MergeStats, leaf: MergeStats) -> None:

@@ -2,12 +2,12 @@
 
 The bottom-up phase fixes edge lengths and placement loci but defers actual
 locations.  This pass walks the finished tree from the source downwards and
-places every internal node at the point of its locus closest to its parent's
-already-chosen location.  By construction of the merge loci, every point of a
-parent's locus is within the booked edge length of each child's locus, so the
-geometric distance never exceeds the booked length; when it is strictly
-shorter, the difference is realised as wire snaking at routing time and the
-booked length (hence every delay) is preserved.
+places every node without a location at the point of its locus closest to
+its parent's already-chosen location.  By construction of the merge loci,
+every point of a parent's locus is within the booked edge length of each
+child's locus, so the geometric distance never exceeds the booked length;
+when it is strictly shorter, the difference is realised as wire snaking at
+routing time and the booked length (hence every delay) is preserved.
 
 With routing blockages (``obstacles``) the pass becomes obstacle aware: the
 distance that matters is the *detour distance* -- the length of the shortest
@@ -27,7 +27,7 @@ from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 
-__all__ = ["embed_tree", "embed_new_nodes"]
+__all__ = ["embed_tree"]
 
 _TOL = 1e-6
 
@@ -38,12 +38,21 @@ def embed_tree(
     source_location: Optional[Point] = None,
     obstacles: Optional[ObstacleSet] = None,
 ) -> float:
-    """Assign locations to every node of ``tree`` that does not have one yet.
+    """Place the nodes of ``tree`` that have no location yet, top-down.
+
+    The walk visits the root and then, in preorder, each node it places.
+    Every child of a visited node that has no location is placed on its
+    locus, and the edge into every child of a visited node is checked (with
+    obstacles: extended to its detour distance where needed).  A subtree
+    whose root is already placed is not entered: the caller vouches that it
+    is embedded, blockage-consistent included.  On a fresh route every merge
+    node is unplaced, so the walk covers every edge; on a stitched ECO tree
+    it covers the rebuilt cone and the edges into the stitched subtrees.
 
     Args:
         tree: the :class:`~repro.cts.tree.ClockTree` under construction.  Sinks
             and the source must already carry locations.
-        loci: placement locus of every internal node, keyed by node id.
+        loci: placement locus of every unplaced node, keyed by node id.
         source_location: optional override for the source location check.
         obstacles: optional routing blockages.  When given, locations are
             chosen by detour distance and booked edge lengths are extended
@@ -54,7 +63,7 @@ def embed_tree(
         0.0 without obstacles).
 
     Raises:
-        ValueError: when an internal node has no locus, or when a chosen
+        ValueError: when an unplaced node has no locus, or when a chosen
             location would require more wire than the booked edge length
             (which would indicate a bug in the bottom-up phase); with
             obstacles, also when a node cannot be placed outside every
@@ -69,11 +78,11 @@ def embed_tree(
         tree.set_location(root.node_id, source_location)
 
     total_detour = 0.0
-    for node_id in tree.topological_order():
-        node = tree.node(node_id)
-        parent_location = node.location
-        if parent_location is None:
-            raise ValueError("node %d reached before its location was set" % node_id)
+    stack = [root.node_id]
+    while stack:
+        node_id = stack.pop()
+        parent_location = tree.node(node_id).location
+        placed = []
         for child in tree.children_of(node_id):
             if child.location is None:
                 if child.node_id not in loci:
@@ -85,59 +94,12 @@ def embed_tree(
                         loci[child.node_id], parent_location, obstacles, child.node_id
                     )
                 tree.set_location(child.node_id, location)
+                placed.append(child.node_id)
             if obstacles is None:
                 _check_edge(parent_location, child.location, child.edge_length, child.node_id)
             else:
                 total_detour += _extend_for_detour(tree, parent_location, child, obstacles)
-    return total_detour
-
-
-def embed_new_nodes(
-    tree,
-    loci: Dict[int, Trr],
-    obstacles: Optional[ObstacleSet] = None,
-) -> float:
-    """Embed only the nodes that do not yet carry a location.
-
-    The ECO variant of :func:`embed_tree`: the walk starts at the (located)
-    root and descends exclusively through location-less nodes, so a stitched
-    tree pays embedding cost proportional to its rebuilt cone, not its size.
-    Edges into already-located children -- the stitched frontier roots -- are
-    still checked (and, with obstacles, detour-extended) because the booked
-    length on them is new, but their subtrees are never entered: callers
-    guarantee those are internally embedded and obstacle-consistent, which
-    the ECO engine does by rebuilding any subtree a new blockage invalidates.
-
-    Returns the total detour extension, exactly like :func:`embed_tree`.
-    """
-    if obstacles is not None and not obstacles:
-        obstacles = None
-    root = tree.root()
-    if root.location is None:
-        raise ValueError("the tree root has no location")
-    total_detour = 0.0
-    stack = [root.node_id]
-    while stack:
-        node_id = stack.pop()
-        parent_location = tree.node(node_id).location
-        for child in tree.children_of(node_id):
-            if child.location is None:
-                if child.node_id not in loci:
-                    raise ValueError(
-                        "internal node %d has no placement locus" % child.node_id
-                    )
-                if obstacles is None:
-                    location = loci[child.node_id].nearest_point_to(parent_location)
-                else:
-                    location = _obstacle_aware_location(
-                        loci[child.node_id], parent_location, obstacles, child.node_id
-                    )
-                tree.set_location(child.node_id, location)
-                stack.append(child.node_id)
-            if obstacles is None:
-                _check_edge(parent_location, child.location, child.edge_length, child.node_id)
-            else:
-                total_detour += _extend_for_detour(tree, parent_location, child, obstacles)
+        stack.extend(reversed(placed))
     return total_detour
 
 

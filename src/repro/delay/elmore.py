@@ -15,6 +15,8 @@ snapshot.  :func:`subtree_capacitances`, :func:`elmore_delays` and
 :func:`sink_delays` are dictionary views of one such pass over the nodes
 reachable from the root.  :class:`SinkGroups` reduces node-indexed delays to
 per-group ``(lo, hi)`` ranges, for the skew report and the optimizer alike.
+:func:`subtree_summary` reduces them per subtree instead, as its root sees
+them: the stubs an ECO re-merges and the leaves the h-tree grafts.
 
 The independent :func:`repro.delay.rc_tree.oracle_delays` re-derives the same
 numbers through an explicit segmented RC network; validation, the optimizer
@@ -23,7 +25,7 @@ and the test-suite check this module against it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +35,8 @@ __all__ = [
     "sink_delays",
     "arena_elmore",
     "SinkGroups",
+    "SubtreeSummary",
+    "subtree_summary",
 ]
 
 
@@ -122,6 +126,62 @@ class SinkGroups:
         at_roof = np.flatnonzero(delays[self.sink_ids] == hi[self.slots])
         _, first = np.unique(self.slots[at_roof], return_index=True)
         return self.sink_ids[at_roof[first]]
+
+
+class SubtreeSummary(NamedTuple):
+    """Subtrees as their roots see them, one row per root (``G`` group columns)."""
+
+    #: ``(k,)`` capacitance seen at each root from upstream.
+    caps: np.ndarray
+    #: ``(k, G, 2)`` per-group ``[lo, hi]`` Elmore delays from the root to its
+    #: sinks; zero where the group is absent.
+    delays: np.ndarray
+    #: ``(k, G)`` whether the root has a sink of each group below it.
+    present: np.ndarray
+    #: ``(k,)`` number of sinks below each root.
+    sinks: np.ndarray
+
+
+def subtree_summary(arena, roots: Sequence[int], group_ids: Sequence[int]) -> SubtreeSummary:
+    """Summarise the subtrees of a snapshot below ``roots``.
+
+    ``group_ids`` are the ascending group ids of the dense columns; one
+    column takes every sink, as for routes that ignore the grouping.  Each
+    sink counts towards the nearest of ``roots`` above it.  One
+    :func:`arena_elmore` pass gives every delay through
+    ``delay(root -> sink) = t(sink) - t(root)``: everything above the root is
+    a common term that cancels, so the intervals are float-exact against the
+    library's Elmore numbers.
+    """
+    from repro.cts.arena import SINK_KIND
+
+    caps, delays = arena_elmore(arena)
+    roots = np.asarray(roots, dtype=np.int64)
+    shape = (len(roots), len(group_ids))
+    label = np.full(arena.num_nodes, -1, dtype=np.int64)
+    label[roots] = np.arange(len(roots), dtype=np.int64)
+    for level in arena.depth_levels()[1:]:
+        own = label[level]
+        label[level] = np.where(own >= 0, own, label[arena.parents[level]])
+    sink_ids = np.flatnonzero((arena.kinds == SINK_KIND) & (label >= 0))
+    sink_labels = label[sink_ids]
+    relative = delays[sink_ids] - delays[roots[sink_labels]]
+    if len(group_ids) == 1:
+        group_index = np.zeros(len(sink_ids), dtype=np.int64)
+    else:
+        raw = np.where(arena.has_group[sink_ids], arena.groups[sink_ids], 0)
+        dense = np.asarray(group_ids, dtype=np.int64)
+        group_index = np.minimum(np.searchsorted(dense, raw), len(dense) - 1)
+        if not np.array_equal(dense[group_index], raw):
+            raise ValueError("subtree sinks carry groups missing from group_ids")
+    lo = np.full(shape, np.inf)
+    hi = np.full(shape, -np.inf)
+    np.minimum.at(lo, (sink_labels, group_index), relative)
+    np.maximum.at(hi, (sink_labels, group_index), relative)
+    present = hi > -np.inf
+    intervals = np.where(present[:, :, None], np.stack((lo, hi), axis=2), 0.0)
+    counts = np.bincount(sink_labels, minlength=len(roots))
+    return SubtreeSummary(caps[roots], intervals, present, counts)
 
 
 # ----------------------------------------------------------------------

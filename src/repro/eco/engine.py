@@ -10,41 +10,36 @@ subtrees back in unchanged:
    added sink, the node of its nearest surviving sink (which gives the new
    sink local merge partners); and, when the delta adds blockages, every
    node embedded inside a new blockage plus every node whose booked edge no
-   longer covers the blockage-avoiding detour distance to its parent.
+   longer covers the blockage-avoiding detour distance to its parent.  Edges
+   into or out of a node inside a new blockage are rebuilt with it, so they
+   are not checked.
 2. *Dirty cone.*  All ancestors of the dirty nodes up to (and including) the
    source.  Everything else is clean.
 3. *Frontier.*  The maximal clean subtrees: clean nodes whose parent lies in
    the cone.  Each frontier subtree is copied into the new tree node for
    node (:meth:`~repro.cts.tree.ClockTree.copy_subtree_from`), bit-identical
-   by construction, and summarised as one merge row
-   (:class:`~repro.core.ast_dme.SubtreeRows`) whose placement locus is the
-   *point* the frontier root is embedded at.  Its downstream capacitance
-   and its per-group delay intervals come from one Elmore pass over the base
-   tree's arena snapshot (:func:`~repro.delay.elmore.arena_elmore`), the
-   intervals through the decomposition ``delay(v -> s) = t(s) - t(v)``
-   (everything above ``v`` is a common term that cancels) -- so the stubs
-   describe the tree *as embedded*, detour extensions and prior repairs
-   included.
-4. *Re-merge.*  The frontier rows plus one row per fresh sink (added, moved
-   and blockage-displaced sinks) go through
-   :meth:`~repro.core.ast_dme.AstDme.merge_rows`, the router's own
-   bottom-up loop -- the configured merging-order policy with its
-   incremental ``NeighborIndex``, lazy split resolution, snaking merges.
-   Only the nodes it creates are added to the stitched tree, followed by
-   top-down embedding of those nodes.  Point loci make the
-   merge arithmetic around the frontier exact; clean nodes already carry
-   locations so the embedding never touches them (and clean edges satisfy
-   the detour check by step 1, so obstacle-aware embedding never extends
-   them either).
+   by construction, and summarised from the base tree's arena snapshot by
+   :func:`~repro.delay.elmore.subtree_summary`: its root's capacitance and
+   per-group delay intervals -- the tree *as embedded*, detour extensions
+   and prior repairs included.
+4. *Re-merge.*  :meth:`~repro.core.ast_dme.AstDme.grow`, the router's own
+   construction step, grows the stitched tree over the frontier stubs and
+   the fresh sinks (added, moved and blockage-displaced ones): one merge row
+   each at its point, the router's bottom-up loop, then top-down embedding
+   of the new nodes only.  Point loci make the merge arithmetic around the
+   frontier exact; clean nodes already carry locations so the embedding
+   never enters them (and clean edges satisfy the detour check by step 1,
+   so obstacle-aware embedding never extends them either).
 
 The stitched :class:`RoutingResult` carries ``max(base, rebuilt)`` as its
 ``stats.max_violation`` slack: intervals inherited from the base tree may
 already exceed the bound (post-detour, post-repair) and re-merges above the
 frontier bound the spreads they can actually control.  When the optional
 local repair is configured it runs only if the stitched tree violates a
-bound, and then holds every group to its own bound -- the
-untouched-subtree bit-identity guarantee therefore holds exactly on the
-no-repair path (see docs/eco.md for the tolerance semantics).
+bound, and then holds every group to its own bound (the repair's
+``skew_bound_ps`` when set) -- the untouched-subtree bit-identity guarantee
+therefore holds exactly on the no-repair path (see docs/eco.md for the
+tolerance semantics).
 """
 
 from __future__ import annotations
@@ -53,22 +48,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.analysis.skew import skew_report
-from repro.core.ast_dme import (
-    AstDme,
-    AstDmeConfig,
-    MergeStats,
-    RoutingResult,
-    SubtreeRows,
-    point_loci,
-)
+from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
-from repro.cts.arena import SINK_KIND
-from repro.cts.embedding import embed_new_nodes
 from repro.cts.tree import ClockTree
-from repro.delay.elmore import arena_elmore
+from repro.delay.elmore import subtree_summary
 from repro.eco.delta import EcoDelta, EcoDeltaError
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.trr import Trr
@@ -242,6 +226,7 @@ def eco_reroute(
         if delta.add_blockages:
             fresh = ObstacleSet(delta.add_blockages)
             combined = new_instance.obstacle_set()
+            blocked: Set[int] = set()
             for node in tree.nodes():
                 if node.location is None:
                     raise ValueError(
@@ -249,9 +234,12 @@ def eco_reroute(
                         % node.node_id
                     )
                 if fresh.blocks_point(node.location):
-                    dirty.add(node.node_id)
-                    continue
-                if node.parent is None:
+                    blocked.add(node.node_id)
+            dirty |= blocked
+            # An edge into or out of a blocked node is rebuilt with it, and
+            # detours are undefined from inside a blockage.
+            for node in tree.nodes():
+                if node.parent is None or node.node_id in blocked or node.parent in blocked:
                     continue
                 parent_location = tree.node(node.parent).location
                 detour = combined.detour_distance(parent_location, node.location)
@@ -273,7 +261,7 @@ def eco_reroute(
 
     # ------------------------------------------------------------------
     # 3. Frontier: maximal clean subtrees, copied verbatim and summarised as
-    #    point-locus merge rows.
+    #    they stand in the base tree.
     # ------------------------------------------------------------------
     # Node ids are assigned in insertion order, so sorting reproduces the
     # deterministic enumeration order of a full tree scan without paying O(n).
@@ -290,16 +278,10 @@ def eco_reroute(
         preserved_roots: Dict[int, int] = {}
         reused = 0
         group_ids = [0] if single_group else new_instance.groups()
-        stub_caps, stub_delays, stub_present, stub_sinks = _frontier_stub_data(
-            tree, frontier, group_ids, single_group
-        )
+        stubs = subtree_summary(tree.as_arena(), frontier, group_ids)
         base_loci = base.loci
-        row_ids: List[int] = []
-        xs: List[float] = []
-        ys: List[float] = []
         for fid in frontier:
-            location = tree.node(fid).location
-            if location is None:
+            if tree.node(fid).location is None:
                 raise ValueError(
                     "base tree is not fully embedded (node %d has no location)" % fid
                 )
@@ -310,9 +292,6 @@ def eco_reroute(
                 locus = base_loci.get(old_id)
                 if locus is not None:
                     new_loci[new_id] = locus
-            row_ids.append(id_map[fid])
-            xs.append(location.x)
-            ys.append(location.y)
 
         # Sinks that must be (re)created: added sinks, moved sinks, and clean-id
         # sinks the blockage scan displaced (inside a new blockage is impossible
@@ -335,74 +314,47 @@ def eco_reroute(
                 )
             if sid not in removed_ids:
                 recreate.add(sid)
-        gindex = {g: k for k, g in enumerate(group_ids)}
-        fresh_caps: List[float] = []
-        fresh_gidx: List[int] = []
-        for sink in new_instance.sinks:
-            if sink.sink_id in base_ids and sink.sink_id not in recreate:
-                continue
-            row_ids.append(
-                new_tree.add_sink(
-                    location=sink.location,
-                    sink_cap=sink.cap,
-                    group=sink.group,
-                    name="sink-%d" % sink.sink_id,
-                )
-            )
-            xs.append(sink.location.x)
-            ys.append(sink.location.y)
-            fresh_caps.append(sink.cap)
-            fresh_gidx.append(gindex[0 if single_group else sink.group])
-
-        total_sinks = int(stub_sinks.sum()) + len(fresh_caps)
+        fresh_sinks = [
+            sink
+            for sink in new_instance.sinks
+            if sink.sink_id not in base_ids or sink.sink_id in recreate
+        ]
+        total_sinks = int(stubs.sinks.sum()) + len(fresh_sinks)
         if total_sinks != new_instance.num_sinks:
             raise RuntimeError(
                 "ECO stitching lost sinks: stubs cover %d of %d"
                 % (total_sinks, new_instance.num_sinks)
             )
-        num_stubs = len(frontier)
-        num_rows = len(row_ids)
-        delays = np.zeros((num_rows, len(group_ids), 2), dtype=np.float64)
-        delays[:num_stubs] = stub_delays
-        present = np.zeros((num_rows, len(group_ids)), dtype=bool)
-        present[:num_stubs] = stub_present
-        present[np.arange(num_stubs, num_rows), fresh_gidx] = True
-        rows = SubtreeRows(
-            loci=point_loci(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)),
-            cap=np.concatenate((stub_caps, np.array(fresh_caps, dtype=np.float64))),
-            delays=delays,
-            present=present,
-            node_id=np.array(row_ids, dtype=np.int64),
-            group_ids=group_ids,
-        )
         stitch_span.set(frontier=len(frontier), reused=reused)
 
     # ------------------------------------------------------------------
-    # 4. Re-merge the frontier through the router's own bottom-up loop, add
-    #    the new nodes, then embed them.  The cone is small, which is the
-    #    whole point of ECO.  A frontier stub may span several groups:
-    #    associate them first.
+    # 4. Re-merge: grow the stitched tree over the frontier stubs and the
+    #    fresh sinks with the router's own construction step.  The cone is
+    #    small, which is the whole point of ECO.  A frontier stub may span
+    #    several groups: associate them first.
     # ------------------------------------------------------------------
     stats = MergeStats()
     association = GroupAssociation(new_instance.groups())
-    for stub_present_row in stub_present.tolist():
+    for stub_present_row in stubs.present.tolist():
         groups = [g for g, here in zip(group_ids, stub_present_row) if here]
         for group in groups[1:]:
             association.associate(groups[0], group)
-    with tracer.span("eco.remerge") as remerge_span:
-        merged = AstDme(config.router, constraints).merge_rows(
-            rows, len(new_tree), new_instance.source, tech, stats, association
-        )
-        new_loci.update(merged.add_to(new_tree, new_instance.source))
-        remerge_span.set(passes=stats.passes)
-
     obstacles = new_instance.obstacle_set() if new_instance.has_obstacles else None
-    embed_start = time.perf_counter()
-    with tracer.span("eco.embed"):
-        stats.obstacle_detour = embed_new_nodes(
-            new_tree, new_loci, obstacles=obstacles
+    with tracer.span("eco.remerge") as remerge_span:
+        new_loci.update(
+            AstDme(config.router, constraints).grow(
+                new_tree,
+                fresh_sinks,
+                new_instance.source,
+                group_ids,
+                stats,
+                association,
+                obstacles,
+                stubs=list(preserved_roots.values()),
+                stub_summary=stubs,
+            )
         )
-    stats.embed_seconds += time.perf_counter() - embed_start
+        remerge_span.set(passes=stats.passes)
     # Clean subtrees inherit the base's violation slack (post-detour,
     # post-repair spreads the re-merge cannot shrink); validation of the
     # stitched result must see it, exactly as it would on the base.
@@ -480,85 +432,22 @@ def preserved_subtrees_identical(
 
 
 # ----------------------------------------------------------------------
-def _sink_nodes_by_id(
-    tree: ClockTree, wanted: Optional[Set[int]] = None
-) -> Dict[int, int]:
-    """Instance sink id -> tree node id, via the standard ``sink-<id>`` names.
+def _sink_nodes_by_id(tree: ClockTree, wanted: Set[int]) -> Dict[int, int]:
+    """Instance sink id -> tree node id for the ``wanted`` sink ids.
 
-    With ``wanted`` the scan only resolves those sink ids through a
-    precomputed name set -- one dict lookup per node instead of a string
-    parse, which matters on the ECO hot path where ``wanted`` is tiny.
+    The scan resolves the standard ``sink-<id>`` names through a precomputed
+    name set -- one dict lookup per node instead of a string parse, which
+    matters on the ECO hot path where ``wanted`` is tiny.
     """
     mapping: Dict[int, int] = {}
-    if wanted is not None:
-        names = {"sink-%d" % sid: sid for sid in wanted}
-        if not names:
-            return mapping
-        for node in tree.nodes():
-            sid = names.get(node.name)
-            if sid is not None and node.is_sink:
-                mapping[sid] = node.node_id
+    names = {"sink-%d" % sid: sid for sid in wanted}
+    if not names:
         return mapping
-    for node in tree.sinks():
-        name = node.name or ""
-        if name.startswith("sink-"):
-            try:
-                mapping[int(name[5:])] = node.node_id
-            except ValueError:  # pragma: no cover - non-standard name
-                continue
+    for node in tree.nodes():
+        sid = names.get(node.name)
+        if sid is not None and node.is_sink:
+            mapping[sid] = node.node_id
     return mapping
-
-
-def _frontier_stub_data(
-    tree: ClockTree, frontier: List[int], group_ids: List[int], single_group: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Merge-row summaries of the frontier subtrees, one row per frontier root.
-
-    Returns ``(cap, delays, present, num_sinks)``: each root's downstream
-    capacitance, its ``(G, 2)`` per-group delay intervals over the dense
-    ``group_ids`` columns with their ``(G,)`` presence mask, and its sink
-    count.  Computed in bulk over the base tree's arena snapshot: the
-    frontier labels propagate top-down over the depth levels, after which the
-    intervals reduce via ``minimum.at``/``maximum.at`` on the Elmore
-    decomposition ``t(sink) - t(frontier root)``.  These are the library's
-    Elmore numbers (see :mod:`repro.delay.elmore`), so the stubs are
-    float-exact against the embedded base tree.
-    """
-    shape = (len(frontier), len(group_ids))
-    if not frontier:
-        return (
-            np.zeros(0),
-            np.zeros(shape + (2,)),
-            np.zeros(shape, dtype=bool),
-            np.zeros(0, dtype=np.int64),
-        )
-    arena = tree.as_arena()
-    caps, delays = arena_elmore(arena)
-    roots = np.asarray(frontier, dtype=np.int64)
-    label = np.full(arena.num_nodes, -1, dtype=np.int64)
-    label[roots] = np.arange(len(frontier), dtype=np.int64)
-    for level in arena.depth_levels()[1:]:
-        own = label[level]
-        label[level] = np.where(own >= 0, own, label[arena.parents[level]])
-    sink_ids = np.flatnonzero((arena.kinds == SINK_KIND) & (label >= 0))
-    sink_labels = label[sink_ids]
-    relative = delays[sink_ids] - delays[roots[sink_labels]]
-    if single_group:
-        group_index = np.zeros(len(sink_ids), dtype=np.int64)
-    else:
-        raw = np.where(arena.has_group[sink_ids], arena.groups[sink_ids], 0)
-        dense = np.asarray(group_ids, dtype=np.int64)
-        group_index = np.minimum(np.searchsorted(dense, raw), len(dense) - 1)
-        if not np.array_equal(dense[group_index], raw):
-            raise ValueError("frontier sinks carry groups the changed instance lacks")
-    lo = np.full(shape, np.inf)
-    hi = np.full(shape, -np.inf)
-    np.minimum.at(lo, (sink_labels, group_index), relative)
-    np.maximum.at(hi, (sink_labels, group_index), relative)
-    present = hi > -np.inf
-    intervals = np.where(present[:, :, None], np.stack((lo, hi), axis=2), 0.0)
-    counts = np.bincount(sink_labels, minlength=len(frontier))
-    return caps[roots], intervals, present, counts
 
 
 def _repair_if_violating(
@@ -571,24 +460,25 @@ def _repair_if_violating(
 ):
     """Run the local repair when (and only when) the stitched tree violates.
 
-    The repair targets every group's own bound (``constraints.bound_for``),
+    The repair holds every group to the bound the optimizer resolves
+    (``OptConfig.skew_bound_ps`` when set, else ``constraints.bound_for``),
     so while it fixes the violating groups it must keep the others within
-    theirs.  Returns ``(opt_report, repaired)``.
+    theirs; the violation check uses that same bound.  Returns
+    ``(opt_report, repaired)``.
     """
     if config.repair is None or not config.repair.enabled:
         return None, False
-    report = skew_report(tree)
-    spreads = {0: report.global_skew} if single_group else report.per_group_skew
-    if all(
-        skew <= constraints.bound_for(group) + _REPAIR_TOL
-        for group, skew in spreads.items()
-    ):
-        return None, False
     from repro.opt.optimizer import Optimizer
 
-    opt_report = Optimizer(config.repair).optimize(
+    optimizer = Optimizer(config.repair)
+    bound_for = optimizer.resolve_bound(constraints.bound_for)
+    report = skew_report(tree)
+    spreads = {0: report.global_skew} if single_group else report.per_group_skew
+    if all(skew <= bound_for(group) + _REPAIR_TOL for group, skew in spreads.items()):
+        return None, False
+    opt_report = optimizer.optimize(
         tree,
-        bound_for=constraints.bound_for,
+        bound_for=bound_for,
         obstacles=obstacles,
         loci=loci,
         single_group=single_group,

@@ -35,8 +35,10 @@ class OptConfig:
     passes: Tuple[str, ...] = DEFAULT_PASSES
     #: Outer iterations of the pipeline (each pass sees the others' output).
     max_iterations: int = 5
-    #: Skew bound the repair targets, in picoseconds.  ``None`` falls back to
-    #: the caller's bound (the router config or the run spec).
+    #: Skew bound the repair targets, in picoseconds, for every group.  Wins
+    #: over the caller's bound (the router config, the run spec or the ECO
+    #: constraints), which holds when ``None``; the rule lives in
+    #: ``Optimizer.resolve_bound``.
     skew_bound_ps: Optional[float] = None
     #: Fraction of the skew bound the repair aims for, leaving headroom for
     #: the capacitive cross-coupling that snaking introduces.

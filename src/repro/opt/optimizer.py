@@ -39,6 +39,21 @@ class Optimizer:
         self._passes = [get_pass(p) if isinstance(p, str) else p for p in named]
 
     # ------------------------------------------------------------------
+    def resolve_bound(
+        self, bound_for: Optional[Callable[[int], float]]
+    ) -> Callable[[int], float]:
+        """The per-group bound the repair targets, in internal units.
+
+        ``OptConfig.skew_bound_ps`` wins when set, uniformly for every group;
+        otherwise the caller's ``bound_for`` holds.
+        """
+        if self.config.skew_bound_ps is not None:
+            bound = Technology.ps_to_internal(self.config.skew_bound_ps)
+            return lambda group: bound
+        if bound_for is None:
+            raise ValueError("no skew bound: set OptConfig.skew_bound_ps or pass bound_for")
+        return bound_for
+
     def optimize(
         self,
         tree,
@@ -51,8 +66,9 @@ class Optimizer:
 
         Args:
             tree: the embedded :class:`~repro.cts.tree.ClockTree`.
-            bound_for: per-group skew bound in internal units.  Defaults to
-                the config's ``skew_bound_ps`` (which must then be set).
+            bound_for: the caller's per-group skew bound in internal units;
+                the config's ``skew_bound_ps`` wins over it when set (see
+                :meth:`resolve_bound`).
             obstacles: routing blockages of the instance, if any.
             loci: per-node placement loci (required for re-embedding moves).
             single_group: treat all sinks as one group, matching routers that
@@ -64,13 +80,7 @@ class Optimizer:
                 "OptConfig.enabled is False; the optimizer mutates the tree "
                 "in place and never runs unless explicitly enabled"
             )
-        if bound_for is None:
-            if self.config.skew_bound_ps is None:
-                raise ValueError(
-                    "no skew bound: set OptConfig.skew_bound_ps or pass bound_for"
-                )
-            bound = Technology.ps_to_internal(self.config.skew_bound_ps)
-            bound_for = lambda group: bound  # noqa: E731 - trivial closure
+        bound_for = self.resolve_bound(bound_for)
 
         ctx = OptContext(
             tree,
@@ -241,20 +251,20 @@ def optimize_routing(result, config: OptConfig, intra_bound_ps: Optional[float] 
     obstacle set, the loci and the grouping semantics (a result routed with
     the instance's grouping disabled -- the EXT-BST / greedy-DME baselines --
     is repaired as one group, matching the bound the router enforced) from
-    the result, resolves the skew bound (``config.skew_bound_ps`` wins, then
-    ``intra_bound_ps``) and returns the :class:`OptReport`.
+    the result, holds every group to ``intra_bound_ps`` unless
+    ``config.skew_bound_ps`` is set (:meth:`Optimizer.resolve_bound`) and
+    returns the :class:`OptReport`.
     """
-    bound_ps = config.skew_bound_ps if config.skew_bound_ps is not None else intra_bound_ps
-    if bound_ps is None:
-        raise ValueError("no skew bound: set OptConfig.skew_bound_ps or intra_bound_ps")
-    bound = Technology.ps_to_internal(float(bound_ps))
+    bound_for = None
+    if intra_bound_ps is not None:
+        bound = Technology.ps_to_internal(float(intra_bound_ps))
+        bound_for = lambda group: bound  # noqa: E731 - trivial closure
     obstacles = (
         result.instance.obstacle_set() if result.instance.has_obstacles else None
     )
-    optimizer = Optimizer(config)
-    return optimizer.optimize(
+    return Optimizer(config).optimize(
         result.tree,
-        bound_for=lambda group: bound,
+        bound_for=bound_for,
         obstacles=obstacles,
         loci=result.loci,
         single_group=getattr(result, "single_group", False),

@@ -5,7 +5,8 @@ a tree's arena snapshot.  This module keeps the walk those passes replay:
 capacitances accumulate leaves-first and delays root-first, one node object
 at a time, in child attach order.  It also keeps the per-sink dict loops
 that :class:`repro.delay.elmore.SinkGroups` replaced with one array
-reduction: the skew report's and the skew-repair move generators'.
+reduction: the skew report's and the skew-repair move generators', and the
+per-subtree one :func:`repro.delay.elmore.subtree_summary` replaced.
 ``tests/test_elmore_oracle.py`` asserts that the library's numbers equal
 these bit for bit, errors included.
 """
@@ -23,6 +24,7 @@ __all__ = [
     "sink_delays",
     "skew_report",
     "sink_group_ranges",
+    "subtree_summary",
 ]
 
 
@@ -129,3 +131,28 @@ def sink_group_ranges(sinks, group_of, delays):
             hi[g], hi_sink[g] = d, sink.node_id
         lo[g] = min(lo.get(g, d), d)
     return lo, hi, hi_sink
+
+
+def subtree_summary(tree, roots, group_ids):
+    """Per root: its cap, ``{column: (lo, hi)}`` of ``t(sink) - t(root)``, its sink count.
+
+    A sink counts towards the nearest root above it; one group column takes
+    every sink, and an ungrouped sink is in group 0.
+    """
+    caps = subtree_capacitances(tree)
+    delays = elmore_delays(tree)
+    column = {g: k for k, g in enumerate(group_ids)}
+    owner_of = {root: k for k, root in enumerate(roots)}
+    ranges = [{} for _ in roots]
+    counts = [0] * len(roots)
+    for sink in tree.sinks():
+        owners = [owner_of[n] for n in tree.path_to_root(sink.node_id) if n in owner_of]
+        if not owners:
+            continue
+        k = owners[0]
+        g = 0 if len(group_ids) == 1 else column[0 if sink.group is None else sink.group]
+        d = delays[sink.node_id] - delays[roots[k]]
+        lo, hi = ranges[k].get(g, (d, d))
+        ranges[k][g] = (min(lo, d), max(hi, d))
+        counts[k] += 1
+    return [caps[root] for root in roots], ranges, counts

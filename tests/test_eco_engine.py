@@ -9,7 +9,8 @@ import pytest
 from repro.analysis.skew import skew_report
 from repro.analysis.validate import validate_result
 from repro.analysis.wirelength import wirelength_report
-from repro.api.spec import InstanceSpec
+from repro.api.runner import run
+from repro.api.spec import InstanceSpec, RouterSpec, RunSpec
 from repro.circuits.generator import random_instance
 from repro.core.ast_dme import AstDme, AstDmeConfig
 from repro.eco import (
@@ -21,7 +22,7 @@ from repro.eco import (
     preserved_subtrees_identical,
     subtree_signature,
 )
-from repro.geometry.obstacles import Rect
+from repro.geometry.obstacles import ObstacleSet, Rect
 from repro.geometry.point import Point
 from repro.opt.config import OptConfig
 
@@ -101,6 +102,25 @@ class TestSingleDeltas:
         assert outcome.eco.blockages_added == 1
         assert rect in outcome.routing.instance.obstacles
 
+    @pytest.mark.parametrize("merge_node", (201, 204, 209, 217, 226, 233, 239))
+    def test_blockage_over_a_merge_node_rebuilds_it(self, merge_node):
+        """Regression: a new blockage over an embedded merge node crashed the
+        detour check of every edge into it ("point ... lies inside a
+        blockage").  The node and its edges are rebuilt instead."""
+        config = AstDmeConfig(skew_bound_ps=10.0)
+        base = AstDme(config).route(InstanceSpec.from_random(200, seed=1, groups=4).build())
+        where = base.tree.node(merge_node).location
+        rect = Rect(where.x - 50.0, where.y - 50.0, where.x + 50.0, where.y + 50.0)
+        assert not any(
+            ObstacleSet([rect]).blocks_point(s.location) for s in base.instance.sinks
+        )
+        outcome = eco_reroute(
+            base, EcoDelta(add_blockages=(rect,)), EcoConfig(router=config)
+        )
+        issues, contiguous, identical = _checks(base, outcome)
+        assert issues == [] and contiguous and identical
+        assert outcome.eco.cone_nodes > 1
+
     def test_empty_delta_round_trips_the_whole_tree(self):
         base, config = _route()
         outcome = eco_reroute(base, EcoDelta(), EcoConfig(router=config))
@@ -147,6 +167,27 @@ class TestRepair:
         assert skew_report(outcome.routing.tree).max_intra_group_skew_ps <= 10.0 + 1e-6
         # The repair's own verdict agrees with validation's.
         assert outcome.routing.opt.skew_violations_after == 0
+
+    def test_repair_targets_the_opt_config_bound(self):
+        """Regression: ``OptConfig.skew_bound_ps`` is the bound the repair
+        targets, but ECO's repair held the groups to the router's 10 ps and
+        left the worst at 9.2 ps.  It must match a full run's repair."""
+        spec = InstanceSpec.from_random(120, seed=16, groups=4, grouping_seed=16)
+        config = AstDmeConfig(skew_bound_ps=10.0)
+        repair = OptConfig(enabled=True, skew_bound_ps=5.0)
+        base = AstDme(config).route(spec.build())
+        outcome = eco_reroute(base, EcoDelta(), EcoConfig(router=config, repair=repair))
+        full = run(
+            RunSpec(
+                instance=spec,
+                router=RouterSpec("ast-dme", {"skew_bound_ps": 10.0}),
+                opt=repair,
+            )
+        )
+        assert outcome.eco.repaired
+        worst = skew_report(outcome.routing.tree).max_intra_group_skew_ps
+        assert worst <= 5.0 + 1e-6
+        assert worst == full.skew.max_intra_group_skew_ps
 
 
 class TestSubtreeSignature:

@@ -5,8 +5,8 @@ the tree's cached arena snapshot.  Its dictionary views must equal the object
 walk of ``tests/reference_elmore.py`` bit for bit, errors included: on routes
 of every router family under and over 2048 nodes, after setter edits that
 refresh the snapshot row by row, and on hand-built trees with an orphan sink.
-``skew_report`` and the per-group reduction must equal the per-sink dict
-loops kept there, key order and tie-breaks included.
+``skew_report``, the per-group reduction and the per-subtree summary must
+equal the per-sink dict loops kept there, key order and tie-breaks included.
 """
 
 from __future__ import annotations
@@ -25,7 +25,13 @@ from repro.api.spec import InstanceSpec, RouterSpec, RunSpec
 from repro.cts.arena import TreeArena
 from repro.cts.tree import ClockTree
 from repro.delay.buffer import default_library
-from repro.delay.elmore import SinkGroups, elmore_delays, sink_delays, subtree_capacitances
+from repro.delay.elmore import (
+    SinkGroups,
+    elmore_delays,
+    sink_delays,
+    subtree_capacitances,
+    subtree_summary,
+)
 from repro.delay.technology import Technology
 from repro.geometry.point import Point
 from repro.opt import BUFFERED_PASSES, OptConfig
@@ -210,3 +216,39 @@ class TestSinkGroupsEqualsPerSinkLoop:
         assert lo.tolist() == list(expected_lo.values())
         assert hi.tolist() == list(expected_hi.values())
         assert roofs.tolist() == list(expected_roofs.values())
+
+
+def assert_summary_equals_per_sink_loop(tree: ClockTree, roots, group_ids) -> None:
+    got = subtree_summary(tree.as_arena(), roots, group_ids)
+    caps, ranges, counts = reference.subtree_summary(tree, roots, group_ids)
+    assert [c.hex() for c in got.caps.tolist()] == [c.hex() for c in caps]
+    assert got.sinks.tolist() == counts
+    for k in range(len(roots)):
+        assert np.flatnonzero(got.present[k]).tolist() == sorted(ranges[k])
+        for g in range(len(group_ids)):
+            lo, hi = got.delays[k, g].tolist()
+            assert (lo.hex(), hi.hex()) == tuple(
+                value.hex() for value in ranges[k].get(g, (0.0, 0.0))
+            )
+
+
+class TestSubtreeSummaryEqualsPerSinkLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        size=st.sampled_from(sorted(SIZES)),
+        picks=st.lists(st.integers(0), min_size=1, max_size=8),
+        one_column=st.booleans(),
+    )
+    def test_routes(self, family, size, picks, one_column):
+        tree = routed_tree(family, size)
+        roots = list(dict.fromkeys(pick % len(tree) for pick in picks))
+        assert_summary_equals_per_sink_loop(tree, roots, [0] if one_column else tree.groups())
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_hand_built_trees(self, data):
+        tree = hand_built(data, orphan=False)
+        picks = data.draw(st.lists(st.integers(0, len(tree) - 1), min_size=1, max_size=5))
+        groups = sorted({0 if sink.group is None else sink.group for sink in tree.sinks()})
+        assert_summary_equals_per_sink_loop(tree, list(dict.fromkeys(picks)), groups)
