@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["WirelengthReport", "wirelength_report", "reduction_percent"]
 
 
@@ -28,19 +30,33 @@ class WirelengthReport:
 
 
 def wirelength_report(tree) -> WirelengthReport:
-    """Compute the :class:`WirelengthReport` of an embedded tree."""
-    total = tree.total_wirelength()
-    snaking = tree.snaking_wirelength()
-    root = tree.root()
-    source_edge = 0.0
-    if root.children:
-        source_edge = sum(tree.node(child).edge_length for child in root.children)
-    num_edges = sum(1 for node in tree.nodes() if node.parent is not None)
+    """Compute the :class:`WirelengthReport` of an embedded tree.
+
+    Reads the arena snapshot ``skew_report`` builds and adds in node order,
+    so every field equals the walk of ``ClockTree.total_wirelength`` /
+    ``snaking_wirelength`` bit for bit.
+    """
+    root = tree.root().node_id
+    arena = tree.as_arena()
+    nodes = np.flatnonzero(arena.parents >= 0)
+    parents = arena.parents[nodes]
+    lengths = arena.edge_lengths[nodes]
+    placed = arena.has_location[nodes] & arena.has_location[parents]
+    nodes, parents = nodes[placed], parents[placed]
+    # |dx| + |dy| in manhattan_distance's operand order.
+    distance = np.abs(arena.xs[nodes] - arena.xs[parents]) + np.abs(
+        arena.ys[nodes] - arena.ys[parents]
+    )
+    snaking = 0.0  # added one at a time like the walk; sum() may compensate
+    for extra in np.maximum(lengths[placed] - distance, 0.0).tolist():
+        snaking += extra
+    offsets = arena.child_offsets
+    source_edges = arena.edge_lengths[arena.child_ids[offsets[root]:offsets[root + 1]]]
     return WirelengthReport(
-        total=total,
+        total=sum(lengths.tolist(), 0.0),
         snaking=snaking,
-        source_connection=source_edge,
-        num_edges=num_edges,
+        source_connection=sum(source_edges.tolist(), 0.0),
+        num_edges=len(lengths),
     )
 
 

@@ -198,12 +198,13 @@ class EcoResult:
 
 
 # ----------------------------------------------------------------------
-def _eco_config_for(spec: EcoSpec):
-    """The ``(EcoConfig, router)`` the rebuilt cone is re-merged with.
+def _eco_config_for(spec: EcoSpec) -> EcoConfig:
+    """The :class:`EcoConfig` the rebuilt cone is re-merged with.
 
     Every built-in router exposes the effective ``AstDmeConfig`` as
     ``.config`` (the baselines adapt it in their constructors), so the cone
-    is re-merged exactly the way a full re-run of the base spec would merge.
+    is re-merged exactly the way a full re-run of the base spec would merge;
+    the skew constraints come from the base routing itself.
     """
     from repro.api.registry import get_router
 
@@ -214,7 +215,7 @@ def _eco_config_for(spec: EcoSpec):
             "router %r does not expose a merge config; "
             "ECO re-routing needs the built-in DME routers" % spec.base.router.name
         )
-    return EcoConfig(router=config, repair=spec.repair), router
+    return EcoConfig(router=config, repair=spec.repair)
 
 
 def run_eco(
@@ -262,13 +263,10 @@ def _run_eco(
             base_result = run(spec.base, keep_tree=True)
             base_routing = base_result.routing
             base_seconds = base_result.total_seconds
-        eco_config, router = _eco_config_for(spec)
-        constraints = getattr(router, "_constraints", None)
+        eco_config = _eco_config_for(spec)
 
         eco_started = time.perf_counter()
-        outcome = eco_reroute(
-            base_routing, spec.delta, eco_config, constraints=constraints
-        )
+        outcome = eco_reroute(base_routing, spec.delta, eco_config)
         eco_seconds = time.perf_counter() - eco_started
         routing = outcome.routing
         instance = routing.instance

@@ -200,11 +200,6 @@ def _ast_config_from_options(options: Dict[str, Any], shorthands=()):
             "unknown router options %s; valid options: %s"
             % (unknown, ", ".join(sorted(valid | set(shorthands))))
         )
-    if isinstance(options.get("opt"), Mapping):
-        # The JSON form of the post-construction optimizer block.
-        from repro.opt.config import OptConfig
-
-        options = dict(options, opt=OptConfig.from_dict(options["opt"]))
     return replace(AstDmeConfig(), **options)
 
 

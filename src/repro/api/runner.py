@@ -82,8 +82,8 @@ def _run(spec: RunSpec, keep_tree: bool) -> RunResult:
         with get_tracer().span("run.route", router=spec.router.name):
             routing = router.route(instance)
 
-        opt_report = routing.opt if hasattr(routing, "opt") else None
-        if spec.opt is not None and spec.opt.enabled and opt_report is None:
+        opt_report = None
+        if spec.opt is not None and spec.opt.enabled:
             from repro.opt.optimizer import optimize_routing
 
             with stages.stage("opt_seconds", "run.opt"):

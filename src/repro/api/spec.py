@@ -297,8 +297,9 @@ class RunSpec:
     ``intra_bound_ps`` is the bound validation checks against; when omitted it
     defaults to the router's ``skew_bound_ps`` option (falling back to the
     paper's 10 ps).  ``opt`` enables the post-construction optimizer
-    (:mod:`repro.opt`): the runner repairs the routed tree in place and
-    reports before/after quality in :attr:`RunResult.opt`.
+    (:mod:`repro.opt`): the runner repairs the routed tree in place, each
+    group to its routed bound capped by this one, and reports before/after
+    quality in :attr:`RunResult.opt`.
     ``locus_tolerance`` loosens/tightens the off-locus placement check of
     ``validate_result`` (micrometres).  ``label`` is an optional caller-chosen
     tag carried through to the :class:`RunResult` -- useful for matching up

@@ -107,8 +107,16 @@ class ClockInstance:
         return bool(self.obstacles)
 
     def obstacle_set(self) -> ObstacleSet:
-        """The blockages as a queryable :class:`ObstacleSet` (possibly empty)."""
-        return ObstacleSet(self.obstacles)
+        """The blockages as a queryable :class:`ObstacleSet` (possibly empty).
+
+        One set per ``obstacles`` tuple, so the route, the repair and
+        validation share its detour memo.
+        """
+        cached = self.__dict__.get("_obstacle_set")
+        if cached is None or cached.rects is not self.obstacles:
+            cached = ObstacleSet(self.obstacles)
+            object.__setattr__(self, "_obstacle_set", cached)
+        return cached
 
     # ------------------------------------------------------------------
     # Derived instances

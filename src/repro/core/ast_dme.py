@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.opt.config import OptConfig
     from repro.opt.report import OptReport
 
 from repro.circuits.instance import ClockInstance, Sink
@@ -112,12 +111,6 @@ class AstDmeConfig:
     #: shared-group merges stay feasible; large values chase wirelength more
     #: aggressively.
     sdr_skew_budget: float = 0.45
-    #: Post-construction optimization (repro.opt): when set and enabled, the
-    #: router runs the configured pass pipeline -- detour-aware re-embedding,
-    #: skew repair via wire snaking, wirelength recovery -- on the finished
-    #: tree and attaches the OptReport to the RoutingResult.  ``None`` (the
-    #: default) keeps routing bit-identical to previous releases.
-    opt: Optional["OptConfig"] = None
 
     def __post_init__(self) -> None:
         # Written so NaN fails too; an infinite budget stays allowed.
@@ -182,6 +175,9 @@ class RoutingResult:
     #: greedy-DME baselines); consumers like the optimizer must then treat
     #: all sinks as one group.
     single_group: bool = False
+    #: The skew constraints the router enforced (on group 0 alone when
+    #: ``single_group``); the repair derives its bounds from them.
+    constraints: Optional[SkewConstraints] = None
 
     @property
     def wirelength(self) -> float:
@@ -312,19 +308,15 @@ class AstDme:
         loci = self.grow(
             tree, instance.sinks, instance.source, group_ids, stats, association, obstacles
         )
-
-        opt_report = self._run_opt(tree, constraints, obstacles, loci, single_group)
-
-        elapsed = time.perf_counter() - start
         return RoutingResult(
             tree=tree,
             instance=instance,
             stats=stats,
             association=association,
             loci=loci,
-            elapsed_seconds=elapsed,
-            opt=opt_report,
+            elapsed_seconds=time.perf_counter() - start,
             single_group=single_group,
+            constraints=constraints,
         )
 
     def grow(
@@ -642,28 +634,6 @@ class AstDme:
             loci=t_loci,
             first_id=first_id,
             source_id=source_id,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_opt(
-        self,
-        tree: ClockTree,
-        constraints: SkewConstraints,
-        obstacles,
-        loci: Dict[int, Trr],
-        single_group: bool,
-    ) -> Optional["OptReport"]:
-        """Run the configured post-construction optimizer, if any."""
-        if self.config.opt is None or not self.config.opt.enabled:
-            return None
-        from repro.opt.optimizer import Optimizer
-
-        return Optimizer(self.config.opt).optimize(
-            tree,
-            bound_for=constraints.bound_for,
-            obstacles=obstacles,
-            loci=loci,
-            single_group=single_group,
         )
 
 

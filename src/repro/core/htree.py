@@ -87,15 +87,11 @@ class HTreeRouter:
             return AstDme(self.config).route(instance, single_group=True)
         start = time.perf_counter()
         obstacles = instance.obstacle_set() if instance.has_obstacles else None
-        # Leaf routing must not run the optimizer; it is applied once, to the
-        # finished composite tree, below.
-        leaf_router = AstDme(replace(self.config, opt=None))
-
         region = self._build_region(list(instance.sinks), self.trunk_levels, 0, obstacles)
         tree = ClockTree(technology=instance.technology)
         loci: Dict[int, Trr] = {}
         stats = MergeStats()
-        top = self._realise(region, instance, tree, loci, stats, obstacles, leaf_router)
+        top = self._realise(region, instance, tree, loci, stats, obstacles)
         source_edge = self._distance(instance.source, top.location, obstacles)
         tree.add_source(instance.source, top.node_id, source_edge)
 
@@ -105,10 +101,6 @@ class HTreeRouter:
             # The trunk fixes every inter-group skew, exactly like a merge
             # that spans all groups at once.
             association.associate(groups[0], group)
-
-        opt_report = AstDme(self.config)._run_opt(
-            tree, self.config.constraints(), obstacles, loci, single_group=True
-        )
         return RoutingResult(
             tree=tree,
             instance=instance,
@@ -116,8 +108,8 @@ class HTreeRouter:
             association=association,
             loci=loci,
             elapsed_seconds=time.perf_counter() - start,
-            opt=opt_report,
             single_group=True,
+            constraints=self.config.constraints(),
         )
 
     # ------------------------------------------------------------------
@@ -189,13 +181,12 @@ class HTreeRouter:
         loci: Dict[int, Trr],
         stats: MergeStats,
         obstacles: Optional[ObstacleSet],
-        leaf_router: AstDme,
     ) -> _Handoff:
         if not region.children:
-            return self._realise_leaf(region, instance, tree, loci, stats, leaf_router)
+            return self._realise_leaf(region, instance, tree, loci, stats)
         tech = instance.technology
         parts = [
-            self._realise(child, instance, tree, loci, stats, obstacles, leaf_router)
+            self._realise(child, instance, tree, loci, stats, obstacles)
             for child in region.children
         ]
         center = region.center
@@ -234,7 +225,6 @@ class HTreeRouter:
         tree: ClockTree,
         loci: Dict[int, Trr],
         stats: MergeStats,
-        leaf_router: AstDme,
     ) -> _Handoff:
         sub = replace(
             instance,
@@ -242,7 +232,7 @@ class HTreeRouter:
             sinks=tuple(region.sinks),
             source=region.center,
         )
-        result = leaf_router.route(sub, single_group=True)
+        result = AstDme(self.config).route(sub, single_group=True)
         self._merge_stats(stats, result.stats)
         leaf_tree = result.tree
         leaf_root = leaf_tree.root()

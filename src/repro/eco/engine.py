@@ -31,15 +31,16 @@ subtrees back in unchanged:
    never enters them (and clean edges satisfy the detour check by step 1,
    so obstacle-aware embedding never extends them either).
 
-The stitched :class:`RoutingResult` carries ``max(base, rebuilt)`` as its
+The stitched :class:`RoutingResult` carries the base's constraints, which
+the re-merge holds, and ``max(base, rebuilt)`` as its
 ``stats.max_violation`` slack: intervals inherited from the base tree may
 already exceed the bound (post-detour, post-repair) and re-merges above the
 frontier bound the spreads they can actually control.  When the optional
 local repair is configured it runs only if the stitched tree violates a
-bound, and then holds every group to its own bound (the repair's
-``skew_bound_ps`` when set) -- the untouched-subtree bit-identity guarantee
-therefore holds exactly on the no-repair path (see docs/eco.md for the
-tolerance semantics).
+bound, through ``optimize_routing``, which holds every group to its own
+bound (the repair's ``skew_bound_ps`` when set) -- the untouched-subtree
+bit-identity guarantee therefore holds exactly on the no-repair path (see
+docs/eco.md for the tolerance semantics).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
 from repro.cts.tree import ClockTree
 from repro.delay.elmore import subtree_summary
-from repro.eco.delta import EcoDelta, EcoDeltaError
+from repro.eco.delta import EcoDelta
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.trr import Trr
 from repro.obs.trace import get_tracer
@@ -83,11 +84,11 @@ class EcoConfig:
 
     ``router`` configures the re-merge of the rebuilt cone exactly like a
     full :class:`~repro.core.ast_dme.AstDme` run (merging order, snaking,
-    SDR budget).  ``repair`` optionally enables the local
-    post-stitch optimizer: it runs only when the stitched tree violates a
-    skew bound, and then holds every group to its own bound, so the
-    untouched-subtree bit-identity guarantee survives whenever no repair is
-    needed.
+    SDR budget; its bound holds only for a base without constraints).
+    ``repair`` optionally enables the local post-stitch optimizer: it runs
+    only when the stitched tree violates a skew bound, and then holds every
+    group to its own bound, so the untouched-subtree bit-identity guarantee
+    survives whenever no repair is needed.
     """
 
     router: AstDmeConfig = field(default_factory=AstDmeConfig)
@@ -177,8 +178,8 @@ def eco_reroute(
             local repair; should mirror the configuration the base was
             routed with so the stitched tree is what a full re-run would aim
             for.
-        constraints: explicit per-group skew bounds; defaults to the uniform
-            bound of ``config.router``.
+        constraints: explicit per-group skew bounds; defaults to
+            ``base.constraints``, else the uniform bound of ``config.router``.
 
     Raises:
         EcoDeltaError: when the delta does not apply to the base instance.
@@ -190,7 +191,7 @@ def eco_reroute(
     new_instance = delta.apply(instance)
     tech = instance.technology
     single_group = getattr(base, "single_group", False)
-    constraints = constraints or config.router.constraints()
+    constraints = constraints or base.constraints or config.router.constraints()
     tree = base.tree
 
     removed_ids = set(delta.remove)
@@ -360,11 +361,20 @@ def eco_reroute(
     # stitched result must see it, exactly as it would on the base.
     stats.max_violation = max(stats.max_violation, base.stats.max_violation)
 
+    routing = RoutingResult(
+        tree=new_tree,
+        instance=new_instance,
+        stats=stats,
+        association=association,
+        loci=new_loci,
+        elapsed_seconds=0.0,
+        single_group=single_group,
+        constraints=constraints,
+    )
     with tracer.span("eco.repair") as repair_span:
-        opt_report, repaired = _repair_if_violating(
-            new_tree, config, constraints, obstacles, new_loci, single_group
-        )
+        repaired = _repair_if_violating(routing, config.repair)
         repair_span.set(repaired=repaired)
+    routing.elapsed_seconds = time.perf_counter() - start
 
     eco_stats = EcoStats(
         sinks_added=len(delta.add),
@@ -378,16 +388,6 @@ def eco_reroute(
         rebuilt_nodes=len(new_tree) - reused,
         repaired=repaired,
         preserved_roots=preserved_roots,
-    )
-    routing = RoutingResult(
-        tree=new_tree,
-        instance=new_instance,
-        stats=stats,
-        association=association,
-        loci=new_loci,
-        elapsed_seconds=time.perf_counter() - start,
-        opt=opt_report,
-        single_group=single_group,
     )
     return EcoOutcome(routing=routing, eco=eco_stats)
 
@@ -450,37 +450,21 @@ def _sink_nodes_by_id(tree: ClockTree, wanted: Set[int]) -> Dict[int, int]:
     return mapping
 
 
-def _repair_if_violating(
-    tree: ClockTree,
-    config: EcoConfig,
-    constraints: SkewConstraints,
-    obstacles: Optional[ObstacleSet],
-    loci: Dict[int, Trr],
-    single_group: bool,
-):
-    """Run the local repair when (and only when) the stitched tree violates.
+def _repair_if_violating(routing: RoutingResult, repair: Optional[OptConfig]) -> bool:
+    """Repair ``routing`` in place when (and only when) it violates a bound.
 
-    The repair holds every group to the bound the optimizer resolves
-    (``OptConfig.skew_bound_ps`` when set, else ``constraints.bound_for``),
-    so while it fixes the violating groups it must keep the others within
-    theirs; the violation check uses that same bound.  Returns
-    ``(opt_report, repaired)``.
+    The gate checks each group against the bound the repair holds it to
+    (``Optimizer.resolve_bound``), so the repair fixes the violating groups
+    while keeping the others within theirs.  Returns whether it ran.
     """
-    if config.repair is None or not config.repair.enabled:
-        return None, False
-    from repro.opt.optimizer import Optimizer
+    if repair is None or not repair.enabled:
+        return False
+    from repro.opt.optimizer import Optimizer, optimize_routing
 
-    optimizer = Optimizer(config.repair)
-    bound_for = optimizer.resolve_bound(constraints.bound_for)
-    report = skew_report(tree)
-    spreads = {0: report.global_skew} if single_group else report.per_group_skew
+    bound_for = Optimizer(repair).resolve_bound(routing.constraints.bound_for)
+    report = skew_report(routing.tree)
+    spreads = {0: report.global_skew} if routing.single_group else report.per_group_skew
     if all(skew <= bound_for(group) + _REPAIR_TOL for group, skew in spreads.items()):
-        return None, False
-    opt_report = optimizer.optimize(
-        tree,
-        bound_for=bound_for,
-        obstacles=obstacles,
-        loci=loci,
-        single_group=single_group,
-    )
-    return opt_report, True
+        return False
+    routing.opt = optimize_routing(routing, repair)
+    return True

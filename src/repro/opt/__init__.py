@@ -20,7 +20,9 @@ Passes implement the :class:`OptPass` protocol and live in a string-keyed
 registry (``register_pass`` / ``available_passes``); the :class:`Optimizer`
 iterates a configured pipeline to convergence and reports per-pass statistics
 in an :class:`OptReport`.  Everything is driven by a serialisable
-:class:`OptConfig` that rides inside ``AstDmeConfig`` and ``RunSpec``.
+:class:`OptConfig` (``RunSpec.opt``, ``EcoConfig.repair``), and every repair
+of a routed result goes through :func:`optimize_routing`, which holds each
+group to the bound the result was routed against.
 """
 
 from repro.opt.base import (

@@ -1,10 +1,11 @@
 """Configuration of the post-construction tree optimizer.
 
 :class:`OptConfig` is a frozen, JSON-round-trippable block that rides along
-inside :class:`~repro.core.ast_dme.AstDmeConfig` (library users) and
-:class:`~repro.api.spec.RunSpec` (the api facade / CLI / service).  It
-deliberately has no heavy imports so that spec modules can depend on it
-without pulling the optimizer machinery in.
+inside :class:`~repro.api.spec.RunSpec` (the api facade / CLI / service) and
+:class:`~repro.eco.engine.EcoConfig`; library users pass it to
+:func:`~repro.opt.optimizer.optimize_routing`.  It deliberately has no heavy
+imports so that spec modules can depend on it without pulling the optimizer
+machinery in.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ class OptConfig:
     #: Outer iterations of the pipeline (each pass sees the others' output).
     max_iterations: int = 5
     #: Skew bound the repair targets, in picoseconds, for every group.  Wins
-    #: over the caller's bound (the router config, the run spec or the ECO
-    #: constraints), which holds when ``None``; the rule lives in
-    #: ``Optimizer.resolve_bound``.
+    #: over the bounds the result was routed against, which hold when
+    #: ``None``; the rule lives in ``Optimizer.resolve_bound``.
     skew_bound_ps: Optional[float] = None
     #: Fraction of the skew bound the repair aims for, leaving headroom for
     #: the capacitive cross-coupling that snaking introduces.

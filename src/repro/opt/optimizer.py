@@ -40,19 +40,35 @@ class Optimizer:
 
     # ------------------------------------------------------------------
     def resolve_bound(
-        self, bound_for: Optional[Callable[[int], float]]
+        self,
+        bound_for: Optional[Callable[[int], float]] = None,
+        intra_bound_ps: Optional[float] = None,
     ) -> Callable[[int], float]:
-        """The per-group bound the repair targets, in internal units.
+        """The per-group bound the repair holds, in internal units.
 
-        ``OptConfig.skew_bound_ps`` wins when set, uniformly for every group;
-        otherwise the caller's ``bound_for`` holds.
+        The one bound rule:
+
+        1. ``OptConfig.skew_bound_ps``, when set, holds every group.
+        2. Otherwise each group takes its routed bound ``bound_for(group)``,
+           capped by the validation bound ``intra_bound_ps``.
+        3. A group routed at zero skew takes the validation bound.
+        4. Without ``bound_for`` every group takes the validation bound; with
+           neither bound this raises ``ValueError``.
         """
         if self.config.skew_bound_ps is not None:
             bound = Technology.ps_to_internal(self.config.skew_bound_ps)
             return lambda group: bound
+        if intra_bound_ps is None:
+            if bound_for is None:
+                raise ValueError(
+                    "no skew bound: set OptConfig.skew_bound_ps, pass a "
+                    "validation bound or route with constraints"
+                )
+            return bound_for
+        cap = Technology.ps_to_internal(float(intra_bound_ps))
         if bound_for is None:
-            raise ValueError("no skew bound: set OptConfig.skew_bound_ps or pass bound_for")
-        return bound_for
+            return lambda group: cap
+        return lambda group: min(bound_for(group) or cap, cap)
 
     def optimize(
         self,
@@ -66,8 +82,8 @@ class Optimizer:
 
         Args:
             tree: the embedded :class:`~repro.cts.tree.ClockTree`.
-            bound_for: the caller's per-group skew bound in internal units;
-                the config's ``skew_bound_ps`` wins over it when set (see
+            bound_for: the per-group skew bound in internal units; the
+                config's ``skew_bound_ps`` wins over it when set (see
                 :meth:`resolve_bound`).
             obstacles: routing blockages of the instance, if any.
             loci: per-node placement loci (required for re-embedding moves).
@@ -247,22 +263,23 @@ def _oracle_max_diff(ctx: OptContext) -> float:
 def optimize_routing(result, config: OptConfig, intra_bound_ps: Optional[float] = None):
     """Optimize a :class:`~repro.core.ast_dme.RoutingResult` in place.
 
-    The convenience wrapper the api runner and the CLI use: derives the
-    obstacle set, the loci and the grouping semantics (a result routed with
-    the instance's grouping disabled -- the EXT-BST / greedy-DME baselines --
-    is repaired as one group, matching the bound the router enforced) from
-    the result, holds every group to ``intra_bound_ps`` unless
-    ``config.skew_bound_ps`` is set (:meth:`Optimizer.resolve_bound`) and
-    returns the :class:`OptReport`.
+    The one repair entry: the api runner, the CLI and the ECO engine repair
+    through it.  It derives the obstacle set, the loci and the grouping
+    semantics (a result routed with the instance's grouping disabled -- the
+    EXT-BST / greedy-DME baselines -- is repaired as one group) from the
+    result, and each group's bound from the constraints the result was routed
+    against, capped by the validation bound ``intra_bound_ps``
+    (:meth:`Optimizer.resolve_bound`).  Returns the :class:`OptReport`.
     """
-    bound_for = None
-    if intra_bound_ps is not None:
-        bound = Technology.ps_to_internal(float(intra_bound_ps))
-        bound_for = lambda group: bound  # noqa: E731 - trivial closure
+    optimizer = Optimizer(config)
+    constraints = getattr(result, "constraints", None)
+    bound_for = optimizer.resolve_bound(
+        None if constraints is None else constraints.bound_for, intra_bound_ps
+    )
     obstacles = (
         result.instance.obstacle_set() if result.instance.has_obstacles else None
     )
-    return Optimizer(config).optimize(
+    return optimizer.optimize(
         result.tree,
         bound_for=bound_for,
         obstacles=obstacles,

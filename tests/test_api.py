@@ -60,13 +60,14 @@ class TestRegistry:
 
     @pytest.mark.parametrize("router", ["ast-dme", "greedy-dme", "ext-bst"])
     def test_removed_tree_backend_option_rejected(self, router):
-        # Specs written while the object merge loop and the oracle neighbour
-        # engines existed still parse; each removed option now fails like any
-        # other unknown one.
+        # Specs written while the object merge loop, the oracle neighbour
+        # engines and router-level repair existed still parse; each removed
+        # option now fails like any other unknown one.
         for option, value in (
             ("tree_backend", "object"),
             ("neighbor_strategy", "scalar"),
             ("staleness_threshold", 0.25),
+            ("opt", {"enabled": True}),
         ):
             spec = RouterSpec.from_dict({"name": router, "options": {option: value}})
             with pytest.raises(ValueError, match=r"unknown router options \['%s'\]" % option):

@@ -39,6 +39,7 @@ from repro.eco import EcoConfig, EcoDelta, SinkAdd, SinkMove, eco_reroute
 from repro.geometry.obstacles import ObstacleSet, Rect
 from repro.geometry.point import Point
 from repro.opt.config import OptConfig
+from repro.opt.optimizer import optimize_routing
 from tests.test_merge_loop_golden import tree_digest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "construction.json"
@@ -79,10 +80,11 @@ def _summary(routing):
 def compute_htree(name):
     """The pinned summary of one h-tree route, as a JSON-ready dict."""
     instance, levels, opt = HTREE_ROUTES[name]
-    config = AstDmeConfig(
-        skew_bound_ps=BOUND_PS, opt=OptConfig(enabled=True) if opt else None
-    )
-    return _summary(HTreeRouter(config, trunk_levels=levels).route(INSTANCES[instance]()))
+    config = AstDmeConfig(skew_bound_ps=BOUND_PS)
+    routing = HTreeRouter(config, trunk_levels=levels).route(INSTANCES[instance]())
+    if opt:
+        optimize_routing(routing, OptConfig(enabled=True))
+    return _summary(routing)
 
 
 def blockage_delta(routing, rng):

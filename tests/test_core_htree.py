@@ -14,6 +14,7 @@ from repro.delay.elmore import sink_delays
 from repro.delay.technology import Technology
 from repro.geometry.point import Point
 from repro.opt.config import OptConfig
+from repro.opt.optimizer import optimize_routing
 
 
 def route_htree(instance, trunk_levels=2, **config_kwargs):
@@ -88,9 +89,8 @@ class TestRouting:
         spec = InstanceSpec.from_family("blocked", num_sinks=80, seed=2, groups=2)
         instance = spec.build()
         obstacles = instance.obstacle_set()
-        result = route_htree(
-            instance, opt=OptConfig(enabled=True, skew_bound_ps=10.0)
-        )
+        result = route_htree(instance)
+        optimize_routing(result, OptConfig(enabled=True, skew_bound_ps=10.0))
         assert validate_result(result, intra_bound_ps=10.0) == []
         for node in result.tree.nodes():
             if node.location is not None:

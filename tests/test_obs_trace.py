@@ -299,6 +299,14 @@ class TestOptPassSpans:
         counts = [span["attrs"]["detours_computed"] for span in spans]
         assert all(isinstance(count, int) and count >= 0 for count in counts)
         assert sum(counts) > 0
+        by_pass = {name: 0 for name in BUFFERED_PASSES}
+        for span in spans:
+            by_pass[span["attrs"]["pass_name"]] += span["attrs"]["detours_computed"]
+        # The instance's one obstacle set already holds the route's detours,
+        # so the first pass computes none; re-embedding moves merge points
+        # and computes the detours of their new edges.
+        assert by_pass["buffer-insert"] == 0
+        assert by_pass["reembed"] > 0
 
     def test_obstacle_free_repair_computes_no_detours(self):
         spans = self._opt_spans(InstanceSpec.from_random(60, seed=3, groups=4))

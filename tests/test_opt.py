@@ -11,7 +11,6 @@ from repro.analysis.validate import validate_result
 from repro.api.registry import RouterSpec
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
-from repro.core.ast_dme import AstDme, AstDmeConfig
 from repro.delay.elmore import sink_delays, subtree_capacitances
 from repro.delay.technology import Technology
 from repro.opt import (
@@ -227,6 +226,7 @@ class TestOptimizer:
 
     def test_missing_bound_everywhere_raises(self):
         result = run(_blocked_spec(num_sinks=40, groups=1), keep_tree=True)
+        result.routing.constraints = None
         with pytest.raises(ValueError, match="skew bound"):
             optimize_routing(result.routing, OptConfig(enabled=True))
 
@@ -574,27 +574,6 @@ class TestApiIntegration:
         assert repaired.ok
         assert repaired.wirelength <= plain.wirelength
         assert repaired.skew.global_skew_ps <= 10.0 + 1e-6
-
-    def test_engine_level_opt_config_through_registry(self):
-        spec = RunSpec(
-            instance=InstanceSpec.from_family("blocked", 80, seed=1, groups=8),
-            router=RouterSpec(
-                "ast-dme",
-                {"skew_bound_ps": 10.0, "opt": {"enabled": True}},
-            ),
-            validate=True,
-        )
-        result = run(spec, keep_tree=True)
-        assert result.routing.opt is not None
-        assert result.opt is not None  # surfaced from the engine, not re-run
-        assert result.opt.skew_violations_after == 0
-
-    def test_engine_level_opt_direct(self):
-        instance = InstanceSpec.from_family("blocked", 80, seed=1, groups=8).build()
-        config = AstDmeConfig(opt=OptConfig(enabled=True))
-        result = AstDme(config).route(instance)
-        assert result.opt is not None
-        assert result.opt.skew_violations_after == 0
 
     def test_locus_tolerance_threads_through_validation(self, blocked_routing):
         # An artificially displaced node fails the default tolerance and

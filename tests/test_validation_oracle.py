@@ -162,6 +162,14 @@ class TestValidatorMatchesReference:
         assert_matches_reference(routed("large"), corruption, pick=7)
 
     @pytest.mark.parametrize("kind", ["random", "blocked", "buffered", "large"])
+    def test_forged_blockage_is_flagged(self, kind):
+        """The blockage corruption forges onto a copy of an instance whose
+        obstacle set may already be built; validation must see the forged
+        blockage, or the sweeps above pass without checking it."""
+        issues = validate_result(corrupted(routed(kind), "blockage", pick=7))
+        assert any(issue.code == "blockage" for issue in issues)
+
+    @pytest.mark.parametrize("kind", ["random", "blocked", "buffered", "large"])
     def test_stale_snapshot_shows_up_as_delay_issues(self, kind):
         issues = validate_result(corrupted(routed(kind), "stale", pick=7))
         assert issues and {issue.code for issue in issues} == {"delay"}
