@@ -19,8 +19,9 @@ cache shows up as ``delay`` issues.  Delays are undefined off the root's tree,
 so a disconnected or cyclic tree skips only the delay and skew checks.
 
 ``validate_result`` additionally checks the routing result's bookkeeping
-(loci containing the embedded locations, intra-group skew within the
-configured bound).  ``validate_routes`` checks realised rectilinear paths
+(loci containing the embedded locations, each group's intra-group skew within
+the bound it was routed against, capped by the validation bound).
+``validate_routes`` checks realised rectilinear paths
 (:func:`repro.cts.routing.route_edges` output) segment by segment against an
 obstacle set.
 """
@@ -35,6 +36,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from repro.analysis.skew import skew_report
+from repro.core.group_constraints import capped_bounds
 from repro.cts.arena import SINK_KIND, SOURCE_KIND, TreeArena
 from repro.delay.elmore import arena_elmore
 from repro.delay.rc_tree import arena_oracle_delays
@@ -133,8 +135,13 @@ def validate_result(
 
     Args:
         result: the routing result to check.
-        intra_bound_ps: when given, the intra-group skew of every group must
-            not exceed this bound (in picoseconds, as in the paper).
+        intra_bound_ps: when given (in picoseconds, as in the paper), every
+            group's intra-group skew must stay within its bound: the bound
+            the result was routed against (``result.constraints``) capped by
+            this one, or this one for a group routed at zero skew and for a
+            result without constraints
+            (:func:`~repro.core.group_constraints.capped_bounds`, the rule the
+            repair holds).
         locus_tolerance: geometric tolerance (micrometres) applied to the
             off-locus placement checks.
     """
@@ -169,15 +176,26 @@ def validate_result(
         )
     if intra_bound_ps is not None and is_tree:
         report = skew_report(result.tree)
-        bound = Technology.ps_to_internal(intra_bound_ps)
+        constraints = getattr(result, "constraints", None)
+        routed = None
+        if constraints is not None:
+            # A single-group run held every sink to group 0's bound.
+            single = getattr(result, "single_group", False)
+            routed = (lambda group: constraints.bound_for(0)) if single else constraints.bound_for
+        bound_for = capped_bounds(routed, Technology.ps_to_internal(intra_bound_ps))
         slack = max(result.stats.max_violation, 0.0)
         for group, skew in report.per_group_skew.items():
+            bound = bound_for(group)
             if skew > bound + 2.0 * slack + 1e-3:
                 issues.append(
                     ValidationIssue(
                         "skew",
                         "group %r intra-group skew %.3f ps exceeds the %.3f ps bound"
-                        % (group, Technology.internal_to_ps(skew), intra_bound_ps),
+                        % (
+                            group,
+                            Technology.internal_to_ps(skew),
+                            Technology.internal_to_ps(bound),
+                        ),
                     )
                 )
     return issues

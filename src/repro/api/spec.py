@@ -315,13 +315,15 @@ class RunSpec:
     locus_tolerance: Optional[float] = None
 
     def effective_bound_ps(self) -> float:
-        """The intra-group bound used for validation.
+        """The validation bound: the cap on every group's routed bound.
 
         Falls back to the router's configured bounds: with the ast-dme
         ``per_group_bounds_ps`` / ``default_bound_ps`` shorthands in play the
-        loosest configured bound is used (validation then never false-flags a
-        group routed against a looser per-group bound), otherwise
-        ``skew_bound_ps`` (default 10 ps, as in the paper).
+        loosest configured bound is used (so it caps no group below the bound
+        it was routed against), otherwise ``skew_bound_ps`` (default 10 ps, as
+        in the paper).  Validation and repair hold each group to its routed
+        bound capped by this one
+        (:func:`~repro.core.group_constraints.capped_bounds`).
         """
         if self.intra_bound_ps is not None:
             return self.intra_bound_ps

@@ -10,7 +10,7 @@ sink groupings:
 
 The original benchmark files are not redistributable, so
 :mod:`repro.circuits.r_circuits` generates synthetic instances with the same
-sink counts, layout scale and electrical parameters (see DESIGN.md for the
+sink counts, layout scale and electrical parameters (its docstring gives the
 substitution rationale).  Instances can be saved to / loaded from a simple
 text format for reproducibility.
 """

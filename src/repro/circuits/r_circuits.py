@@ -6,8 +6,6 @@ here, so this module generates synthetic instances with the same *structural*
 parameters -- sink counts, layout scale, load range, interconnect technology --
 which is what the routing algorithms actually consume.  Each circuit uses a
 fixed seed so every run of the experiments sees identical instances.
-
-See DESIGN.md ("Substitutions") for why this preserves the paper's comparison.
 """
 
 from __future__ import annotations

@@ -35,10 +35,12 @@ The merge loop holds the active subtrees as struct-of-arrays rows
     (entries are zero and never read where the mask is False).
 
 The merges of an unconstrained (cross-group) pair keep their split along the
-corridor pending until the merged subtree's next partner is known; see
-:func:`repro.core.merge_batch.resolve_split`.  The built nodes accumulate in
-flat arrays indexed by node id (:class:`MergedTree`) and are added to a
-:class:`~repro.cts.tree.ClockTree` once, at the end.
+corridor pending until the merged subtree's next partner is known.  Each pass
+resolves its pending splits in two calls of
+:func:`repro.core.merge_batch.resolve_split`, the a-sides first, from a table
+of the live pendings that row ``i`` reaches through ``slot[i]``.  The built
+nodes accumulate in flat arrays indexed by node id (:class:`MergedTree`) and
+are added to a :class:`~repro.cts.tree.ClockTree` once, at the end.
 
 Running the router with ``single_group=True`` ignores the instance's grouping
 and yields the conventional bounded-skew (EXT-BST) or zero-skew (greedy-DME)
@@ -48,6 +50,7 @@ trees used as baselines in the paper's tables.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -59,9 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.circuits.instance import ClockInstance, Sink
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
 from repro.core.merge_batch import (
-    ArenaPending,
     CASE_LABELS,
     DISJOINT_CODE,
+    BatchMergePlan,
+    merge_loci,
     plan_merges,
     resolve_split,
 )
@@ -85,7 +89,6 @@ __all__ = [
     "point_loci",
 ]
 
-_EPS = 1e-9  # Trr intersection tolerance (repro.geometry.trr._EPS)
 _TOL = 1e-6  # embedding edge-length tolerance (repro.cts.embedding._TOL)
 
 
@@ -419,7 +422,6 @@ class AstDme:
         r = tech.unit_resistance
         c = tech.unit_capacitance
         group_ids = rows.group_ids
-        num_groups = len(group_ids)
         bounds = np.array([constraints.bound_for(g) for g in group_ids], dtype=np.float64)
 
         loci = rows.loci
@@ -428,7 +430,9 @@ class AstDme:
         present = rows.present
         node_id = rows.node_id
         m = int(node_id.shape[0])
-        pending: List[Optional[ArenaPending]] = [None] * m
+        # Row i's pending split is table entry slot[i] (-1: none).
+        slot = np.full(m, -1, dtype=np.int64)
+        table = None
 
         # The built nodes: m - 1 merges and the source, after the first_id
         # nodes the rows refer to.
@@ -443,49 +447,25 @@ class AstDme:
         selector = config.order_policy().make_selector()
         want_bias = config.delay_target_weight > 0.0
 
-        def _resolve_row(i: int, target_row: np.ndarray) -> None:
-            """Resolve row ``i``'s pending split towards ``target_row``.
-
-            The useful-skew budget is a fraction of the tightest bound among
-            the row's groups, so two independently resolved commitments of
-            the same group pair can still be reconciled within the bound when
-            their subtrees later merge.
-            """
-            p = pending[i]
-            tightest = float(bounds[present[i]].min())
-            budget = config.sdr_skew_budget * tightest
+        def _resolve(rows_i: np.ndarray, targets: np.ndarray) -> None:
+            """Resolve the pending splits of rows ``rows_i`` towards ``targets``."""
+            p = _Pendings._make(column[slot[rows_i]] for column in table)
             d = p.distance
             split = resolve_split(
-                p.locus_a, p.locus_b, d, p.cap_a, p.cap_b, p.balance_split,
-                target_row, r, c, budget,
+                p.locus_a, p.locus_b, d, p.cap_a, p.cap_b, p.balance, targets, r, c, p.budget
             )
-            split_c = min(max(split, 0.0), d)
-            ea = max(split_c, 0.0)
-            eb = max(d - split_c, 0.0)
-            la = p.locus_a
-            lb = p.locus_b
-            ulo = max(la[0] - ea, lb[0] - eb)
-            uhi = min(la[1] + ea, lb[1] + eb)
-            vlo = max(la[2] - ea, lb[2] - eb)
-            vhi = min(la[3] + ea, lb[3] + eb)
-            if uhi < ulo - _EPS or vhi < vlo - _EPS:  # pragma: no cover - defensive
-                raise RuntimeError("pending split produced an empty locus")
-            uhi = max(uhi, ulo)
-            vhi = max(vhi, vlo)
-            loci[i, 0] = ulo
-            loci[i, 1] = uhi
-            loci[i, 2] = vlo
-            loci[i, 3] = vhi
+            split_c = np.minimum(np.maximum(split, 0.0), d)
+            resolved = merge_loci(p.locus_a, p.locus_b, split_c, d - split_c)
             delay_a = r * split_c * (c * split_c / 2.0 + p.cap_a)
             delay_b = r * (d - split_c) * (c * (d - split_c) / 2.0 + p.cap_b)
-            row = delays[i]
-            row[:] = 0.0
-            row[p.present_a] = p.delays_a[p.present_a] + delay_a
-            row[p.present_b] = p.delays_b[p.present_b] + delay_b
-            t_edge[p.child_a_id] = split
-            t_edge[p.child_b_id] = d - split
-            t_loci[node_id[i]] = loci[i]
-            pending[i] = None
+            shift = np.where(p.side_a, delay_a[:, None], delay_b[:, None])
+            loci[rows_i] = resolved
+            delays[rows_i] = np.where(
+                present[rows_i][:, :, None], p.delays + shift[:, :, None], 0.0
+            )
+            t_edge[p.child_a] = split
+            t_edge[p.child_b] = d - split
+            t_loci[node_id[rows_i]] = resolved
 
         tracer = get_tracer()
         while m > 1:
@@ -508,19 +488,18 @@ class AstDme:
 
                 merge_start = time.perf_counter()
                 with tracer.span("dme.merge") as merge_span:
-                    # Spend deferred cross-group freedom now that the partners
-                    # are known, sequentially in pair order: each side resolves
-                    # towards the partner's current (possibly just updated)
-                    # locus.
-                    for ia, ib in pairs:
-                        if pending[ia] is not None:
-                            _resolve_row(ia, loci[ib])
-                        if pending[ib] is not None:
-                            _resolve_row(ib, loci[ia])
-
                     num_pairs = len(pairs)
                     a_idx = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=num_pairs)
                     b_idx = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=num_pairs)
+                    # Spend deferred cross-group freedom now that the partners
+                    # are known: the a-sides towards their partners' loci, then
+                    # the b-sides towards the a-sides' updated loci.  The pairs
+                    # are disjoint, so this is the pair-sequential order.
+                    for side, partner in ((a_idx, b_idx), (b_idx, a_idx)):
+                        waiting = slot[side] >= 0
+                        if waiting.any():
+                            _resolve(side[waiting], loci[partner[waiting]])
+
                     plan = plan_merges(
                         loci[a_idx],
                         loci[b_idx],
@@ -548,55 +527,28 @@ class AstDme:
                     t_edge[cb_ids] = plan.eb
                     t_loci[new_ids] = plan.locus
                     next_id += num_pairs
+                    _record_pass(stats, plan)
+                    _associate(association, present[a_idx], present[b_idx], group_ids)
 
-                    # Statistics, group association and new pendings, in pair order.
-                    case_list = plan.case_codes.tolist()
-                    snaked_list = plan.snaked.tolist()
-                    detour_list = plan.detour.tolist()
-                    viol_list = plan.violation.tolist()
-                    ea_list = plan.ea.tolist()
-                    dist_list = plan.distance.tolist()
-                    by_case = stats.merges_by_case
-                    new_pending: List[Optional[ArenaPending]] = [None] * num_pairs
-                    for t in range(num_pairs):
-                        label = CASE_LABELS[case_list[t]]
-                        by_case[label] = by_case.get(label, 0) + 1
-                        if snaked_list[t]:
-                            stats.snaked_merges += 1
-                            stats.total_detour += detour_list[t]
-                        stats.max_violation = max(stats.max_violation, viol_list[t])
-                        ia = int(a_idx[t])
-                        ib = int(b_idx[t])
-                        # Every group of both sides is now associated with the
-                        # smallest group of side a.
-                        if num_groups == 1:
-                            association.associate(group_ids[0], group_ids[0])
-                        else:
-                            ga = [group_ids[k] for k in np.flatnonzero(present[ia]).tolist()]
-                            gb = [group_ids[k] for k in np.flatnonzero(present[ib]).tolist()]
-                            anchor = ga[0]
-                            for g in ga[1:]:
-                                association.associate(anchor, g)
-                            for g in gb:
-                                association.associate(anchor, g)
-                        if case_list[t] == DISJOINT_CODE and not snaked_list[t]:
-                            new_pending[t] = ArenaPending(
-                                child_a_id=int(ca_ids[t]),
-                                child_b_id=int(cb_ids[t]),
-                                locus_a=loci[ia].copy(),
-                                locus_b=loci[ib].copy(),
-                                distance=dist_list[t],
-                                cap_a=float(cap[ia]),
-                                cap_b=float(cap[ib]),
-                                delays_a=delays[ia].copy(),
-                                delays_b=delays[ib].copy(),
-                                present_a=present[ia].copy(),
-                                present_b=present[ib].copy(),
-                                balance_split=ea_list[t],
-                            )
+                    # New pendings.  The budget is a fraction of the tightest
+                    # bound among the merged groups, so two independently
+                    # resolved commitments of a group pair can still be
+                    # reconciled within the bound when their subtrees merge.
+                    is_fresh = (plan.case_codes == DISJOINT_CODE) & ~plan.snaked
+                    fresh = np.flatnonzero(is_fresh)
+                    ia, ib = a_idx[fresh], b_idx[fresh]
+                    tightest = np.where(plan.present[fresh], bounds, np.inf).min(axis=1)
+                    with np.errstate(invalid="ignore"):  # an infinite budget times 0
+                        budget = config.sdr_skew_budget * tightest
+                    fresh_table = _Pendings(
+                        ca_ids[fresh], cb_ids[fresh], loci[ia], loci[ib],
+                        plan.distance[fresh], cap[ia], cap[ib], plan.ea[fresh], budget,
+                        np.where(present[ia][:, :, None], delays[ia], delays[ib]),
+                        present[ia],
+                    )
 
                     # Compact: survivors keep their order, merged rows append
-                    # in pair order.
+                    # in pair order.  The table holds its entries in row order.
                     keep_mask = np.ones(m, dtype=bool)
                     keep_mask[a_idx] = False
                     keep_mask[b_idx] = False
@@ -606,16 +558,22 @@ class AstDme:
                     delays = np.concatenate((delays[keep], plan.delays))
                     present = np.concatenate((present[keep], plan.present))
                     node_id = np.concatenate((node_id[keep], new_ids))
-                    pending = [pending[k] for k in keep.tolist()] + new_pending
+                    kept = slot[keep]
+                    table = fresh_table if table is None else _Pendings._make(
+                        np.concatenate((old[kept[kept >= 0]], new))
+                        for old, new in zip(table, fresh_table)
+                    )
+                    waiting = np.concatenate((kept >= 0, is_fresh))
+                    slot = np.where(waiting, np.cumsum(waiting) - 1, -1)
                     m = int(node_id.shape[0])
                     merge_span.add("nodes_merged", 2 * num_pairs)
                 stats.merge_seconds += time.perf_counter() - merge_start
 
         # Source connection.
-        if pending[0] is not None:
+        if slot[0] >= 0:
             su = source.x + source.y
             sv = source.x - source.y
-            _resolve_row(0, np.array([su, su, sv, sv], dtype=np.float64))
+            _resolve(np.zeros(1, dtype=np.int64), np.array([[su, su, sv, sv]]))
         root = loci[0]
         root_trr = Trr(float(root[0]), float(root[1]), float(root[2]), float(root[3]))
         source_id = next_id
@@ -635,6 +593,44 @@ class AstDme:
             first_id=first_id,
             source_id=source_id,
         )
+
+
+#: The live pending splits of :meth:`AstDme.merge_rows`, one entry each: the
+#: free split of an unconstrained merge, kept until the merged subtree's next
+#: partner is known.  ``balance`` is the delay-balanced split and ``budget``
+#: the useful-skew budget; ``delays`` holds both children's ``(P, G, 2)``
+#: intervals, side a's groups where ``side_a`` (the sides share no group).
+_Pendings = namedtuple(
+    "_Pendings",
+    "child_a child_b locus_a locus_b distance cap_a cap_b balance budget delays side_a",
+)
+
+
+def _record_pass(stats: MergeStats, plan: BatchMergePlan) -> None:
+    """Count one pass's merges into ``stats``, as if one pair at a time."""
+    codes, first_seen, counts = np.unique(plan.case_codes, return_index=True, return_counts=True)
+    for k in np.argsort(first_seen).tolist():
+        label = CASE_LABELS[codes[k]]
+        stats.merges_by_case[label] = stats.merges_by_case.get(label, 0) + int(counts[k])
+    stats.snaked_merges += int(np.count_nonzero(plan.snaked))
+    for detour in plan.detour[plan.snaked].tolist():
+        stats.total_detour += detour
+    stats.max_violation = max(stats.max_violation, float(plan.violation.max()))
+
+
+def _associate(association: GroupAssociation, present_a, present_b, group_ids) -> None:
+    """Associate every group of each merge with the smallest group of side a:
+    once per distinct pair of presence masks, in first occurrence order (a
+    repeated pattern joins no class), and not once all groups form one class."""
+    if association.num_classes == 1 and all(g in association for g in group_ids):
+        return
+    masks = np.packbits(np.concatenate((present_a, present_b), axis=1), axis=1)
+    keys = masks.view(np.dtype((np.void, masks.shape[1]))).ravel()
+    for t in np.sort(np.unique(keys, return_index=True)[1]).tolist():
+        sides = (present_a[t], present_b[t])
+        groups = [group_ids[k] for side in sides for k in np.flatnonzero(side).tolist()]
+        for group in groups[1:]:
+            association.associate(groups[0], group)
 
 
 def _embed_levels(

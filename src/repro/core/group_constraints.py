@@ -12,11 +12,11 @@ as cross-group merges happen, which the experiments report as a by-product
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.delay.technology import Technology
 
-__all__ = ["SkewConstraints", "GroupAssociation"]
+__all__ = ["SkewConstraints", "GroupAssociation", "capped_bounds"]
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,17 @@ class SkewConstraints:
         )
 
 
+def capped_bounds(bound_for: Optional[Callable[[int], float]], cap: float) -> Callable:
+    """Each group's routed bound ``bound_for(group)`` capped by ``cap``.
+
+    A group routed at zero skew, and every group without ``bound_for``, takes
+    ``cap``.  Repair and validation both hold groups to these bounds.
+    """
+    if bound_for is None:
+        return lambda group: cap
+    return lambda group: min(bound_for(group) or cap, cap)
+
+
 class GroupAssociation:
     """Union-find over sink groups recording which inter-group skews are fixed.
 
@@ -82,6 +93,7 @@ class GroupAssociation:
         self._parent: Dict[int, int] = {}
         self._rank: Dict[int, int] = {}
         self.association_events: List[tuple] = []
+        self.num_classes = 0
         for group in groups or []:
             self.add(group)
 
@@ -90,6 +102,7 @@ class GroupAssociation:
         if group not in self._parent:
             self._parent[group] = group
             self._rank[group] = 0
+            self.num_classes += 1
 
     def find(self, group: int) -> int:
         """Representative of the association class containing ``group``."""
@@ -116,6 +129,7 @@ class GroupAssociation:
         self._parent[root_b] = root_a
         if self._rank[root_a] == self._rank[root_b]:
             self._rank[root_a] += 1
+        self.num_classes -= 1
         self.association_events.append((group_a, group_b))
         return True
 
@@ -132,3 +146,6 @@ class GroupAssociation:
 
     def __len__(self) -> int:
         return len(self._parent)
+
+    def __contains__(self, group: int) -> bool:
+        return group in self._parent

@@ -4,7 +4,8 @@ This module is the batched counterpart of :mod:`repro.core.merge_cases` and
 :mod:`repro.core.balancing`: the same arithmetic, evaluated over whole arrays
 of candidate pairs at once.  It backs the router's construction loop
 (:meth:`repro.core.ast_dme.AstDme.merge_rows`).  Its lazy-split scan,
-:func:`resolve_split`, is the only one: the object reference loop in
+:func:`resolve_split`, runs over all pending splits of one side of a pass at
+once, and it is the only one: the object reference loop in
 ``tests/reference_dme.py`` resolves its pending splits through it too.
 
 Bit identity is a hard requirement, not an aspiration: the loop must produce
@@ -24,7 +25,8 @@ identically.  Three scalar subtleties deserve calling out:
   not match ``np.round`` bit for bit.  ``resolve_split`` exploits that
   ``round`` is monotone: the minimal rounded distance equals the rounding of
   the minimal distance, so only a tiny superset of near-minimal samples is
-  re-rounded with Python's ``round`` to find the scalar-identical winner.
+  re-rounded with Python's ``round`` to find the scalar-identical winner,
+  and only in rows whose minimum lies below the balanced split's distance.
 * Masked branches are evaluated on gathered index subsets
   (``np.flatnonzero``), never via ``np.where`` over full arrays, so sqrt /
   division never see operands the scalar code would not have produced.
@@ -50,8 +52,8 @@ __all__ = [
     "SAME_GROUP_CODE",
     "SHARED_CODE",
     "SAMPLES",
+    "RESOLVE_CHUNK",
     "BatchMergePlan",
-    "ArenaPending",
     "plan_merges",
     "merge_loci",
     "resolve_split",
@@ -67,6 +69,11 @@ CASE_LABELS = (DISJOINT, SAME_GROUP, SHARED)
 
 #: Corridor samples of the lazy-split scan (:func:`resolve_split`).
 SAMPLES = 129
+_SAMPLE_INDEX = np.arange(SAMPLES, dtype=np.float64)
+
+#: Rows :func:`resolve_split` scans at a time; each ``(rows, SAMPLES + 1)``
+#: temporary then stays near 0.3 MB.
+RESOLVE_CHUNK = 256
 
 
 @dataclass
@@ -92,29 +99,6 @@ class BatchMergePlan:
     delays: np.ndarray  # (P, G, 2)
     present: np.ndarray  # (P, G) bool
     locus: np.ndarray  # (P, 4)
-
-
-@dataclass
-class ArenaPending:
-    """The free split of an unconstrained merge, kept until its next partner.
-
-    ``balance_split`` (the delay-balanced wire towards child a) is the
-    tie-breaker of :func:`resolve_split`; the rest describes the two
-    children the split runs between.
-    """
-
-    child_a_id: int
-    child_b_id: int
-    locus_a: np.ndarray  # (4,)
-    locus_b: np.ndarray  # (4,)
-    distance: float
-    cap_a: float
-    cap_b: float
-    delays_a: np.ndarray  # (G, 2)
-    delays_b: np.ndarray  # (G, 2)
-    present_a: np.ndarray  # (G,) bool
-    present_b: np.ndarray  # (G,) bool
-    balance_split: float
 
 
 def _wire_delay(length, cap, r: float, c: float):
@@ -310,89 +294,90 @@ def plan_merges(
 
 
 def resolve_split(
-    locus_a,
-    locus_b,
-    distance: float,
-    cap_a: float,
-    cap_b: float,
-    balance_split: float,
-    target_row,
-    r: float,
-    c: float,
-    max_deviation: float,
-) -> float:
-    """The lazy split of a pending merge that brings its locus nearest a target.
+    locus_a, locus_b, distance, cap_a, cap_b, balance_split, target, r, c, max_deviation
+) -> np.ndarray:
+    """The lazy splits of ``k`` pending merges that bring their loci nearest targets.
 
-    ``locus_a``/``locus_b`` are the children's ``(ulo, uhi, vlo, vhi)`` rows,
-    ``distance`` the corridor length, ``cap_a``/``cap_b`` the children's
-    downstream capacitances and ``balance_split`` the delay-balanced wire
-    towards child a.  Only splits whose delay shift on either side, relative
-    to the balanced split, stays within ``max_deviation`` (the useful-skew
-    budget) qualify; the balanced split always does.  ``SAMPLES`` evenly
-    spaced corridor splits are scanned and the winner minimises the key
-    ``(round(distance_to_target, 6), abs(split - balance_split))``, the
-    balanced split first and earlier samples winning ties.  Python's
-    ``round`` is monotone, so the minimal rounded distance is the rounding of
-    the minimal distance; only samples within a whisker of the minimum can
-    share that rounded value, and just those few are re-rounded with Python's
-    ``round`` to keep the comparison exact.  The per-sample scalar reference,
+    Row ``i`` is one pending merge: ``locus_a``/``locus_b`` are the children's
+    ``(k, 4)`` ``(ulo, uhi, vlo, vhi)`` rows, ``distance`` the corridor
+    lengths, ``cap_a``/``cap_b`` the children's downstream capacitances,
+    ``balance_split`` the delay-balanced wire towards child a and ``target``
+    the ``(k, 4)`` loci to approach.  Only splits whose delay shift on either
+    side, relative to the balanced split, stays within ``max_deviation[i]``
+    (the useful-skew budget) qualify; the balanced split always does.
+    ``SAMPLES`` evenly spaced corridor splits are scanned and the winner
+    minimises the key ``(round(distance_to_target, 6), abs(split -
+    balance_split))``, the balanced split first and earlier samples winning
+    ties.  Python's ``round`` is monotone, so the minimal rounded distance is
+    the rounding of the minimal distance; only samples within a whisker of
+    the minimum can share that rounded value, and just those few are
+    re-rounded with Python's ``round`` to keep the comparison exact.  Rows
+    with ``distance <= 0`` return 0.0; the others are scanned
+    ``RESOLVE_CHUNK`` at a time.  The per-sample scalar reference,
     ``resolution_for_target``, lives in the tests.
     """
-    d = distance
-    if d <= 0.0:
-        return 0.0
-    balance = balance_split
+    splits = np.zeros(len(distance))
+    live = np.flatnonzero(distance > 0.0)
+    for start in range(0, live.size, RESOLVE_CHUNK):
+        rows = live[start : start + RESOLVE_CHUNK]
+        splits[rows] = _resolve_chunk(
+            locus_a[rows], locus_b[rows], distance[rows, None], cap_a[rows, None],
+            cap_b[rows, None], balance_split[rows, None], target[rows], r, c,
+            max_deviation[rows, None],
+        )
+    return splits
 
-    # Sample 0 is the balanced split itself so its target distance comes from
+
+def _resolve_chunk(la, lb, d, cap_a, cap_b, bal, target, r, c, max_deviation):
+    """:func:`resolve_split` on rows of positive length (per-row columns ``(n, 1)``)."""
+    # Column 0 is the balanced split itself so its target distance comes from
     # the same elementwise expressions as the candidates'.
-    splits = np.empty(SAMPLES + 1)
-    splits[0] = balance
-    splits[1:] = d * np.arange(SAMPLES, dtype=np.float64) / float(SAMPLES - 1)
+    splits = np.empty((len(bal), SAMPLES + 1))
+    splits[:, :1] = bal
+    splits[:, 1:] = d * _SAMPLE_INDEX / float(SAMPLES - 1)
 
     clamped = np.minimum(np.maximum(splits, 0.0), d)
     ea = np.maximum(clamped, 0.0)
     eb = np.maximum(d - clamped, 0.0)
-    la = locus_a
-    lb = locus_b
-    ulo = np.maximum(la[0] - ea, lb[0] - eb)
-    uhi = np.minimum(la[1] + ea, lb[1] + eb)
-    vlo = np.maximum(la[2] - ea, lb[2] - eb)
-    vhi = np.minimum(la[3] + ea, lb[3] + eb)
+    ulo = np.maximum(la[:, 0:1] - ea, lb[:, 0:1] - eb)
+    uhi = np.minimum(la[:, 1:2] + ea, lb[:, 1:2] + eb)
+    vlo = np.maximum(la[:, 2:3] - ea, lb[:, 2:3] - eb)
+    vhi = np.minimum(la[:, 3:4] + ea, lb[:, 3:4] + eb)
     if np.any((uhi < ulo - _EPS) | (vhi < vlo - _EPS)):  # pragma: no cover - defensive
         raise RuntimeError("pending split produced an empty locus")
     uhi = np.maximum(uhi, ulo)
     vhi = np.maximum(vhi, vlo)
-    gap_u = np.maximum(target_row[0] - uhi, ulo - target_row[1])
-    gap_v = np.maximum(target_row[2] - vhi, vlo - target_row[3])
-    dists = np.maximum(np.maximum(gap_u, gap_v), 0.0)
+    dists = region_distances(np.stack((ulo, uhi, vlo, vhi), axis=2), target[:, None, :])
 
     # Deviation filter (the balanced sample always qualifies by construction).
-    raw = splits[1:]
-    shift_a = np.abs(_wire_delay(raw, cap_a, r, c) - _wire_delay(balance, cap_a, r, c))
+    raw = splits[:, 1:]
+    shift_a = np.abs(_wire_delay(raw, cap_a, r, c) - _wire_delay(bal, cap_a, r, c))
     shift_b = np.abs(
-        _wire_delay(d - raw, cap_b, r, c) - _wire_delay(d - balance, cap_b, r, c)
+        _wire_delay(d - raw, cap_b, r, c) - _wire_delay(d - bal, cap_b, r, c)
     )
     valid = np.maximum(shift_a, shift_b) <= max_deviation
 
-    best_key = (round(float(dists[0]), 6), 0.0)
-    best_split = balance
-    if valid.any():
-        sample_d = dists[1:]
-        masked = np.where(valid, sample_d, np.inf)
-        dmin = float(masked.min())
-        b = round(dmin, 6)
-        # Superset of every sample that can round to b: round(x, 6) == b
-        # implies x <= b + 5e-7 + ulp and b <= dmin + 5e-7 + ulp.
-        near = valid & (sample_d <= dmin + 2e-6)
-        tie_best = None
-        split_best = None
-        for k in np.flatnonzero(near).tolist():
-            if round(float(sample_d[k]), 6) != b:
-                continue
-            tie = abs(float(raw[k]) - balance)
-            if tie_best is None or tie < tie_best:
-                tie_best = tie
-                split_best = float(raw[k])
-        if tie_best is not None and (b, tie_best) < best_key:
-            best_split = split_best
-    return best_split
+    # A row takes a sample only when the rounded minimum beats the balanced
+    # split's rounded distance (a tie keeps the balanced split, whose tie key
+    # is 0).  ``round`` is monotone, so only rows whose minimum lies strictly
+    # below the balanced distance can qualify.
+    sample_d = dists[:, 1:]
+    dmin = np.where(valid, sample_d, np.inf).min(axis=1)
+    result = bal[:, 0].copy()
+    rows = np.flatnonzero(dmin < dists[:, 0])
+    best = np.array([round(x, 6) for x in dmin[rows].tolist()])
+    takes = best < np.array([round(x, 6) for x in dists[rows, 0].tolist()])
+    rows, best = rows[takes], best[takes]
+    # Superset of every sample that can round to the row's best: round(x, 6)
+    # == b implies x <= b + 5e-7 + ulp and b <= dmin + 5e-7 + ulp.
+    near = valid[rows] & (sample_d[rows] <= dmin[rows, None] + 2e-6)
+    hit, col = np.nonzero(near)
+    rounded = np.array([round(x, 6) for x in sample_d[rows[hit], col].tolist()])
+    exact = rounded == best[hit]
+    hit, col = hit[exact], col[exact]
+    # Per row the sample nearest the balanced split wins, the earliest on ties.
+    tie = np.abs(raw[rows[hit], col] - bal[rows[hit], 0])
+    order = np.lexsort((col, tie, hit))
+    first = order[np.unique(hit[order], return_index=True)[1]]
+    result[rows[hit[first]]] = raw[rows[hit[first]], col[first]]
+    return result

@@ -49,6 +49,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.analysis.skew import skew_report
 from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
@@ -206,12 +208,15 @@ def eco_reroute(
         surviving = [s for s in new_instance.sinks if s.sink_id in base_ids]
         added = [s for s in new_instance.sinks if s.sink_id not in base_ids]
         partner_ids: Set[int] = set()
-        if surviving:
+        if surviving and added:
+            # Each added sink's nearest survivor, the first on ties like
+            # ``min(surviving, key=distance)``: |dx| + |dy| in
+            # ``manhattan_distance`` operand order is exact elementwise.
+            xs = np.fromiter((s.location.x for s in surviving), np.float64, len(surviving))
+            ys = np.fromiter((s.location.y for s in surviving), np.float64, len(surviving))
             for sink in added:
-                partner = min(
-                    surviving, key=lambda s: s.location.distance_to(sink.location)
-                )
-                partner_ids.add(partner.sink_id)
+                nearest = np.argmin(np.abs(xs - sink.location.x) + np.abs(ys - sink.location.y))
+                partner_ids.add(surviving[int(nearest)].sink_id)
 
         wanted = removed_ids | moved_ids | partner_ids
         sink_nodes = _sink_nodes_by_id(tree, wanted)

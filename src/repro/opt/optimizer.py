@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional, Sequence, Union
 
+from repro.core.group_constraints import capped_bounds
 from repro.delay.rc_tree import oracle_delays
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
@@ -54,6 +55,9 @@ class Optimizer:
         3. A group routed at zero skew takes the validation bound.
         4. Without ``bound_for`` every group takes the validation bound; with
            neither bound this raises ``ValueError``.
+
+        Rules 2-4 are :func:`~repro.core.group_constraints.capped_bounds`,
+        which validation holds too.
         """
         if self.config.skew_bound_ps is not None:
             bound = Technology.ps_to_internal(self.config.skew_bound_ps)
@@ -65,10 +69,7 @@ class Optimizer:
                     "validation bound or route with constraints"
                 )
             return bound_for
-        cap = Technology.ps_to_internal(float(intra_bound_ps))
-        if bound_for is None:
-            return lambda group: cap
-        return lambda group: min(bound_for(group) or cap, cap)
+        return capped_bounds(bound_for, Technology.ps_to_internal(float(intra_bound_ps)))
 
     def optimize(
         self,

@@ -48,6 +48,7 @@ from repro.geometry.trr import Trr, loci_to_array
 __all__ = [
     "PendingSplit",
     "make_pending",
+    "resolve_one",
     "resolve_pending",
     "merge_subtrees",
     "route_reference",
@@ -118,6 +119,25 @@ def _row(trr: Trr) -> Tuple[float, float, float, float]:
     return (trr.ulo, trr.uhi, trr.vlo, trr.vhi)
 
 
+def resolve_one(
+    pending: PendingSplit, target: Trr, tech: Technology, max_deviation: float
+) -> float:
+    """The split :func:`resolve_split` picks for one pending split: a one-row call."""
+    (split,) = resolve_split(
+        np.array([_row(pending.locus_a)]),
+        np.array([_row(pending.locus_b)]),
+        np.array([pending.distance]),
+        np.array([pending.cap_a]),
+        np.array([pending.cap_b]),
+        np.array([pending.balance_split]),
+        np.array([_row(target)]),
+        tech.unit_resistance,
+        tech.unit_capacitance,
+        np.array([max_deviation]),
+    )
+    return float(split)
+
+
 def resolve_pending(
     subtree: Subtree,
     target: Optional[Trr],
@@ -141,18 +161,7 @@ def resolve_pending(
     if target is None:
         split = pending.balance_split
     else:
-        split = resolve_split(
-            _row(pending.locus_a),
-            _row(pending.locus_b),
-            pending.distance,
-            pending.cap_a,
-            pending.cap_b,
-            pending.balance_split,
-            _row(target),
-            tech.unit_resistance,
-            tech.unit_capacitance,
-            max_deviation,
-        )
+        split = resolve_one(pending, target, tech, max_deviation)
     subtree.locus = pending.locus_at(split)
     subtree.delays = pending.delays_at(split, tech)
     tree.set_edge_length(pending.child_a_id, split)

@@ -71,8 +71,10 @@ def validate_result(
 
     Args:
         result: the routing result to check.
-        intra_bound_ps: when given, the intra-group skew of every group must
-            not exceed this bound (in picoseconds, as in the paper).
+        intra_bound_ps: when given (in picoseconds), every group's
+            intra-group skew must stay within its routed bound capped by this
+            one; zero-skew groups and results without constraints take this
+            one.
         locus_tolerance: geometric tolerance (micrometres) applied to the
             off-locus placement checks.
     """
@@ -107,15 +109,26 @@ def validate_result(
         )
     if intra_bound_ps is not None:
         report = skew_report(result.tree)
-        bound = Technology.ps_to_internal(intra_bound_ps)
+        cap = Technology.ps_to_internal(intra_bound_ps)
+        constraints = getattr(result, "constraints", None)
         slack = max(result.stats.max_violation, 0.0)
         for group, skew in report.per_group_skew.items():
+            # The routed bound capped by the validation bound; zero-skew
+            # groups and results without constraints take the validation bound.
+            bound = cap
+            if constraints is not None:
+                routed = constraints.bound_for(0 if result.single_group else group)
+                bound = min(routed or cap, cap)
             if skew > bound + 2.0 * slack + 1e-3:
                 issues.append(
                     ValidationIssue(
                         "skew",
                         "group %r intra-group skew %.3f ps exceeds the %.3f ps bound"
-                        % (group, Technology.internal_to_ps(skew), intra_bound_ps),
+                        % (
+                            group,
+                            Technology.internal_to_ps(skew),
+                            Technology.internal_to_ps(bound),
+                        ),
                     )
                 )
     return issues

@@ -3,21 +3,25 @@ reference loop's PendingSplit in tests/reference_dme.py).
 
 The per-sample scalar corridor scan that production used before the batched
 :func:`~repro.core.merge_batch.resolve_split` became the only one is kept
-here, verbatim, as the oracle the property test compares against.
+here, verbatim, as the oracle the property tests compare against: one row
+through the one-row helper, and many rows in one kernel call.
 """
 
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.merge_batch import resolve_split
+from repro.core import merge_batch
 from repro.core.subtree import Subtree
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
-from tests.reference_dme import PendingSplit, make_pending, resolve_pending
+from tests.reference_dme import PendingSplit, make_pending, resolve_one, resolve_pending
 
 TECH = Technology.r_benchmark()
 
@@ -67,24 +71,9 @@ def resolution_for_target(
     return best_split
 
 
-def _row(trr):
-    return (trr.ulo, trr.uhi, trr.vlo, trr.vhi)
-
-
 def production_split(pending, target, max_deviation=float("inf")):
     """The split production picks: the batched scan on the pending's fields."""
-    return resolve_split(
-        _row(pending.locus_a),
-        _row(pending.locus_b),
-        pending.distance,
-        pending.cap_a,
-        pending.cap_b,
-        pending.balance_split,
-        _row(target),
-        TECH.unit_resistance,
-        TECH.unit_capacitance,
-        max_deviation,
-    )
+    return resolve_one(pending, target, TECH, max_deviation)
 
 
 def build_pending_pair(distance=2000.0):
@@ -226,6 +215,69 @@ def test_resolve_split_matches_scalar_oracle(
     )
     expected = resolution_for_target(pending, target, TECH, max_deviation=budget)
     assert production_split(pending, target, budget) == expected
+
+
+@st.composite
+def pending_rows(draw):
+    """A pending split, a target and a budget, drawn as the one-row property
+    draws them: point, box and zero-length corridors, budgets of 0, finite or
+    infinite."""
+    locus_a = draw(regions())
+    locus_b = draw(st.one_of(st.none(), regions()))
+    if locus_b is None:
+        locus_b = locus_a
+    distance = locus_a.distance_to(locus_b)
+    pending = PendingSplit(
+        child_a_id=0,
+        child_b_id=1,
+        locus_a=locus_a,
+        locus_b=locus_b,
+        distance=distance,
+        cap_a=draw(st.floats(min_value=0.0, max_value=500.0)),
+        cap_b=draw(st.floats(min_value=0.0, max_value=500.0)),
+        delays_a={0: (0.0, 0.0)},
+        delays_b={1: (0.0, 0.0)},
+        balance_split=draw(st.floats(min_value=0.0, max_value=1.0)) * distance,
+    )
+    budget = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=50_000.0),
+            st.just(float("inf")),
+        )
+    )
+    return pending, draw(regions()), budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(pending_rows(), min_size=1, max_size=12),
+    chunk=st.integers(min_value=1, max_value=4),
+)
+def test_resolve_split_rows_match_scalar_oracle(rows, chunk):
+    """One call over many rows, scanned a few rows per chunk so the chunk
+    boundaries fall between them, returns every row's scalar-oracle split."""
+    pendings = [pending for pending, _, _ in rows]
+
+    def loci(trrs):
+        return np.array([(t.ulo, t.uhi, t.vlo, t.vhi) for t in trrs])
+
+    with mock.patch.object(merge_batch, "RESOLVE_CHUNK", chunk):
+        splits = merge_batch.resolve_split(
+            loci([p.locus_a for p in pendings]),
+            loci([p.locus_b for p in pendings]),
+            np.array([p.distance for p in pendings]),
+            np.array([p.cap_a for p in pendings]),
+            np.array([p.cap_b for p in pendings]),
+            np.array([p.balance_split for p in pendings]),
+            loci([target for _, target, _ in rows]),
+            TECH.unit_resistance,
+            TECH.unit_capacitance,
+            np.array([budget for _, _, budget in rows]),
+        )
+    assert splits.shape == (len(rows),)
+    for (pending, target, budget), split in zip(rows, splits.tolist()):
+        assert split == resolution_for_target(pending, target, TECH, max_deviation=budget)
 
 
 class TestResolvePending:

@@ -1,5 +1,7 @@
 """Tests for repro.core.subtree and repro.core.group_constraints."""
 
+import random
+
 import pytest
 
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
@@ -129,3 +131,30 @@ class TestGroupAssociation:
         assoc = GroupAssociation()
         assoc.associate(7, 9)
         assert assoc.associated(7, 9)
+
+    def test_class_count_follows_adds_and_joins(self):
+        assoc = GroupAssociation()
+        assert assoc.num_classes == 0
+        assoc.add(4)
+        assoc.add(2)
+        assoc.add(4)  # already registered
+        assert assoc.num_classes == 2 and 2 in assoc and 3 not in assoc
+        assert assoc.associate(2, 4)
+        assert assoc.num_classes == 1
+        assert not assoc.associate(4, 2)  # no-op: same class
+        assert not assoc.associate(2, 2)
+        assert assoc.num_classes == 1
+        assert not assoc.associate(5, 5)  # registers 5, joins nothing
+        assert assoc.num_classes == 2 and 5 in assoc
+        assoc.associate(6, 7)  # registers two, joins them
+        assert assoc.num_classes == 3
+        assoc.associate(5, 6)
+        assoc.associate(2, 7)
+        assert assoc.num_classes == 1 == len(assoc.classes())
+
+    def test_class_count_matches_classes_after_random_joins(self):
+        rng = random.Random(3)
+        assoc = GroupAssociation(range(12))
+        for _ in range(40):
+            assoc.associate(rng.randrange(15), rng.randrange(15))
+            assert assoc.num_classes == len(assoc.classes())

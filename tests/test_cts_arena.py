@@ -20,6 +20,7 @@ Three layers:
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,6 +412,19 @@ class TestBackendIdentity:
         assert_merges_identical(
             got.stats, expected.stats, got.association, expected.association
         )
+
+
+def test_single_group_route_registers_group_zero_like_the_reference():
+    """A single-group run merges every sink in group column 0.  When the
+    instance has no group 0, both loops register it on the first pass, so
+    the association ends with the same two classes."""
+    base = InstanceSpec.from_random(60, seed=5).build()
+    instance = replace(base, sinks=tuple(replace(s, group=3) for s in base.sinks))
+    router = get_router("greedy-dme", {})
+    got = router.route(instance)
+    expected = route_reference(AstDme(router.config), instance, single_group=True)
+    assert got.association.classes() == expected.association.classes() == [[0], [3]]
+    assert got.association.association_events == expected.association.association_events == []
 
 
 #: Sparse group ids, so the dense column mapping is not the identity.

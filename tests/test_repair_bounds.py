@@ -11,16 +11,19 @@ bound, and a direct ECO re-merged with the router config's uniform bound.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.analysis.skew import skew_report
+from repro.analysis.validate import validate_result
 from repro.api.registry import RouterSpec
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
 from repro.core.ast_dme import AstDmeConfig
 from repro.core.group_constraints import SkewConstraints
+from repro.delay.elmore import sink_delays
 from repro.delay.technology import Technology
 from repro.eco import EcoConfig, EcoDelta, SinkAdd, SinkMove, eco_reroute
 from repro.geometry.point import Point
@@ -172,3 +175,59 @@ class TestEcoKeepsTheBaseConstraints:
         outcome = eco_reroute(base, delta, EcoConfig(router=AstDmeConfig(skew_bound_ps=10.0)))
         assert outcome.routing.constraints is base.constraints
         assert skew_report(outcome.routing.tree).group_skew_ps(0) <= 2.0 + 1e-6
+
+
+class TestValidationHoldsRoutedBounds:
+    """Validation holds each group to the bound repair holds it to."""
+
+    @pytest.fixture(scope="class")
+    def stretched(self):
+        """The per-group random route with one group-0 sink edge stretched
+        until group 0 spreads about 15 ps: far over its own 2 ps, inside the
+        loosest configured bound (20 ps)."""
+        routing = routed(RANDOM, PER_GROUP)
+        tree = routing.tree
+        delays = sink_delays(tree)
+        sink = max((s for s in tree.sinks() if s.group == 0), key=lambda s: delays[s.node_id])
+        base = sink.edge_length
+        lo, hi = 0.0, 1.0
+        while True:
+            tree.set_edge_length(sink.node_id, base + hi)
+            if skew_report(tree).group_skew_ps(0) > 15.0:
+                break
+            lo, hi = hi, 2.0 * hi
+        for _ in range(30):
+            mid = (lo + hi) / 2.0
+            tree.set_edge_length(sink.node_id, base + mid)
+            lo, hi = (mid, hi) if skew_report(tree).group_skew_ps(0) < 15.0 else (lo, mid)
+        return routing
+
+    def test_a_group_over_its_own_bound_is_flagged(self, stretched):
+        """Regression: with 20 ps (the loosest bound, the runner's default)
+        every group was held to 20 ps and group 0 validated clean."""
+        skew = skew_report(stretched.tree)
+        assert 2.0 + 1.0 < skew.group_skew_ps(0) < 20.0
+        assert all(skew.group_skew_ps(g) <= 20.0 for g in (1, 2, 3))
+        issues = [i for i in validate_result(stretched, intra_bound_ps=20.0) if i.code == "skew"]
+        assert [i.message.split()[1] for i in issues] == ["0"]
+        assert "exceeds the 2.000 ps bound" in issues[0].message
+
+    def test_a_tighter_validation_bound_caps_the_routed_ones(self, stretched):
+        issues = [i for i in validate_result(stretched, intra_bound_ps=1.0) if i.code == "skew"]
+        assert any(i.message.startswith("group 0 ") for i in issues)
+        assert all(i.message.endswith("exceeds the 1.000 ps bound") for i in issues)
+
+    def test_without_constraints_every_group_takes_the_validation_bound(self, stretched):
+        unrouted = dataclasses.replace(stretched, constraints=None)
+        assert not [i for i in validate_result(unrouted, intra_bound_ps=20.0) if i.code == "skew"]
+
+    def test_the_reference_validator_holds_the_same_rule(self, stretched):
+        pytest.importorskip("networkx")
+        from tests import reference_validate
+
+        for bound_ps in (1.0, 20.0):
+            expected = reference_validate.validate_result(stretched, intra_bound_ps=bound_ps)
+            got = validate_result(stretched, intra_bound_ps=bound_ps)
+            assert [str(i) for i in got if i.code == "skew"] == [
+                str(i) for i in expected if i.code == "skew"
+            ]
