@@ -75,7 +75,8 @@ def skew_report(tree) -> SkewReport:
     tree has no root or no sinks, or when a sink is not reachable from the
     root (its delay is undefined).
     """
-    tree.root()  # "the tree has no root yet" before anything else
+    if tree.root_id is None:
+        raise ValueError("the tree has no root yet")
     arena = tree.as_arena()
     groups = SinkGroups.of(arena)
     if not groups.sink_ids.size:

@@ -32,11 +32,13 @@ class WirelengthReport:
 def wirelength_report(tree) -> WirelengthReport:
     """Compute the :class:`WirelengthReport` of an embedded tree.
 
-    Reads the arena snapshot ``skew_report`` builds and adds in node order,
-    so every field equals the walk of ``ClockTree.total_wirelength`` /
-    ``snaking_wirelength`` bit for bit.
+    Reads the tree's arena snapshot, the one ``skew_report`` reads, and adds
+    in node order, so every field equals the walk of
+    ``ClockTree.total_wirelength`` / ``snaking_wirelength`` bit for bit.
     """
-    root = tree.root().node_id
+    root = tree.root_id
+    if root is None:
+        raise ValueError("the tree has no root yet")
     arena = tree.as_arena()
     nodes = np.flatnonzero(arena.parents >= 0)
     parents = arena.parents[nodes]

@@ -109,7 +109,7 @@ def _run(spec: RunSpec, keep_tree: bool) -> RunResult:
         instance_name=instance.name,
         num_sinks=instance.num_sinks,
         num_groups=instance.num_groups,
-        num_nodes=sum(1 for _ in routing.tree.nodes()),
+        num_nodes=len(routing.tree),
         wirelength=routing.wirelength,
         skew=skew,
         wire=wire,

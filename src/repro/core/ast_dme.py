@@ -38,9 +38,12 @@ The merges of an unconstrained (cross-group) pair keep their split along the
 corridor pending until the merged subtree's next partner is known.  Each pass
 resolves its pending splits in two calls of
 :func:`repro.core.merge_batch.resolve_split`, the a-sides first, from a table
-of the live pendings that row ``i`` reaches through ``slot[i]``.  The built
-nodes accumulate in flat arrays indexed by node id (:class:`MergedTree`) and
-are added to a :class:`~repro.cts.tree.ClockTree` once, at the end.
+of the live pendings that row ``i`` reaches through ``slot[i]``.  The rows and
+the table live in buffers allocated once per loop, compacted in place after
+each pass.  The built nodes accumulate in flat arrays indexed by node id
+(:class:`MergedTree`) and become rows of a :class:`~repro.cts.arena.TreeArena`
+once, at the end: the routed :class:`~repro.cts.tree.ClockTree` is built from
+that arena and creates its node objects only when first asked for one.
 
 Running the router with ``single_group=True`` ignores the instance's grouping
 and yields the conventional bounded-skew (EXT-BST) or zero-skew (greedy-DME)
@@ -52,7 +55,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +73,7 @@ from repro.core.merge_batch import (
     resolve_split,
 )
 from repro.core.merging_order import MergeOrderPolicy
+from repro.cts.arena import INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
 from repro.cts.embedding import embed_tree
 from repro.cts.tree import ClockTree
 from repro.delay.elmore import SubtreeSummary
@@ -184,8 +188,13 @@ class RoutingResult:
 
     @property
     def wirelength(self) -> float:
-        """Total wirelength of the routed tree (snaking included)."""
-        return self.tree.total_wirelength()
+        """Total wirelength of the routed tree (snaking included).
+
+        Read from the tree's arena and added in node order, so it equals
+        ``ClockTree.total_wirelength`` bit for bit without node objects.
+        """
+        arena = self.tree.as_arena()
+        return sum(arena.edge_lengths[arena.parents >= 0].tolist(), 0.0)
 
 
 @dataclass
@@ -223,48 +232,59 @@ class MergedTree:
     first_id: int
     source_id: int
 
-    def add_to(
+    def append_to(
         self,
-        tree: ClockTree,
+        prefix: TreeArena,
         source: Point,
         xs: Optional[np.ndarray] = None,
         ys: Optional[np.ndarray] = None,
-    ) -> Dict[int, Trr]:
-        """Add the merge nodes and the source to ``tree``; return their loci.
+    ) -> Tuple[TreeArena, Dict[int, Trr]]:
+        """``prefix`` grown by the merge nodes and the source, and their loci.
 
-        ``tree`` must hold exactly the ``first_id`` nodes the rows refer to,
-        so the new nodes get the ids the loop gave them.  With ``xs``/``ys``
-        (locations by node id) the merge nodes are placed, otherwise they are
-        left for an embedding pass.  Only the new rows become Python lists.
+        ``prefix`` must hold exactly the ``first_id`` nodes the rows refer
+        to, so the new nodes get the ids the loop gave them; the rows' nodes
+        are adopted by their merge nodes.  With ``xs``/``ys`` (locations by
+        node id) the merge nodes are placed, otherwise they are left for an
+        embedding pass.  Only the loci become Python objects.
         """
-        if len(tree) != self.first_id:
+        if prefix.num_nodes != self.first_id:
             raise ValueError(
-                "tree holds %d nodes, the merge started at id %d"
-                % (len(tree), self.first_id)
+                "the prefix holds %d nodes, the merge started at id %d"
+                % (prefix.num_nodes, self.first_id)
             )
         first, last = self.first_id, self.source_id
-        children_a = self.child_a[first:last]
-        children_b = self.child_b[first:last]
-        edges_a = self.edge[children_a].tolist()
-        edges_b = self.edge[children_b].tolist()
-        rows = self.loci[first:last].tolist()
-        if xs is None:
-            locations = [None] * (last - first)
-        else:
-            locations = [
-                Point(x, y) for x, y in zip(xs[first:last].tolist(), ys[first:last].tolist())
-            ]
-        loci: Dict[int, Trr] = {}
-        for ca, cb, ea, eb, row, location in zip(
-            children_a.tolist(), children_b.tolist(), edges_a, edges_b, rows, locations
-        ):
-            node_id = tree.add_internal(
-                children=[ca, cb], edge_lengths=[ea, eb], location=location
-            )
-            loci[node_id] = Trr(row[0], row[1], row[2], row[3])
-        root_id = int(self.child_a[last])
-        tree.add_source(source, root_id, float(self.edge[root_id]))
-        return loci
+        merges = last - first
+        adopted = self.parent[:first] >= 0
+        parents = self.parent.copy()
+        parents[:first] = np.where(adopted, parents[:first], prefix.parents)
+        edges = self.edge.copy()
+        edges[:first] = np.where(adopted, edges[:first], prefix.edge_lengths)
+        placed = xs is not None
+        if not placed:
+            xs = ys = np.full(last, np.nan)
+        arena = prefix.appended(
+            kinds=np.append(np.full(merges, INTERNAL_KIND, dtype=np.int8), SOURCE_KIND),
+            parents=parents,
+            edge_lengths=edges,
+            xs=np.append(xs[first:last], source.x),
+            ys=np.append(ys[first:last], source.y),
+            has_location=np.append(np.full(merges, placed), True),
+            sink_caps=np.zeros(merges + 1),
+            groups=np.zeros(merges + 1, dtype=np.int64),
+            has_group=np.zeros(merges + 1, dtype=bool),
+            names=[None] * merges + ["clk"],
+            child_counts=np.append(np.full(merges, 2, dtype=np.int64), 1),
+            child_ids=np.append(
+                np.stack((self.child_a[first:last], self.child_b[first:last]), axis=1),
+                self.child_a[last],
+            ),
+            root=last,
+        )
+        loci = {
+            node_id: Trr(row[0], row[1], row[2], row[3])
+            for node_id, row in enumerate(self.loci[first:last].tolist(), start=first)
+        }
+        return arena, loci
 
 
 def point_loci(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -304,12 +324,17 @@ class AstDme:
         start = time.perf_counter()
         constraints = self._constraints or self.config.constraints()
         obstacles = instance.obstacle_set() if instance.has_obstacles else None
-        tree = ClockTree(technology=instance.technology)
         stats = MergeStats()
         association = GroupAssociation(instance.groups())
         group_ids = [0] if single_group else instance.groups()
-        loci = self.grow(
-            tree, instance.sinks, instance.source, group_ids, stats, association, obstacles
+        tree, loci = self.grow(
+            TreeArena.from_clock_tree(ClockTree(technology=instance.technology)),
+            instance.sinks,
+            instance.source,
+            group_ids,
+            stats,
+            association,
+            obstacles,
         )
         return RoutingResult(
             tree=tree,
@@ -324,7 +349,7 @@ class AstDme:
 
     def grow(
         self,
-        tree: ClockTree,
+        prefix: TreeArena,
         sinks: Sequence[Sink],
         source: Point,
         group_ids: List[int],
@@ -333,33 +358,35 @@ class AstDme:
         obstacles: Optional[ObstacleSet] = None,
         stubs: Sequence[int] = (),
         stub_summary: Optional[SubtreeSummary] = None,
-    ) -> Dict[int, Trr]:
-        """Add to ``tree`` one tree over ``stubs`` and ``sinks``, driven from ``source``.
+    ) -> Tuple[ClockTree, Dict[int, Trr]]:
+        """Grow ``prefix`` into one tree over ``stubs`` and ``sinks``, driven from ``source``.
 
         This is the construction step of Fig. 6.  :meth:`route` runs it on an
-        empty tree; the ECO engine runs it on a stitched one.
+        empty arena; the ECO engine runs it on the stitched clean subtrees.
 
-        ``stubs`` are ids of placed subtree roots already in ``tree``; row
-        ``k`` of ``stub_summary`` (:func:`~repro.delay.elmore.subtree_summary`)
-        describes ``stubs[k]``.  The sinks take the ids after the tree's
+        ``stubs`` are ids of placed subtree roots in ``prefix``; row ``k`` of
+        ``stub_summary`` (:func:`~repro.delay.elmore.subtree_summary`)
+        describes ``stubs[k]``.  The sinks take the ids after the prefix's
         nodes, in order.  With one group column, every sink falls in it.
 
         Each stub and sink becomes one merge row at its point, and
         :meth:`merge_rows` merges them.  The sinks, the merge nodes and the
-        source then join ``tree``, embedded top-down: without ``obstacles``
-        level by level from the rows' points, with them through
-        :func:`~repro.cts.embedding.embed_tree`, whose detour extension goes
-        to ``stats.obstacle_detour``.  The stubs' subtrees are not touched.
-        Returns the merge nodes' loci by node id.
+        source are appended to the prefix as arena rows, embedded top-down:
+        without ``obstacles`` level by level from the rows' points, with them
+        through :func:`~repro.cts.embedding.embed_tree` on the tree's node
+        objects, whose detour extension goes to ``stats.obstacle_detour``.
+        The stubs' subtrees are not touched.  Returns the tree
+        (:meth:`TreeArena.to_clock_tree`) and the merge nodes' loci by node
+        id.
         """
-        first = len(tree)
+        first = prefix.num_nodes
         n = len(sinks)
-        row_ids = np.concatenate(
-            (np.asarray(stubs, dtype=np.int64), np.arange(first, first + n, dtype=np.int64))
-        )
-        points = [tree.node(i).location for i in stubs] + [s.location for s in sinks]
-        xs = np.fromiter((p.x for p in points), dtype=np.float64, count=len(points))
-        ys = np.fromiter((p.y for p in points), dtype=np.float64, count=len(points))
+        stub_ids = np.asarray(stubs, dtype=np.int64)
+        row_ids = np.concatenate((stub_ids, np.arange(first, first + n, dtype=np.int64)))
+        sink_xs = np.fromiter((s.location.x for s in sinks), dtype=np.float64, count=n)
+        sink_ys = np.fromiter((s.location.y for s in sinks), dtype=np.float64, count=n)
+        xs = np.concatenate((prefix.xs[stub_ids], sink_xs))
+        ys = np.concatenate((prefix.ys[stub_ids], sink_ys))
         gindex = {g: k for k, g in enumerate(group_ids)}
         single = len(group_ids) == 1
         sink_gidx = np.fromiter(
@@ -369,33 +396,44 @@ class AstDme:
         present[np.arange(n), sink_gidx] = True
         cap = np.fromiter((s.cap for s in sinks), dtype=np.float64, count=n)
         delays = np.zeros((n, len(group_ids), 2), dtype=np.float64)
+        sink_caps = cap
         if stub_summary is not None:
             cap = np.concatenate((stub_summary.caps, cap))
             delays = np.concatenate((stub_summary.delays, delays))
             present = np.concatenate((stub_summary.present, present))
         rows = SubtreeRows(point_loci(xs, ys), cap, delays, present, row_ids, group_ids)
-        merged = self.merge_rows(rows, first + n, source, tree.technology, stats, association)
+        merged = self.merge_rows(rows, first + n, source, prefix.technology, stats, association)
 
         embed_start = time.perf_counter()
         with get_tracer().span("dme.embed") as embed_span:
             placed_xs = placed_ys = None
             if obstacles is None:
                 placed_xs, placed_ys = _embed_levels(merged, row_ids, xs, ys, source)
-            for sink in sinks:
-                tree.add_sink(
-                    location=sink.location,
-                    sink_cap=sink.cap,
-                    group=sink.group,
-                    name="sink-%d" % sink.sink_id,
-                )
-            loci = merged.add_to(tree, source, placed_xs, placed_ys)
+            groups = [s.group for s in sinks]
+            with_sinks = prefix.appended(
+                kinds=np.full(n, SINK_KIND, dtype=np.int8),
+                parents=np.concatenate((prefix.parents, np.full(n, -1, dtype=np.int64))),
+                edge_lengths=np.concatenate((prefix.edge_lengths, np.zeros(n))),
+                xs=sink_xs,
+                ys=sink_ys,
+                has_location=np.ones(n, dtype=bool),
+                sink_caps=sink_caps,
+                groups=np.array([0 if g is None else g for g in groups], dtype=np.int64),
+                has_group=np.array([g is not None for g in groups], dtype=bool),
+                names=["sink-%d" % s.sink_id for s in sinks],
+                child_counts=np.zeros(n, dtype=np.int64),
+                child_ids=np.empty(0, dtype=np.int64),
+                root=prefix.root,
+            )
+            arena, loci = merged.append_to(with_sinks, source, placed_xs, placed_ys)
+            tree = arena.to_clock_tree()
             if obstacles is None:
                 stats.obstacle_detour = 0.0
             else:
                 stats.obstacle_detour = embed_tree(tree, loci, obstacles=obstacles)
             embed_span.add("obstacle_detour", stats.obstacle_detour)
         stats.embed_seconds += time.perf_counter() - embed_start
-        return loci
+        return tree, loci
 
     def merge_rows(
         self,
@@ -415,7 +453,8 @@ class AstDme:
         split is resolved towards ``source`` before the source edge is
         booked.  The pass counters and timings go into ``stats`` and each
         merge's group association into ``association``.  :meth:`grow` runs
-        it on one row per subtree stub and per sink.
+        it on one row per subtree stub and per sink.  The loop works on
+        copies of the rows' arrays, so ``rows`` is left unchanged.
         """
         config = self.config
         constraints = self._constraints or config.constraints()
@@ -424,14 +463,19 @@ class AstDme:
         group_ids = rows.group_ids
         bounds = np.array([constraints.bound_for(g) for g in group_ids], dtype=np.float64)
 
-        loci = rows.loci
-        cap = rows.cap
-        delays = rows.delays
-        present = rows.present
-        node_id = rows.node_id
+        # The live rows are views [:m] of buffers allocated once; each pass
+        # compacts them in place.  So is the table of pending splits, which
+        # holds at most one entry per row.
+        row_buffers = [
+            np.array(column)
+            for column in (rows.loci, rows.cap, rows.delays, rows.present, rows.node_id)
+        ]
+        loci, cap, delays, present, node_id = row_buffers
         m = int(node_id.shape[0])
         # Row i's pending split is table entry slot[i] (-1: none).
-        slot = np.full(m, -1, dtype=np.int64)
+        slot_buffer = np.full(m, -1, dtype=np.int64)
+        slot = slot_buffer
+        table_buffers = None
         table = None
 
         # The built nodes: m - 1 merges and the source, after the first_id
@@ -553,19 +597,26 @@ class AstDme:
                     keep_mask[a_idx] = False
                     keep_mask[b_idx] = False
                     keep = np.flatnonzero(keep_mask)
-                    loci = np.concatenate((loci[keep], plan.locus))
-                    cap = np.concatenate((cap[keep], plan.cap))
-                    delays = np.concatenate((delays[keep], plan.delays))
-                    present = np.concatenate((present[keep], plan.present))
-                    node_id = np.concatenate((node_id[keep], new_ids))
                     kept = slot[keep]
-                    table = fresh_table if table is None else _Pendings._make(
-                        np.concatenate((old[kept[kept >= 0]], new))
-                        for old, new in zip(table, fresh_table)
+                    loci, cap, delays, present, node_id = _compact(
+                        row_buffers,
+                        keep,
+                        (plan.locus, plan.cap, plan.delays, plan.present, new_ids),
+                    )
+                    if table_buffers is None:
+                        table_buffers = [
+                            np.empty((len(slot_buffer),) + new.shape[1:], dtype=new.dtype)
+                            for new in fresh_table
+                        ]
+                    table = _Pendings._make(
+                        _compact(table_buffers, kept[kept >= 0], fresh_table)
                     )
                     waiting = np.concatenate((kept >= 0, is_fresh))
-                    slot = np.where(waiting, np.cumsum(waiting) - 1, -1)
-                    m = int(node_id.shape[0])
+                    m = len(waiting)
+                    slot = slot_buffer[:m]
+                    np.cumsum(waiting, out=slot)
+                    slot -= 1
+                    slot[~waiting] = -1
                     merge_span.add("nodes_merged", 2 * num_pairs)
                 stats.merge_seconds += time.perf_counter() - merge_start
 
@@ -604,6 +655,20 @@ _Pendings = namedtuple(
     "_Pendings",
     "child_a child_b locus_a locus_b distance cap_a cap_b balance budget delays side_a",
 )
+
+
+def _compact(buffers: List[np.ndarray], keep: np.ndarray, appended: Sequence[np.ndarray]):
+    """Move rows ``keep`` (ascending) of each buffer to its front, in order,
+    write the rows of the matching ``appended`` array after them, and return
+    the live views."""
+    kept = len(keep)
+    end = kept + len(appended[0])
+    live = []
+    for buffer, new in zip(buffers, appended):
+        buffer[:kept] = buffer[keep]
+        buffer[kept:end] = new
+        live.append(buffer[:end])
+    return live
 
 
 def _record_pass(stats: MergeStats, plan: BatchMergePlan) -> None:

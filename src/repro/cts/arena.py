@@ -37,7 +37,11 @@ Invariants:
 
 The arena also memoises the derived orders used by the vectorized kernels:
 nodes grouped by depth (for top-down passes) and by height above the leaves
-(for bottom-up passes), plus reachability from the root.
+(for bottom-up passes), reachability from the root, and the depth-first
+preorder index (:meth:`TreeArena.preorder`), under which every subtree is
+one contiguous slice.  :meth:`TreeArena.gather_subtrees` copies such slices
+into a new arena, and :meth:`TreeArena.appended` adds rows after the last:
+the routers and ECO build their trees from these two, without node objects.
 
 Snapshots are never modified after they are handed out.  When only
 setter-mutable attributes changed (edge length, location, buffer),
@@ -95,6 +99,9 @@ class TreeArena:
     _depth_levels: Optional[List[np.ndarray]] = field(default=None, repr=False)
     _height_levels: Optional[List[np.ndarray]] = field(default=None, repr=False)
     _reachable: Optional[np.ndarray] = field(default=None, repr=False)
+    _preorder: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, repr=False
+    )
 
     # ------------------------------------------------------------------
     @property
@@ -183,6 +190,157 @@ class TreeArena:
             self._reachable = reach
         return self._reachable
 
+    def preorder(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, pre, size)``: the depth-first preorder of the snapshot.
+
+        ``order`` lists each tree root first, then the subtrees of its
+        children in attach order -- on a rooted tree exactly
+        ``ClockTree.topological_order()`` -- and the trees of a forest one
+        after another by root id.  ``pre[v]`` is the position of ``v`` in
+        ``order`` and ``size[v]`` the node count of its subtree, so that
+        subtree is ``order[pre[v] : pre[v] + size[v]]``.  Raises on cyclic
+        structures.
+        """
+        if self._preorder is None:
+            n = self.num_nodes
+            levels = self.depth_levels()
+            size = np.ones(n, dtype=np.int64)
+            for level in reversed(levels[1:]):
+                np.add.at(size, self.parents[level], size[level])
+            pre = np.zeros(n, dtype=np.int64)
+            if levels:
+                roots = levels[0]
+                pre[roots] = np.cumsum(size[roots]) - size[roots]
+            counts = self.child_counts()
+            for level in levels[:-1]:
+                children, parent_index = self.children_of(level)
+                # A child follows its parent and the subtrees of its earlier
+                # siblings: an exclusive running sum restarted per parent.
+                sizes = size[children]
+                before = np.cumsum(sizes) - sizes
+                level_counts = counts[level]
+                firsts = np.repeat(np.cumsum(level_counts) - level_counts, level_counts)
+                pre[children] = pre[level[parent_index]] + 1 + before - before[firsts]
+            order = np.empty(n, dtype=np.int64)
+            order[pre] = np.arange(n, dtype=np.int64)
+            self._preorder = (order, pre, size)
+        return self._preorder
+
+    def subtree_rows(self, roots: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """The nodes of the subtrees below ``roots``, one :meth:`preorder`
+        slice after another in the order of ``roots``, and where each slice
+        starts in that list."""
+        order, pre, size = self.preorder()
+        roots = np.asarray(roots, dtype=np.int64)
+        lengths = size[roots]
+        starts = np.cumsum(lengths) - lengths
+        offsets = np.repeat(pre[roots] - starts, lengths)
+        return order[offsets + np.arange(len(offsets), dtype=np.int64)], starts
+
+    # ------------------------------------------------------------------
+    # Construction without node objects
+    # ------------------------------------------------------------------
+    def gather_subtrees(self, roots: Sequence[int]) -> Tuple["TreeArena", np.ndarray]:
+        """A new arena holding copies of the subtrees below ``roots``.
+
+        The subtrees follow one another in the order of ``roots``, each in
+        :meth:`preorder`, renumbered from 0: the ids, child order and every
+        column ``ClockTree.copy_subtree_from`` gives when grafting the same
+        subtrees, one after another, into an empty tree.  Each root arrives
+        detached (no parent, edge length 0) and the result has no root yet.
+        Returns the arena and, for each of its rows, the id it was copied
+        from.  The subtrees must be disjoint.
+        """
+        rows, starts = self.subtree_rows(roots)
+        total = len(rows)
+        new_id = np.full(self.num_nodes, -1, dtype=np.int64)
+        new_id[rows] = np.arange(total, dtype=np.int64)
+        parents = new_id[self.parents[rows]]
+        parents[starts] = -1
+        edge_lengths = self.edge_lengths[rows]
+        edge_lengths[starts] = 0.0
+        counts = self.child_counts()[rows]
+        child_offsets = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(counts, out=child_offsets[1:])
+        children, _ = self.children_of(rows)
+        ids = rows.tolist()
+        names = self.names
+        buffers = self.buffers
+        arena = TreeArena(
+            kinds=self.kinds[rows],
+            parents=parents,
+            edge_lengths=edge_lengths,
+            xs=self.xs[rows],
+            ys=self.ys[rows],
+            has_location=self.has_location[rows],
+            sink_caps=self.sink_caps[rows],
+            groups=self.groups[rows],
+            has_group=self.has_group[rows],
+            names=[names[i] for i in ids],
+            root=-1,
+            child_offsets=child_offsets,
+            child_ids=new_id[children],
+            technology=self.technology,
+            buffers=[buffers[i] for i in ids] if buffers else [None] * total,
+            buffer_mask=self.buffer_mask[rows],
+            buffer_input_caps=self.buffer_input_caps[rows],
+            buffer_intrinsics=self.buffer_intrinsics[rows],
+            buffer_drive_res=self.buffer_drive_res[rows],
+        )
+        return arena, rows
+
+    def appended(
+        self,
+        kinds: np.ndarray,
+        parents: np.ndarray,
+        edge_lengths: np.ndarray,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        has_location: np.ndarray,
+        sink_caps: np.ndarray,
+        groups: np.ndarray,
+        has_group: np.ndarray,
+        names: List[Optional[str]],
+        child_counts: np.ndarray,
+        child_ids: np.ndarray,
+        root: int,
+    ) -> "TreeArena":
+        """A new arena: this one's rows followed by ``len(kinds)`` new ones.
+
+        ``parents`` and ``edge_lengths`` cover every row, the old ones
+        included, since a new row may adopt an old root; the other columns
+        cover the new rows only (``groups`` is read where ``has_group``).
+        The new rows' children, in attach order, are ``child_ids``, split by
+        ``child_counts``; old rows keep theirs.  New rows carry no buffer.
+        ``self`` is left unchanged.
+        """
+        added = len(kinds)
+        offsets = np.concatenate(
+            (self.child_offsets, self.child_offsets[-1] + np.cumsum(child_counts))
+        )
+        zeros = np.zeros(added, dtype=np.float64)
+        return TreeArena(
+            kinds=np.concatenate((self.kinds, kinds)).astype(np.int8, copy=False),
+            parents=parents,
+            edge_lengths=edge_lengths,
+            xs=np.concatenate((self.xs, xs)),
+            ys=np.concatenate((self.ys, ys)),
+            has_location=np.concatenate((self.has_location, has_location)),
+            sink_caps=np.concatenate((self.sink_caps, sink_caps)),
+            groups=np.concatenate((self.groups, np.where(has_group, groups, 0))),
+            has_group=np.concatenate((self.has_group, has_group)),
+            names=self.names + names,
+            root=root,
+            child_offsets=offsets.astype(np.int64, copy=False),
+            child_ids=np.concatenate((self.child_ids, child_ids)).astype(np.int64, copy=False),
+            technology=self.technology,
+            buffers=(self.buffers or [None] * self.num_nodes) + [None] * added,
+            buffer_mask=np.concatenate((self.buffer_mask, np.zeros(added, dtype=bool))),
+            buffer_input_caps=np.concatenate((self.buffer_input_caps, zeros)),
+            buffer_intrinsics=np.concatenate((self.buffer_intrinsics, zeros)),
+            buffer_drive_res=np.concatenate((self.buffer_drive_res, zeros)),
+        )
+
     # ------------------------------------------------------------------
     # Conversion
     # ------------------------------------------------------------------
@@ -242,37 +400,72 @@ class TreeArena:
         return replace(self, **changes)
 
     def to_clock_tree(self):
-        """Rebuild the object tree this arena describes.
+        """The object tree this arena describes.
 
-        Nodes are materialised directly (the arena came from a validated tree
-        or the validated construction loop, so the incremental-construction
-        checks of the public API would only re-prove what already holds);
-        ids, children order, attributes and the root are reproduced exactly.
+        The tree keeps this arena as its snapshot, so the arena must not be
+        modified afterwards, and builds its node objects
+        (:meth:`node_objects`) only when something first asks for one, inside
+        a ``cts.materialize`` span.  Ids, children order, attributes and the
+        root are reproduced exactly.
         """
-        from repro.cts.tree import ClockNode, ClockTree
+        from repro.cts.tree import ClockTree
 
-        tree = ClockTree(technology=self.technology)
-        offsets = self.child_offsets
-        for i in range(self.num_nodes):
-            location = None
-            if self.has_location[i]:
-                location = Point(float(self.xs[i]), float(self.ys[i]))
-            parent = int(self.parents[i])
-            tree._nodes[i] = ClockNode(
-                node_id=i,
-                kind=_KIND_NAMES[self.kinds[i]],
-                location=location,
-                parent=None if parent < 0 else parent,
-                children=[int(c) for c in self.child_ids[offsets[i] : offsets[i + 1]]],
-                edge_length=float(self.edge_lengths[i]),
-                sink_cap=float(self.sink_caps[i]),
-                group=int(self.groups[i]) if self.has_group[i] else None,
-                name=self.names[i],
-                buffer=self.buffers[i] if self.buffers else None,
+        return ClockTree._from_arena(self)
+
+    def node_objects(self) -> Dict[int, object]:
+        """One ``ClockNode`` per row, keyed by node id.
+
+        Nodes are built directly (the arena came from a validated tree or
+        the validated construction loop, so the incremental-construction
+        checks of the public API would only re-prove what already holds),
+        each column converted to Python values once: ids, children order,
+        attributes and buffers are reproduced exactly.
+        """
+        from repro.cts.tree import ClockNode
+
+        n = self.num_nodes
+        # Parents and children reference the node ids' own int objects; the
+        # last entry of ``ids`` is what a parent of -1 (a root) reads.
+        ids = np.empty(n + 1, dtype=object)
+        ids[:n] = range(n)
+        offsets = self.child_offsets.tolist()
+        child_ids = ids[self.child_ids].tolist()
+        parents = ids[self.parents].tolist()
+        locations = [
+            Point(x, y) if placed else None
+            for x, y, placed in zip(
+                self.xs.tolist(), self.ys.tolist(), self.has_location.tolist()
             )
-        tree._next_id = self.num_nodes
-        tree.root_id = None if self.root < 0 else self.root
-        return tree
+        ]
+        groups = [
+            group if grouped else None
+            for group, grouped in zip(self.groups.tolist(), self.has_group.tolist())
+        ]
+        return {
+            i: ClockNode(
+                i,
+                _KIND_NAMES[kind],
+                location,
+                parent,
+                child_ids[offsets[i] : offsets[i + 1]],
+                edge_length,
+                sink_cap,
+                group,
+                name,
+                buffer,
+            )
+            for i, kind, location, parent, edge_length, sink_cap, group, name, buffer in zip(
+                ids[:n].tolist(),
+                self.kinds.tolist(),
+                locations,
+                parents,
+                self.edge_lengths.tolist(),
+                self.sink_caps.tolist(),
+                groups,
+                self.names,
+                self.buffers or [None] * n,
+            )
+        }
 
 
 def _attribute_columns(nodes: Sequence) -> Dict[str, object]:

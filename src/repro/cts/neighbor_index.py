@@ -71,6 +71,14 @@ def _chebyshev(centres_a: np.ndarray, centres_b: np.ndarray) -> np.ndarray:
     return np.maximum(du, dv)
 
 
+#: Rows per block of a full rebuild's pair distances.  The ``(rows, k + 1, 4)``
+#: candidate gather then stays near 1 MB; one gather of every row (14 MB at
+#: n = 50k) is released to the OS on free, which raises glibc's dynamic mmap
+#: threshold to its size and its heap trim threshold to twice that, so the
+#: merge loop's later temporaries stay resident after the loop.
+REBUILD_BLOCK = 4096
+
+
 def _pair_block(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Exact TRR distances between ``rows[t]`` and every region in ``cands[t]``.
 
@@ -260,10 +268,15 @@ class NeighborIndex:
         # The KD query hands back the centre distances it already computed;
         # caching them is what makes later incremental merges exact and free.
         self._cand_d, self._cand_pos = query_neighbors(centres, self.k_candidates)
-        self._pair_d = _pair_block(arr, arr[self._cand_pos])
+        self._pair_d = np.empty(self._cand_pos.shape)
+        for start in range(0, len(arr), REBUILD_BLOCK):
+            block = slice(start, start + REBUILD_BLOCK)
+            self._pair_d[block] = _pair_block(arr[block], arr[self._cand_pos[block]])
         self._pair_d[self._cand_pos == np.arange(len(arr))[:, np.newaxis]] = np.inf
         self._keys = keys
-        self._arr = arr
+        # A copy: ``loci_to_array`` passes the caller's (n, 4) array through,
+        # and the merge loop reuses that memory for its next pass.
+        self._arr = arr.copy()
         self._centres = centres
         self.full_rebuilds += 1
 

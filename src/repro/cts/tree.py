@@ -6,15 +6,24 @@ of the wire connecting it to its parent; the length may exceed the Manhattan
 distance between the endpoints when the router snaked the wire to balance
 delays.  Wirelength, delays and skew reports are all derived from this
 structure.
+
+A tree has two forms: its node objects and a struct-of-arrays snapshot
+(:class:`~repro.cts.arena.TreeArena`, :meth:`ClockTree.as_arena`).  The
+routers and ECO build trees as arenas
+(:meth:`~repro.cts.arena.TreeArena.to_clock_tree`); such a tree creates its
+node objects only when something first asks for one, and keeps the arena as
+its snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.geometry.point import Point
+from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.delay.buffer import BufferCell
@@ -61,11 +70,14 @@ class ClockNode:
 class ClockTree:
     """A rooted, embedded clock routing tree.
 
-    The tree is built incrementally by the routers: sinks first, then internal
+    A tree is built incrementally through :meth:`add_sink`,
+    :meth:`add_internal` and :meth:`add_source` (sinks first, then internal
     merge nodes bottom-up, and finally a source node adopting the last
-    remaining subtree root.  Locations may be filled in later by the top-down
-    embedding pass; wirelength is always derived from the stored edge lengths
-    (which include snaking), never from the geometry.
+    remaining subtree root), or from a finished arena
+    (``TreeArena.to_clock_tree``), as the routers do.  Locations may be filled in
+    later by the top-down embedding pass; wirelength is always derived from
+    the stored edge lengths (which include snaking), never from the
+    geometry.
     """
 
     def __init__(self, technology: Technology = DEFAULT_TECHNOLOGY) -> None:
@@ -78,6 +90,39 @@ class ClockTree:
         # as_arena() re-reads only those rows (see TreeArena.refreshed).
         self._arena = None
         self._stale_rows: Set[int] = set()
+
+    @classmethod
+    def _from_arena(cls, arena) -> "ClockTree":
+        """The tree ``arena`` describes, with ``arena`` as its snapshot
+        (what ``TreeArena.to_clock_tree`` returns).
+
+        Its node objects are built from the arena's columns
+        (``TreeArena.node_objects``) on first use -- any node query, walk or
+        edit -- inside a ``cts.materialize`` span.  Until then
+        :meth:`as_arena`, ``len`` and ``root_id`` answer from the arena.
+        """
+        tree = cls.__new__(cls)
+        tree.technology = arena.technology
+        tree._next_id = arena.num_nodes
+        tree.root_id = None if arena.root < 0 else arena.root
+        tree._arena = arena
+        tree._stale_rows = set()
+        return tree
+
+    @cached_property
+    def _nodes(self) -> Dict[int, ClockNode]:
+        """The node objects of a tree built by :meth:`_from_arena`.
+
+        Read only when the instance holds none yet (``__init__`` sets its
+        own dict); the built dict is then stored on the instance and every
+        later access is a plain attribute read.
+        """
+        arena = self._arena
+        with get_tracer().span("cts.materialize", nodes=arena.num_nodes):
+            return arena.node_objects()
+
+    def _has_node_objects(self) -> bool:
+        return "_nodes" in self.__dict__
 
     # ------------------------------------------------------------------
     # Construction
@@ -180,10 +225,11 @@ class ClockTree:
         length 0) ready to be adopted via :meth:`attach` or
         :meth:`add_internal` / :meth:`add_source`.
 
-        Returns the old-id -> new-id mapping.
+        Returns the old-id -> new-id mapping.  (ECO gathers its clean
+        subtrees as arena slices instead, ``TreeArena.gather_subtrees``, with
+        the ids and columns this copy gives.)
         """
-        # Grafting is on the ECO hot path (it copies every clean node), so
-        # the traversal stays a tight preorder loop over the raw node dicts.
+        # A tight preorder loop over the raw node dicts.
         src = other._nodes
         dst = self._nodes
         next_id = self._next_id
@@ -232,8 +278,10 @@ class ClockTree:
         once afterwards, or the cached arena snapshot -- and everything
         computed from it, such as the array Elmore engine -- keeps serving
         the pre-mutation tree.  The next :meth:`as_arena` rebuilds in full.
+        A tree whose node objects were never built has nothing to refresh.
         """
-        self._arena = None
+        if self._has_node_objects():
+            self._arena = None
 
     def _add_node(self, node: ClockNode) -> int:
         self._nodes[node.node_id] = node
@@ -249,9 +297,13 @@ class ClockTree:
         return self._nodes[node_id]
 
     def __contains__(self, node_id: int) -> bool:
+        if not self._has_node_objects():
+            return node_id in range(self._arena.num_nodes)
         return node_id in self._nodes
 
     def __len__(self) -> int:
+        if not self._has_node_objects():
+            return self._arena.num_nodes
         return len(self._nodes)
 
     def nodes(self) -> Iterator[ClockNode]:
@@ -348,9 +400,10 @@ class ClockTree:
 
         The snapshot is cached and reused until the next mutation, so
         repeated analysis passes over an unchanged tree pay the conversion
-        once.  After structural edits (node addition, :meth:`attach`,
-        :meth:`copy_subtree_from`) and :meth:`mark_mutated` the snapshot is
-        rebuilt in full; after :meth:`set_location`, :meth:`set_edge_length`
+        once; a tree built from an arena (``TreeArena.to_clock_tree``)
+        starts with that arena as the snapshot and pays none.  After structural edits (node addition,
+        :meth:`attach`, :meth:`copy_subtree_from`) and :meth:`mark_mutated`
+        the snapshot is rebuilt in full; after :meth:`set_location`, :meth:`set_edge_length`
         and :meth:`set_buffer` only the rows those setters touched are
         re-read.  Either way a new arena is returned and every snapshot
         handed out earlier stays as it was.  Callers must treat the returned

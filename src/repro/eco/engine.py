@@ -16,12 +16,14 @@ subtrees back in unchanged:
 2. *Dirty cone.*  All ancestors of the dirty nodes up to (and including) the
    source.  Everything else is clean.
 3. *Frontier.*  The maximal clean subtrees: clean nodes whose parent lies in
-   the cone.  Each frontier subtree is copied into the new tree node for
-   node (:meth:`~repro.cts.tree.ClockTree.copy_subtree_from`), bit-identical
-   by construction, and summarised from the base tree's arena snapshot by
-   :func:`~repro.delay.elmore.subtree_summary`: its root's capacitance and
-   per-group delay intervals -- the tree *as embedded*, detour extensions
-   and prior repairs included.
+   the cone.  Each frontier subtree is one slice of the base arena's
+   preorder, and the stitched tree starts as one gather of those slices
+   (:meth:`~repro.cts.arena.TreeArena.gather_subtrees`), frontier roots in
+   ascending id order: the ids and columns a node-by-node preorder copy
+   gives, bit-identical by construction.  Each subtree is summarised from
+   the base arena by :func:`~repro.delay.elmore.subtree_summary`: its
+   root's capacitance and per-group delay intervals -- the tree *as
+   embedded*, detour extensions and prior repairs included.
 4. *Re-merge.*  :meth:`~repro.core.ast_dme.AstDme.grow`, the router's own
    construction step, grows the stitched tree over the frontier stubs and
    the fresh sinks (added, moved and blockage-displaced ones): one merge row
@@ -41,6 +43,10 @@ bound, through ``optimize_routing``, which holds every group to its own
 bound (the repair's ``skew_bound_ps`` when set) -- the untouched-subtree
 bit-identity guarantee therefore holds exactly on the no-repair path (see
 docs/eco.md for the tolerance semantics).
+
+Steps 1-3 read the base tree only through its arena, and the stitched tree is
+built as an arena, so a re-route creates no node objects unless it repairs or
+its instance has blockages (the obstacle-aware embedding edits node objects).
 """
 
 from __future__ import annotations
@@ -54,11 +60,12 @@ import numpy as np
 from repro.analysis.skew import skew_report
 from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
+from repro.cts.arena import _KIND_NAMES, SINK_KIND, TreeArena
 from repro.cts.tree import ClockTree
 from repro.delay.elmore import subtree_summary
 from repro.eco.delta import EcoDelta
 from repro.geometry.obstacles import ObstacleSet
-from repro.geometry.trr import Trr
+from repro.geometry.point import Point
 from repro.obs.trace import get_tracer
 from repro.opt.config import OptConfig
 
@@ -194,7 +201,8 @@ def eco_reroute(
     tech = instance.technology
     single_group = getattr(base, "single_group", False)
     constraints = constraints or base.constraints or config.router.constraints()
-    tree = base.tree
+    arena = base.tree.as_arena()
+    parents = arena.parents
 
     removed_ids = set(delta.remove)
     moved_ids = set(delta.moved_ids())
@@ -219,7 +227,7 @@ def eco_reroute(
                 partner_ids.add(surviving[int(nearest)].sink_id)
 
         wanted = removed_ids | moved_ids | partner_ids
-        sink_nodes = _sink_nodes_by_id(tree, wanted)
+        sink_nodes = _sink_nodes_by_id(arena, wanted)
         missing = sorted(sid for sid in wanted if sid not in sink_nodes)
         if missing:
             raise ValueError(
@@ -230,74 +238,74 @@ def eco_reroute(
         dirty: Set[int] = {sink_nodes[sid] for sid in wanted}
 
         if delta.add_blockages:
+            unplaced = np.flatnonzero(~arena.has_location)
+            if unplaced.size:
+                raise ValueError(
+                    "base tree is not fully embedded (node %d has no location)"
+                    % unplaced[0]
+                )
             fresh = ObstacleSet(delta.add_blockages)
             combined = new_instance.obstacle_set()
-            blocked: Set[int] = set()
-            for node in tree.nodes():
-                if node.location is None:
-                    raise ValueError(
-                        "base tree is not fully embedded (node %d has no location)"
-                        % node.node_id
-                    )
-                if fresh.blocks_point(node.location):
-                    blocked.add(node.node_id)
+            locations = [Point(x, y) for x, y in zip(arena.xs.tolist(), arena.ys.tolist())]
+            blocked = {i for i, point in enumerate(locations) if fresh.blocks_point(point)}
             dirty |= blocked
             # An edge into or out of a blocked node is rebuilt with it, and
             # detours are undefined from inside a blockage.
-            for node in tree.nodes():
-                if node.parent is None or node.node_id in blocked or node.parent in blocked:
+            lengths = arena.edge_lengths.tolist()
+            for node_id, parent in enumerate(parents.tolist()):
+                if parent < 0 or node_id in blocked or parent in blocked:
                     continue
-                parent_location = tree.node(node.parent).location
-                detour = combined.detour_distance(parent_location, node.location)
-                if node.edge_length + _DETOUR_TOL < detour:
-                    dirty.add(node.node_id)
+                detour = combined.detour_distance(locations[parent], locations[node_id])
+                if lengths[node_id] + _DETOUR_TOL < detour:
+                    dirty.add(node_id)
 
         # ------------------------------------------------------------------
         # 2. Dirty cone: the dirty nodes and all their ancestors.  The source is
         #    always rebuilt (its child edge is re-resolved against the new root
         #    subtree), so it seeds the cone even for an empty delta.
         # ------------------------------------------------------------------
-        cone: Set[int] = {tree.root().node_id}
+        if arena.root < 0:
+            raise ValueError("the tree has no root yet")
+        cone: Set[int] = {arena.root}
         for nid in dirty:
-            for ancestor in tree.path_to_root(nid):
-                if ancestor in cone:
-                    break
-                cone.add(ancestor)
+            while nid >= 0 and nid not in cone:
+                cone.add(nid)
+                nid = int(parents[nid])
         cone_span.set(dirty=len(dirty), cone=len(cone))
 
     # ------------------------------------------------------------------
-    # 3. Frontier: maximal clean subtrees, copied verbatim and summarised as
-    #    they stand in the base tree.
+    # 3. Frontier: maximal clean subtrees, gathered as slices of the base
+    #    arena and summarised as they stand in the base tree.
     # ------------------------------------------------------------------
-    # Node ids are assigned in insertion order, so sorting reproduces the
-    # deterministic enumeration order of a full tree scan without paying O(n).
     with tracer.span("eco.stitch") as stitch_span:
-        frontier = sorted(
-            child_id
-            for nid in cone
-            for child_id in tree.node(nid).children
-            if child_id not in cone
-        )
-
-        new_tree = ClockTree(technology=tech)
-        new_loci: Dict[int, Trr] = {}
-        preserved_roots: Dict[int, int] = {}
-        reused = 0
+        in_cone = np.zeros(arena.num_nodes, dtype=bool)
+        in_cone[list(cone)] = True
+        children, _ = arena.children_of(np.flatnonzero(in_cone))
+        frontier = np.sort(children[~in_cone[children]])
         group_ids = [0] if single_group else new_instance.groups()
-        stubs = subtree_summary(tree.as_arena(), frontier, group_ids)
-        base_loci = base.loci
-        for fid in frontier:
-            if tree.node(fid).location is None:
-                raise ValueError(
-                    "base tree is not fully embedded (node %d has no location)" % fid
-                )
-            id_map = new_tree.copy_subtree_from(tree, fid)
-            reused += len(id_map)
-            preserved_roots[fid] = id_map[fid]
-            for old_id, new_id in id_map.items():
-                locus = base_loci.get(old_id)
-                if locus is not None:
-                    new_loci[new_id] = locus
+        stubs = subtree_summary(arena, frontier, group_ids)
+        unplaced = frontier[~arena.has_location[frontier]]
+        if unplaced.size:
+            raise ValueError(
+                "base tree is not fully embedded (node %d has no location)" % unplaced[0]
+            )
+        stitched, copied_from = arena.gather_subtrees(frontier)
+        stitched.technology = tech
+        reused = stitched.num_nodes
+        new_roots = np.flatnonzero(stitched.parents < 0)  # one per frontier root, in order
+        preserved_roots: Dict[int, int] = dict(zip(frontier.tolist(), new_roots.tolist()))
+        # Copied nodes keep their loci, in ascending new id order like a copy
+        # made node by node.
+        base_loci = list(base.loci.values())
+        keys = np.fromiter(base.loci, dtype=np.int64, count=len(base_loci))
+        inside = (keys >= 0) & (keys < arena.num_nodes)
+        locus_of = np.full(arena.num_nodes, -1, dtype=np.int64)
+        locus_of[keys[inside]] = np.flatnonzero(inside)
+        entries = locus_of[copied_from]
+        new_ids = np.flatnonzero(entries >= 0)
+        new_loci = dict(
+            zip(new_ids.tolist(), [base_loci[k] for k in entries[new_ids].tolist()])
+        )
 
         # Sinks that must be (re)created: added sinks, moved sinks, and clean-id
         # sinks the blockage scan displaced (inside a new blockage is impossible
@@ -305,10 +313,9 @@ def eco_reroute(
         # rebuild lands here).
         recreate: Set[int] = set(moved_ids)
         for nid in dirty:
-            node = tree.node(nid)
-            if not node.is_sink:
+            if arena.kinds[nid] != SINK_KIND:
                 continue
-            name = node.name or ""
+            name = arena.names[nid] or ""
             try:
                 sid = int(name[5:]) if name.startswith("sink-") else None
             except ValueError:
@@ -347,19 +354,18 @@ def eco_reroute(
             association.associate(groups[0], group)
     obstacles = new_instance.obstacle_set() if new_instance.has_obstacles else None
     with tracer.span("eco.remerge") as remerge_span:
-        new_loci.update(
-            AstDme(config.router, constraints).grow(
-                new_tree,
-                fresh_sinks,
-                new_instance.source,
-                group_ids,
-                stats,
-                association,
-                obstacles,
-                stubs=list(preserved_roots.values()),
-                stub_summary=stubs,
-            )
+        new_tree, merge_loci = AstDme(config.router, constraints).grow(
+            stitched,
+            fresh_sinks,
+            new_instance.source,
+            group_ids,
+            stats,
+            association,
+            obstacles,
+            stubs=new_roots,
+            stub_summary=stubs,
         )
+        new_loci.update(merge_loci)
         remerge_span.set(passes=stats.passes)
     # Clean subtrees inherit the base's violation slack (post-detour,
     # post-repair spreads the re-merge cannot shrink); validation of the
@@ -398,46 +404,77 @@ def eco_reroute(
 
 
 # ----------------------------------------------------------------------
+def _signature_columns(arena: TreeArena, roots) -> Tuple[List[Tuple], List]:
+    """The signature columns of the subtrees below ``roots``, one after another.
+
+    One row per node in preorder: kind code, location (0.0 where unplaced,
+    with the placed flag), edge length (0.0 at each subtree root), sink cap,
+    group (0 where ungrouped, with the grouped flag) and child count.
+    Returns the array columns and the names.
+    """
+    rows, starts = arena.subtree_rows(roots)
+    placed = arena.has_location[rows]
+    grouped = arena.has_group[rows]
+    edge_lengths = arena.edge_lengths[rows]
+    edge_lengths[starts] = 0.0
+    columns = (
+        arena.kinds[rows],
+        placed,
+        np.where(placed, arena.xs[rows], 0.0),
+        np.where(placed, arena.ys[rows], 0.0),
+        edge_lengths,
+        arena.sink_caps[rows],
+        grouped,
+        np.where(grouped, arena.groups[rows], 0),
+        arena.child_counts()[rows],
+    )
+    names = arena.names
+    return columns, [names[i] for i in rows.tolist()]
+
+
 def subtree_signature(tree: ClockTree, root_id: int) -> Tuple:
     """A hashable structural digest of a subtree, independent of node ids.
 
     Covers kind, name, location, sink cap, group, child count and the edge
     length of every edge strictly inside the subtree (the subtree root's own
-    parent edge is excluded: re-merging legitimately re-books it).  Two
-    subtrees with equal signatures are bit-identical copies.
+    parent edge is excluded: re-merging legitimately re-books it), node by
+    node in preorder.  Two subtrees with equal signatures are bit-identical
+    copies.  Read from the tree's arena, so it builds no node objects.
     """
-    signature: List[Tuple] = []
-    stack = [root_id]
-    while stack:
-        nid = stack.pop()
-        node = tree.node(nid)
-        signature.append(
-            (
-                node.kind,
-                node.name,
-                None if node.location is None else (node.location.x, node.location.y),
-                0.0 if nid == root_id else node.edge_length,
-                node.sink_cap,
-                node.group,
-                len(node.children),
-            )
+    columns, names = _signature_columns(tree.as_arena(), [root_id])
+    kinds, placed, xs, ys, edges, caps, grouped, groups, counts = (c.tolist() for c in columns)
+    return tuple(
+        (
+            _KIND_NAMES[kinds[k]],
+            names[k],
+            (xs[k], ys[k]) if placed[k] else None,
+            edges[k],
+            caps[k],
+            groups[k] if grouped[k] else None,
+            counts[k],
         )
-        stack.extend(reversed(node.children))
-    return tuple(signature)
+        for k in range(len(names))
+    )
 
 
 def preserved_subtrees_identical(
     base_tree: ClockTree, new_tree: ClockTree, preserved_roots: Mapping[int, int]
 ) -> bool:
-    """Whether every stitched frontier subtree is bit-identical to its source."""
-    return all(
-        subtree_signature(base_tree, base_root) == subtree_signature(new_tree, new_root)
-        for base_root, new_root in preserved_roots.items()
+    """Whether every stitched frontier subtree is bit-identical to its source.
+
+    Compares the :func:`subtree_signature` of every pair at once, column by
+    column on the two trees' arenas.
+    """
+    base_columns, base_names = _signature_columns(base_tree.as_arena(), list(preserved_roots))
+    new_columns, new_names = _signature_columns(
+        new_tree.as_arena(), list(preserved_roots.values())
+    )
+    return base_names == new_names and all(
+        np.array_equal(mine, theirs) for mine, theirs in zip(base_columns, new_columns)
     )
 
 
-# ----------------------------------------------------------------------
-def _sink_nodes_by_id(tree: ClockTree, wanted: Set[int]) -> Dict[int, int]:
+def _sink_nodes_by_id(arena: TreeArena, wanted: Set[int]) -> Dict[int, int]:
     """Instance sink id -> tree node id for the ``wanted`` sink ids.
 
     The scan resolves the standard ``sink-<id>`` names through a precomputed
@@ -448,10 +485,11 @@ def _sink_nodes_by_id(tree: ClockTree, wanted: Set[int]) -> Dict[int, int]:
     names = {"sink-%d" % sid: sid for sid in wanted}
     if not names:
         return mapping
-    for node in tree.nodes():
-        sid = names.get(node.name)
-        if sid is not None and node.is_sink:
-            mapping[sid] = node.node_id
+    kinds = arena.kinds
+    for node_id, name in enumerate(arena.names):
+        sid = names.get(name)
+        if sid is not None and kinds[node_id] == SINK_KIND:
+            mapping[sid] = node_id
     return mapping
 
 

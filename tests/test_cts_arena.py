@@ -4,9 +4,14 @@ loop's bit-identity with the object reference loop.
 Three layers:
 
 * ``TreeArena`` unit tests: CSR children gathers, depth/height levels,
-  reachability, cycle / non-contiguous-id rejection, snapshot caching, and
-  a hypothesis oracle holding every cached or row-refreshed snapshot equal
-  to a full rebuild;
+  reachability, the preorder index, cycle / non-contiguous-id rejection,
+  snapshot caching, and a hypothesis oracle holding every cached or
+  row-refreshed snapshot equal to a full rebuild, from object-built and
+  arena-built starting trees alike;
+* arena construction: the arenas the routers and ECO build equal a rebuild
+  from their own node objects, and gathering subtree slices equals the
+  node-by-node preorder copy (``copy_subtree_from``, the oracle) column for
+  column;
 * lossless round-trip: ``from_clock_tree`` -> ``to_clock_tree`` reproduces
   routed trees node for node, including obstacle-detoured trees whose edge
   lengths exceed the Manhattan distance (hypothesis-driven);
@@ -37,6 +42,7 @@ from repro.cts.arena import INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
 from repro.cts.tree import ClockTree
 from repro.delay.buffer import default_library
 from repro.delay.technology import Technology
+from repro.eco import EcoConfig, EcoDelta, SinkAdd, SinkMove, eco_reroute
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.opt import BUFFERED_PASSES, OptConfig
@@ -118,6 +124,20 @@ class TestTreeArena:
         arena = TreeArena.from_clock_tree(small_tree())
         levels = [sorted(level.tolist()) for level in arena.height_levels()]
         assert levels == [[0, 1], [2], [3]]
+
+    def test_preorder_is_the_topological_order_with_subtree_slices(self):
+        tree = small_tree()
+        order, pre, size = tree.as_arena().preorder()
+        assert order.tolist() == tree.topological_order() == [3, 2, 0, 1]
+        assert pre.tolist() == [2, 3, 1, 0]
+        assert size.tolist() == [1, 1, 3, 4]
+
+    def test_preorder_of_a_forest_follows_root_ids(self):
+        tree = small_tree()
+        tree.add_sink(Point(99.0, 99.0), sink_cap=1.0)  # a second root, id 4
+        order, pre, size = tree.as_arena().preorder()
+        assert order.tolist() == [3, 2, 0, 1, 4]
+        assert size[4] == 1 and pre[4] == 4
 
     def test_reachable_mask_excludes_detached_subtrees(self):
         tree = small_tree()
@@ -242,6 +262,31 @@ def assert_arenas_equal(got: TreeArena, expected: TreeArena) -> None:
     assert got.reachable_mask().tolist() == expected.reachable_mask().tolist()
 
 
+def _stitched(base, seed: int = 0):
+    """``base`` after one seeded ECO delta: two moves, a removal and an add."""
+    rng = np.random.default_rng(seed)
+    sinks = base.instance.sinks
+    picked = rng.choice(len(sinks), size=3, replace=False).tolist()
+    delta = EcoDelta(
+        move=tuple(
+            SinkMove(sinks[k].sink_id, Point(sinks[k].location.x + 40.0, sinks[k].location.y))
+            for k in picked[:2]
+        ),
+        remove=(sinks[picked[2]].sink_id,),
+        add=(SinkAdd(location=sinks[0].location.translated(25.0, -30.0), cap=0.05, group=0),),
+    )
+    return eco_reroute(base, delta, EcoConfig(router=AstDmeConfig(skew_bound_ps=10.0))).routing
+
+
+@functools.lru_cache(maxsize=None)
+def _arena_built(kind: str) -> TreeArena:
+    """The arena a route ("grown") or an ECO re-route ("stitched") built."""
+    spec = InstanceSpec.from_random(60, seed=5, groups=4)
+    base = run(RunSpec(instance=spec), keep_tree=True).routing
+    routing = base if kind == "grown" else _stitched(base)
+    return routing.tree.as_arena()
+
+
 @functools.lru_cache(maxsize=None)
 def _routed_base(kind: str) -> ClockTree:
     """Read-only routed trees the snapshot oracle copies before editing."""
@@ -270,16 +315,21 @@ _EDITS = st.tuples(
 
 
 class TestSnapshotOracle:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["random", "blocked", "buffered"]),
+        kind=st.sampled_from(["random", "blocked", "buffered", "grown", "stitched"]),
         edits=st.lists(_EDITS, min_size=1, max_size=30),
     )
     def test_snapshots_match_a_full_rebuild(self, kind, edits):
         """Interleave setters, structural edits, ``mark_mutated`` and
         ``as_arena``: every snapshot equals a rebuild taken at the same moment,
-        and no snapshot handed out earlier changes afterwards."""
-        tree = TreeArena.from_clock_tree(_routed_base(kind)).to_clock_tree()
+        and no snapshot handed out earlier changes afterwards.  The "grown"
+        and "stitched" trees start from the arena the router or ECO built,
+        before any node object exists."""
+        if kind in ("grown", "stitched"):
+            tree = _arena_built(kind).to_clock_tree()
+        else:
+            tree = TreeArena.from_clock_tree(_routed_base(kind)).to_clock_tree()
         orphans = []
         taken = []
         for op, pick, value in edits + [("snapshot", 0, 0.0)]:
@@ -347,6 +397,85 @@ class TestRoundTrip:
         must reproduce those lengths exactly, not re-derive them."""
         tree = routed_tree(num_sinks, seed, groups=2, family="blocked")
         assert_trees_identical(tree.as_arena().to_clock_tree(), tree)
+
+
+# ----------------------------------------------------------------------
+# Arena construction: grown and stitched arenas vs their node objects
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _stitch_base(kind: str) -> ClockTree:
+    """Read-only bases of the stitch property: the snapshot bases plus a
+    70-group route."""
+    if kind == "wide":
+        return routed_tree(150, seed=5, groups=70)
+    return _routed_base(kind)
+
+
+def _disjoint_roots(tree: ClockTree, picks) -> list:
+    """The picked nodes (modulo the tree size) that share no subtree with an
+    earlier accepted pick, in pick order."""
+    roots = []
+    for pick in picks:
+        node = pick % len(tree)
+        path = set(tree.path_to_root(node))
+        if any(root in path or node in tree.path_to_root(root) for root in roots):
+            continue
+        roots.append(node)
+    return roots
+
+
+class TestArenaConstruction:
+    @pytest.mark.parametrize("kind", ["random", "blocked", "buffered", "wide"])
+    def test_preorder_matches_the_object_walk(self, kind):
+        tree = _stitch_base(kind)
+        order, pre, size = tree.as_arena().preorder()
+        assert order.tolist() == tree.topological_order()
+        for node_id in range(0, len(tree), 7):
+            below = order[pre[node_id] : pre[node_id] + size[node_id]].tolist()
+            assert below == list(ClockTree().copy_subtree_from(tree, node_id))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "blocked", "buffered", "wide"]),
+        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=12),
+        ascending=st.booleans(),
+    )
+    def test_gathered_slices_equal_the_preorder_copy(self, kind, picks, ascending):
+        """Gathering subtree slices gives, column for column (NaN-aware,
+        names, buffers and CSR order included), the arena of the tree that
+        ``copy_subtree_from`` builds by grafting the same subtrees node by
+        node into an empty tree, in the same order."""
+        base = _stitch_base(kind)
+        roots = _disjoint_roots(base, picks)
+        if ascending:
+            roots.sort()
+        expected = ClockTree(technology=base.technology)
+        copied_from = {}
+        for root in roots:
+            for old_id, new_id in expected.copy_subtree_from(base, root).items():
+                copied_from[new_id] = old_id
+        got, rows = base.as_arena().gather_subtrees(roots)
+        assert_arenas_equal(got, TreeArena.from_clock_tree(expected))
+        assert rows.tolist() == [copied_from[k] for k in range(len(expected))]
+
+    @pytest.mark.parametrize("kind", ["random", "blocked", "buffered", "wide"])
+    def test_routes_build_the_arena_of_their_nodes(self, kind):
+        """The arena a route grew (refreshed by the embedding or the repair
+        where they edited nodes) equals a rebuild from its node objects."""
+        tree = _stitch_base(kind)
+        assert_arenas_equal(tree.as_arena(), TreeArena.from_clock_tree(tree))
+
+    @pytest.mark.parametrize("family,groups", [("random", 4), ("random", 70), ("blocked", 2)])
+    def test_eco_builds_the_arena_of_its_nodes(self, family, groups):
+        if family == "blocked":
+            spec = InstanceSpec.from_family("blocked", 150, seed=2, groups=groups)
+        else:
+            spec = InstanceSpec.from_random(150, seed=2, groups=groups)
+        routing = run(RunSpec(instance=spec), keep_tree=True).routing
+        for seed in range(3):
+            routing = _stitched(routing, seed)
+            tree = routing.tree.as_arena().to_clock_tree()
+            assert_arenas_equal(routing.tree.as_arena(), TreeArena.from_clock_tree(tree))
 
 
 # ----------------------------------------------------------------------
@@ -496,11 +625,11 @@ def test_random_stub_rows_merge_identically(data, weight):
         node_id=np.arange(len(stubs), dtype=np.int64),
         group_ids=group_ids,
     )
-    got_tree = _stub_tree(len(stubs), tech)
     got_stats = MergeStats()
     got_assoc = GroupAssociation(STUB_GROUPS)
     merged = router.merge_rows(rows, len(stubs), source, tech, got_stats, got_assoc)
-    got_loci = merged.add_to(got_tree, source)
+    got_arena, got_loci = merged.append_to(_stub_tree(len(stubs), tech).as_arena(), source)
+    got_tree = got_arena.to_clock_tree()
 
     assert_trees_identical(got_tree, expected_tree)
     assert_loci_identical(got_loci, expected_loci)

@@ -27,8 +27,13 @@ import pytest
 
 from repro.analysis.skew import skew_report
 from repro.analysis.validate import validate_result
+from repro.analysis.wirelength import wirelength_report
+from repro.api.registry import RouterSpec
+from repro.api.runner import run
+from repro.api.spec import InstanceSpec, RunSpec
 from repro.circuits.generator import random_instance
 from repro.core.ast_dme import AstDme, AstDmeConfig
+from repro.cts.tree import ClockNode
 from repro.eco import (
     EcoConfig,
     EcoDelta,
@@ -170,3 +175,37 @@ class TestWideGroupFallback:
                 current.tree, routing.tree, outcome.eco.preserved_roots
             ), "delta %d: a preserved subtree changed" % step
             current = routing
+
+
+class TestArenaOnlyChain:
+    """Routes and ECO build trees as arenas; node objects wait for validation."""
+
+    def test_chain_creates_no_node_objects_before_validation(self, monkeypatch):
+        created = []
+        init = ClockNode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClockNode, "__init__", counting_init)
+        spec = RunSpec(
+            instance=InstanceSpec.from_random(2000, seed=4, groups=4, grouping_seed=4),
+            router=RouterSpec("ast-dme", {"skew_bound_ps": BOUND_PS}),
+        )
+        base = run(spec, keep_tree=True).routing
+        assert not created, "the route built node objects"
+        config = EcoConfig(router=AstDmeConfig(skew_bound_ps=BOUND_PS))
+        current = base
+        for step, delta in enumerate(make_chain(base.instance, 4, 20)):
+            outcome = eco_reroute(current, delta, config)
+            routing = outcome.routing
+            skew_report(routing.tree)
+            wirelength_report(routing.tree)
+            assert preserved_subtrees_identical(
+                current.tree, routing.tree, outcome.eco.preserved_roots
+            ), "delta %d: a preserved subtree changed" % step
+            assert not created, "delta %d built node objects" % step
+            current = routing
+        assert validate_result(current, intra_bound_ps=BOUND_PS) == []
+        assert len(created) == len(current.tree)

@@ -208,6 +208,84 @@ class TestSubtreeSignature:
             )
 
 
+    def test_signature_is_the_object_preorder_walk(self):
+        """The arena signature lists what a preorder walk of the node
+        objects reads, node by node."""
+        base, config = _route(n=60, seed=4)
+        tree = eco_reroute(base, EcoDelta(remove=(3,)), EcoConfig(router=config)).routing.tree
+        for root_id in range(0, len(tree), 5):
+            expected = []
+            stack = [root_id]
+            while stack:
+                node = tree.node(stack.pop())
+                expected.append(
+                    (
+                        node.kind,
+                        node.name,
+                        None if node.location is None else (node.location.x, node.location.y),
+                        0.0 if node.node_id == root_id else node.edge_length,
+                        node.sink_cap,
+                        node.group,
+                        len(node.children),
+                    )
+                )
+                stack.extend(reversed(node.children))
+            assert subtree_signature(tree, root_id) == tuple(expected)
+
+    @pytest.mark.parametrize("edit", ["x", "y", "length", "cap", "group", "name", "unplace"])
+    def test_any_edit_inside_a_preserved_subtree_is_detected(self, edit):
+        base, config = _route(n=60, seed=4)
+        outcome = eco_reroute(base, EcoDelta(remove=(3,)), EcoConfig(router=config))
+        tree = outcome.routing.tree
+        roots = outcome.eco.preserved_roots
+        assert preserved_subtrees_identical(base.tree, tree, roots)
+        # The last node of the largest preserved subtree, never its root.
+        new_root = max(roots.values(), key=lambda r: len(subtree_signature(tree, r)))
+        order, pre, size = tree.as_arena().preorder()
+        node = tree.node(int(order[pre[new_root] + size[new_root] - 1]))
+        if edit == "x":
+            tree.set_location(node.node_id, node.location.translated(1e-3, 0.0))
+        elif edit == "y":
+            tree.set_location(node.node_id, node.location.translated(0.0, 1e-3))
+        elif edit == "length":
+            tree.set_edge_length(node.node_id, node.edge_length + 1e-3)
+        elif edit == "unplace":
+            tree.set_location(node.node_id, None)
+        else:
+            if edit == "cap":
+                node.sink_cap += 1e-3
+            elif edit == "group":
+                node.group = None
+            else:
+                node.name = "renamed"
+            tree.mark_mutated()
+        assert not preserved_subtrees_identical(base.tree, tree, roots)
+
+    def test_copied_nodes_keep_the_loci_of_their_sources(self):
+        base, config = _route(n=80, seed=3)
+        sink = base.instance.sinks[5]
+        delta = EcoDelta(
+            move=(SinkMove(5, Point(sink.location.x + 700.0, sink.location.y)),),
+            remove=(9,),
+        )
+        outcome = eco_reroute(base, delta, EcoConfig(router=config))
+        new = outcome.routing
+        base_order, base_pre, base_size = base.tree.as_arena().preorder()
+        new_order, new_pre, new_size = new.tree.as_arena().preorder()
+        copied = 0
+        for base_root, new_root in outcome.eco.preserved_roots.items():
+            count = base_size[base_root]
+            assert new_size[new_root] == count
+            olds = base_order[base_pre[base_root] : base_pre[base_root] + count].tolist()
+            news = new_order[new_pre[new_root] : new_pre[new_root] + count].tolist()
+            for old_id, new_id in zip(olds, news):
+                assert new.loci.get(new_id) is base.loci.get(old_id)
+                copied += old_id in base.loci
+        assert copied > 0
+        # Copied loci come first, by id, then the re-merged nodes' loci.
+        assert list(new.loci) == sorted(new.loci)
+
+
 class TestStitchingInvariants:
     """Hypothesis-style sweep: random instances, random small deltas.
 
