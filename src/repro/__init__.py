@@ -92,7 +92,7 @@ from repro.core import (
     SkewConstraints,
     Subtree,
 )
-from repro.cts import ClockNode, ClockTree, ExtBst, GreedyDme, embed_tree, route_edges
+from repro.cts import ClockNode, ClockTree, ExtBst, GreedyDme, route_edges
 from repro.delay import DEFAULT_TECHNOLOGY, RcTree, Technology, elmore_delays, sink_delays
 from repro.geometry import ObstacleSet, Point, Rect, Trr
 from repro.experiments import run_figure1, run_figure2, run_table1, run_table2
@@ -162,7 +162,6 @@ __all__ = [
     "available_routers",
     "clustered_groups",
     "elmore_delays",
-    "embed_tree",
     "format_table",
     "generate_instance",
     "get_router",

@@ -13,10 +13,10 @@
 * the Elmore delays computed by the fast evaluator agree with the independent
   segmented RC oracle (:mod:`repro.delay.rc_tree`).
 
-The structure, geometry and oracle passes read one snapshot built fresh from
-the node objects, never the cached ``as_arena()`` the engine reads, so a stale
-cache shows up as ``delay`` issues.  Delays are undefined off the root's tree,
-so a disconnected or cyclic tree skips only the delay and skew checks.
+Every check reads one snapshot, ``ClockTree.fresh_arena()`` (never the cached
+``as_arena()`` the engine reads, so a stale cache shows up as ``delay``
+issues), and builds no node objects.  Delays are undefined off the root's
+tree, so a disconnected or cyclic tree skips only the delay and skew checks.
 
 ``validate_result`` additionally checks the routing result's bookkeeping
 (loci containing the embedded locations, each group's intra-group skew within
@@ -37,11 +37,12 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.analysis.skew import skew_report
 from repro.core.group_constraints import capped_bounds
-from repro.cts.arena import SINK_KIND, SOURCE_KIND, TreeArena
+from repro.cts.arena import SINK_KIND, SOURCE_KIND
 from repro.delay.elmore import arena_elmore
 from repro.delay.rc_tree import arena_oracle_delays
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
+from repro.geometry.point import Point
 
 __all__ = [
     "DEFAULT_LOCUS_TOLERANCE",
@@ -78,23 +79,24 @@ def validate_tree(
     return _validate_tree(tree, instance, obstacles)[0]
 
 
-def _validate_tree(tree, instance, obstacles) -> Tuple[List[ValidationIssue], bool]:
-    """``validate_tree``'s issues, and whether the tree's delays are defined."""
+def _validate_tree(tree, instance, obstacles) -> Tuple[List[ValidationIssue], bool, object]:
+    """``validate_tree``'s issues, whether the tree's delays are defined, and
+    the snapshot the checks read."""
     if obstacles is None and instance is not None and instance.has_obstacles:
         obstacles = instance.obstacle_set()
-    arena = TreeArena.from_clock_tree(tree)
+    arena = tree.fresh_arena()
     if arena.root < 0:
         # Without a root the electrical checks cannot run at all.
-        return [ValidationIssue("structure", "the tree has no root")], False
+        return [ValidationIssue("structure", "the tree has no root")], False, arena
     issues, is_tree = _check_structure(arena)
     issues.extend(_check_geometry(arena))
     if obstacles:
-        issues.extend(_check_blockages(tree, obstacles))
+        issues.extend(_check_blockages(arena, obstacles))
     if is_tree:
         issues.extend(_check_delays(tree, arena))
     if instance is not None:
-        issues.extend(_check_instance_coverage(tree, instance))
-    return issues, is_tree
+        issues.extend(_check_instance_coverage(arena, instance))
+    return issues, is_tree, arena
 
 
 def validate_routes(
@@ -145,35 +147,8 @@ def validate_result(
         locus_tolerance: geometric tolerance (micrometres) applied to the
             off-locus placement checks.
     """
-    issues, is_tree = _validate_tree(result.tree, result.instance, None)
-    obstacles = (
-        result.instance.obstacle_set() if result.instance.has_obstacles else None
-    )
-    # A locus escape may displace a node by at most roughly one blockage
-    # diameter (nearest_free_point walks to a blocking rectangle's boundary);
-    # anything further off-locus is a bug, blockages or not.
-    max_escape = (
-        max(rect.width + rect.height for rect in obstacles) if obstacles else 0.0
-    )
-    for node_id, locus in result.loci.items():
-        node = result.tree.node(node_id)
-        if node.location is None or locus.contains_point(node.location, tol=locus_tolerance):
-            continue
-        if (
-            obstacles is not None
-            and not obstacles.blocks_point(node.location)
-            and obstacles.blocks_point(locus.nearest_point_to(node.location))
-            and locus.distance_to_point(node.location) <= max_escape + locus_tolerance
-        ):
-            # The locus is blockage-blind and locally unusable here: the
-            # embedding legitimately escaped to the blockage boundary.
-            continue
-        issues.append(
-            ValidationIssue(
-                "locus",
-                "node %d embedded at %r outside its placement locus" % (node_id, node.location),
-            )
-        )
+    issues, is_tree, arena = _validate_tree(result.tree, result.instance, None)
+    issues.extend(_check_loci(arena, result, locus_tolerance))
     if intra_bound_ps is not None and is_tree:
         report = skew_report(result.tree)
         constraints = getattr(result, "constraints", None)
@@ -254,46 +229,31 @@ def _check_geometry(arena) -> List[ValidationIssue]:
     return issues
 
 
-def _check_blockages(tree, obstacles: ObstacleSet) -> List[ValidationIssue]:
+def _check_blockages(arena, obstacles: ObstacleSet) -> List[ValidationIssue]:
     """No node inside a blockage; every edge books its detour distance."""
-    issues: List[ValidationIssue] = []
-    for node in tree.nodes():
-        if node.location is not None and obstacles.blocks_point(node.location):
-            issues.append(
-                ValidationIssue(
-                    "blockage",
-                    "node %d is embedded at %r inside a blockage" % (node.node_id, node.location),
-                )
-            )
-    for node in tree.nodes():
-        if node.parent is None or node.location is None:
-            continue
-        parent = tree.node(node.parent)
-        if parent.location is None:
-            continue
-        if obstacles.blocks_point(node.location) or obstacles.blocks_point(parent.location):
-            continue  # already reported above; detours are undefined from inside
+    inside = arena.has_location & obstacles.blocks_points(arena.xs, arena.ys)
+    issues = [
+        ValidationIssue("blockage", "node %d is embedded at %r inside a blockage" % (
+            node_id, _location(arena, node_id)))
+        for node_id in np.flatnonzero(inside).tolist()
+    ]
+    # Detours are undefined from inside a blockage (already reported above).
+    parents, free = arena.parents, arena.has_location & ~inside
+    for node_id in np.flatnonzero((parents >= 0) & free & free[parents]).tolist():
+        parent = int(parents[node_id])
         try:
-            needed = obstacles.detour_distance(parent.location, node.location)
+            needed = obstacles.detour_distance(_location(arena, parent), _location(arena, node_id))
         except ValueError:
             # Overlapping blockages can enclose an endpoint without any single
             # rectangle containing it; that is an issue, not a crash.
-            issues.append(
-                ValidationIssue(
-                    "blockage",
-                    "edge %d -> %d has no blockage-avoiding path at all"
-                    % (parent.node_id, node.node_id),
-                )
-            )
+            issues.append(ValidationIssue("blockage", (
+                "edge %d -> %d has no blockage-avoiding path at all" % (parent, node_id))))
             continue
-        if node.edge_length < needed - _GEOM_TOL:
-            issues.append(
-                ValidationIssue(
-                    "blockage",
-                    "edge %d -> %d books %.6g wire but avoiding blockages needs %.6g"
-                    % (parent.node_id, node.node_id, node.edge_length, needed),
-                )
-            )
+        booked = float(arena.edge_lengths[node_id])
+        if booked < needed - _GEOM_TOL:
+            issues.append(ValidationIssue("blockage", (
+                "edge %d -> %d books %.6g wire but avoiding blockages needs %.6g"
+                % (parent, node_id, booked, needed))))
     return issues
 
 
@@ -314,47 +274,61 @@ def _check_delays(tree, arena) -> List[ValidationIssue]:
     ]
 
 
-def _check_instance_coverage(tree, instance) -> List[ValidationIssue]:
+def _check_instance_coverage(arena, instance) -> List[ValidationIssue]:
+    sinks = np.flatnonzero(arena.kinds == SINK_KIND)
+    columns = (arena.xs, arena.ys, arena.sink_caps, arena.groups, arena.has_group)
+    by_location = {}
+    for x, y, cap, group, grouped in zip(*(column[sinks].tolist() for column in columns)):
+        key = (round(x, 6), round(y, 6))
+        by_location.setdefault(key, []).append((cap, group if grouped else None))
     issues: List[ValidationIssue] = []
-    sinks_by_location = {}
-    for node in tree.sinks():
-        key = (round(node.location.x, 6), round(node.location.y, 6))
-        sinks_by_location.setdefault(key, []).append(node)
-
-    if len(tree.sinks()) != instance.num_sinks:
-        issues.append(
-            ValidationIssue(
-                "coverage",
-                "tree has %d sinks but the instance has %d"
-                % (len(tree.sinks()), instance.num_sinks),
-            )
-        )
+    if len(sinks) != instance.num_sinks:
+        issues.append(ValidationIssue("coverage", "tree has %d sinks but the instance has %d" % (
+            len(sinks), instance.num_sinks)))
     for sink in instance.sinks:
-        key = (round(sink.location.x, 6), round(sink.location.y, 6))
-        candidates = sinks_by_location.get(key, [])
-        match = next(
-            (
-                node
-                for node in candidates
-                if abs(node.sink_cap - sink.cap) <= 1e-9 and node.group == sink.group
-            ),
-            None,
-        )
-        if match is None:
-            issues.append(
-                ValidationIssue(
-                    "coverage",
-                    "instance sink %d (group %d) has no matching tree sink"
-                    % (sink.sink_id, sink.group),
-                )
-            )
-    root = tree.root()
-    if root.location is not None and root.location.distance_to(instance.source) > _GEOM_TOL:
-        issues.append(
-            ValidationIssue(
-                "coverage",
-                "tree source at %r does not match the instance source %r"
-                % (root.location, instance.source),
-            )
-        )
+        candidates = by_location.get((round(sink.location.x, 6), round(sink.location.y, 6)), ())
+        if not any(abs(c - sink.cap) <= 1e-9 and g == sink.group for c, g in candidates):
+            issues.append(ValidationIssue("coverage", (
+                "instance sink %d (group %d) has no matching tree sink"
+                % (sink.sink_id, sink.group))))
+    root = _location(arena, arena.root)
+    if root is not None and root.distance_to(instance.source) > _GEOM_TOL:
+        issues.append(ValidationIssue("coverage", (
+            "tree source at %r does not match the instance source %r" % (root, instance.source))))
     return issues
+
+
+def _check_loci(arena, result, tolerance: float) -> List[ValidationIssue]:
+    """Every placed node with a locus lies on it, or escaped a blockage there."""
+    obstacles = result.instance.obstacle_set() if result.instance.has_obstacles else None
+    # A locus escape may displace a node by at most roughly one blockage
+    # diameter (nearest_free_point walks to a blocking rectangle's boundary);
+    # anything further off-locus is a bug, blockages or not.
+    max_escape = max(rect.width + rect.height for rect in obstacles) if obstacles else 0.0
+    ids = np.fromiter(result.loci, dtype=np.int64, count=len(result.loci))
+    rows = np.array([(t.ulo, t.uhi, t.vlo, t.vhi) for t in result.loci.values()]).reshape(-1, 4)
+    u, v = arena.xs[ids] + arena.ys[ids], arena.xs[ids] - arena.ys[ids]  # Trr.contains_point
+    inside = (rows[:, 0] - tolerance <= u) & (u <= rows[:, 1] + tolerance)
+    inside &= (rows[:, 2] - tolerance <= v) & (v <= rows[:, 3] + tolerance)
+    issues: List[ValidationIssue] = []
+    for node_id in ids[arena.has_location[ids] & ~inside].tolist():
+        location, locus = _location(arena, node_id), result.loci[node_id]
+        if (
+            obstacles is not None
+            and not obstacles.blocks_point(location)
+            and obstacles.blocks_point(locus.nearest_point_to(location))
+            and locus.distance_to_point(location) <= max_escape + tolerance
+        ):
+            # The locus is blockage-blind and locally unusable here: the
+            # embedding legitimately escaped to the blockage boundary.
+            continue
+        issues.append(ValidationIssue("locus", (
+            "node %d embedded at %r outside its placement locus" % (node_id, location))))
+    return issues
+
+
+def _location(arena, node_id: int) -> Optional[Point]:
+    """The embedded location of ``node_id`` (None when unplaced)."""
+    if not arena.has_location[node_id]:
+        return None
+    return Point(float(arena.xs[node_id]), float(arena.ys[node_id]))

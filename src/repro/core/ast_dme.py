@@ -14,12 +14,12 @@ re-merge runs as well:
    remains, which is then connected to the clock source.  This loop is
    :meth:`AstDme.merge_rows`.
 2. *Top-down embedding.*  Concrete locations are chosen for every new merge
-   node, one depth level at a time; booked wire lengths are never changed,
-   so all delays and skews decided bottom-up are preserved.  When the
-   instance carries routing blockages the embedding is obstacle aware
-   (:func:`repro.cts.embedding.embed_tree`): locations are chosen by
-   blockage-avoiding detour distance and edges whose booked wire cannot
-   cover the detour are extended (the total extension is reported as
+   node, one depth level at a time (:func:`repro.cts.embedding.embed_levels`);
+   booked wire lengths are never changed, so all delays and skews decided
+   bottom-up are preserved.  When the instance carries routing blockages the
+   embedding is obstacle aware: locations are chosen by blockage-avoiding
+   detour distance and edges whose booked wire cannot cover the detour are
+   extended (the total extension is reported as
    ``MergeStats.obstacle_detour``).
 
 The merge loop holds the active subtrees as struct-of-arrays rows
@@ -42,8 +42,9 @@ of the live pendings that row ``i`` reaches through ``slot[i]``.  The rows and
 the table live in buffers allocated once per loop, compacted in place after
 each pass.  The built nodes accumulate in flat arrays indexed by node id
 (:class:`MergedTree`) and become rows of a :class:`~repro.cts.arena.TreeArena`
-once, at the end: the routed :class:`~repro.cts.tree.ClockTree` is built from
-that arena and creates its node objects only when first asked for one.
+once, at the end, which the embedding places: the routed
+:class:`~repro.cts.tree.ClockTree` is built from that arena and creates its
+node objects only when first asked for one.
 
 Running the router with ``single_group=True`` ignores the instance's grouping
 and yields the conventional bounded-skew (EXT-BST) or zero-skew (greedy-DME)
@@ -74,7 +75,7 @@ from repro.core.merge_batch import (
 )
 from repro.core.merging_order import MergeOrderPolicy
 from repro.cts.arena import INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
-from repro.cts.embedding import embed_tree
+from repro.cts.embedding import embed_levels
 from repro.cts.tree import ClockTree
 from repro.delay.elmore import SubtreeSummary
 from repro.delay.technology import Technology
@@ -91,9 +92,8 @@ __all__ = [
     "MergedTree",
     "AstDme",
     "point_loci",
+    "copied_loci",
 ]
-
-_TOL = 1e-6  # embedding edge-length tolerance (repro.cts.embedding._TOL)
 
 
 @dataclass(frozen=True)
@@ -233,19 +233,15 @@ class MergedTree:
     source_id: int
 
     def append_to(
-        self,
-        prefix: TreeArena,
-        source: Point,
-        xs: Optional[np.ndarray] = None,
-        ys: Optional[np.ndarray] = None,
+        self, prefix: TreeArena, source: Point
     ) -> Tuple[TreeArena, Dict[int, Trr]]:
         """``prefix`` grown by the merge nodes and the source, and their loci.
 
         ``prefix`` must hold exactly the ``first_id`` nodes the rows refer
         to, so the new nodes get the ids the loop gave them; the rows' nodes
-        are adopted by their merge nodes.  With ``xs``/``ys`` (locations by
-        node id) the merge nodes are placed, otherwise they are left for an
-        embedding pass.  Only the loci become Python objects.
+        are adopted by their merge nodes.  The merge nodes are left unplaced,
+        for the embedding (:func:`~repro.cts.embedding.embed_levels`, with
+        :attr:`loci` as its locus rows).  Only the loci become Python objects.
         """
         if prefix.num_nodes != self.first_id:
             raise ValueError(
@@ -259,16 +255,14 @@ class MergedTree:
         parents[:first] = np.where(adopted, parents[:first], prefix.parents)
         edges = self.edge.copy()
         edges[:first] = np.where(adopted, edges[:first], prefix.edge_lengths)
-        placed = xs is not None
-        if not placed:
-            xs = ys = np.full(last, np.nan)
+        unplaced = np.full(merges, np.nan)
         arena = prefix.appended(
             kinds=np.append(np.full(merges, INTERNAL_KIND, dtype=np.int8), SOURCE_KIND),
             parents=parents,
             edge_lengths=edges,
-            xs=np.append(xs[first:last], source.x),
-            ys=np.append(ys[first:last], source.y),
-            has_location=np.append(np.full(merges, placed), True),
+            xs=np.append(unplaced, source.x),
+            ys=np.append(unplaced, source.y),
+            has_location=np.append(np.zeros(merges, dtype=bool), True),
             sink_caps=np.zeros(merges + 1),
             groups=np.zeros(merges + 1, dtype=np.int64),
             has_group=np.zeros(merges + 1, dtype=bool),
@@ -292,6 +286,21 @@ def point_loci(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     u = xs + ys
     v = xs - ys
     return np.stack((u, u, v, v), axis=1)
+
+
+def copied_loci(
+    loci: Dict[int, Trr], copied_from: np.ndarray, offset: int = 0
+) -> Dict[int, Trr]:
+    """The loci of the rows :meth:`TreeArena.gather_subtrees` copied from
+    ``copied_from``: row ``k``'s node's locus as node ``offset + k``'s, in
+    ascending row order (ECO and the h-tree re-key their copies with it)."""
+    values = list(loci.values())
+    keys = np.fromiter(loci, dtype=np.int64, count=len(values))
+    locus_of = np.full(max(keys.max(initial=-1), copied_from.max(initial=-1)) + 1, -1)
+    locus_of[keys] = np.arange(len(keys))
+    entries = locus_of[copied_from]
+    rows = np.flatnonzero(entries >= 0)
+    return dict(zip((rows + offset).tolist(), [values[k] for k in entries[rows].tolist()]))
 
 
 class AstDme:
@@ -371,13 +380,12 @@ class AstDme:
 
         Each stub and sink becomes one merge row at its point, and
         :meth:`merge_rows` merges them.  The sinks, the merge nodes and the
-        source are appended to the prefix as arena rows, embedded top-down:
-        without ``obstacles`` level by level from the rows' points, with them
-        through :func:`~repro.cts.embedding.embed_tree` on the tree's node
-        objects, whose detour extension goes to ``stats.obstacle_detour``.
-        The stubs' subtrees are not touched.  Returns the tree
-        (:meth:`TreeArena.to_clock_tree`) and the merge nodes' loci by node
-        id.
+        source are appended to the prefix as arena rows and embedded
+        top-down, level by level (:func:`~repro.cts.embedding.embed_levels`,
+        obstacle aware with ``obstacles``); the detour extension goes to
+        ``stats.obstacle_detour``.  The stubs' subtrees are not touched.
+        Returns the tree (:meth:`TreeArena.to_clock_tree`) and the merge
+        nodes' loci by node id.
         """
         first = prefix.num_nodes
         n = len(sinks)
@@ -406,9 +414,6 @@ class AstDme:
 
         embed_start = time.perf_counter()
         with get_tracer().span("dme.embed") as embed_span:
-            placed_xs = placed_ys = None
-            if obstacles is None:
-                placed_xs, placed_ys = _embed_levels(merged, row_ids, xs, ys, source)
             groups = [s.group for s in sinks]
             with_sinks = prefix.appended(
                 kinds=np.full(n, SINK_KIND, dtype=np.int8),
@@ -425,12 +430,9 @@ class AstDme:
                 child_ids=np.empty(0, dtype=np.int64),
                 root=prefix.root,
             )
-            arena, loci = merged.append_to(with_sinks, source, placed_xs, placed_ys)
+            arena, loci = merged.append_to(with_sinks, source)
+            arena, stats.obstacle_detour = embed_levels(arena, merged.loci, obstacles)
             tree = arena.to_clock_tree()
-            if obstacles is None:
-                stats.obstacle_detour = 0.0
-            else:
-                stats.obstacle_detour = embed_tree(tree, loci, obstacles=obstacles)
             embed_span.add("obstacle_detour", stats.obstacle_detour)
         stats.embed_seconds += time.perf_counter() - embed_start
         return tree, loci
@@ -697,58 +699,3 @@ def _associate(association: GroupAssociation, present_a, present_b, group_ids) -
         for group in groups[1:]:
             association.associate(groups[0], group)
 
-
-def _embed_levels(
-    merged: MergedTree, row_ids: np.ndarray, xs0: np.ndarray, ys0: np.ndarray, src: Point
-) -> tuple:
-    """Vectorised obstacle-free top-down embedding of the merge nodes.
-
-    The merged rows' nodes ``row_ids`` are placed at ``xs0``/``ys0``.
-    Mirrors :func:`repro.cts.embedding.embed_tree`: every merge node is
-    placed at the point of its locus nearest (in Manhattan distance) to its
-    parent's already-chosen location, one depth level at a time.  The booked
-    edge lengths are then verified against the realised geometry exactly
-    like the scalar ``_check_edge``.  Returns location arrays by node id,
-    defined at the rows' nodes, the merge nodes and the source.
-    """
-    first = merged.first_id
-    source_id = merged.source_id
-    t_child_a, t_child_b = merged.child_a, merged.child_b
-    t_parent, t_edge, t_loci = merged.parent, merged.edge, merged.loci
-    count = source_id + 1
-    xs = np.empty(count, dtype=np.float64)
-    ys = np.empty(count, dtype=np.float64)
-    xs[row_ids] = xs0
-    ys[row_ids] = ys0
-    xs[source_id] = src.x
-    ys[source_id] = src.y
-
-    frontier = np.array([source_id], dtype=np.int64)
-    while frontier.size:
-        children = np.concatenate((t_child_a[frontier], t_child_b[frontier]))
-        children = children[children >= 0]
-        internal = children[children >= first]
-        if internal.size:
-            parents = t_parent[internal]
-            # Trr.nearest_point_to(parent): rotate, clamp per axis, rotate back.
-            pu = xs[parents] + ys[parents]
-            pv = xs[parents] - ys[parents]
-            rows = t_loci[internal]
-            cu = np.minimum(np.maximum(pu, rows[:, 0]), rows[:, 1])
-            cv = np.minimum(np.maximum(pv, rows[:, 2]), rows[:, 3])
-            xs[internal] = (cu + cv) / 2.0
-            ys[internal] = (cu - cv) / 2.0
-        frontier = internal
-
-    # _check_edge over every parented node at once.
-    nodes = np.flatnonzero(t_parent[:count] >= 0)
-    parents = t_parent[nodes]
-    distance = np.abs(xs[parents] - xs[nodes]) + np.abs(ys[parents] - ys[nodes])
-    bad = distance > t_edge[nodes] + _TOL
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            "edge to node %d needs %.6g wire but only %.6g was booked"
-            % (int(nodes[k]), float(distance[k]), float(t_edge[nodes[k]]))
-        )
-    return xs, ys

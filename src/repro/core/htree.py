@@ -22,6 +22,10 @@ the two:
    never exceeds the widest child spread, so by induction every sink group
    (even one split across leaf regions) stays within the bound.
 
+The composite tree is built as arena rows: each leaf route's subtree is one
+gathered preorder slice, appended with its ids offset before its tap, the
+junctions and the source, so the route builds no node objects.
+
 The router registers as ``h-tree`` and satisfies the standard ``Router``
 protocol; results carry ``single_group=True`` because the trunk, like the
 EXT-BST baseline, bounds all sinks against each other rather than per group.
@@ -33,9 +37,12 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.circuits.instance import ClockInstance, Sink
-from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
+from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult, copied_loci
 from repro.core.group_constraints import GroupAssociation
+from repro.cts.arena import INTERNAL_KIND, SOURCE_KIND, TreeArena
 from repro.cts.tree import ClockTree
 from repro.delay.elmore import subtree_summary
 from repro.delay.wire import wire_delay, wire_length_for_delay
@@ -70,6 +77,49 @@ class _Handoff:
     hi: float
 
 
+@dataclass
+class _Composite:
+    """The composite tree as arena rows, and its loci.  Rows are appended in
+    the order ``copy_subtree_from``, ``add_internal`` and ``add_source``
+    would create the nodes, so ids, child order and every column are theirs."""
+
+    arena: TreeArena
+    loci: Dict[int, Trr] = field(default_factory=dict)
+
+    def graft(self, leaf: TreeArena, root: int, leaf_loci: Dict[int, Trr]) -> int:
+        """Append a detached copy of ``leaf``'s subtree below ``root`` and its
+        loci; returns the copy's id."""
+        sub, copied_from = leaf.gather_subtrees([root])
+        base, offset = self.arena, self.arena.num_nodes
+        parents = np.where(sub.parents >= 0, sub.parents + offset, -1)
+        self.arena = base.appended(
+            sub.kinds, np.concatenate((base.parents, parents)),
+            np.concatenate((base.edge_lengths, sub.edge_lengths)), sub.xs, sub.ys,
+            sub.has_location, sub.sink_caps, sub.groups, sub.has_group, sub.names,
+            sub.child_counts(), sub.child_ids + offset, base.root,
+        )
+        self.loci.update(copied_loci(leaf_loci, copied_from, offset))
+        return offset
+
+    def add(self, kind: int, children: List[int], lengths: List[float], location: Point,
+            name: str) -> int:
+        """Append a placed node driving ``children`` over ``lengths`` of wire;
+        a source becomes the root.  Returns its id."""
+        base, node_id = self.arena, self.arena.num_nodes
+        parents = np.append(base.parents, -1)
+        parents[children] = node_id
+        edge_lengths = np.append(base.edge_lengths, 0.0)
+        edge_lengths[children] = lengths
+        one = np.ones(1, dtype=bool)
+        self.arena = base.appended(
+            np.array([kind]), parents, edge_lengths, np.array([location.x]),
+            np.array([location.y]), one, np.zeros(1), np.zeros(1, dtype=np.int64), ~one,
+            [name], np.array([len(children)]), np.array(children, dtype=np.int64),
+            node_id if kind == SOURCE_KIND else base.root,
+        )
+        return node_id
+
+
 class HTreeRouter:
     """Route with an H-shaped trunk over AST-DME leaf subtrees."""
 
@@ -88,12 +138,13 @@ class HTreeRouter:
         start = time.perf_counter()
         obstacles = instance.obstacle_set() if instance.has_obstacles else None
         region = self._build_region(list(instance.sinks), self.trunk_levels, 0, obstacles)
-        tree = ClockTree(technology=instance.technology)
-        loci: Dict[int, Trr] = {}
+        composite = _Composite(
+            TreeArena.from_clock_tree(ClockTree(technology=instance.technology))
+        )
         stats = MergeStats()
-        top = self._realise(region, instance, tree, loci, stats, obstacles)
+        top = self._realise(region, instance, composite, stats, obstacles)
         source_edge = self._distance(instance.source, top.location, obstacles)
-        tree.add_source(instance.source, top.node_id, source_edge)
+        composite.add(SOURCE_KIND, [top.node_id], [source_edge], instance.source, "clk")
 
         association = GroupAssociation(instance.groups())
         groups = instance.groups()
@@ -102,11 +153,11 @@ class HTreeRouter:
             # that spans all groups at once.
             association.associate(groups[0], group)
         return RoutingResult(
-            tree=tree,
+            tree=composite.arena.to_clock_tree(),
             instance=instance,
             stats=stats,
             association=association,
-            loci=loci,
+            loci=composite.loci,
             elapsed_seconds=time.perf_counter() - start,
             single_group=True,
             constraints=self.config.constraints(),
@@ -177,16 +228,15 @@ class HTreeRouter:
         self,
         region: _Region,
         instance: ClockInstance,
-        tree: ClockTree,
-        loci: Dict[int, Trr],
+        composite: _Composite,
         stats: MergeStats,
         obstacles: Optional[ObstacleSet],
     ) -> _Handoff:
         if not region.children:
-            return self._realise_leaf(region, instance, tree, loci, stats)
+            return self._realise_leaf(region, instance, composite, stats)
         tech = instance.technology
         parts = [
-            self._realise(child, instance, tree, loci, stats, obstacles)
+            self._realise(child, instance, composite, stats, obstacles)
             for child in region.children
         ]
         center = region.center
@@ -209,21 +259,17 @@ class HTreeRouter:
             cap += tech.unit_capacitance * length + part.cap
             lo = delay + part.lo if lo is None else min(lo, delay + part.lo)
             hi = delay + part.hi if hi is None else max(hi, delay + part.hi)
-        junction_id = tree.add_internal(
-            children=[part.node_id for part in parts],
-            edge_lengths=lengths,
-            location=center,
-            name="htree-junction",
+        junction_id = composite.add(
+            INTERNAL_KIND, [part.node_id for part in parts], lengths, center, "htree-junction"
         )
-        loci[junction_id] = Trr.from_point(center)
+        composite.loci[junction_id] = Trr.from_point(center)
         return _Handoff(junction_id, center, cap, lo, hi)
 
     def _realise_leaf(
         self,
         region: _Region,
         instance: ClockInstance,
-        tree: ClockTree,
-        loci: Dict[int, Trr],
+        composite: _Composite,
         stats: MergeStats,
     ) -> _Handoff:
         sub = replace(
@@ -234,27 +280,21 @@ class HTreeRouter:
         )
         result = AstDme(self.config).route(sub, single_group=True)
         self._merge_stats(stats, result.stats)
-        leaf_tree = result.tree
-        leaf_root = leaf_tree.root()
-        child = leaf_tree.node(leaf_root.children[0])
-        id_map = tree.copy_subtree_from(leaf_tree, child.node_id)
-        for old_id, locus in result.loci.items():
-            if old_id in id_map:
-                loci[id_map[old_id]] = locus
+        leaf = result.tree.as_arena()
+        child = int(leaf.child_ids[leaf.child_offsets[leaf.root]])
+        copy_id = composite.graft(leaf, child, result.loci)
         # The leaf tree's source node becomes a plain tap node: same location,
         # same edge down to the subtree, but driven by the trunk above.
-        tap_id = tree.add_internal(
-            children=[id_map[child.node_id]],
-            edge_lengths=[child.edge_length],
-            location=region.center,
-            name="htree-tap",
+        tap_id = composite.add(
+            INTERNAL_KIND, [copy_id], [float(leaf.edge_lengths[child])], region.center,
+            "htree-tap",
         )
-        loci[tap_id] = Trr.from_point(region.center)
+        composite.loci[tap_id] = Trr.from_point(region.center)
         # Delays relative to the tap, which the leaf run's source was: in the
         # composite tree the source drives the trunk root instead.
-        leaf = subtree_summary(leaf_tree.as_arena(), [leaf_root.node_id], [0])
-        lo, hi = leaf.delays[0, 0].tolist()
-        return _Handoff(tap_id, region.center, float(leaf.caps[0]), lo, hi)
+        summary = subtree_summary(leaf, [leaf.root], [0])
+        lo, hi = summary.delays[0, 0].tolist()
+        return _Handoff(tap_id, region.center, float(summary.caps[0]), lo, hi)
 
     @staticmethod
     def _merge_stats(total: MergeStats, leaf: MergeStats) -> None:

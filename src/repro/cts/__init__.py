@@ -20,7 +20,6 @@ This package contains everything that is *not* specific to associative skew:
 from repro.cts.tree import ClockNode, ClockTree
 from repro.cts.nearest_neighbor import NeighborPairing, select_merge_pairs
 from repro.cts.neighbor_index import NeighborIndex
-from repro.cts.embedding import embed_tree
 from repro.cts.routing import route_edges, RectilinearRoute
 from repro.cts.dme import GreedyDme
 from repro.cts.bst import ExtBst
@@ -33,7 +32,6 @@ __all__ = [
     "NeighborIndex",
     "NeighborPairing",
     "RectilinearRoute",
-    "embed_tree",
     "route_edges",
     "select_merge_pairs",
 ]

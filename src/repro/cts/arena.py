@@ -39,7 +39,7 @@ The arena also memoises the derived orders used by the vectorized kernels:
 nodes grouped by depth (for top-down passes) and by height above the leaves
 (for bottom-up passes), reachability from the root, and the depth-first
 preorder index (:meth:`TreeArena.preorder`), under which every subtree is
-one contiguous slice.  :meth:`TreeArena.gather_subtrees` copies such slices
+one contiguous slice; ``arena_elmore`` memoises its pass on it too.  :meth:`TreeArena.gather_subtrees` copies such slices
 into a new arena, and :meth:`TreeArena.appended` adds rows after the last:
 the routers and ECO build their trees from these two, without node objects.
 
@@ -101,6 +101,11 @@ class TreeArena:
     _reachable: Optional[np.ndarray] = field(default=None, repr=False)
     _preorder: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, repr=False
+    )
+    #: ``arena_elmore``'s memo; not an init field, so every ``replace`` (such
+    #: as :meth:`refreshed`) starts without it.
+    _elmore: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------

@@ -16,91 +16,111 @@ Candidate locus points are compared by detour distance, and when even the
 best choice needs more wire than was booked bottom-up (the merge loci are
 blockage-blind), the edge length is extended to the detour distance so the
 edge stays realisable.  The total extension is returned so routers can report
-it; obstacle-free calls take the exact historical code path and return 0.
+it; obstacle-free calls return 0.  The pass runs over a
+:class:`~repro.cts.arena.TreeArena`, a depth level at a time; the preorder
+walk over node objects it replaced is a test oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Optional
+
+import numpy as np
 
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 
-__all__ = ["embed_tree"]
+__all__ = ["embed_levels"]
 
 _TOL = 1e-6
 
 
-def embed_tree(
-    tree,
-    loci: Dict[int, Trr],
-    source_location: Optional[Point] = None,
-    obstacles: Optional[ObstacleSet] = None,
-) -> float:
-    """Place the nodes of ``tree`` that have no location yet, top-down.
+def embed_levels(arena, loci: np.ndarray, obstacles: Optional[ObstacleSet] = None):
+    """Place the unplaced nodes of ``arena`` top-down; return the embedded
+    arena (``arena`` is left unchanged) and the wire added for detours.
 
-    The walk visits the root and then, in preorder, each node it places.
-    Every child of a visited node that has no location is placed on its
-    locus, and the edge into every child of a visited node is checked (with
-    obstacles: extended to its detour distance where needed).  A subtree
-    whose root is already placed is not entered: the caller vouches that it
-    is embedded, blockage-consistent included.  On a fresh route every merge
-    node is unplaced, so the walk covers every edge; on a stitched ECO tree
-    it covers the rebuilt cone and the edges into the stitched subtrees.
-
-    Args:
-        tree: the :class:`~repro.cts.tree.ClockTree` under construction.  Sinks
-            and the source must already carry locations.
-        loci: placement locus of every unplaced node, keyed by node id.
-        source_location: optional override for the source location check.
-        obstacles: optional routing blockages.  When given, locations are
-            chosen by detour distance and booked edge lengths are extended
-            where no blockage-avoiding path fits the booked wire.
-
-    Returns:
-        Total wire added to booked edge lengths for blockage detours (always
-        0.0 without obstacles).
-
-    Raises:
-        ValueError: when an unplaced node has no locus, or when a chosen
-            location would require more wire than the booked edge length
-            (which would indicate a bug in the bottom-up phase); with
-            obstacles, also when a node cannot be placed outside every
-            blockage.
+    The walk visits the (placed) root and then, a depth level at a time, each
+    node it places.  Every unplaced child of a visited node goes to the point
+    of its locus (row ``loci[child]``, rotated) nearest its parent, or, with
+    ``obstacles``, where that point is blocked or has no L-shaped path, to
+    :func:`_obstacle_aware_location`'s choice.  The edge into every child of
+    a visited node is then checked against the Manhattan distance, or with
+    obstacles extended to its detour distance.  Placed subtrees are not
+    entered.  The result is the preorder walk's, bit for bit: extensions add
+    up in its order (visited parents in preorder, children in attach order),
+    and of several errors its first is raised (a ``ValueError``: more wire
+    needed than booked, or with obstacles no legal placement or detour).
     """
     if obstacles is not None and not obstacles:
         obstacles = None
-    root = tree.root()
-    if root.location is None:
-        if source_location is None:
-            raise ValueError("the tree root has no location and none was supplied")
-        tree.set_location(root.node_id, source_location)
-
-    total_detour = 0.0
-    stack = [root.node_id]
-    while stack:
-        node_id = stack.pop()
-        parent_location = tree.node(node_id).location
-        placed = []
-        for child in tree.children_of(node_id):
-            if child.location is None:
-                if child.node_id not in loci:
-                    raise ValueError("internal node %d has no placement locus" % child.node_id)
-                if obstacles is None:
-                    location = loci[child.node_id].nearest_point_to(parent_location)
-                else:
+    xs, ys = arena.xs.copy(), arena.ys.copy()
+    placed = arena.has_location.copy()
+    edges = arena.edge_lengths.copy()
+    errors = []  # ((parent, child, phase), error), phase 0 placing, 1 the edge
+    extensions = []  # ((parent, child), added wire)
+    frontier = np.array([arena.root], dtype=np.int64)
+    while frontier.size:
+        children, at = arena.children_of(frontier)
+        parents = frontier[at]
+        px, py = xs[parents], ys[parents]
+        fresh = np.flatnonzero(~placed[children])
+        nodes = children[fresh]
+        # Trr.nearest_point_to(parent): rotate, clamp per axis, rotate back.
+        rows = loci[nodes]
+        cu = np.minimum(np.maximum(px[fresh] + py[fresh], rows[:, 0]), rows[:, 1])
+        cv = np.minimum(np.maximum(px[fresh] - py[fresh], rows[:, 2]), rows[:, 3])
+        xs[nodes] = (cu + cv) / 2.0
+        ys[nodes] = (cu - cv) / 2.0
+        placed[nodes] = True
+        if obstacles is not None:
+            blocked = obstacles.blocks_points(xs[nodes], ys[nodes])
+            for k, node in enumerate(nodes.tolist()):
+                parent = Point(float(px[fresh[k]]), float(py[fresh[k]]))
+                nearest = Point(float(xs[node]), float(ys[node]))
+                if not blocked[k] and obstacles.l_shape_path(parent, nearest) is not None:
+                    continue
+                try:
                     location = _obstacle_aware_location(
-                        loci[child.node_id], parent_location, obstacles, child.node_id
+                        Trr(*loci[node].tolist()), parent, obstacles, node
                     )
-                tree.set_location(child.node_id, location)
-                placed.append(child.node_id)
-            if obstacles is None:
-                _check_edge(parent_location, child.location, child.edge_length, child.node_id)
-            else:
-                total_detour += _extend_for_detour(tree, parent_location, child, obstacles)
-        stack.extend(reversed(placed))
-    return total_detour
+                except ValueError as error:
+                    placed[node] = False
+                    errors.append(((parents[fresh[k]], node, 0), error))
+                    continue
+                xs[node], ys[node] = location.x, location.y
+        checked = np.flatnonzero(placed[children])
+        targets = children[checked]
+        if obstacles is None:
+            distance = np.abs(px[checked] - xs[targets]) + np.abs(py[checked] - ys[targets])
+            for k in np.flatnonzero(distance > edges[targets] + _TOL).tolist():
+                message = "edge to node %d needs %.6g wire but only %.6g was booked" % (
+                    targets[k], distance[k], edges[targets[k]]
+                )
+                errors.append(((parents[checked[k]], targets[k], 1), ValueError(message)))
+        for k in checked.tolist() if obstacles is not None else ():
+            child = int(children[k])
+            ends = Point(float(px[k]), float(py[k])), Point(float(xs[child]), float(ys[child]))
+            try:
+                needed = obstacles.detour_distance(*ends)
+            except ValueError as error:
+                errors.append(((parents[k], child, 1), error))
+                continue
+            if needed > edges[child] + _TOL:
+                extensions.append(((parents[k], child), needed - float(edges[child])))
+                edges[child] = needed
+        frontier = nodes[placed[nodes]]
+
+    # The walk's order: parents, then each parent's children, by preorder
+    # position (which the visited nodes keep among themselves).
+    pre = arena.preorder()[1] if errors or extensions else None
+    if errors:
+        raise min(errors, key=lambda e: (pre[e[0][0]], pre[e[0][1]], e[0][2]))[1]
+    total_detour = 0.0
+    for _, wire in sorted(extensions, key=lambda e: (pre[e[0][0]], pre[e[0][1]])):
+        total_detour += wire
+    return replace(arena, xs=xs, ys=ys, has_location=placed, edge_lengths=edges), total_detour
 
 
 def _obstacle_aware_location(
@@ -137,23 +157,3 @@ def _obstacle_aware_location(
             % child_id
         )
     return best
-
-
-def _extend_for_detour(tree, parent: Point, child, obstacles: ObstacleSet) -> float:
-    """Grow ``child``'s booked edge to its detour distance when needed."""
-    needed = obstacles.detour_distance(parent, child.location)
-    if needed > child.edge_length + _TOL:
-        extension = needed - child.edge_length
-        tree.set_edge_length(child.node_id, needed)
-        return extension
-    return 0.0
-
-
-def _check_edge(parent: Point, child: Point, edge_length: float, child_id: int) -> None:
-    """Verify the booked edge length can realise the chosen embedding."""
-    distance = parent.distance_to(child)
-    if distance > edge_length + _TOL:
-        raise ValueError(
-            "edge to node %d needs %.6g wire but only %.6g was booked"
-            % (child_id, distance, edge_length)
-        )

@@ -143,8 +143,8 @@ def route_edges(
     """Realise every embedded edge of ``tree`` as a rectilinear path.
 
     Returns a mapping from child node id to its route.  Every node of the tree
-    must already have a location (run :func:`repro.cts.embedding.embed_tree`
-    first); the length of each returned route equals the booked edge length to
+    must already have a location (the routers embed every node they build);
+    the length of each returned route equals the booked edge length to
     within floating-point tolerance.  With ``obstacles``, no returned segment
     crosses a blockage interior (the booked lengths must cover the detours --
     run the embedding pass with the same obstacles).
@@ -158,7 +158,7 @@ def route_edges(
         parent = tree.node(node.parent)
         if node.location is None or parent.location is None:
             raise ValueError(
-                "edge %d -> %d is not embedded; run embed_tree first"
+                "edge %d -> %d is not embedded; embed the tree first"
                 % (parent.node_id, node.node_id)
             )
         path = _edge_path(parent.location, node.location, obstacles)
@@ -167,7 +167,7 @@ def route_edges(
         if extra < -_TOL and obstacles is not None:
             raise ValueError(
                 "edge %d -> %d books %.6g wire but its blockage-avoiding path "
-                "needs %.6g; run embed_tree with the same obstacles first"
+                "needs %.6g; embed the tree with the same obstacles first"
                 % (parent.node_id, node.node_id, node.edge_length, realised)
             )
         if extra > _TOL:

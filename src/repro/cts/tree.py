@@ -419,6 +419,17 @@ class ClockTree:
         self._stale_rows.clear()
         return arena
 
+    def fresh_arena(self):
+        """The snapshot validation and the RC oracle read: the tree's own
+        arena while it has built no node objects (nothing can have edited
+        it), else one rebuilt from the objects, never the :meth:`as_arena`
+        cache, so a field written behind the cache shows up."""
+        if not self._has_node_objects():
+            return self._arena
+        from repro.cts.arena import TreeArena
+
+        return TreeArena.from_clock_tree(self)
+
     def to_networkx(self):
         """The tree as a ``networkx.DiGraph`` (edges point from parent to child)."""
         import networkx as nx

@@ -42,7 +42,8 @@ __all__ = [
 
 def _reachable_view(tree, column: int) -> Dict[int, float]:
     """One :func:`arena_elmore` column as a dict over the reachable nodes."""
-    tree.root()  # "the tree has no root yet" before any snapshot
+    if tree.root_id is None:
+        raise ValueError("the tree has no root yet")  # before any snapshot
     arena = tree.as_arena()
     values = arena_elmore(arena)[column]
     ids = np.flatnonzero(arena.reachable_mask())
@@ -78,8 +79,11 @@ def elmore_delays(tree) -> Dict[int, float]:
 
 def sink_delays(tree) -> Dict[int, float]:
     """Elmore delay from the root to every sink, keyed by sink node id."""
+    from repro.cts.arena import SINK_KIND
+
     delays = elmore_delays(tree)
-    return {sink.node_id: delays[sink.node_id] for sink in tree.sinks()}
+    sinks = np.flatnonzero(tree.as_arena().kinds == SINK_KIND)
+    return {node_id: delays[node_id] for node_id in sinks.tolist()}
 
 
 class SinkGroups:
@@ -197,9 +201,17 @@ def arena_elmore(arena) -> Tuple[np.ndarray, np.ndarray]:
     with the source resistance term, and with each buffer's stage delay in
     front of everything below it.  Nodes unreachable from the root hold
     meaningless values; the dictionary entries above leave them out.
+
+    The pair is memoised on the arena, as its levels are, and read-only, so
+    a caller that writes to it fails loudly.
     """
-    caps, internal = _arena_capacitances(arena)
-    return caps, _arena_delays(arena, caps, internal)
+    if arena._elmore is None:
+        caps, internal = _arena_capacitances(arena)
+        delays = _arena_delays(arena, caps, internal)
+        caps.flags.writeable = False
+        delays.flags.writeable = False
+        arena._elmore = (caps, delays)
+    return arena._elmore
 
 
 def _arena_capacitances(arena):

@@ -192,12 +192,12 @@ class RcTree:
 
 def oracle_delays(tree, segments_per_edge: int = 4) -> Dict[int, float]:
     """Independent RC re-derivation of the Elmore delay of every node reachable
-    from the root: :func:`arena_oracle_delays` over a snapshot built fresh from
-    the nodes, never the cached ``as_arena()`` the engine reads."""
-    from repro.cts.arena import TreeArena
-
-    tree.root()  # same "no root yet" error as the engine
-    arena = TreeArena.from_clock_tree(tree)
+    from the root: :func:`arena_oracle_delays` over ``tree.fresh_arena()``,
+    rebuilt from the node objects when they exist, never the cached
+    ``as_arena()`` the engine reads."""
+    if tree.root_id is None:
+        raise ValueError("the tree has no root yet")  # the engine's error
+    arena = tree.fresh_arena()
     ids = np.flatnonzero(arena.reachable_mask())
     return dict(zip(ids.tolist(), arena_oracle_delays(arena, segments_per_edge)[ids].tolist()))
 

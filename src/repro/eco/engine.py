@@ -45,8 +45,8 @@ bit-identity guarantee therefore holds exactly on the no-repair path (see
 docs/eco.md for the tolerance semantics).
 
 Steps 1-3 read the base tree only through its arena, and the stitched tree is
-built as an arena, so a re-route creates no node objects unless it repairs or
-its instance has blockages (the obstacle-aware embedding edits node objects).
+built and embedded as an arena, blockages included, so a re-route creates no
+node objects unless it repairs.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.analysis.skew import skew_report
-from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult
+from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult, copied_loci
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
 from repro.cts.arena import _KIND_NAMES, SINK_KIND, TreeArena
 from repro.cts.tree import ClockTree
@@ -244,17 +244,15 @@ def eco_reroute(
                     "base tree is not fully embedded (node %d has no location)"
                     % unplaced[0]
                 )
-            fresh = ObstacleSet(delta.add_blockages)
+            blocked = ObstacleSet(delta.add_blockages).blocks_points(arena.xs, arena.ys)
+            dirty.update(np.flatnonzero(blocked).tolist())
             combined = new_instance.obstacle_set()
             locations = [Point(x, y) for x, y in zip(arena.xs.tolist(), arena.ys.tolist())]
-            blocked = {i for i, point in enumerate(locations) if fresh.blocks_point(point)}
-            dirty |= blocked
+            lengths = arena.edge_lengths.tolist()
             # An edge into or out of a blocked node is rebuilt with it, and
             # detours are undefined from inside a blockage.
-            lengths = arena.edge_lengths.tolist()
-            for node_id, parent in enumerate(parents.tolist()):
-                if parent < 0 or node_id in blocked or parent in blocked:
-                    continue
+            for node_id in np.flatnonzero((parents >= 0) & ~blocked & ~blocked[parents]).tolist():
+                parent = int(parents[node_id])
                 detour = combined.detour_distance(locations[parent], locations[node_id])
                 if lengths[node_id] + _DETOUR_TOL < detour:
                     dirty.add(node_id)
@@ -296,16 +294,7 @@ def eco_reroute(
         preserved_roots: Dict[int, int] = dict(zip(frontier.tolist(), new_roots.tolist()))
         # Copied nodes keep their loci, in ascending new id order like a copy
         # made node by node.
-        base_loci = list(base.loci.values())
-        keys = np.fromiter(base.loci, dtype=np.int64, count=len(base_loci))
-        inside = (keys >= 0) & (keys < arena.num_nodes)
-        locus_of = np.full(arena.num_nodes, -1, dtype=np.int64)
-        locus_of[keys[inside]] = np.flatnonzero(inside)
-        entries = locus_of[copied_from]
-        new_ids = np.flatnonzero(entries >= 0)
-        new_loci = dict(
-            zip(new_ids.tolist(), [base_loci[k] for k in entries[new_ids].tolist()])
-        )
+        new_loci = copied_loci(base.loci, copied_from)
 
         # Sinks that must be (re)created: added sinks, moved sinks, and clean-id
         # sinks the blockage scan displaced (inside a new blockage is impossible

@@ -26,6 +26,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
 
 __all__ = ["Rect", "ObstacleSet", "path_length"]
@@ -131,9 +133,10 @@ class Rect:
 
 @dataclass
 class _DetourMemo:
-    """Detour distances by ``(start, end)``, and how many were computed."""
+    """Detour distances by ``(start.x, start.y, end.x, end.y)``, and how many
+    were computed."""
 
-    distances: Dict[Tuple[Point, Point], float] = field(default_factory=dict)
+    distances: Dict[Tuple[float, float, float, float], float] = field(default_factory=dict)
     computed: int = 0
 
 
@@ -187,6 +190,15 @@ class ObstacleSet:
     def blocks_point(self, point: Point, tol: float = _TOL) -> bool:
         """Whether ``point`` lies strictly inside any blockage."""
         return any(rect.interior_contains(point, tol) for rect in self.rects)
+
+    def blocks_points(self, xs: np.ndarray, ys: np.ndarray, tol: float = _TOL) -> np.ndarray:
+        """:meth:`blocks_point` of every ``(xs[i], ys[i])`` as a mask, with the
+        same float tests (NaN coordinates are never blocked)."""
+        blocked = np.zeros(len(xs), dtype=bool)
+        for r in self.rects:
+            inside_x = (r.xmin + tol < xs) & (xs < r.xmax - tol)
+            blocked |= inside_x & (r.ymin + tol < ys) & (ys < r.ymax - tol)
+        return blocked
 
     def blocks_segment(self, a: Point, b: Point, tol: float = _TOL) -> bool:
         """Whether the axis-aligned segment ``a``-``b`` crosses any interior."""
@@ -265,14 +277,15 @@ class ObstacleSet:
         """Length of the shortest obstacle-avoiding rectilinear path.
 
         Equals the plain Manhattan distance whenever an unobstructed L-shape
-        exists; otherwise strictly larger.  Results are memoised by
-        ``(start, end)``; a failed query (an endpoint inside a blockage) is
-        not, so it raises again on every call.
+        exists; otherwise strictly larger.  Results are memoised by the
+        endpoints' coordinates (a float tuple hashes and compares without
+        calling into ``Point``); a failed query (an endpoint inside a
+        blockage) is not, so it raises again on every call.
         """
         if not self.rects:
             return start.distance_to(end)
         memo = self._memo
-        key = (start, end)
+        key = (start.x, start.y, end.x, end.y)
         distance = memo.distances.get(key)
         if distance is None:
             memo.computed += 1

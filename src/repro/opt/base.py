@@ -69,8 +69,6 @@ class OptContext:
         #: The sinks by :meth:`group_of`; its key order is the order of
         #: :meth:`group_spreads`.
         self.sink_groups = SinkGroups.of(tree.as_arena(), single_group)
-        self._elmore_arena = None
-        self._elmore: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Absolute cap on *net* wire growth (set by the Optimizer from
         #: ``config.max_added_wire_fraction``); ``math.inf`` when unlimited.
         self.wire_budget: float = float("inf")
@@ -91,15 +89,11 @@ class OptContext:
     def elmore(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(seen_caps, delays)`` of the current tree, indexed by node id.
 
-        One :func:`~repro.delay.elmore.arena_elmore` pass per tree snapshot:
-        the result is reused until a mutation produces a new snapshot.  The
-        arrays are shared, so callers must not write to them.
+        :func:`~repro.delay.elmore.arena_elmore` of the current snapshot,
+        which runs once per snapshot: the result is reused until a mutation
+        produces a new one.  The arrays are shared and read-only.
         """
-        arena = self.tree.as_arena()
-        if arena is not self._elmore_arena:
-            self._elmore = arena_elmore(arena)
-            self._elmore_arena = arena
-        return self._elmore
+        return arena_elmore(self.tree.as_arena())
 
     def group_of(self, node) -> int:
         if self.single_group:
@@ -141,7 +135,7 @@ class OptContext:
         max_cap = self.config.max_cap
         if max_cap is None:
             return 0
-        seen = self.elmore()[0][self._elmore_arena.reachable_mask()]
+        seen = self.elmore()[0][self.tree.as_arena().reachable_mask()]
         return int(np.count_nonzero(seen > max_cap + 1e-9))
 
     # ------------------------------------------------------------------

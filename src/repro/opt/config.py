@@ -45,15 +45,8 @@ class OptConfig:
     safety: float = 0.6
     #: Alignment sweeps per skew-repair invocation.
     repair_sweeps: int = 4
-    #: Minimum blockage detour (micrometres) on an incident edge before the
-    #: re-embedding pass considers moving a merge point.
-    reembed_min_detour: float = 1.0
-    #: Re-embedding coordinate-descent sweeps.
-    reembed_sweeps: int = 3
-    #: Greedy exact-evaluation polish: maximum accepted moves and candidate
-    #: edges ranked per move (0 disables the polish stage).
+    #: Greedy exact-evaluation polish: maximum accepted moves (0 disables it).
     polish_steps: int = 64
-    polish_candidates: int = 48
     #: Hard cap on *net* wire growth (extensions minus trims), as a fraction
     #: of the routed tree's wirelength; the optimizer tracks the budget
     #: globally across passes and iterations, clamps the extension that would
@@ -100,8 +93,8 @@ class OptConfig:
             raise ValueError("repair_sweeps must be at least 1")
         if self.max_added_wire_fraction < 0.0:
             raise ValueError("max_added_wire_fraction must be non-negative")
-        if self.polish_steps < 0 or self.polish_candidates < 0:
-            raise ValueError("polish knobs must be non-negative")
+        if self.polish_steps < 0:
+            raise ValueError("polish_steps must be non-negative")
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

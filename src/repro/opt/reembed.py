@@ -26,6 +26,11 @@ from repro.opt.report import PassOutcome
 
 __all__ = ["ReembedPass"]
 
+#: Blockage detour (micrometres) the incident edges must exceed to revisit a node.
+_MIN_DETOUR = 1.0
+#: Coordinate-descent sweeps per invocation.
+_SWEEPS = 3
+
 
 class ReembedPass:
     """Coordinate descent over merge-point locations, by detoured distance."""
@@ -44,7 +49,7 @@ class ReembedPass:
         hanan_x = sorted({r.xmin for r in obstacles} | {r.xmax for r in obstacles})
         hanan_y = sorted({r.ymin for r in obstacles} | {r.ymax for r in obstacles})
 
-        for _ in range(ctx.config.reembed_sweeps):
+        for _ in range(_SWEEPS):
             moved_this_sweep = 0
             for node in list(tree.nodes()):
                 if node.parent is None or node.is_sink or node.node_id not in ctx.loci:
@@ -119,7 +124,7 @@ class ReembedPass:
             base = self._incident_detour(ctx, node)
         except ValueError:
             return False
-        if base - self._incident_manhattan(ctx, node) <= ctx.config.reembed_min_detour:
+        if base - self._incident_manhattan(ctx, node) <= _MIN_DETOUR:
             return False
 
         best, best_value = node.location, base

@@ -37,6 +37,8 @@ __all__ = ["SkewRepairPass"]
 
 _TOL = 1e-9
 _LEN_TOL = 1e-6
+#: Candidate edges the greedy polish ranks per move.
+_POLISH_CANDIDATES = 48
 
 
 def _trim_for_delay(
@@ -364,7 +366,7 @@ class SkewRepairPass:
                 ranked.append((avail * (caps[node.node_id] + 1.0), node.node_id, avail))
         ranked.sort(reverse=True)
         moves: List[List[Tuple[int, float]]] = []
-        for _, nid, avail in ranked[: ctx.config.polish_candidates]:
+        for _, nid, avail in ranked[: _POLISH_CANDIDATES]:
             moves.append([(nid, -avail)])
             moves.append([(nid, -avail / 2.0)])
         return moves
@@ -420,7 +422,7 @@ class SkewRepairPass:
 
         moves: List[List[Tuple[int, float]]] = []
         seen = set()
-        per_group_budget = max(1, ctx.config.polish_candidates // (2 * len(violating)))
+        per_group_budget = max(1, _POLISH_CANDIDATES // (2 * len(violating)))
         taken: Dict[int, int] = {}
         for _, sink_id in floor_sinks:
             g = ctx.group_of(tree.node(sink_id))

@@ -11,6 +11,11 @@ known.  The identity tests in ``tests/test_cts_arena.py`` compare the two
 loops node for node, so the batched arithmetic stays float-exact against the
 scalar merge equations.
 
+It also keeps the top-down embedding the routers ran before the level-wise
+:func:`repro.cts.embedding.embed_levels`: :func:`embed_tree`, a preorder walk
+over the node objects, term for term.  ``tests/test_cts_embedding_levels.py``
+holds the two to the same locations, edge lengths and detour totals.
+
 Lazy split resolution is the one-step-lookahead model of SDR merging regions.
 When AST-DME merges two subtrees from *different* groups (Chapter V.D), any
 point of the shortest-distance region between the two child loci costs the
@@ -37,10 +42,11 @@ from repro.core.group_constraints import GroupAssociation, SkewConstraints
 from repro.core.merge_batch import resolve_split
 from repro.core.merge_cases import DISJOINT, MergeDecision, plan_merge
 from repro.core.subtree import Subtree
-from repro.cts.embedding import embed_tree
+from repro.cts.embedding import _obstacle_aware_location
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay
+from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.sdr import merge_locus
 from repro.geometry.trr import Trr, loci_to_array
@@ -51,8 +57,11 @@ __all__ = [
     "resolve_one",
     "resolve_pending",
     "merge_subtrees",
+    "embed_tree",
     "route_reference",
 ]
+
+_TOL = 1e-6
 
 
 @dataclass
@@ -293,7 +302,7 @@ def route_reference(
     """What ``router.route(instance, single_group)`` builds, via the object loop.
 
     One subtree per sink, :func:`merge_subtrees`, then the scalar
-    :func:`~repro.cts.embedding.embed_tree`.  The optimizer is not run.
+    :func:`embed_tree`.  The optimizer is not run.
     """
     start = time.perf_counter()
     tree = ClockTree(technology=instance.technology)
@@ -328,3 +337,94 @@ def route_reference(
         elapsed_seconds=time.perf_counter() - start,
         single_group=single_group,
     )
+
+
+def embed_tree(
+    tree,
+    loci: Dict[int, Trr],
+    source_location: Optional[Point] = None,
+    obstacles: Optional[ObstacleSet] = None,
+) -> float:
+    """Place the nodes of ``tree`` that have no location yet, top-down.
+
+    The walk visits the root and then, in preorder, each node it places.
+    Every child of a visited node that has no location is placed on its
+    locus, and the edge into every child of a visited node is checked (with
+    obstacles: extended to its detour distance where needed).  A subtree
+    whose root is already placed is not entered: the caller vouches that it
+    is embedded, blockage-consistent included.  On a fresh route every merge
+    node is unplaced, so the walk covers every edge; on a stitched ECO tree
+    it covers the rebuilt cone and the edges into the stitched subtrees.
+
+    Args:
+        tree: the :class:`~repro.cts.tree.ClockTree` under construction.  Sinks
+            and the source must already carry locations.
+        loci: placement locus of every unplaced node, keyed by node id.
+        source_location: optional override for the source location check.
+        obstacles: optional routing blockages.  When given, locations are
+            chosen by detour distance and booked edge lengths are extended
+            where no blockage-avoiding path fits the booked wire.
+
+    Returns:
+        Total wire added to booked edge lengths for blockage detours (always
+        0.0 without obstacles).
+
+    Raises:
+        ValueError: when an unplaced node has no locus, or when a chosen
+            location would require more wire than the booked edge length
+            (which would indicate a bug in the bottom-up phase); with
+            obstacles, also when a node cannot be placed outside every
+            blockage.
+    """
+    if obstacles is not None and not obstacles:
+        obstacles = None
+    root = tree.root()
+    if root.location is None:
+        if source_location is None:
+            raise ValueError("the tree root has no location and none was supplied")
+        tree.set_location(root.node_id, source_location)
+
+    total_detour = 0.0
+    stack = [root.node_id]
+    while stack:
+        node_id = stack.pop()
+        parent_location = tree.node(node_id).location
+        placed = []
+        for child in tree.children_of(node_id):
+            if child.location is None:
+                if child.node_id not in loci:
+                    raise ValueError("internal node %d has no placement locus" % child.node_id)
+                if obstacles is None:
+                    location = loci[child.node_id].nearest_point_to(parent_location)
+                else:
+                    location = _obstacle_aware_location(
+                        loci[child.node_id], parent_location, obstacles, child.node_id
+                    )
+                tree.set_location(child.node_id, location)
+                placed.append(child.node_id)
+            if obstacles is None:
+                _check_edge(parent_location, child.location, child.edge_length, child.node_id)
+            else:
+                total_detour += _extend_for_detour(tree, parent_location, child, obstacles)
+        stack.extend(reversed(placed))
+    return total_detour
+
+
+def _extend_for_detour(tree, parent: Point, child, obstacles: ObstacleSet) -> float:
+    """Grow ``child``'s booked edge to its detour distance when needed."""
+    needed = obstacles.detour_distance(parent, child.location)
+    if needed > child.edge_length + _TOL:
+        extension = needed - child.edge_length
+        tree.set_edge_length(child.node_id, needed)
+        return extension
+    return 0.0
+
+
+def _check_edge(parent: Point, child: Point, edge_length: float, child_id: int) -> None:
+    """Verify the booked edge length can realise the chosen embedding."""
+    distance = parent.distance_to(child)
+    if distance > edge_length + _TOL:
+        raise ValueError(
+            "edge to node %d needs %.6g wire but only %.6g was booked"
+            % (child_id, distance, edge_length)
+        )

@@ -9,9 +9,9 @@ Three layers:
   row-refreshed snapshot equal to a full rebuild, from object-built and
   arena-built starting trees alike;
 * arena construction: the arenas the routers and ECO build equal a rebuild
-  from their own node objects, and gathering subtree slices equals the
+  from their own node objects, gathering subtree slices equals the
   node-by-node preorder copy (``copy_subtree_from``, the oracle) column for
-  column;
+  column, and so does the h-tree's composite;
 * lossless round-trip: ``from_clock_tree`` -> ``to_clock_tree`` reproduces
   routed trees node for node, including obstacle-detoured trees whose edge
   lengths exceed the Manhattan distance (hypothesis-driven);
@@ -36,7 +36,9 @@ from repro.api.registry import RouterSpec, get_router
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
 from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, SubtreeRows
+from repro.core import htree
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
+from repro.core.htree import HTreeRouter
 from repro.core.subtree import Subtree
 from repro.cts.arena import INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
 from repro.cts.tree import ClockTree
@@ -405,10 +407,43 @@ class TestRoundTrip:
 @functools.lru_cache(maxsize=None)
 def _stitch_base(kind: str) -> ClockTree:
     """Read-only bases of the stitch property: the snapshot bases plus a
-    70-group route."""
+    70-group route and an h-tree route."""
     if kind == "wide":
         return routed_tree(150, seed=5, groups=70)
+    if kind == "htree":
+        spec = RunSpec(
+            instance=InstanceSpec.from_family("blocked", 300, seed=0, groups=4),
+            router=RouterSpec("h-tree", {"skew_bound_ps": 10.0, "trunk_levels": 2}),
+        )
+        return run(spec, keep_tree=True).routing.tree
     return _routed_base(kind)
+
+
+class ObjectComposite:
+    """The h-tree's composite assembled node by node, as the router did
+    before it appended arena rows: ``copy_subtree_from``, ``add_internal``
+    and ``add_source`` on a ``ClockTree``, loci re-keyed through the copy's
+    id map."""
+
+    def __init__(self, arena: TreeArena) -> None:
+        self.tree = ClockTree(technology=arena.technology)
+        self.loci = {}
+
+    @property
+    def arena(self) -> TreeArena:
+        return self.tree.as_arena()
+
+    def graft(self, leaf: TreeArena, root: int, leaf_loci) -> int:
+        id_map = self.tree.copy_subtree_from(leaf.to_clock_tree(), root)
+        for old_id, locus in leaf_loci.items():
+            if old_id in id_map:
+                self.loci[id_map[old_id]] = locus
+        return id_map[root]
+
+    def add(self, kind, children, lengths, location, name) -> int:
+        if kind == SOURCE_KIND:
+            return self.tree.add_source(location, children[0], lengths[0], name=name)
+        return self.tree.add_internal(children, lengths, location=location, name=name)
 
 
 def _disjoint_roots(tree: ClockTree, picks) -> list:
@@ -458,12 +493,29 @@ class TestArenaConstruction:
         assert_arenas_equal(got, TreeArena.from_clock_tree(expected))
         assert rows.tolist() == [copied_from[k] for k in range(len(expected))]
 
-    @pytest.mark.parametrize("kind", ["random", "blocked", "buffered", "wide"])
+    @pytest.mark.parametrize("kind", ["random", "blocked", "buffered", "wide", "htree"])
     def test_routes_build_the_arena_of_their_nodes(self, kind):
         """The arena a route grew (refreshed by the embedding or the repair
         where they edited nodes) equals a rebuild from its node objects."""
         tree = _stitch_base(kind)
         assert_arenas_equal(tree.as_arena(), TreeArena.from_clock_tree(tree))
+
+    @pytest.mark.parametrize("family", ["random", "blocked"])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_htree_appends_what_the_node_grafts_build(self, family, levels, monkeypatch):
+        """The h-tree's arena rows (ids, child order, every column) and its
+        loci equal what grafting the leaves node by node builds."""
+        if family == "blocked":
+            instance = InstanceSpec.from_family("blocked", 400, seed=1, groups=3).build()
+        else:
+            instance = InstanceSpec.from_random(400, seed=1, groups=3).build()
+        router = HTreeRouter(AstDmeConfig(skew_bound_ps=10.0), trunk_levels=levels)
+        got = router.route(instance)
+        monkeypatch.setattr(htree, "_Composite", ObjectComposite)
+        expected = router.route(instance)
+        assert_arenas_equal(got.tree.as_arena(), expected.tree.as_arena())
+        assert got.loci == expected.loci
+        assert got.wirelength == expected.wirelength
 
     @pytest.mark.parametrize("family,groups", [("random", 4), ("random", 70), ("blocked", 2)])
     def test_eco_builds_the_arena_of_its_nodes(self, family, groups):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.cts.embedding import embed_tree
 from repro.cts.routing import route_edges
 from repro.cts.tree import ClockTree
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
+from tests.reference_dme import embed_tree
 
 
 def build_unembedded_tree():

@@ -23,7 +23,7 @@ from repro.analysis.skew import skew_report
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RouterSpec, RunSpec
 from repro.cts.arena import TreeArena
-from repro.cts.tree import ClockTree
+from repro.cts.tree import ClockNode, ClockTree
 from repro.delay.buffer import default_library
 from repro.delay.elmore import (
     SinkGroups,
@@ -160,6 +160,23 @@ class TestEngineEqualsObjectWalk:
     @given(data=st.data(), orphan=st.booleans())
     def test_hand_built_trees(self, data, orphan):
         assert_engine_equals_oracle(hand_built(data, orphan))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_views_build_no_node_objects(self, family, monkeypatch):
+        """The views read the arena: on a routed tree that has not built its
+        node objects, they build none."""
+        tree = private_copy(routed_tree(family, "small"))
+        created = []
+        init = ClockNode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClockNode, "__init__", counting_init)
+        for view, _ in VIEWS:
+            assert view(tree)
+        assert not created
 
     def test_rootless_tree_raises_the_oracle_error(self):
         tree = ClockTree()

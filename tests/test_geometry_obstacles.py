@@ -1,5 +1,6 @@
 """Unit and property tests for the rectilinear blockage layer."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +189,20 @@ class TestRoutingProperties:
         assert fresh.detour_distance(start, end) == exact
         assert ObstacleSet(obstacles.rects) == obstacles
         assert hash(ObstacleSet(obstacles.rects)) == hash(obstacles)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rects_strategy(),
+        st.lists(free_point_strategy(), max_size=30),
+        st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_blocks_points_is_blocks_point_per_point(self, obstacles, points, nudge):
+        """The array form agrees point for point, on boundaries (the integer
+        grid the rects live on), just off them and at NaN (never blocked)."""
+        xs = [p.x + nudge * 1e-6 for p in points] + [float("nan")]
+        ys = [p.y for p in points] + [50.0]
+        expected = [obstacles.blocks_point(Point(x, y)) for x, y in zip(xs[:-1], ys)] + [False]
+        assert obstacles.blocks_points(np.array(xs), np.array(ys)).tolist() == expected
 
     @settings(max_examples=60, deadline=None)
     @given(rects_strategy(), free_point_strategy())

@@ -274,13 +274,11 @@ class TestTracedRuns:
     def test_tracing_leaves_the_process_tracer_off(self, traced):
         assert get_tracer().enabled is False
 
-    def test_validation_builds_the_node_objects_once(self, traced):
-        """The route builds its tree as an arena; validation is the first
-        reader of node objects, which one ``cts.materialize`` span builds."""
-        (event,) = [e for e in traced.trace if e["name"] == "cts.materialize"]
-        assert event["attrs"] == {"nodes": traced.num_nodes}
-        by_id = {e["span_id"]: e for e in traced.trace}
-        assert by_id[event["parent_id"]]["name"] == "run.validate"
+    def test_validation_builds_no_node_objects(self, traced):
+        """The route builds its tree as an arena and validation reads that
+        arena, so a validated run emits no ``cts.materialize`` span."""
+        assert "run.validate" in {e["name"] for e in traced.trace}
+        assert "cts.materialize" not in {e["name"] for e in traced.trace}
 
     def test_unvalidated_runs_build_no_node_objects(self):
         spec = RunSpec(

@@ -63,8 +63,10 @@ class TestOptConfig:
         assert data == {"enabled": True, "passes": list(OptConfig().passes)}
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown opt config keys"):
-            OptConfig.from_dict({"enabled": True, "turbo": 11})
+        # The re-embedding and polish knobs are constants of their passes.
+        for key in ("turbo", "reembed_min_detour", "reembed_sweeps", "polish_candidates"):
+            with pytest.raises(ValueError, match="unknown opt config keys"):
+                OptConfig.from_dict({"enabled": True, key: 11})
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -8,7 +8,10 @@ per-stage dict RC oracle.  Two sweeps hold the library to them:
   cached arena snapshot -- get exactly the reference's issue list wherever
   the reference returns one.  Where it raises (a detached subtree or a parent
   cycle), the library returns the structure issue and every issue but the
-  delay and skew ones, which are undefined off the root's tree;
+  delay and skew ones, which are undefined off the root's tree.  Every clean
+  and corrupted case is validated twice: on a tree that has built its node
+  objects, and on the same tree built as an arena (its columns through
+  ``to_clock_tree()``), which validation must read without building any;
 * ``oracle_delays`` agrees with the reference oracle and with
   ``arena_elmore`` to 1e-12 relative, for 1, 4 and 6 segments per edge.
 """
@@ -123,30 +126,57 @@ def corrupted(base, corruption: str, pick: int):
     return result
 
 
+def as_arena_built(result):
+    """``result`` with its tree's columns rebuilt as a tree that has no node
+    objects, the form routes and ECO hand out."""
+    return replace(result, tree=TreeArena.from_clock_tree(result.tree).to_clock_tree())
+
+
+def with_node_objects(result):
+    """A copy of ``result`` whose tree has built its node objects."""
+    tree = TreeArena.from_clock_tree(result.tree).to_clock_tree()
+    tree.node(tree.root_id)
+    return replace(result, tree=tree)
+
+
+def validated_both_ways(build):
+    """The issue lists of ``build()``'s result, which has node objects,
+    validated as it is and as an arena-built tree, checking that the latter
+    builds none."""
+    result = build()
+    assert result.tree._has_node_objects()
+    with_objects = validate_result(result, intra_bound_ps=SKEW_BOUND_PS)
+    arena_built = as_arena_built(build())
+    without_objects = validate_result(arena_built, intra_bound_ps=SKEW_BOUND_PS)
+    assert not arena_built.tree._has_node_objects()
+    return with_objects, without_objects
+
+
 def assert_matches_reference(base, corruption: str, pick: int) -> None:
-    issues = validate_result(corrupted(base, corruption, pick), intra_bound_ps=SKEW_BOUND_PS)
-    try:
-        expected = reference.validate_result(
-            corrupted(base, corruption, pick), intra_bound_ps=SKEW_BOUND_PS
-        )
-    except (KeyError, ValueError):
-        # The reference walks delays from the root and dies on exactly the
-        # trees its structure check exists for.  Everything but the delay and
-        # skew checks still applies.
-        assert corruption in STRUCTURE_ISSUES
-        with mock.patch.object(reference, "_check_delays", lambda tree: []):
-            expected = reference.validate_result(corrupted(base, corruption, pick))
-        assert STRUCTURE_ISSUES[corruption] in issues
-    assert issues == expected
+    results = validated_both_ways(lambda: corrupted(base, corruption, pick))
+    for issues, build in zip(results, (corrupted, lambda *a: as_arena_built(corrupted(*a)))):
+        try:
+            expected = reference.validate_result(
+                build(base, corruption, pick), intra_bound_ps=SKEW_BOUND_PS
+            )
+        except (KeyError, ValueError):
+            # The reference walks delays from the root and dies on exactly the
+            # trees its structure check exists for.  Everything but the delay
+            # and skew checks still applies.
+            assert corruption in STRUCTURE_ISSUES
+            with mock.patch.object(reference, "_check_delays", lambda tree: []):
+                expected = reference.validate_result(build(base, corruption, pick))
+            assert STRUCTURE_ISSUES[corruption] in issues
+        assert issues == expected
 
 
 class TestValidatorMatchesReference:
     @pytest.mark.parametrize("kind", ["random", "blocked", "buffered"])
     def test_clean_routes_agree(self, kind):
         base = routed(kind)
-        assert validate_result(base, intra_bound_ps=SKEW_BOUND_PS) == reference.validate_result(
-            base, intra_bound_ps=SKEW_BOUND_PS
-        )
+        expected = reference.validate_result(base, intra_bound_ps=SKEW_BOUND_PS)
+        with_objects, without_objects = validated_both_ways(lambda: with_node_objects(base))
+        assert with_objects == without_objects == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
