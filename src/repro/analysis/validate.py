@@ -13,10 +13,10 @@
 * the Elmore delays computed by the fast evaluator agree with the independent
   segmented RC oracle (:mod:`repro.delay.rc_tree`).
 
-Every check reads one snapshot, ``ClockTree.fresh_arena()`` (never the cached
-``as_arena()`` the engine reads, so a stale cache shows up as ``delay``
-issues), and builds no node objects.  Delays are undefined off the root's
-tree, so a disconnected or cyclic tree skips only the delay and skew checks.
+Every check reads the tree's arena, ``ClockTree.as_arena()``, the one the
+engine reads; the RC oracle re-derives the delays from it with its own
+arithmetic.  Delays are undefined off the root's tree, so a disconnected or
+cyclic tree skips only the delay and skew checks.
 
 ``validate_result`` additionally checks the routing result's bookkeeping
 (loci containing the embedded locations, each group's intra-group skew within
@@ -84,7 +84,7 @@ def _validate_tree(tree, instance, obstacles) -> Tuple[List[ValidationIssue], bo
     the snapshot the checks read."""
     if obstacles is None and instance is not None and instance.has_obstacles:
         obstacles = instance.obstacle_set()
-    arena = tree.fresh_arena()
+    arena = tree.as_arena()
     if arena.root < 0:
         # Without a root the electrical checks cannot run at all.
         return [ValidationIssue("structure", "the tree has no root")], False, arena
@@ -93,7 +93,7 @@ def _validate_tree(tree, instance, obstacles) -> Tuple[List[ValidationIssue], bo
     if obstacles:
         issues.extend(_check_blockages(arena, obstacles))
     if is_tree:
-        issues.extend(_check_delays(tree, arena))
+        issues.extend(_check_delays(arena))
     if instance is not None:
         issues.extend(_check_instance_coverage(arena, instance))
     return issues, is_tree, arena
@@ -257,10 +257,10 @@ def _check_blockages(arena, obstacles: ObstacleSet) -> List[ValidationIssue]:
     return issues
 
 
-def _check_delays(tree, arena) -> List[ValidationIssue]:
-    """The engine's sink delays (cached snapshot) against the oracle (fresh one)."""
+def _check_delays(arena) -> List[ValidationIssue]:
+    """The engine's sink delays against the RC oracle's."""
     sinks = np.flatnonzero(arena.kinds == SINK_KIND)
-    fast_delays = arena_elmore(tree.as_arena())[1][sinks]
+    fast_delays = arena_elmore(arena)[1][sinks]
     oracle = arena_oracle_delays(arena)[sinks]
     scale = np.maximum(np.maximum(np.abs(fast_delays), np.abs(oracle)), 1.0)
     off = np.abs(fast_delays - oracle) > _DELAY_REL_TOL * scale + 1e-6
@@ -275,19 +275,29 @@ def _check_delays(tree, arena) -> List[ValidationIssue]:
 
 
 def _check_instance_coverage(arena, instance) -> List[ValidationIssue]:
+    """Every instance sink has a tree sink of its load and group at its
+    location rounded to 6 decimals, and the tree source is the instance's.
+
+    Tree sinks are bucketed by exact location; only an instance sink whose
+    exact bucket holds no match is looked up by rounded location (those
+    buckets are built on first need).  Equal floats round equally, so the
+    issues are the ones rounded buckets alone give."""
     sinks = np.flatnonzero(arena.kinds == SINK_KIND)
     columns = (arena.xs, arena.ys, arena.sink_caps, arena.groups, arena.has_group)
-    by_location = {}
-    for x, y, cap, group, grouped in zip(*(column[sinks].tolist() for column in columns)):
-        key = (round(x, 6), round(y, 6))
-        by_location.setdefault(key, []).append((cap, group if grouped else None))
+    xs, ys, caps, groups, grouped = (column[sinks].tolist() for column in columns)
+    loads = [(cap, g if has else None) for cap, g, has in zip(caps, groups, grouped)]
+    exact, rounded = _buckets(zip(xs, ys), loads), None
     issues: List[ValidationIssue] = []
     if len(sinks) != instance.num_sinks:
         issues.append(ValidationIssue("coverage", "tree has %d sinks but the instance has %d" % (
             len(sinks), instance.num_sinks)))
     for sink in instance.sinks:
-        candidates = by_location.get((round(sink.location.x, 6), round(sink.location.y, 6)), ())
-        if not any(abs(c - sink.cap) <= 1e-9 and g == sink.group for c, g in candidates):
+        x, y = sink.location.x, sink.location.y
+        if _has_match(exact.get((x, y), ()), sink):
+            continue
+        if rounded is None:
+            rounded = _buckets(((round(a, 6), round(b, 6)) for a, b in zip(xs, ys)), loads)
+        if not _has_match(rounded.get((round(x, 6), round(y, 6)), ()), sink):
             issues.append(ValidationIssue("coverage", (
                 "instance sink %d (group %d) has no matching tree sink"
                 % (sink.sink_id, sink.group))))
@@ -296,6 +306,18 @@ def _check_instance_coverage(arena, instance) -> List[ValidationIssue]:
         issues.append(ValidationIssue("coverage", (
             "tree source at %r does not match the instance source %r" % (root, instance.source))))
     return issues
+
+
+def _buckets(keys, loads) -> dict:
+    """The ``(cap, group)`` loads of the tree sinks, listed by key."""
+    buckets = {}
+    for key, load in zip(keys, loads):
+        buckets.setdefault(key, []).append(load)
+    return buckets
+
+
+def _has_match(loads, sink) -> bool:
+    return any(abs(c - sink.cap) <= 1e-9 and g == sink.group for c, g in loads)
 
 
 def _check_loci(arena, result, tolerance: float) -> List[ValidationIssue]:

@@ -32,33 +32,21 @@ class WirelengthReport:
 def wirelength_report(tree) -> WirelengthReport:
     """Compute the :class:`WirelengthReport` of an embedded tree.
 
-    Reads the tree's arena snapshot, the one ``skew_report`` reads, and adds
-    in node order, so every field equals the walk of
-    ``ClockTree.total_wirelength`` / ``snaking_wirelength`` bit for bit.
+    The total and the snaking are ``ClockTree.total_wirelength`` and
+    ``snaking_wirelength``; the source connection sums the root's child
+    edges in attach order.
     """
     root = tree.root_id
     if root is None:
         raise ValueError("the tree has no root yet")
     arena = tree.as_arena()
-    nodes = np.flatnonzero(arena.parents >= 0)
-    parents = arena.parents[nodes]
-    lengths = arena.edge_lengths[nodes]
-    placed = arena.has_location[nodes] & arena.has_location[parents]
-    nodes, parents = nodes[placed], parents[placed]
-    # |dx| + |dy| in manhattan_distance's operand order.
-    distance = np.abs(arena.xs[nodes] - arena.xs[parents]) + np.abs(
-        arena.ys[nodes] - arena.ys[parents]
-    )
-    snaking = 0.0  # added one at a time like the walk; sum() may compensate
-    for extra in np.maximum(lengths[placed] - distance, 0.0).tolist():
-        snaking += extra
     offsets = arena.child_offsets
     source_edges = arena.edge_lengths[arena.child_ids[offsets[root]:offsets[root + 1]]]
     return WirelengthReport(
-        total=sum(lengths.tolist(), 0.0),
-        snaking=snaking,
+        total=tree.total_wirelength(),
+        snaking=tree.snaking_wirelength(),
         source_connection=sum(source_edges.tolist(), 0.0),
-        num_edges=len(lengths),
+        num_edges=int(np.count_nonzero(arena.parents >= 0)),
     )
 
 

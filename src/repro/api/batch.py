@@ -13,14 +13,15 @@ guarantees:
 
 Workers are OS processes (``ProcessPoolExecutor``) because routing is
 CPU-bound Python; ``workers <= 1`` runs serially in-process, which is also the
-automatic fallback when a pool cannot be started (e.g. sandboxed
-environments).
+automatic fallback, with a ``RuntimeWarning``, when a pool cannot be started
+(e.g. sandboxed environments) or a worker dies.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence
@@ -118,12 +119,18 @@ class BatchRunner:
                     results[index] = future.result()
                     if on_result is not None:
                         on_result(index, results[index])
-        except (OSError, BrokenProcessPool):
+        except (OSError, BrokenProcessPool) as exc:
             # No process pool available (restricted environment), or a worker
             # died mid-batch (OOM kill, native crash).  Completed results are
             # kept; only the unfinished specs run serially, preserving the
             # per-run error-capture guarantee.
-            pass
+            unfinished = sum(result is None for result in results)
+            warnings.warn(
+                "BatchRunner: the process pool failed (%s: %s); %d of %d specs "
+                "re-run in-process" % (type(exc).__name__, exc, unfinished, len(specs)),
+                RuntimeWarning,
+                stacklevel=2,
+            )
         for index, spec in enumerate(specs):
             if results[index] is None:
                 results[index] = run_safe(spec)

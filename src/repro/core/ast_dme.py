@@ -43,8 +43,7 @@ the table live in buffers allocated once per loop, compacted in place after
 each pass.  The built nodes accumulate in flat arrays indexed by node id
 (:class:`MergedTree`) and become rows of a :class:`~repro.cts.arena.TreeArena`
 once, at the end, which the embedding places: the routed
-:class:`~repro.cts.tree.ClockTree` is built from that arena and creates its
-node objects only when first asked for one.
+:class:`~repro.cts.tree.ClockTree` adopts that arena's columns.
 
 Running the router with ``single_group=True`` ignores the instance's grouping
 and yields the conventional bounded-skew (EXT-BST) or zero-skew (greedy-DME)
@@ -152,7 +151,7 @@ class MergeStats:
     #: Wall time spent resolving pendings, planning merges and recording the
     #: new nodes (everything in a merging pass after pair selection).
     merge_seconds: float = 0.0
-    #: Wall time spent embedding locations and materialising the ClockTree.
+    #: Wall time spent embedding locations and building the ClockTree.
     embed_seconds: float = 0.0
     #: Full neighbour-index rebuilds / incremental repairs.
     neighbor_full_rebuilds: int = 0
@@ -188,13 +187,9 @@ class RoutingResult:
 
     @property
     def wirelength(self) -> float:
-        """Total wirelength of the routed tree (snaking included).
-
-        Read from the tree's arena and added in node order, so it equals
-        ``ClockTree.total_wirelength`` bit for bit without node objects.
-        """
-        arena = self.tree.as_arena()
-        return sum(arena.edge_lengths[arena.parents >= 0].tolist(), 0.0)
+        """Total wirelength of the routed tree (snaking included):
+        ``ClockTree.total_wirelength``."""
+        return self.tree.total_wirelength()
 
 
 @dataclass
@@ -337,7 +332,7 @@ class AstDme:
         association = GroupAssociation(instance.groups())
         group_ids = [0] if single_group else instance.groups()
         tree, loci = self.grow(
-            TreeArena.from_clock_tree(ClockTree(technology=instance.technology)),
+            ClockTree(technology=instance.technology).as_arena(),
             instance.sinks,
             instance.source,
             group_ids,

@@ -22,9 +22,9 @@ the two:
    never exceeds the widest child spread, so by induction every sink group
    (even one split across leaf regions) stays within the bound.
 
-The composite tree is built as arena rows: each leaf route's subtree is one
-gathered preorder slice, appended with its ids offset before its tap, the
-junctions and the source, so the route builds no node objects.
+The composite tree is one ``ClockTree``: each leaf route's subtree is grafted
+as one gathered preorder slice (``copy_subtree_from``) before its tap, the
+junctions and the source.
 
 The router registers as ``h-tree`` and satisfies the standard ``Router``
 protocol; results carry ``single_group=True`` because the trunk, like the
@@ -42,7 +42,7 @@ import numpy as np
 from repro.circuits.instance import ClockInstance, Sink
 from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult, copied_loci
 from repro.core.group_constraints import GroupAssociation
-from repro.cts.arena import INTERNAL_KIND, SOURCE_KIND, TreeArena
+from repro.cts.arena import INTERNAL_KIND, SOURCE_KIND
 from repro.cts.tree import ClockTree
 from repro.delay.elmore import subtree_summary
 from repro.delay.wire import wire_delay, wire_length_for_delay
@@ -79,45 +79,26 @@ class _Handoff:
 
 @dataclass
 class _Composite:
-    """The composite tree as arena rows, and its loci.  Rows are appended in
-    the order ``copy_subtree_from``, ``add_internal`` and ``add_source``
-    would create the nodes, so ids, child order and every column are theirs."""
+    """The composite tree and its loci."""
 
-    arena: TreeArena
+    tree: ClockTree
     loci: Dict[int, Trr] = field(default_factory=dict)
 
-    def graft(self, leaf: TreeArena, root: int, leaf_loci: Dict[int, Trr]) -> int:
-        """Append a detached copy of ``leaf``'s subtree below ``root`` and its
+    def graft(self, leaf: ClockTree, root: int, leaf_loci: Dict[int, Trr]) -> int:
+        """Graft a detached copy of ``leaf``'s subtree below ``root`` and its
         loci; returns the copy's id."""
-        sub, copied_from = leaf.gather_subtrees([root])
-        base, offset = self.arena, self.arena.num_nodes
-        parents = np.where(sub.parents >= 0, sub.parents + offset, -1)
-        self.arena = base.appended(
-            sub.kinds, np.concatenate((base.parents, parents)),
-            np.concatenate((base.edge_lengths, sub.edge_lengths)), sub.xs, sub.ys,
-            sub.has_location, sub.sink_caps, sub.groups, sub.has_group, sub.names,
-            sub.child_counts(), sub.child_ids + offset, base.root,
-        )
-        self.loci.update(copied_loci(leaf_loci, copied_from, offset))
-        return offset
+        id_map = self.tree.copy_subtree_from(leaf, root)
+        copied_from = np.fromiter(id_map, dtype=np.int64, count=len(id_map))
+        self.loci.update(copied_loci(leaf_loci, copied_from, id_map[root]))
+        return id_map[root]
 
     def add(self, kind: int, children: List[int], lengths: List[float], location: Point,
             name: str) -> int:
-        """Append a placed node driving ``children`` over ``lengths`` of wire;
+        """Add a placed node driving ``children`` over ``lengths`` of wire;
         a source becomes the root.  Returns its id."""
-        base, node_id = self.arena, self.arena.num_nodes
-        parents = np.append(base.parents, -1)
-        parents[children] = node_id
-        edge_lengths = np.append(base.edge_lengths, 0.0)
-        edge_lengths[children] = lengths
-        one = np.ones(1, dtype=bool)
-        self.arena = base.appended(
-            np.array([kind]), parents, edge_lengths, np.array([location.x]),
-            np.array([location.y]), one, np.zeros(1), np.zeros(1, dtype=np.int64), ~one,
-            [name], np.array([len(children)]), np.array(children, dtype=np.int64),
-            node_id if kind == SOURCE_KIND else base.root,
-        )
-        return node_id
+        if kind == SOURCE_KIND:
+            return self.tree.add_source(location, children[0], lengths[0], name=name)
+        return self.tree.add_internal(children, lengths, location=location, name=name)
 
 
 class HTreeRouter:
@@ -138,9 +119,7 @@ class HTreeRouter:
         start = time.perf_counter()
         obstacles = instance.obstacle_set() if instance.has_obstacles else None
         region = self._build_region(list(instance.sinks), self.trunk_levels, 0, obstacles)
-        composite = _Composite(
-            TreeArena.from_clock_tree(ClockTree(technology=instance.technology))
-        )
+        composite = _Composite(ClockTree(technology=instance.technology))
         stats = MergeStats()
         top = self._realise(region, instance, composite, stats, obstacles)
         source_edge = self._distance(instance.source, top.location, obstacles)
@@ -153,7 +132,7 @@ class HTreeRouter:
             # that spans all groups at once.
             association.associate(groups[0], group)
         return RoutingResult(
-            tree=composite.arena.to_clock_tree(),
+            tree=composite.tree,
             instance=instance,
             stats=stats,
             association=association,
@@ -282,7 +261,7 @@ class HTreeRouter:
         self._merge_stats(stats, result.stats)
         leaf = result.tree.as_arena()
         child = int(leaf.child_ids[leaf.child_offsets[leaf.root]])
-        copy_id = composite.graft(leaf, child, result.loci)
+        copy_id = composite.graft(result.tree, child, result.loci)
         # The leaf tree's source node becomes a plain tap node: same location,
         # same edge down to the subtree, but driven by the trunk above.
         tap_id = composite.add(

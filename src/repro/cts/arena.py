@@ -1,10 +1,10 @@
-"""Struct-of-arrays (arena) view of a :class:`~repro.cts.tree.ClockTree`.
+"""The struct-of-arrays (arena) form of a :class:`~repro.cts.tree.ClockTree`.
 
-The object tree stores one Python ``ClockNode`` per node, which is ideal for
-incremental construction and small-tree analysis but caps routing around a
-few thousand sinks: every merge, embedding step and Elmore walk pays Python
-attribute/dict overhead per node.  ``TreeArena`` is the scalable counterpart:
-one contiguous numpy array per attribute, indexed by node id.
+A ``TreeArena`` is one contiguous numpy array per attribute, indexed by node
+id: the columns a ``ClockTree`` stores, as ``ClockTree.as_arena`` hands them
+out.  An arena never changes once handed out, so every vectorized kernel --
+the merge loop's construction, the embedding, the Elmore engine, validation
+-- reads one consistent tree.
 
 Layout (``n`` nodes, ``e = n - #roots`` edges)::
 
@@ -23,50 +23,43 @@ Layout (``n`` nodes, ``e = n - #roots`` edges)::
     child_ids     (e,)  int64    children in attach order (order matters:
                                  sequential float accumulation in the Elmore
                                  walk follows it)
+    buffers       list[Optional[BufferCell]], with the cells' input caps,
+                  intrinsic delays and drive resistances as (n,) columns
 
-Invariants:
-
-* Node ids are contiguous ``0..n-1`` in insertion order (this is true of
-  every ``ClockTree`` the routers build; :meth:`from_clock_tree` rejects
-  anything else).
-* ``child_ids`` preserves ``ClockNode.children`` order exactly, so any
-  order-sensitive float accumulation replays bit-identically.
-* Conversion is lossless: ``TreeArena.from_clock_tree(t).to_clock_tree()``
-  reproduces ``t`` node for node (ids, kinds, topology, children order,
-  locations, edge lengths, caps, groups, names, root).
+Node ids are contiguous ``0..n-1`` in creation order, and ``child_ids``
+keeps each node's children in attach order, so any order-sensitive float
+accumulation replays bit-identically.
 
 The arena also memoises the derived orders used by the vectorized kernels:
 nodes grouped by depth (for top-down passes) and by height above the leaves
 (for bottom-up passes), reachability from the root, and the depth-first
 preorder index (:meth:`TreeArena.preorder`), under which every subtree is
-one contiguous slice; ``arena_elmore`` memoises its pass on it too.  :meth:`TreeArena.gather_subtrees` copies such slices
-into a new arena, and :meth:`TreeArena.appended` adds rows after the last:
-the routers and ECO build their trees from these two, without node objects.
-
-Snapshots are never modified after they are handed out.  When only
-setter-mutable attributes changed (edge length, location, buffer),
-:meth:`TreeArena.refreshed` builds the next snapshot from the previous one:
-it shares the topology arrays and memoised levels and re-reads just the
-changed rows.
+one contiguous slice; ``arena_elmore`` memoises its pass on it too.
+:meth:`TreeArena.gather_subtrees` copies such slices into a new arena, and
+:meth:`TreeArena.appended` adds rows after the last: the routers and ECO
+build their trees from these two, and :meth:`TreeArena.to_clock_tree` turns
+the result into a tree without copying.  :meth:`TreeArena.with_attributes`
+changes attribute columns while sharing the topology and the derived orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.geometry.point import Point
 
 __all__ = ["TreeArena", "SINK_KIND", "INTERNAL_KIND", "SOURCE_KIND"]
 
 SINK_KIND = 0
 INTERNAL_KIND = 1
 SOURCE_KIND = 2
-
-_KIND_CODES = {"sink": SINK_KIND, "internal": INTERNAL_KIND, "source": SOURCE_KIND}
+#: ``ClockNode.kind`` of each kind code.
 _KIND_NAMES = ("sink", "internal", "source")
+
+
+def _memo():
+    return field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -96,17 +89,14 @@ class TreeArena:
     buffer_intrinsics: Optional[np.ndarray] = None
     buffer_drive_res: Optional[np.ndarray] = None
 
-    _depth_levels: Optional[List[np.ndarray]] = field(default=None, repr=False)
-    _height_levels: Optional[List[np.ndarray]] = field(default=None, repr=False)
-    _reachable: Optional[np.ndarray] = field(default=None, repr=False)
-    _preorder: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, repr=False
-    )
-    #: ``arena_elmore``'s memo; not an init field, so every ``replace`` (such
-    #: as :meth:`refreshed`) starts without it.
-    _elmore: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: Memoised derived orders and ``arena_elmore``'s memo.  None of them is
+    #: an init field, so ``dataclasses.replace`` starts without them;
+    #: :meth:`with_attributes` shares the orders.
+    _depth_levels: Optional[List[np.ndarray]] = _memo()
+    _height_levels: Optional[List[np.ndarray]] = _memo()
+    _reachable: Optional[np.ndarray] = _memo()
+    _preorder: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = _memo()
+    _elmore: Optional[Tuple[np.ndarray, np.ndarray]] = _memo()
 
     # ------------------------------------------------------------------
     @property
@@ -243,7 +233,7 @@ class TreeArena:
         return order[offsets + np.arange(len(offsets), dtype=np.int64)], starts
 
     # ------------------------------------------------------------------
-    # Construction without node objects
+    # Construction
     # ------------------------------------------------------------------
     def gather_subtrees(self, roots: Sequence[int]) -> Tuple["TreeArena", np.ndarray]:
         """A new arena holding copies of the subtrees below ``roots``.
@@ -286,7 +276,7 @@ class TreeArena:
             child_offsets=child_offsets,
             child_ids=new_id[children],
             technology=self.technology,
-            buffers=[buffers[i] for i in ids] if buffers else [None] * total,
+            buffers=[buffers[i] for i in ids],
             buffer_mask=self.buffer_mask[rows],
             buffer_input_caps=self.buffer_input_caps[rows],
             buffer_intrinsics=self.buffer_intrinsics[rows],
@@ -339,7 +329,7 @@ class TreeArena:
             child_offsets=offsets.astype(np.int64, copy=False),
             child_ids=np.concatenate((self.child_ids, child_ids)).astype(np.int64, copy=False),
             technology=self.technology,
-            buffers=(self.buffers or [None] * self.num_nodes) + [None] * added,
+            buffers=self.buffers + [None] * added,
             buffer_mask=np.concatenate((self.buffer_mask, np.zeros(added, dtype=bool))),
             buffer_input_caps=np.concatenate((self.buffer_input_caps, zeros)),
             buffer_intrinsics=np.concatenate((self.buffer_intrinsics, zeros)),
@@ -349,153 +339,26 @@ class TreeArena:
     # ------------------------------------------------------------------
     # Conversion
     # ------------------------------------------------------------------
-    @classmethod
-    def from_clock_tree(cls, tree) -> "TreeArena":
-        """Snapshot ``tree`` into arrays.  Requires contiguous node ids."""
-        nodes = list(tree.nodes())
-        for i, node in enumerate(nodes):
-            if node.node_id != i:
-                raise ValueError(
-                    "arena conversion requires contiguous node ids (saw id %d "
-                    "at position %d)" % (node.node_id, i)
-                )
-        groups = [node.group for node in nodes]
-        child_offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-        child_offsets[1:] = np.cumsum([len(node.children) for node in nodes])
-        return cls(
-            kinds=np.array([_KIND_CODES[node.kind] for node in nodes], dtype=np.int8),
-            parents=np.array(
-                [-1 if node.parent is None else node.parent for node in nodes], dtype=np.int64
-            ),
-            sink_caps=np.array([node.sink_cap for node in nodes], dtype=np.float64),
-            groups=np.array([0 if g is None else g for g in groups], dtype=np.int64),
-            has_group=np.array([g is not None for g in groups], dtype=bool),
-            names=[node.name for node in nodes],
-            root=-1 if tree.root_id is None else tree.root_id,
-            child_offsets=child_offsets,
-            child_ids=np.array(
-                [child for node in nodes for child in node.children], dtype=np.int64
-            ),
-            technology=tree.technology,
-            **_attribute_columns(nodes),
-        )
+    def with_attributes(self, **columns) -> "TreeArena":
+        """A new arena with some attribute columns replaced.
 
-    def refreshed(self, tree, node_ids: Iterable[int]) -> "TreeArena":
-        """A new snapshot of ``tree`` that re-reads only the rows ``node_ids``.
-
-        Valid while ``tree`` has seen no structural edit since this snapshot
-        was taken, so that only the setter-mutable columns (edge length,
-        location, buffer) can differ, and only on ``node_ids``.  Those rows
-        are re-read with the same code :meth:`from_clock_tree` uses, into
-        copies of the columns; the topology arrays and the memoised levels
-        are shared.  ``self`` is left unchanged.
+        Anything but the topology (``kinds``, ``parents``, ``root`` and the
+        CSR children) may change.  The new arena shares the topology arrays
+        and the memoised orders; ``arena_elmore``'s memo starts afresh.
+        ``self`` is left unchanged.
         """
-        ids = sorted(node_ids)
-        columns = _attribute_columns([tree.node(i) for i in ids])
-        changes = {}
-        for name, values in columns.items():
-            if name == "buffers":
-                merged = list(self.buffers)
-                for i, cell in zip(ids, values):
-                    merged[i] = cell
-            else:
-                merged = getattr(self, name).copy()
-                merged[ids] = values
-            changes[name] = merged
-        return replace(self, **changes)
+        topology = {"kinds", "parents", "root", "child_offsets", "child_ids"}.intersection(columns)
+        if topology:
+            raise ValueError("with_attributes keeps the topology; got %s" % sorted(topology))
+        arena = replace(self, **columns)
+        for name in ("_depth_levels", "_height_levels", "_reachable", "_preorder"):
+            setattr(arena, name, getattr(self, name))
+        return arena
 
     def to_clock_tree(self):
-        """The object tree this arena describes.
-
-        The tree keeps this arena as its snapshot, so the arena must not be
-        modified afterwards, and builds its node objects
-        (:meth:`node_objects`) only when something first asks for one, inside
-        a ``cts.materialize`` span.  Ids, children order, attributes and the
-        root are reproduced exactly.
-        """
+        """The :class:`~repro.cts.tree.ClockTree` this arena describes: it
+        adopts these columns, with no per-row work, and copies a column before
+        its first write to it, so the arena stays as it is."""
         from repro.cts.tree import ClockTree
 
-        return ClockTree._from_arena(self)
-
-    def node_objects(self) -> Dict[int, object]:
-        """One ``ClockNode`` per row, keyed by node id.
-
-        Nodes are built directly (the arena came from a validated tree or
-        the validated construction loop, so the incremental-construction
-        checks of the public API would only re-prove what already holds),
-        each column converted to Python values once: ids, children order,
-        attributes and buffers are reproduced exactly.
-        """
-        from repro.cts.tree import ClockNode
-
-        n = self.num_nodes
-        # Parents and children reference the node ids' own int objects; the
-        # last entry of ``ids`` is what a parent of -1 (a root) reads.
-        ids = np.empty(n + 1, dtype=object)
-        ids[:n] = range(n)
-        offsets = self.child_offsets.tolist()
-        child_ids = ids[self.child_ids].tolist()
-        parents = ids[self.parents].tolist()
-        locations = [
-            Point(x, y) if placed else None
-            for x, y, placed in zip(
-                self.xs.tolist(), self.ys.tolist(), self.has_location.tolist()
-            )
-        ]
-        groups = [
-            group if grouped else None
-            for group, grouped in zip(self.groups.tolist(), self.has_group.tolist())
-        ]
-        return {
-            i: ClockNode(
-                i,
-                _KIND_NAMES[kind],
-                location,
-                parent,
-                child_ids[offsets[i] : offsets[i + 1]],
-                edge_length,
-                sink_cap,
-                group,
-                name,
-                buffer,
-            )
-            for i, kind, location, parent, edge_length, sink_cap, group, name, buffer in zip(
-                ids[:n].tolist(),
-                self.kinds.tolist(),
-                locations,
-                parents,
-                self.edge_lengths.tolist(),
-                self.sink_caps.tolist(),
-                groups,
-                self.names,
-                self.buffers or [None] * n,
-            )
-        }
-
-
-def _attribute_columns(nodes: Sequence) -> Dict[str, object]:
-    """The setter-mutable columns of ``nodes``, one row per node.
-
-    Edge length, location and buffer are the attributes ``ClockTree``'s
-    setters change in place.  The full conversion and the row refresh both
-    read them here, so a refreshed row is exactly the row a rebuild gives.
-    """
-    locations = [node.location for node in nodes]
-    cells = [node.buffer for node in nodes]
-    return {
-        "edge_lengths": np.array([node.edge_length for node in nodes], dtype=np.float64),
-        "xs": np.array([np.nan if p is None else p.x for p in locations], dtype=np.float64),
-        "ys": np.array([np.nan if p is None else p.y for p in locations], dtype=np.float64),
-        "has_location": np.array([p is not None for p in locations], dtype=bool),
-        "buffers": cells,
-        "buffer_mask": np.array([c is not None for c in cells], dtype=bool),
-        "buffer_input_caps": np.array(
-            [0.0 if c is None else c.input_cap for c in cells], dtype=np.float64
-        ),
-        "buffer_intrinsics": np.array(
-            [0.0 if c is None else c.intrinsic_delay for c in cells], dtype=np.float64
-        ),
-        "buffer_drive_res": np.array(
-            [0.0 if c is None else c.drive_resistance for c in cells], dtype=np.float64
-        ),
-    }
+        return ClockTree(self.technology)._adopt(self)

@@ -18,12 +18,11 @@ blockage-blind), the edge length is extended to the detour distance so the
 edge stays realisable.  The total extension is returned so routers can report
 it; obstacle-free calls return 0.  The pass runs over a
 :class:`~repro.cts.arena.TreeArena`, a depth level at a time; the preorder
-walk over node objects it replaced is a test oracle.
+walk over nodes it replaced is a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -120,7 +119,8 @@ def embed_levels(arena, loci: np.ndarray, obstacles: Optional[ObstacleSet] = Non
     total_detour = 0.0
     for _, wire in sorted(extensions, key=lambda e: (pre[e[0][0]], pre[e[0][1]])):
         total_detour += wire
-    return replace(arena, xs=xs, ys=ys, has_location=placed, edge_lengths=edges), total_detour
+    placed_arena = arena.with_attributes(xs=xs, ys=ys, has_location=placed, edge_lengths=edges)
+    return placed_arena, total_detour
 
 
 def _obstacle_aware_location(

@@ -7,23 +7,24 @@ distance between the endpoints when the router snaked the wire to balance
 delays.  Wirelength, delays and skew reports are all derived from this
 structure.
 
-A tree has two forms: its node objects and a struct-of-arrays snapshot
-(:class:`~repro.cts.arena.TreeArena`, :meth:`ClockTree.as_arena`).  The
-routers and ECO build trees as arenas
-(:meth:`~repro.cts.arena.TreeArena.to_clock_tree`); such a tree creates its
-node objects only when something first asks for one, and keeps the arena as
-its snapshot.
+The tree is stored as columns, one growable array per attribute indexed by
+node id, in the layout of :class:`~repro.cts.arena.TreeArena`.  The builders
+(:meth:`ClockTree.add_sink`, :meth:`~ClockTree.attach`, ...) append rows and
+the setters write them; :meth:`ClockTree.as_arena` hands the columns out as
+an arena that never changes afterwards, and a finished arena becomes a tree
+by :meth:`~repro.cts.arena.TreeArena.to_clock_tree` without copying.
+:class:`ClockNode` is a read-only view of one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from repro.cts.arena import _KIND_NAMES, INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.geometry.point import Point
-from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.delay.buffer import BufferCell
@@ -31,40 +32,111 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ClockNode", "ClockTree"]
 
 #: Node kinds.
-SOURCE = "source"
-INTERNAL = "internal"
-SINK = "sink"
+SINK, INTERNAL, SOURCE = _KIND_NAMES
+
+#: The array columns a tree grows, with their dtypes (``TreeArena`` fields).
+_ARRAYS = (
+    ("kinds", np.int8),
+    ("parents", np.int64),
+    ("edge_lengths", np.float64),
+    ("xs", np.float64),
+    ("ys", np.float64),
+    ("has_location", bool),
+    ("sink_caps", np.float64),
+    ("groups", np.int64),
+    ("has_group", bool),
+    ("buffer_mask", bool),
+    ("buffer_input_caps", np.float64),
+    ("buffer_intrinsics", np.float64),
+    ("buffer_drive_res", np.float64),
+)
+_LISTS = ("names", "buffers")
 
 
-@dataclass
+def _scalar(column: str) -> property:
+    """A view attribute: one column of the tree, as a Python scalar."""
+    return property(lambda node: node._tree._columns[column].item(node._id))
+
+
 class ClockNode:
-    """A single node of an embedded clock tree."""
+    """A read-only view of one node of a :class:`ClockTree`.
 
-    node_id: int
-    kind: str
-    location: Optional[Point] = None
-    parent: Optional[int] = None
-    children: List[int] = field(default_factory=list)
-    edge_length: float = 0.0
-    sink_cap: float = 0.0
-    group: Optional[int] = None
-    name: Optional[str] = None
-    #: Buffer cell driving this node's subtree (None = unbuffered).  A buffered
-    #: node presents only the cell's input cap upstream and adds the cell's
-    #: stage delay in front of everything below it; see repro.delay.buffer.
-    buffer: Optional["BufferCell"] = None
+    Every attribute reads the tree's columns when asked, as a Python value, so
+    a view sees the tree's later edits; assigning an attribute raises.  Edit
+    the tree through its setters instead.  ``buffer`` is the cell driving the
+    node's subtree (None = unbuffered; see repro.delay.buffer).
+    """
+
+    __slots__ = ("_tree", "_id")
+    _FIELDS = ("node_id", "kind", "location", "parent", "children", "edge_length",
+               "sink_cap", "group", "name", "buffer")
+
+    def __init__(self, tree: "ClockTree", node_id: int) -> None:
+        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_id", node_id)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(
+            "ClockNode is a read-only view: edit the tree through ClockTree's setters"
+        )
+
+    __delattr__ = __setattr__
+    node_id = property(lambda node: node._id)
+    edge_length = _scalar("edge_lengths")
+    sink_cap = _scalar("sink_caps")
+    name = property(lambda node: node._tree._names[node._id])
+    buffer = property(lambda node: node._tree._buffers[node._id])
+    is_sink = property(lambda node: node.kind == SINK)
+    is_source = property(lambda node: node.kind == SOURCE)
+    is_internal = property(lambda node: node.kind == INTERNAL)
 
     @property
-    def is_sink(self) -> bool:
-        return self.kind == SINK
+    def kind(self) -> str:
+        return _KIND_NAMES[self._tree._columns["kinds"].item(self._id)]
 
     @property
-    def is_source(self) -> bool:
-        return self.kind == SOURCE
+    def location(self) -> Optional[Point]:
+        columns = self._tree._columns
+        if not columns["has_location"].item(self._id):
+            return None
+        return Point(columns["xs"].item(self._id), columns["ys"].item(self._id))
 
     @property
-    def is_internal(self) -> bool:
-        return self.kind == INTERNAL
+    def parent(self) -> Optional[int]:
+        parent = self._tree._columns["parents"].item(self._id)
+        return None if parent < 0 else parent
+
+    @property
+    def children(self) -> List[int]:
+        """Child ids in attach order (a new list on every read)."""
+        offsets, child_ids = self._tree._children()
+        return child_ids[offsets[self._id] : offsets[self._id + 1]].tolist()
+
+    @property
+    def group(self) -> Optional[int]:
+        columns = self._tree._columns
+        return columns["groups"].item(self._id) if columns["has_group"].item(self._id) else None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClockNode):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._FIELDS)
+        return "ClockNode(%s)" % fields
+
+
+def _room(array: np.ndarray, used: int, count: int) -> np.ndarray:
+    """``array`` with room for ``count`` rows after its first ``used``; it
+    at least doubles when it runs out, so appends are amortised O(1)."""
+    if used + count <= len(array):
+        return array
+    grown = np.empty(max(2 * len(array), used + count, 8), dtype=array.dtype)
+    grown[:used] = array[:used]
+    return grown
 
 
 class ClockTree:
@@ -74,55 +146,50 @@ class ClockTree:
     :meth:`add_internal` and :meth:`add_source` (sinks first, then internal
     merge nodes bottom-up, and finally a source node adopting the last
     remaining subtree root), or from a finished arena
-    (``TreeArena.to_clock_tree``), as the routers do.  Locations may be filled in
-    later by the top-down embedding pass; wirelength is always derived from
-    the stored edge lengths (which include snaking), never from the
-    geometry.
+    (``TreeArena.to_clock_tree``), as the routers do.  Node ids are
+    contiguous from 0 in creation order.  Locations may be filled in later by
+    the top-down embedding pass; wirelength is always derived from the stored
+    edge lengths (which include snaking), never from the geometry.
     """
 
     def __init__(self, technology: Technology = DEFAULT_TECHNOLOGY) -> None:
         self.technology = technology
-        self._nodes: Dict[int, ClockNode] = {}
-        self._next_id = 0
-        self.root_id: Optional[int] = None
-        # Arena snapshot cache.  Structural edits drop it; the attribute
-        # setters record their node id in _stale_rows, and the next
-        # as_arena() re-reads only those rows (see TreeArena.refreshed).
-        self._arena = None
-        self._stale_rows: Set[int] = set()
+        self._size = 0
+        #: The array columns, each ``capacity`` long; rows ``_size`` and up
+        #: are unused.
+        self._columns: Dict[str, np.ndarray] = {
+            name: np.empty(0, dtype=dtype) for name, dtype in _ARRAYS
+        }
+        self._names: List[Optional[str]] = []
+        self._buffers: List[Optional["BufferCell"]] = []
+        #: Every child id in attach order (``_num_edges`` of them); the CSR
+        #: children are this list sorted stably by parent.
+        self._edges = np.empty(0, dtype=np.int64)
+        self._num_edges = 0
+        self._root = -1
+        #: Columns a handed-out arena holds: the next write to one copies it.
+        self._shared = set()
+        #: The arena of the current state, once handed out (None after edits).
+        self._arena: Optional[TreeArena] = None
+        #: The latest arena whose topology is current, whose derived orders
+        #: the next arena shares (None after a structural edit).
+        self._latest: Optional[TreeArena] = None
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    @classmethod
-    def _from_arena(cls, arena) -> "ClockTree":
-        """The tree ``arena`` describes, with ``arena`` as its snapshot
-        (what ``TreeArena.to_clock_tree`` returns).
-
-        Its node objects are built from the arena's columns
-        (``TreeArena.node_objects``) on first use -- any node query, walk or
-        edit -- inside a ``cts.materialize`` span.  Until then
-        :meth:`as_arena`, ``len`` and ``root_id`` answer from the arena.
-        """
-        tree = cls.__new__(cls)
-        tree.technology = arena.technology
-        tree._next_id = arena.num_nodes
-        tree.root_id = None if arena.root < 0 else arena.root
-        tree._arena = arena
-        tree._stale_rows = set()
-        return tree
-
-    @cached_property
-    def _nodes(self) -> Dict[int, ClockNode]:
-        """The node objects of a tree built by :meth:`_from_arena`.
-
-        Read only when the instance holds none yet (``__init__`` sets its
-        own dict); the built dict is then stored on the instance and every
-        later access is a plain attribute read.
-        """
-        arena = self._arena
-        with get_tracer().span("cts.materialize", nodes=arena.num_nodes):
-            return arena.node_objects()
-
-    def _has_node_objects(self) -> bool:
-        return "_nodes" in self.__dict__
+    def _adopt(self, arena: TreeArena) -> "ClockTree":
+        """Take ``arena``'s columns as this empty tree's, as its first arena
+        (``TreeArena.to_clock_tree``)."""
+        self._size = arena.num_nodes
+        self._columns = {name: getattr(arena, name) for name, _ in _ARRAYS}
+        self._names = arena.names
+        self._buffers = arena.buffers
+        self._edges = arena.child_ids
+        self._num_edges = len(arena.child_ids)
+        self._root = arena.root
+        self._shared = {name for name, _ in _ARRAYS} | set(_LISTS)
+        self._arena = self._latest = arena
+        self._csr = (arena.child_offsets, arena.child_ids)
+        return self
 
     # ------------------------------------------------------------------
     # Construction
@@ -137,16 +204,7 @@ class ClockTree:
         """Add a sink (leaf) node and return its id."""
         if sink_cap < 0.0:
             raise ValueError("sink capacitance must be non-negative")
-        return self._add_node(
-            ClockNode(
-                node_id=self._next_id,
-                kind=SINK,
-                location=location,
-                sink_cap=sink_cap,
-                group=group,
-                name=name,
-            )
-        )
+        return self._add_row(SINK_KIND, location, sink_cap, group, name)
 
     def add_internal(
         self,
@@ -164,9 +222,7 @@ class ClockTree:
             raise ValueError("children and edge_lengths must have the same length")
         if not children:
             raise ValueError("an internal node needs at least one child")
-        node_id = self._add_node(
-            ClockNode(node_id=self._next_id, kind=INTERNAL, location=location, name=name)
-        )
+        node_id = self._add_row(INTERNAL_KIND, location, 0.0, None, name)
         for child_id, length in zip(children, edge_lengths):
             self.attach(node_id, child_id, length)
         return node_id
@@ -175,267 +231,287 @@ class ClockTree:
         self, location: Point, child: int, edge_length: float, name: str = "clk"
     ) -> int:
         """Add the clock source driving ``child`` and make it the tree root."""
-        node_id = self._add_node(
-            ClockNode(node_id=self._next_id, kind=SOURCE, location=location, name=name)
-        )
+        node_id = self._add_row(SOURCE_KIND, location, 0.0, None, name)
         self.attach(node_id, child, edge_length)
-        self.root_id = node_id
+        self._root = node_id
         return node_id
 
     def attach(self, parent_id: int, child_id: int, edge_length: float) -> None:
         """Connect ``child_id`` under ``parent_id`` with the given wire length."""
         if edge_length < 0.0:
             raise ValueError("edge length must be non-negative")
-        parent = self.node(parent_id)
-        child = self.node(child_id)
-        if child.parent is not None:
+        self._row(parent_id)
+        child = self._row(child_id)
+        if self._columns["parents"][child] >= 0:
             raise ValueError("node %d already has a parent" % child_id)
-        parent.children.append(child_id)
-        child.parent = parent_id
-        child.edge_length = edge_length
-        self._arena = None
+        self._writable("parents", "edge_lengths")
+        self._columns["parents"][child] = parent_id
+        self._columns["edge_lengths"][child] = edge_length
+        self._edges = _room(self._edges, self._num_edges, 1)
+        self._edges[self._num_edges] = child
+        self._num_edges += 1
+        self._structure_changed()
 
-    def set_location(self, node_id: int, location: Point) -> None:
-        """Record the embedded location of a node."""
-        self.node(node_id).location = location
-        if self._arena is not None:
-            self._stale_rows.add(node_id)
+    def set_location(self, node_id: int, location: Optional[Point]) -> None:
+        """Record the embedded location of a node (None: unplaced)."""
+        row = self._row(node_id)
+        self._writable("xs", "ys", "has_location")
+        columns = self._columns
+        if location is None:
+            columns["xs"][row] = columns["ys"][row] = np.nan
+        else:
+            columns["xs"][row] = location.x
+            columns["ys"][row] = location.y
+        columns["has_location"][row] = location is not None
 
     def set_edge_length(self, node_id: int, edge_length: float) -> None:
         """Update the wire length between ``node_id`` and its parent."""
         if edge_length < 0.0:
             raise ValueError("edge length must be non-negative")
-        self.node(node_id).edge_length = edge_length
-        if self._arena is not None:
-            self._stale_rows.add(node_id)
+        row = self._row(node_id)
+        self._writable("edge_lengths")
+        self._columns["edge_lengths"][row] = edge_length
 
     def set_buffer(self, node_id: int, cell: Optional["BufferCell"]) -> None:
         """Place (or with ``None`` remove) a buffer cell at ``node_id``."""
-        self.node(node_id).buffer = cell
-        if self._arena is not None:
-            self._stale_rows.add(node_id)
+        row = self._row(node_id)
+        self._writable("buffers", "buffer_mask", "buffer_input_caps", "buffer_intrinsics",
+                       "buffer_drive_res")
+        columns = self._columns
+        self._buffers[row] = cell
+        columns["buffer_mask"][row] = cell is not None
+        columns["buffer_input_caps"][row] = 0.0 if cell is None else cell.input_cap
+        columns["buffer_intrinsics"][row] = 0.0 if cell is None else cell.intrinsic_delay
+        columns["buffer_drive_res"][row] = 0.0 if cell is None else cell.drive_resistance
 
     def copy_subtree_from(self, other: "ClockTree", root_id: int) -> Dict[int, int]:
         """Graft a copy of ``other``'s subtree rooted at ``root_id`` into this tree.
 
         Every node below (and including) ``root_id`` is copied with a fresh
-        contiguous id; child order, locations, edge lengths, sink caps, groups
-        and names are preserved exactly, so the copy is bit-identical to the
-        source subtree.  The copied root arrives detached (no parent, edge
-        length 0) ready to be adopted via :meth:`attach` or
+        contiguous id, in preorder; child order, locations, edge lengths, sink
+        caps, groups, names and buffers are preserved exactly, so the copy is
+        bit-identical to the source subtree.  The copied root arrives detached
+        (no parent, edge length 0) ready to be adopted via :meth:`attach` or
         :meth:`add_internal` / :meth:`add_source`.
 
-        Returns the old-id -> new-id mapping.  (ECO gathers its clean
-        subtrees as arena slices instead, ``TreeArena.gather_subtrees``, with
-        the ids and columns this copy gives.)
+        The rows are one ``TreeArena.gather_subtrees`` slice of ``other``'s
+        arena.  Returns the old-id -> new-id mapping.
         """
-        # A tight preorder loop over the raw node dicts.
-        src = other._nodes
-        dst = self._nodes
-        next_id = self._next_id
-        id_map: Dict[int, int] = {}
-        stack = [root_id]
-        while stack:  # preorder: every parent is copied before its children
-            nid = stack.pop()
-            node = src[nid]
-            new_id = next_id
-            next_id += 1
-            id_map[nid] = new_id
-            if nid == root_id:
-                parent = None
-                edge_length = 0.0
+        other._row(root_id)
+        sub, copied_from = other.as_arena().gather_subtrees([root_id])
+        offset, count = self._size, sub.num_nodes
+        self._grow(count)
+        rows = slice(offset, offset + count)
+        for name, _ in _ARRAYS:
+            self._columns[name][rows] = getattr(sub, name)
+        self._columns["parents"][rows] = np.where(sub.parents >= 0, sub.parents + offset, -1)
+        self._writable(*_LISTS)
+        self._names.extend(sub.names)
+        self._buffers.extend(sub.buffers)
+        edges, used = sub.child_ids + offset, self._num_edges
+        self._edges = _room(self._edges, used, len(edges))
+        self._edges[used : used + len(edges)] = edges
+        self._num_edges += len(edges)
+        self._size += count
+        self._structure_changed()
+        return dict(zip(copied_from.tolist(), range(offset, offset + count)))
+
+    def _add_row(self, kind: int, location, sink_cap: float, group, name) -> int:
+        node_id = self._size
+        self._grow(1)
+        placed = location is not None
+        row = dict(
+            kinds=kind, parents=-1, edge_lengths=0.0, xs=location.x if placed else np.nan,
+            ys=location.y if placed else np.nan, has_location=placed, sink_caps=sink_cap,
+            groups=0 if group is None else group, has_group=group is not None,
+            buffer_mask=False, buffer_input_caps=0.0, buffer_intrinsics=0.0,
+            buffer_drive_res=0.0,
+        )
+        for column, value in row.items():
+            self._columns[column][node_id] = value
+        self._writable(*_LISTS)
+        self._names.append(name)
+        self._buffers.append(None)
+        self._size += 1
+        self._structure_changed()
+        return node_id
+
+    def _grow(self, count: int) -> None:
+        """Room for ``count`` more rows in every column."""
+        for name, _ in _ARRAYS:
+            column = self._columns[name]
+            self._columns[name] = _room(column, self._size, count)
+            if self._columns[name] is not column:
+                self._shared.discard(name)
+
+    def _writable(self, *names: str) -> None:
+        """Copy the named columns that a handed-out arena holds, before a write."""
+        self._arena = None
+        for name in self._shared.intersection(names):
+            self._shared.discard(name)
+            if name == "names":
+                self._names = list(self._names)
+            elif name == "buffers":
+                self._buffers = list(self._buffers)
             else:
-                parent = id_map[node.parent]
-                edge_length = node.edge_length
-            # Positional construction: measurably cheaper than keywords on
-            # a 10k+-node graft and the field order is part of the dataclass.
-            dst[new_id] = ClockNode(
-                new_id,
-                node.kind,
-                node.location,
-                parent,
-                [],
-                edge_length,
-                node.sink_cap,
-                node.group,
-                node.name,
-                node.buffer,
-            )
-            if parent is not None:
-                dst[parent].children.append(new_id)
-            children = node.children
-            if children:
-                stack.extend(children[::-1])
-        self._next_id = next_id
-        self._arena = None
-        return id_map
+                self._columns[name] = self._columns[name].copy()
 
-    def mark_mutated(self) -> None:
-        """Invalidate cached derived views after direct node mutations.
-
-        Everything in this library edits nodes through the methods above.
-        Code that writes ``ClockNode`` fields in place instead must call this
-        once afterwards, or the cached arena snapshot -- and everything
-        computed from it, such as the array Elmore engine -- keeps serving
-        the pre-mutation tree.  The next :meth:`as_arena` rebuilds in full.
-        A tree whose node objects were never built has nothing to refresh.
-        """
-        if self._has_node_objects():
-            self._arena = None
-
-    def _add_node(self, node: ClockNode) -> int:
-        self._nodes[node.node_id] = node
-        self._next_id += 1
-        self._arena = None
-        return node.node_id
+    def _structure_changed(self) -> None:
+        self._arena = self._latest = self._csr = None
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    @property
+    def root_id(self) -> Optional[int]:
+        """Id of the root (the clock source once the tree is finished)."""
+        return None if self._root < 0 else self._root
+
+    def _row(self, node_id: int) -> int:
+        """``node_id`` as a row index (KeyError when absent)."""
+        if node_id not in self:
+            raise KeyError(node_id)
+        return int(node_id)
+
+    def _column(self, name: str) -> np.ndarray:
+        return self._columns[name][: self._size]
+
+    def _children(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(child_offsets, child_ids)``: the children in CSR form, attach order."""
+        if self._csr is None:
+            edges = self._edges[: self._num_edges]
+            owners = self._columns["parents"][edges]
+            order = np.argsort(owners, kind="stable")
+            offsets = np.zeros(self._size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owners, minlength=self._size), out=offsets[1:])
+            self._csr = (offsets, edges[order])
+        return self._csr
+
     def node(self, node_id: int) -> ClockNode:
         """The node with the given id (KeyError when absent)."""
-        return self._nodes[node_id]
+        return ClockNode(self, self._row(node_id))
 
-    def __contains__(self, node_id: int) -> bool:
-        if not self._has_node_objects():
-            return node_id in range(self._arena.num_nodes)
-        return node_id in self._nodes
+    def __contains__(self, node_id) -> bool:
+        return isinstance(node_id, (int, np.integer)) and 0 <= node_id < self._size
 
     def __len__(self) -> int:
-        if not self._has_node_objects():
-            return self._arena.num_nodes
-        return len(self._nodes)
+        return self._size
 
     def nodes(self) -> Iterator[ClockNode]:
-        """All nodes, in insertion order."""
-        return iter(self._nodes.values())
+        """All nodes, in id order."""
+        return (ClockNode(self, i) for i in range(self._size))
 
     def sinks(self) -> List[ClockNode]:
-        """All sink nodes, in insertion order."""
-        return [n for n in self._nodes.values() if n.is_sink]
+        """All sink nodes, in id order."""
+        sinks = np.flatnonzero(self._column("kinds") == SINK_KIND)
+        return [ClockNode(self, i) for i in sinks.tolist()]
 
     def groups(self) -> List[int]:
         """Sorted list of distinct sink group ids present in the tree."""
-        return sorted({n.group for n in self.sinks() if n.group is not None})
-
-    def buffered_nodes(self) -> List[ClockNode]:
-        """All nodes carrying a buffer cell, in insertion order."""
-        return [n for n in self._nodes.values() if n.buffer is not None]
+        grouped = (self._column("kinds") == SINK_KIND) & self._column("has_group")
+        return sorted(set(self._column("groups")[grouped].tolist()))
 
     def num_buffers(self) -> int:
         """Number of buffered nodes in the tree."""
-        return sum(1 for n in self._nodes.values() if n.buffer is not None)
+        return int(np.count_nonzero(self._column("buffer_mask")))
 
     def root(self) -> ClockNode:
         """The root node (the clock source once the tree is finished)."""
-        if self.root_id is None:
+        if self._root < 0:
             raise ValueError("the tree has no root yet")
-        return self.node(self.root_id)
+        return ClockNode(self, self._root)
 
     def children_of(self, node_id: int) -> List[ClockNode]:
-        return [self.node(c) for c in self.node(node_id).children]
+        return [ClockNode(self, c) for c in self.node(node_id).children]
 
     def topological_order(self) -> List[int]:
-        """Node ids with every parent preceding its children (root first)."""
-        order: List[int] = []
-        stack = [self.root().node_id]
-        while stack:
-            nid = stack.pop()
-            order.append(nid)
-            stack.extend(reversed(self.node(nid).children))
-        return order
+        """Node ids with every parent preceding its children (root first):
+        the preorder of the root's tree, children in attach order."""
+        root = self.root().node_id
+        return self.as_arena().subtree_rows([root])[0].tolist()
 
     def reverse_topological_order(self) -> List[int]:
         """Node ids with every child preceding its parent (leaves first)."""
-        return list(reversed(self.topological_order()))
+        return self.topological_order()[::-1]
 
     def path_to_root(self, node_id: int) -> List[int]:
         """Node ids from ``node_id`` up to (and including) the root."""
-        path = [node_id]
-        current = self.node(node_id)
-        while current.parent is not None:
-            path.append(current.parent)
-            current = self.node(current.parent)
+        parents = self._columns["parents"]
+        path = [self._row(node_id)]
+        parent = parents.item(path[0])
+        while parent >= 0:
+            path.append(parent)
+            parent = parents.item(parent)
         return path
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
     def total_wirelength(self) -> float:
-        """Sum of all edge lengths (snaking included)."""
-        return sum(n.edge_length for n in self._nodes.values() if n.parent is not None)
+        """Sum of all edge lengths (snaking included), added in node order."""
+        edges = self._column("parents") >= 0
+        return sum(self._column("edge_lengths")[edges].tolist(), 0.0)
 
     def snaking_wirelength(self) -> float:
         """Total extra wire beyond the Manhattan distance of each embedded edge.
 
         Requires locations on both endpoints of every edge; edges without
-        locations contribute zero.
+        locations contribute zero.  Added in node order, one edge at a time.
         """
-        extra = 0.0
-        for node in self._nodes.values():
-            if node.parent is None or node.location is None:
-                continue
-            parent = self.node(node.parent)
-            if parent.location is None:
-                continue
-            extra += max(0.0, node.edge_length - node.location.distance_to(parent.location))
+        columns = self._columns
+        nodes = np.flatnonzero(self._column("parents") >= 0)
+        parents = columns["parents"][nodes]
+        placed = columns["has_location"][nodes] & columns["has_location"][parents]
+        nodes, parents = nodes[placed], parents[placed]
+        xs, ys = columns["xs"], columns["ys"]
+        # |dx| + |dy| in manhattan_distance's operand order.
+        distance = np.abs(xs[nodes] - xs[parents]) + np.abs(ys[nodes] - ys[parents])
+        extra = 0.0  # one edge at a time like a walk; sum() may compensate
+        for wire in np.maximum(columns["edge_lengths"][nodes] - distance, 0.0).tolist():
+            extra += wire
         return extra
 
     def depth(self) -> int:
         """Number of edges on the longest root-to-leaf path."""
-        depths = {self.root().node_id: 0}
-        deepest = 0
-        for nid in self.topological_order():
-            d = depths[nid]
-            deepest = max(deepest, d)
-            for child in self.node(nid).children:
-                depths[child] = d + 1
-        return deepest
+        self.root()
+        arena = self.as_arena()
+        reachable = arena.reachable_mask()
+        return max(d for d, level in enumerate(arena.depth_levels()) if reachable[level].any())
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def as_arena(self):
-        """A struct-of-arrays snapshot of this tree (see repro.cts.arena).
+    def as_arena(self) -> TreeArena:
+        """The tree as a :class:`~repro.cts.arena.TreeArena` over its columns.
 
-        The snapshot is cached and reused until the next mutation, so
-        repeated analysis passes over an unchanged tree pay the conversion
-        once; a tree built from an arena (``TreeArena.to_clock_tree``)
-        starts with that arena as the snapshot and pays none.  After structural edits (node addition,
-        :meth:`attach`, :meth:`copy_subtree_from`) and :meth:`mark_mutated`
-        the snapshot is rebuilt in full; after :meth:`set_location`, :meth:`set_edge_length`
-        and :meth:`set_buffer` only the rows those setters touched are
-        re-read.  Either way a new arena is returned and every snapshot
-        handed out earlier stays as it was.  Callers must treat the returned
-        arena as read-only.
+        The arena never changes afterwards: the tree copies a column before
+        its next write to it.  Until the next edit every call returns the
+        same arena, so repeated analysis passes over an unchanged tree share
+        its memoised orders and Elmore pass; after setter edits alone the new
+        arena shares the topology arrays and memoised orders of the last.
+        Callers must treat the returned arena as read-only.
         """
         arena = self._arena
         if arena is None:
-            from repro.cts.arena import TreeArena
-
-            arena = self._arena = TreeArena.from_clock_tree(self)
-        elif self._stale_rows:
-            arena = self._arena = arena.refreshed(self, self._stale_rows)
-        self._stale_rows.clear()
+            columns = {name: self._column(name) for name, _ in _ARRAYS}
+            columns.update(names=self._names, buffers=self._buffers, technology=self.technology)
+            if self._latest is not None:
+                del columns["kinds"], columns["parents"]
+                arena = self._latest.with_attributes(**columns)
+            else:
+                offsets, child_ids = self._children()
+                arena = TreeArena(root=self._root, child_offsets=offsets, child_ids=child_ids,
+                                  **columns)
+            self._shared = {name for name, _ in _ARRAYS} | set(_LISTS)
+            self._arena = self._latest = arena
         return arena
-
-    def fresh_arena(self):
-        """The snapshot validation and the RC oracle read: the tree's own
-        arena while it has built no node objects (nothing can have edited
-        it), else one rebuilt from the objects, never the :meth:`as_arena`
-        cache, so a field written behind the cache shows up."""
-        if not self._has_node_objects():
-            return self._arena
-        from repro.cts.arena import TreeArena
-
-        return TreeArena.from_clock_tree(self)
 
     def to_networkx(self):
         """The tree as a ``networkx.DiGraph`` (edges point from parent to child)."""
         import networkx as nx
 
         graph = nx.DiGraph()
-        for node in self._nodes.values():
+        for node in self.nodes():
             graph.add_node(
                 node.node_id,
                 kind=node.kind,
@@ -443,7 +519,7 @@ class ClockTree:
                 sink_cap=node.sink_cap,
                 location=None if node.location is None else (node.location.x, node.location.y),
             )
-        for node in self._nodes.values():
+        for node in self.nodes():
             if node.parent is not None:
                 graph.add_edge(node.parent, node.node_id, length=node.edge_length)
         return graph

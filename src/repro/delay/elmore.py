@@ -7,8 +7,7 @@ downstream capacitances over height levels and a top-down pass accumulates
 source-to-node delays over depth levels, both using the stored wire lengths
 (which include any snaking).  Child contributions are added slot by slot in
 attach order, so every float accumulation replays a per-node walk over the
-``ClockNode`` objects bit for bit; the test-suite keeps that walk as the
-engine's oracle.
+nodes bit for bit; the test-suite keeps that walk as the engine's oracle.
 
 :func:`arena_elmore` is the engine's entry: node-indexed arrays of one
 snapshot.  :func:`subtree_capacitances`, :func:`elmore_delays` and

@@ -192,12 +192,10 @@ class RcTree:
 
 def oracle_delays(tree, segments_per_edge: int = 4) -> Dict[int, float]:
     """Independent RC re-derivation of the Elmore delay of every node reachable
-    from the root: :func:`arena_oracle_delays` over ``tree.fresh_arena()``,
-    rebuilt from the node objects when they exist, never the cached
-    ``as_arena()`` the engine reads."""
+    from the root: :func:`arena_oracle_delays` over ``tree.as_arena()``."""
     if tree.root_id is None:
         raise ValueError("the tree has no root yet")  # the engine's error
-    arena = tree.fresh_arena()
+    arena = tree.as_arena()
     ids = np.flatnonzero(arena.reachable_mask())
     return dict(zip(ids.tolist(), arena_oracle_delays(arena, segments_per_edge)[ids].tolist()))
 

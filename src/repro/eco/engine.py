@@ -45,8 +45,7 @@ bit-identity guarantee therefore holds exactly on the no-repair path (see
 docs/eco.md for the tolerance semantics).
 
 Steps 1-3 read the base tree only through its arena, and the stitched tree is
-built and embedded as an arena, blockages included, so a re-route creates no
-node objects unless it repairs.
+built and embedded as an arena, blockages included.
 """
 
 from __future__ import annotations
@@ -428,7 +427,7 @@ def subtree_signature(tree: ClockTree, root_id: int) -> Tuple:
     length of every edge strictly inside the subtree (the subtree root's own
     parent edge is excluded: re-merging legitimately re-books it), node by
     node in preorder.  Two subtrees with equal signatures are bit-identical
-    copies.  Read from the tree's arena, so it builds no node objects.
+    copies.  Read from the tree's arena.
     """
     columns, names = _signature_columns(tree.as_arena(), [root_id])
     kinds, placed, xs, ys, edges, caps, grouped, groups, counts = (c.tolist() for c in columns)

@@ -13,21 +13,55 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_chec
 
 import numpy as np
 
+from repro.cts.arena import SINK_KIND
 from repro.delay.elmore import SinkGroups, arena_elmore
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
+from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.opt.config import OptConfig
 from repro.opt.report import PassOutcome
 
 __all__ = [
     "OptContext",
+    "TreeColumns",
     "OptPass",
     "register_pass",
     "unregister_pass",
     "get_pass",
     "available_passes",
 ]
+
+
+class TreeColumns:
+    """One arena's columns as Python lists, for a pass's per-node walks.
+
+    Read once per pass (or polish step) from ``ctx.tree.as_arena()``.  A
+    walk that edits edge lengths writes :attr:`lengths` as well as the tree
+    (:meth:`set_length`), so it sees its own edits.
+    """
+
+    def __init__(self, tree) -> None:
+        arena = self.arena = tree.as_arena()
+        self.tree = tree
+        #: The root's tree in preorder: every parent before its children.
+        self.order: List[int] = arena.subtree_rows([arena.root])[0].tolist()
+        self.parents: List[int] = arena.parents.tolist()
+        self.is_sink: List[bool] = (arena.kinds == SINK_KIND).tolist()
+        self.sink_caps: List[float] = arena.sink_caps.tolist()
+        self.lengths: List[float] = arena.edge_lengths.tolist()
+        self.buffers = arena.buffers
+        self._offsets: List[int] = arena.child_offsets.tolist()
+        self._child_ids: List[int] = arena.child_ids.tolist()
+
+    def children(self, node_id: int) -> List[int]:
+        """The children of ``node_id``, in attach order."""
+        return self._child_ids[self._offsets[node_id] : self._offsets[node_id + 1]]
+
+    def set_length(self, node_id: int, length: float) -> None:
+        """Book ``length`` on the edge above ``node_id``, here and in the tree."""
+        self.lengths[node_id] = length
+        self.tree.set_edge_length(node_id, length)
 
 
 class OptContext:
@@ -40,7 +74,8 @@ class OptContext:
 
     Skew is scored on arrays: :meth:`elmore` runs one arena Elmore pass per
     tree snapshot, and :attr:`sink_groups`, fixed here since no pass adds or
-    removes sinks, reduces its delays to per-group ranges.
+    removes nodes, reduces its delays to per-group ranges.  The passes edit
+    the tree through its setters only and read it as columns (``TreeColumns``).
     """
 
     def __init__(
@@ -66,9 +101,15 @@ class OptContext:
         self.single_group = single_group
         self.technology: Technology = tree.technology
         self._required: Optional[Dict[int, float]] = None
+        self._locations: Optional[List[Optional[Point]]] = None
         #: The sinks by :meth:`group_of`; its key order is the order of
         #: :meth:`group_spreads`.
         self.sink_groups = SinkGroups.of(tree.as_arena(), single_group)
+        groups = np.zeros(len(tree), dtype=np.int64)
+        keys = np.asarray(self.sink_groups.keys, dtype=np.int64)
+        groups[self.sink_groups.sink_ids] = keys[self.sink_groups.slots]
+        #: :meth:`group_of` of every node, by node id (0 off the sinks).
+        self.node_groups: List[int] = groups.tolist()
         #: Absolute cap on *net* wire growth (set by the Optimizer from
         #: ``config.max_added_wire_fraction``); ``math.inf`` when unlimited.
         self.wire_budget: float = float("inf")
@@ -96,9 +137,9 @@ class OptContext:
         return arena_elmore(self.tree.as_arena())
 
     def group_of(self, node) -> int:
-        if self.single_group:
-            return 0
-        return node.group if node.group is not None else 0
+        """The group ``node``'s bound comes from: its own, 0 when it has none
+        or the repair runs as one group."""
+        return self.node_groups[node.node_id]
 
     def group_spreads(self, delays: Optional[np.ndarray] = None) -> Dict[int, float]:
         """Per-group intra-group skew (hi - lo sink delay), internal units.
@@ -141,33 +182,50 @@ class OptContext:
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
-    def required_lengths(self) -> Dict[int, float]:
-        """Minimum legal booked length of every edge, keyed by child id.
+    def locations(self) -> List[Optional[Point]]:
+        """Every node's embedded location (None when unplaced), by node id;
+        cached, like :meth:`required_lengths`, until a pass moves a node."""
+        if self._locations is None:
+            arena = self.tree.as_arena()
+            self._locations = [
+                Point(x, y) if placed else None
+                for x, y, placed in zip(
+                    arena.xs.tolist(), arena.ys.tolist(), arena.has_location.tolist()
+                )
+            ]
+        return self._locations
 
-        The blockage-avoiding detour distance between the embedded endpoints
-        (plain Manhattan distance without obstacles).  Cached until a pass
-        moves a node.
+    def required_lengths(self) -> Dict[int, float]:
+        """Minimum legal booked length of every embedded edge, keyed by child
+        id in id order: the blockage-avoiding detour distance between the
+        endpoints (plain Manhattan distance without obstacles).  Cached until
+        a pass moves a node.
         """
         if self._required is None:
-            required: Dict[int, float] = {}
-            for node in self.tree.nodes():
-                if node.parent is None:
-                    continue
-                parent = self.tree.node(node.parent)
-                if node.location is None or parent.location is None:
-                    continue
-                if self.obstacles is None:
-                    required[node.node_id] = parent.location.distance_to(node.location)
-                else:
-                    required[node.node_id] = self.obstacles.detour_distance(
-                        parent.location, node.location
-                    )
-            self._required = required
+            arena = self.tree.as_arena()
+            children = np.flatnonzero(arena.parents >= 0)
+            parents = arena.parents[children]
+            placed = arena.has_location[children] & arena.has_location[parents]
+            children, parents = children[placed], parents[placed]
+            if self.obstacles is None:
+                # Point.distance_to from the parent, operand for operand.
+                distance = np.abs(arena.xs[parents] - arena.xs[children]) + np.abs(
+                    arena.ys[parents] - arena.ys[children]
+                )
+                self._required = dict(zip(children.tolist(), distance.tolist()))
+            else:
+                points = self.locations()
+                detour = self.obstacles.detour_distance
+                self._required = {
+                    child: detour(points[parent], points[child])
+                    for child, parent in zip(children.tolist(), parents.tolist())
+                }
         return self._required
 
     def invalidate_geometry(self) -> None:
         """Drop cached geometry after a pass moved embedded nodes."""
         self._required = None
+        self._locations = None
 
     def required_total(self) -> float:
         """Sum of every edge's minimum legal booked length.

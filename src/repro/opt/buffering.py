@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 
+from repro.cts.arena import SINK_KIND
 from repro.delay.buffer import BufferCell, BufferLibrary, default_library
 from repro.opt.base import OptContext
 from repro.opt.report import PassOutcome
@@ -61,17 +62,19 @@ class BufferInsertPass:
             return outcome
         library = resolve_buffer_library(ctx.config.buffer_library)
         tree = ctx.tree
-        root_id = tree.root().node_id
+        arena = tree.as_arena()
+        # Leaves-first, so a deep insertion relieves every driver above it
+        # before the shallower (larger) loads are even considered.  Only the
+        # visited node's buffer changes, so the candidates are known up front.
+        order = arena.subtree_rows([arena.root])[0][::-1]
+        candidates = order[
+            (arena.kinds[order] != SINK_KIND) & (order != arena.root) & ~arena.buffer_mask[order]
+        ]
 
         caps, delays = ctx.elmore()
         violations = ctx.skew_violations(delays)
         worst = ctx.worst_excess(delays)
-        # Leaves-first, so a deep insertion relieves every driver above it
-        # before the shallower (larger) loads are even considered.
-        for node_id in tree.reverse_topological_order():
-            node = tree.node(node_id)
-            if node.is_sink or node_id == root_id or node.buffer is not None:
-                continue
+        for node_id in candidates.tolist():
             load = float(caps[node_id])
             if load <= max_cap:
                 continue

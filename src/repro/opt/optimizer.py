@@ -12,10 +12,13 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.group_constraints import capped_bounds
 from repro.delay.rc_tree import oracle_delays
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
+from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.obs.trace import get_tracer
 from repro.opt.base import OptContext, OptPass, get_pass
@@ -108,7 +111,7 @@ class Optimizer:
             single_group=single_group,
         )
         ctx.wire_budget = self.config.max_added_wire_fraction * tree.total_wirelength()
-        bounds = [bound_for(ctx.group_of(s)) for s in tree.sinks()]
+        bounds = [bound_for(group) for group in ctx.sink_groups.keys]
         if bounds and min(bounds) <= 0.0:
             # A zero bound would demand exact delay equality, which wire
             # snaking can approach but never reach -- the repair would add
@@ -137,7 +140,7 @@ class Optimizer:
                     "opt.pass", pass_name=opt_pass.name, iteration=iteration
                 ) as pass_span:
                     detours_before = _detours_computed(ctx)
-                    snapshot = _snapshot(tree)
+                    snapshot = tree.as_arena()
                     spent_before = ctx.wire_net_added
                     before = _quality(ctx)
                     outcome = opt_pass.run(ctx, iteration)
@@ -182,24 +185,23 @@ class Optimizer:
         return report
 
 
-def _snapshot(tree) -> Dict[int, tuple]:
-    """Edge lengths, locations and buffers, enough to undo any pass."""
-    return {
-        node.node_id: (node.edge_length, node.location, node.buffer)
-        for node in tree.nodes()
-    }
-
-
-def _restore(tree, snapshot: Dict[int, tuple]) -> None:
-    """Undo a pass through the tree's setters, touching only changed nodes."""
-    for node_id, (edge_length, location, buffer) in snapshot.items():
-        node = tree.node(node_id)
-        if node.edge_length != edge_length:
-            tree.set_edge_length(node_id, edge_length)
-        if node.location != location:
-            tree.set_location(node_id, location)
-        if node.buffer != buffer:
-            tree.set_buffer(node_id, buffer)
+def _restore(tree, snapshot) -> None:
+    """Undo a pass through the tree's setters, touching only changed nodes:
+    ``snapshot`` is the tree's arena from before the pass (arenas never change)."""
+    now = tree.as_arena()
+    lengths = snapshot.edge_lengths
+    for node_id in np.flatnonzero(now.edge_lengths != lengths).tolist():
+        tree.set_edge_length(node_id, lengths.item(node_id))
+    placed = snapshot.has_location
+    moved = (now.has_location != placed) | (
+        placed & ((now.xs != snapshot.xs) | (now.ys != snapshot.ys))
+    )
+    for node_id in np.flatnonzero(moved).tolist():
+        x, y = snapshot.xs.item(node_id), snapshot.ys.item(node_id)
+        tree.set_location(node_id, Point(x, y) if placed[node_id] else None)
+    for node_id in np.flatnonzero(now.buffer_mask | snapshot.buffer_mask).tolist():
+        if now.buffers[node_id] != snapshot.buffers[node_id]:
+            tree.set_buffer(node_id, snapshot.buffers[node_id])
 
 
 def _detours_computed(ctx: OptContext) -> int:

@@ -16,7 +16,7 @@ import math
 import time
 from typing import Dict
 
-from repro.opt.base import OptContext
+from repro.opt.base import OptContext, TreeColumns
 from repro.opt.report import PassOutcome
 
 __all__ = ["WirelengthRecoveryPass"]
@@ -36,7 +36,6 @@ class WirelengthRecoveryPass:
     def run(self, ctx: OptContext, iteration: int) -> PassOutcome:
         started = time.perf_counter()
         outcome = PassOutcome(name=self.name, iteration=iteration)
-        tree = ctx.tree
         tech = ctx.technology
         r = tech.unit_resistance
         c = tech.unit_capacitance
@@ -51,32 +50,36 @@ class WirelengthRecoveryPass:
             for group, roof in zip(ctx.sink_groups.keys, hi.tolist())
         }
 
-        upstream_r: Dict[int, float] = {tree.root().node_id: 0.0}
-        for nid in tree.topological_order():
-            for cid in tree.node(nid).children:
-                upstream_r[cid] = upstream_r[nid] + r * tree.node(cid).edge_length
+        columns = TreeColumns(ctx.tree)
+        groups = ctx.node_groups
+        upstream_r: Dict[int, float] = {columns.order[0]: 0.0}
+        for nid in columns.order:
+            for cid in columns.children(nid):
+                upstream_r[cid] = upstream_r[nid] + r * columns.lengths[cid]
 
         # Leaves-first: a child's remaining slack is known before its parent
         # decides how much the shared edge above them may give up.
         slack: Dict[int, float] = {}
-        for nid in tree.reverse_topological_order():
-            node = tree.node(nid)
-            if node.is_sink:
-                slack[nid] = delays[nid] - floors[ctx.group_of(node)]
+        for nid in reversed(columns.order):
+            if columns.is_sink[nid]:
+                slack[nid] = delays[nid] - floors[groups[nid]]
             else:
-                slack[nid] = min((slack[cid] for cid in node.children), default=math.inf)
-            if node.parent is None or nid not in required:
+                slack[nid] = min(
+                    (slack[cid] for cid in columns.children(nid)), default=math.inf
+                )
+            parent = columns.parents[nid]
+            if parent < 0 or nid not in required:
                 continue
-            avail = node.edge_length - required[nid]
+            length = columns.lengths[nid]
+            avail = length - required[nid]
             budget = slack[nid] * _BUDGET_SAFETY
             if avail <= _LEN_TOL or budget <= 0.0:
                 continue
-            length = node.edge_length
             downstream = caps[nid]
             # Delay drop of a trim y for the sinks below: the edge's own
             # Elmore term plus (upper bound) the removed wire capacitance seen
             # through the full upstream resistance.
-            linear = r * (c * length + downstream) + upstream_r[node.parent] * c
+            linear = r * (c * length + downstream) + upstream_r[parent] * c
             discriminant = linear * linear - 2.0 * r * c * budget
             if discriminant < 0.0:
                 y = avail
@@ -87,9 +90,9 @@ class WirelengthRecoveryPass:
             drop = (
                 r * y * (c * length + downstream)
                 - r * c * y * y / 2.0
-                + upstream_r[node.parent] * c * y
+                + upstream_r[parent] * c * y
             )
-            tree.set_edge_length(nid, length - y)
+            columns.set_length(nid, length - y)
             ctx.spend_wire(-y)
             outcome.wire_trimmed += y
             outcome.edges_modified += 1

@@ -18,10 +18,10 @@ blockage escape), so ``validate_result``'s locus checks keep passing.
 from __future__ import annotations
 
 import time
-from typing import List
+from typing import List, Optional
 
 from repro.geometry.point import Point
-from repro.opt.base import OptContext
+from repro.opt.base import OptContext, TreeColumns
 from repro.opt.report import PassOutcome
 
 __all__ = ["ReembedPass"]
@@ -48,15 +48,26 @@ class ReembedPass:
         tree = ctx.tree
         hanan_x = sorted({r.xmin for r in obstacles} | {r.xmax for r in obstacles})
         hanan_y = sorted({r.ymin for r in obstacles} | {r.ymax for r in obstacles})
+        columns = TreeColumns(tree)
+        movable = [
+            nid
+            for nid, parent in enumerate(columns.parents)
+            if parent >= 0 and not columns.is_sink[nid] and nid in ctx.loci
+        ]
+        locations = ctx.locations()  # kept in step with every move
 
         for _ in range(_SWEEPS):
             moved_this_sweep = 0
-            for node in list(tree.nodes()):
-                if node.parent is None or node.is_sink or node.node_id not in ctx.loci:
+            for nid in movable:
+                if locations[nid] is None:
                     continue
-                if node.location is None:
-                    continue
-                if self._improve_node(ctx, node, hanan_x, hanan_y):
+                best = self._improve_node(
+                    ctx, nid, columns.parents[nid], columns.children(nid), locations,
+                    hanan_x, hanan_y,
+                )
+                if best is not None:
+                    tree.set_location(nid, best)
+                    locations[nid] = best
                     moved_this_sweep += 1
             outcome.nodes_moved += moved_this_sweep
             if moved_this_sweep == 0:
@@ -68,13 +79,11 @@ class ReembedPass:
             # the point) but can also grow another incident edge's; booked
             # lengths must keep covering the detour for the tree to stay
             # realisable and validation-clean.
-            required = ctx.required_lengths()
-            for node in tree.nodes():
-                if node.parent is None or node.node_id not in required:
-                    continue
-                if node.edge_length < required[node.node_id] - 1e-9:
-                    extension = required[node.node_id] - node.edge_length
-                    tree.set_edge_length(node.node_id, required[node.node_id])
+            lengths = columns.lengths  # moves change no length
+            for nid, needed in ctx.required_lengths().items():
+                if lengths[nid] < needed - 1e-9:
+                    extension = needed - lengths[nid]
+                    tree.set_edge_length(nid, needed)
                     ctx.spend_wire(extension)
                     outcome.wire_added += extension
                     outcome.edges_modified += 1
@@ -82,33 +91,22 @@ class ReembedPass:
         return outcome
 
     # ------------------------------------------------------------------
-    def _incident_detour(self, ctx: OptContext, node) -> float:
-        """Total detoured length of the edges incident to ``node``."""
-        tree = ctx.tree
-        obstacles = ctx.obstacles
-        total = 0.0
-        parent = tree.node(node.parent)
-        total += obstacles.detour_distance(parent.location, node.location)
-        for cid in node.children:
-            total += obstacles.detour_distance(node.location, tree.node(cid).location)
+    @staticmethod
+    def _incident_detour(ctx: OptContext, at: Point, parent: Point, children) -> float:
+        """Total detoured length of the edges incident to a node at ``at``."""
+        detour = ctx.obstacles.detour_distance
+        total = detour(parent, at)
+        for child in children:
+            total += detour(at, child)
         return total
 
-    def _incident_manhattan(self, ctx: OptContext, node) -> float:
-        tree = ctx.tree
-        total = tree.node(node.parent).location.distance_to(node.location)
-        for cid in node.children:
-            total += node.location.distance_to(tree.node(cid).location)
-        return total
-
-    def _candidates(self, ctx: OptContext, node, hanan_x, hanan_y) -> List[Point]:
+    @staticmethod
+    def _candidates(locus, parent: Point, children, hanan_x, hanan_y) -> List[Point]:
         """Deterministic candidate locations on the node's locus."""
-        tree = ctx.tree
-        locus = ctx.loci[node.node_id]
-        parent = tree.node(node.parent)
-        candidates = [locus.nearest_point_to(parent.location), locus.center()]
+        candidates = [locus.nearest_point_to(parent), locus.center()]
         candidates.extend(locus.corners())
-        for cid in node.children:
-            candidates.append(locus.nearest_point_to(tree.node(cid).location))
+        for child in children:
+            candidates.append(locus.nearest_point_to(child))
         for x in hanan_x:
             for y in hanan_y:
                 point = Point(x, y)
@@ -117,34 +115,37 @@ class ReembedPass:
         candidates.extend(locus.sample_points(4))
         return candidates
 
-    def _improve_node(self, ctx: OptContext, node, hanan_x, hanan_y) -> bool:
-        tree = ctx.tree
+    def _improve_node(
+        self, ctx: OptContext, nid: int, parent_id: int, child_ids, locations, hanan_x, hanan_y
+    ) -> Optional[Point]:
+        """The location that most shortens the detoured wire incident to
+        ``nid``, or None when no candidate improves on where it is."""
         obstacles = ctx.obstacles
+        here = locations[nid]
+        parent = locations[parent_id]
+        children = [locations[cid] for cid in child_ids]
         try:
-            base = self._incident_detour(ctx, node)
+            base = self._incident_detour(ctx, here, parent, children)
         except ValueError:
-            return False
-        if base - self._incident_manhattan(ctx, node) <= _MIN_DETOUR:
-            return False
+            return None
+        manhattan = parent.distance_to(here)
+        for child in children:
+            manhattan += here.distance_to(child)
+        if base - manhattan <= _MIN_DETOUR:
+            return None
 
-        best, best_value = node.location, base
-        for raw in self._candidates(ctx, node, hanan_x, hanan_y):
+        best, best_value = here, base
+        for raw in self._candidates(ctx.loci[nid], parent, children, hanan_x, hanan_y):
             try:
                 candidate = obstacles.nearest_free_point(raw)
             except ValueError:
                 continue
-            if candidate == node.location:
+            if candidate == here:
                 continue
-            original = node.location
-            tree.set_location(node.node_id, candidate)
             try:
-                value = self._incident_detour(ctx, node)
+                value = self._incident_detour(ctx, candidate, parent, children)
             except ValueError:
                 value = float("inf")
-            tree.set_location(node.node_id, original)
             if value < best_value - 1e-6:
                 best, best_value = candidate, value
-        if best == node.location:
-            return False
-        tree.set_location(node.node_id, best)
-        return True
+        return None if best == here else best

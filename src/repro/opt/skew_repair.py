@@ -29,8 +29,10 @@ import math
 import time
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.delay.wire import wire_delay, wire_length_for_delay
-from repro.opt.base import OptContext
+from repro.opt.base import OptContext, TreeColumns
 from repro.opt.report import PassOutcome
 
 __all__ = ["SkewRepairPass"]
@@ -89,60 +91,58 @@ class SkewRepairPass:
     # Stage 1: exact bottom-up alignment in subtree-relative coordinates
     # ------------------------------------------------------------------
     def _alignment_sweep(self, ctx: OptContext, outcome: PassOutcome) -> bool:
-        tree = ctx.tree
         tech = ctx.technology
         unit_cap = tech.unit_capacitance
         required = ctx.required_lengths()
         safety = ctx.config.safety
+        columns = TreeColumns(ctx.tree)
+        lengths = columns.lengths
+        groups = ctx.node_groups
 
         caps: Dict[int, float] = {}
         ivals: Dict[int, Dict[int, List[float]]] = {}
         changed = False
 
-        for nid in tree.reverse_topological_order():
-            node = tree.node(nid)
-            if node.is_sink:
-                caps[nid] = node.sink_cap
-                ivals[nid] = {ctx.group_of(node): [0.0, 0.0]}
+        for nid in reversed(columns.order):
+            if columns.is_sink[nid]:
+                caps[nid] = columns.sink_caps[nid]
+                ivals[nid] = {groups[nid]: [0.0, 0.0]}
                 continue
 
+            children = columns.children(nid)
             shifted: List[Dict[int, List[float]]] = []
-            for cid in node.children:
-                child = tree.node(cid)
-                edge = wire_delay(child.edge_length, caps[cid], tech)
+            for cid in children:
+                edge = wire_delay(lengths[cid], caps[cid], tech)
                 shifted.append(
                     {g: [lo + edge, hi + edge] for g, (lo, hi) in ivals[cid].items()}
                 )
 
-            if len(node.children) > 1:
+            if len(children) > 1:
                 if self._align_children(
-                    ctx, node, shifted, caps, required, safety, outcome
+                    ctx, columns, children, shifted, caps, required, safety, outcome
                 ):
                     changed = True
 
             merged: Dict[int, List[float]] = {}
-            total_cap = node.sink_cap
-            for cid, intervals in zip(node.children, shifted):
-                child = tree.node(cid)
-                total_cap += caps[cid] + unit_cap * child.edge_length
+            total_cap = columns.sink_caps[nid]
+            for cid, intervals in zip(children, shifted):
+                total_cap += caps[cid] + unit_cap * lengths[cid]
                 for g, (lo, hi) in intervals.items():
                     if g in merged:
                         merged[g][0] = min(merged[g][0], lo)
                         merged[g][1] = max(merged[g][1], hi)
                     else:
                         merged[g] = [lo, hi]
-            if node.buffer is not None:
+            buffer = columns.buffers[nid]
+            if buffer is not None:
                 # Same decoupling as the Elmore engine: upstream sees only
                 # the buffer input pin, and every sink below arrives one
                 # stage delay later than the buffer input does.
-                stage = (
-                    node.buffer.intrinsic_delay
-                    + node.buffer.drive_resistance * total_cap
-                )
+                stage = buffer.intrinsic_delay + buffer.drive_resistance * total_cap
                 for interval in merged.values():
                     interval[0] += stage
                     interval[1] += stage
-                total_cap = node.buffer.input_cap
+                total_cap = buffer.input_cap
             caps[nid] = total_cap
             ivals[nid] = merged
         return changed
@@ -150,7 +150,8 @@ class SkewRepairPass:
     def _align_children(
         self,
         ctx: OptContext,
-        node,
+        columns: TreeColumns,
+        children: List[int],
         shifted: List[Dict[int, List[float]]],
         caps: Dict[int, float],
         required: Dict[int, float],
@@ -158,10 +159,9 @@ class SkewRepairPass:
         outcome: PassOutcome,
     ) -> bool:
         """Align the children's per-group intervals at one merge node."""
-        tree = ctx.tree
         tech = ctx.technology
         unit_cap = tech.unit_capacitance
-        children = node.children
+        lengths = columns.lengths
         counts: Dict[int, int] = {}
         for intervals in shifted:
             for g in intervals:
@@ -178,7 +178,7 @@ class SkewRepairPass:
             if cid not in required:
                 continue  # unembedded edge: its minimum length is unknown
             intervals = shifted[cindex]
-            avail = tree.node(cid).edge_length - required[cid]
+            avail = lengths[cid] - required[cid]
             if avail <= _LEN_TOL:
                 continue
             slack = math.inf
@@ -199,12 +199,10 @@ class SkewRepairPass:
             if not math.isfinite(slack) or slack <= _TOL or ahead <= _TOL:
                 continue
             trim_delay = min(slack, ahead)
-            y, actual = _trim_for_delay(
-                tree.node(cid).edge_length, caps[cid], trim_delay, avail, tech
-            )
+            y, actual = _trim_for_delay(lengths[cid], caps[cid], trim_delay, avail, tech)
             if y <= _LEN_TOL:
                 continue
-            tree.set_edge_length(cid, tree.node(cid).edge_length - y)
+            columns.set_length(cid, lengths[cid] - y)
             ctx.spend_wire(-y)
             outcome.wire_trimmed += y
             outcome.edges_modified += 1
@@ -234,10 +232,8 @@ class SkewRepairPass:
                 left = ctx.budget_left()
                 if left <= _LEN_TOL:
                     return changed
-                child = tree.node(cid)
-                x = wire_length_for_delay(
-                    need, caps[cid] + unit_cap * child.edge_length, tech
-                )
+                length = lengths[cid]
+                x = wire_length_for_delay(need, caps[cid] + unit_cap * length, tech)
                 achieved = need
                 if x > left:
                     # Clamp to the global net-added budget; the intervals
@@ -245,9 +241,9 @@ class SkewRepairPass:
                     x = left
                     r = tech.unit_resistance
                     achieved = r * x * (
-                        unit_cap * child.edge_length + unit_cap * x / 2.0 + caps[cid]
+                        unit_cap * length + unit_cap * x / 2.0 + caps[cid]
                     )
-                tree.set_edge_length(cid, child.edge_length + x)
+                columns.set_length(cid, length + x)
                 ctx.spend_wire(x)
                 outcome.wire_added += x
                 outcome.edges_modified += 1
@@ -303,21 +299,21 @@ class SkewRepairPass:
             if current[1] <= 0.0 and current[2] == 0:
                 break
             caps = ctx.elmore()[0].tolist()
+            columns = TreeColumns(tree)
             moves = (
-                self._trim_moves(ctx, required, caps)
-                + self._extend_moves(ctx, caps)
-                + self._spine_moves(ctx, required, caps)
+                self._trim_moves(required, caps, columns)
+                + self._extend_moves(ctx, caps, columns)
+                + self._spine_moves(ctx, required, caps, columns)
             )
             # Each candidate move is evaluated *together with* the alignment
             # sweep that re-balances the tree around it: a roof trim usually
             # drags other groups' floor sinks down with it and only pays off
             # once the sweep has re-aligned them, so judging the move alone
-            # would reject every useful one.  The probe is undone via an
-            # edge-length snapshot either way.
+            # would reject every useful one.  The probe is undone from the
+            # step's edge lengths either way.
             best = None
-            baseline = {
-                node.node_id: node.edge_length for node in tree.nodes()
-            }
+            baseline = columns.lengths
+            baseline_column = columns.arena.edge_lengths
             spent_baseline = ctx.wire_net_added
             for move in moves:
                 # Fresh probe per candidate; the probe's budget spend is
@@ -332,9 +328,9 @@ class SkewRepairPass:
                 ctx.spend_wire(net)
                 self._alignment_sweep(ctx, probe)
                 score = self._polish_score(ctx)
-                for node_id, length in baseline.items():
-                    if tree.node(node_id).edge_length != length:
-                        tree.set_edge_length(node_id, length)
+                probed = tree.as_arena().edge_lengths
+                for node_id in np.flatnonzero(probed != baseline_column).tolist():
+                    tree.set_edge_length(node_id, baseline[node_id])
                 ctx.wire_net_added = spent_baseline
                 if score < current and (best is None or score < best[0]):
                     best = (score, move)
@@ -352,18 +348,16 @@ class SkewRepairPass:
             self._alignment_sweep(ctx, outcome)
             current = self._polish_score(ctx)
 
+    @staticmethod
     def _trim_moves(
-        self, ctx: OptContext, required: Dict[int, float], caps: List[float]
+        required: Dict[int, float], caps: List[float], columns: TreeColumns
     ) -> List[List[Tuple[int, float]]]:
         """Candidate trims of over-booked edges, by rough delay leverage."""
-        tree = ctx.tree
         ranked: List[Tuple[float, int, float]] = []
-        for node in tree.nodes():
-            if node.parent is None or node.node_id not in required:
-                continue
-            avail = node.edge_length - required[node.node_id]
+        for nid, needed in required.items():
+            avail = columns.lengths[nid] - needed
             if avail > _LEN_TOL:
-                ranked.append((avail * (caps[node.node_id] + 1.0), node.node_id, avail))
+                ranked.append((avail * (caps[nid] + 1.0), nid, avail))
         ranked.sort(reverse=True)
         moves: List[List[Tuple[int, float]]] = []
         for _, nid, avail in ranked[: _POLISH_CANDIDATES]:
@@ -372,7 +366,7 @@ class SkewRepairPass:
         return moves
 
     def _extend_moves(
-        self, ctx: OptContext, caps: List[float]
+        self, ctx: OptContext, caps: List[float], columns: TreeColumns
     ) -> List[List[Tuple[int, float]]]:
         """Candidate extensions raising a violating group's slowest deficits.
 
@@ -398,26 +392,26 @@ class SkewRepairPass:
 
         # Deficit of every sink against its own group roof; min over subtrees.
         delays = node_delays.tolist()
+        group_of = ctx.node_groups
+        sinks = groups.sink_ids.tolist()
         deficit: Dict[int, float] = {}
-        for sink in tree.sinks():
-            g = ctx.group_of(sink)
+        for sid in sinks:
+            g = group_of[sid]
             target = roof[g] - ctx.config.safety * ctx.bound_for(g)
-            deficit[sink.node_id] = max(0.0, target - delays[sink.node_id])
+            deficit[sid] = max(0.0, target - delays[sid])
         min_def: Dict[int, float] = {}
-        for nid in tree.reverse_topological_order():
-            node = tree.node(nid)
-            if node.is_sink:
+        for nid in reversed(columns.order):
+            if columns.is_sink[nid]:
                 min_def[nid] = deficit[nid]
             else:
                 min_def[nid] = min(
-                    (min_def[cid] for cid in node.children), default=0.0
+                    (min_def[cid] for cid in columns.children(nid)), default=0.0
                 )
 
         floor_sinks: List[Tuple[float, int]] = []
-        for sink in tree.sinks():
-            g = ctx.group_of(sink)
-            if g in violating and deficit[sink.node_id] > _TOL:
-                floor_sinks.append((-deficit[sink.node_id], sink.node_id))
+        for sid in sinks:
+            if group_of[sid] in violating and deficit[sid] > _TOL:
+                floor_sinks.append((-deficit[sid], sid))
         floor_sinks.sort()
 
         moves: List[List[Tuple[int, float]]] = []
@@ -425,27 +419,30 @@ class SkewRepairPass:
         per_group_budget = max(1, _POLISH_CANDIDATES // (2 * len(violating)))
         taken: Dict[int, int] = {}
         for _, sink_id in floor_sinks:
-            g = ctx.group_of(tree.node(sink_id))
+            g = group_of[sink_id]
             if taken.get(g, 0) >= per_group_budget:
                 continue
             taken[g] = taken.get(g, 0) + 1
             for nid in tree.path_to_root(sink_id):
-                node = tree.node(nid)
-                if node.parent is None or nid in seen:
+                if columns.parents[nid] < 0 or nid in seen:
                     continue
                 want = min_def[nid]
                 if want <= _TOL:
                     break  # an ancestor subtree contains a sink at its roof
                 seen.add(nid)
                 x = wire_length_for_delay(
-                    want, caps[nid] + unit_cap * node.edge_length, tech
+                    want, caps[nid] + unit_cap * columns.lengths[nid], tech
                 )
                 if x > _LEN_TOL:
                     moves.append([(nid, x)])
         return moves
 
     def _spine_moves(
-        self, ctx: OptContext, required: Dict[int, float], caps: List[float]
+        self,
+        ctx: OptContext,
+        required: Dict[int, float],
+        caps: List[float],
+        columns: TreeColumns,
     ) -> List[List[Tuple[int, float]]]:
         """Composite moves lowering a roof sink's *spine* while holding its
         side subtrees in place.
@@ -461,6 +458,7 @@ class SkewRepairPass:
         tree = ctx.tree
         tech = ctx.technology
         unit_cap = tech.unit_capacitance
+        lengths = columns.lengths
         groups = ctx.sink_groups
         delays = ctx.elmore()[1]
         lo, hi = groups.ranges(delays)
@@ -475,13 +473,12 @@ class SkewRepairPass:
                 continue
             path = tree.path_to_root(roof)
             for index, nid in enumerate(path):
-                node = tree.node(nid)
-                if node.parent is None or nid not in required:
+                if columns.parents[nid] < 0 or nid not in required:
                     continue
-                avail = node.edge_length - required[nid]
+                avail = lengths[nid] - required[nid]
                 if avail <= _LEN_TOL:
                     continue
-                length = node.edge_length
+                length = lengths[nid]
                 downstream = caps[nid]
                 for fraction in (1.0, 0.5):
                     y = avail * fraction
@@ -493,12 +490,11 @@ class SkewRepairPass:
                     # below the trimmed edge, so only the roof branch drops.
                     spine = set(path)
                     for below in path[: index + 1]:
-                        for cid in tree.node(below).children:
+                        for cid in columns.children(below):
                             if cid in spine:
                                 continue
-                            child = tree.node(cid)
                             x = wire_length_for_delay(
-                                drop, caps[cid] + unit_cap * child.edge_length, tech
+                                drop, caps[cid] + unit_cap * lengths[cid], tech
                             )
                             if x > _LEN_TOL:
                                 move.append((cid, x))

@@ -44,6 +44,7 @@ import asyncio
 import json
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -309,8 +310,9 @@ class RoutingService:
 
         With ``workers > 1`` the compute happens in a persistent process pool
         (mirroring the parent's router registry, exactly like
-        ``BatchRunner``); a pool that cannot start or dies falls back to
-        in-thread routing so a request never fails on infrastructure.
+        ``BatchRunner``); a pool that cannot start or dies falls back, with a
+        ``RuntimeWarning``, to in-thread routing for this and every later
+        request, so a request never fails on infrastructure.
         """
         if self.config.workers > 1 and not self._pool_broken:
             try:
@@ -323,8 +325,14 @@ class RoutingService:
                         )
                     pool = self._pool
                 return pool.submit(run_safe, spec).result()
-            except (OSError, BrokenProcessPool):
+            except (OSError, BrokenProcessPool) as exc:
                 self._pool_broken = True
+                warnings.warn(
+                    "routing service: the process pool failed (%s: %s); routing "
+                    "in-thread from now on" % (type(exc).__name__, exc),
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         return run_safe(spec)
 
     async def route_one(

@@ -20,6 +20,7 @@ from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet, Rect
 from repro.geometry.point import Point
+from tests.reference_tree import with_structure
 
 
 def build_skewed_tree():
@@ -113,7 +114,7 @@ class TestValidation:
 
     def test_detects_unembedded_edge(self):
         tree, s0, _ = build_skewed_tree()
-        tree.node(s0).location = None
+        tree.set_location(s0, None)
         issues = validate_tree(tree)
         assert any(issue.code == "geometry" for issue in issues)
 
@@ -132,21 +133,23 @@ def _routed_random(num_sinks):
 
 def _broken_copy(num_sinks, corruption):
     """A routed random tree with one internal node detached or made a child
-    of its own child, through direct field writes and ``mark_mutated``."""
+    of its own child, through its arena's parent and child columns."""
     routing = _routed_random(num_sinks)
-    tree = routing.tree.as_arena().to_clock_tree()
+    arena = routing.tree.as_arena()
+    tree = arena.to_clock_tree()
     node = next(
         n for n in tree.nodes() if n.is_internal and len(tree.path_to_root(n.node_id)) > 3
     )
-    tree.node(node.parent).children.remove(node.node_id)
+    parents = arena.parents.tolist()
+    children = [n.children for n in tree.nodes()]
+    children[node.parent].remove(node.node_id)
     if corruption == "detach":
-        node.parent = None
+        parents[node.node_id] = -1
     else:
-        child = tree.node(node.children[0])
-        node.parent = child.node_id
-        child.children.append(node.node_id)
-    tree.mark_mutated()
-    return tree, routing.instance
+        child = node.children[0]
+        parents[node.node_id] = child
+        children[child].append(node.node_id)
+    return with_structure(arena, parents, children).to_clock_tree(), routing.instance
 
 
 class TestBrokenStructure:

@@ -446,6 +446,34 @@ class TestBatchRunner:
             # The serial path completes in submission order by construction.
             assert [i for i, _ in events] == [0, 1, 2]
 
+    def test_pool_failure_warns_and_runs_serially(self, monkeypatch):
+        """A pool that cannot start falls back to in-process runs, with one
+        RuntimeWarning naming the exception and the specs re-run."""
+        import repro.api.batch as batch
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        specs = [
+            RunSpec(instance=InstanceSpec.from_random(14, seed=seed), label="run-%d" % seed)
+            for seed in (4, 5, 6)
+        ]
+        serial = BatchRunner(workers=1).run(specs)
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning) as caught:
+            results = BatchRunner(workers=2).run(specs)
+        (warning,) = caught
+        message = str(warning.message)
+        assert "OSError: no process pool here" in message
+        assert "3 of 3 specs re-run in-process" in message
+
+        def stable(result):
+            d = result.to_dict()
+            d.pop("route_seconds"), d.pop("total_seconds"), d.pop("stats")
+            return d
+
+        assert [stable(r) for r in results] == [stable(r) for r in serial]
+
     def test_results_identical_with_and_without_on_result(self):
         specs = [
             RunSpec(instance=InstanceSpec.from_random(14, seed=seed))

@@ -1,18 +1,20 @@
-"""Tests for the struct-of-arrays tree core (repro.cts.arena) and the merge
-loop's bit-identity with the object reference loop.
+"""Tests for the struct-of-arrays tree core (repro.cts.arena, the column
+store of repro.cts.tree) and the merge loop's bit-identity with the object
+reference loop.
 
 Three layers:
 
-* ``TreeArena`` unit tests: CSR children gathers, depth/height levels,
-  reachability, the preorder index, cycle / non-contiguous-id rejection,
-  snapshot caching, and a hypothesis oracle holding every cached or
-  row-refreshed snapshot equal to a full rebuild, from object-built and
-  arena-built starting trees alike;
-* arena construction: the arenas the routers and ECO build equal a rebuild
-  from their own node objects, gathering subtree slices equals the
-  node-by-node preorder copy (``copy_subtree_from``, the oracle) column for
-  column, and so does the h-tree's composite;
-* lossless round-trip: ``from_clock_tree`` -> ``to_clock_tree`` reproduces
+* ``TreeArena`` and column-store unit tests: CSR children gathers,
+  depth/height levels, reachability, the preorder index, cycle detection,
+  read-only node views, arena caching, and a hypothesis oracle applying the
+  same random public edits to a ``ClockTree`` and to the object tree of
+  ``tests/reference_tree.py``: equal arenas (by ``float.hex``), equal node
+  views, and no arena handed out earlier ever changes;
+* arena construction: the arenas the routers and ECO build equal a row by
+  row conversion of their own node views, gathering subtree slices equals
+  the node-by-node preorder copy (the reference tree's ``copy_subtree_from``)
+  column for column, and so does the h-tree's composite;
+* lossless round-trip: ``as_arena()`` -> ``to_clock_tree()`` reproduces
   routed trees node for node, including obstacle-detoured trees whose edge
   lengths exceed the Manhattan distance (hypothesis-driven);
 * loop equivalence: ``AstDme.route`` (the arena loop, ``merge_rows``) and
@@ -49,11 +51,12 @@ from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.opt import BUFFERED_PASSES, OptConfig
 from tests.reference_dme import merge_subtrees, route_reference
+from tests.reference_tree import ReferenceTree, arena_of
 
 
-def small_tree() -> ClockTree:
+def small_tree(cls=ClockTree):
     """Two sinks -> one internal -> source, fully embedded."""
-    tree = ClockTree()
+    tree = cls()
     a = tree.add_sink(Point(0.0, 0.0), sink_cap=1.0, group=0)
     b = tree.add_sink(Point(10.0, 0.0), sink_cap=2.0, group=1)
     m = tree.add_internal([a, b], [5.0, 5.0], location=Point(5.0, 0.0))
@@ -97,7 +100,7 @@ def assert_trees_identical(got: ClockTree, expected: ClockTree) -> None:
 # ----------------------------------------------------------------------
 class TestTreeArena:
     def test_layout_of_a_small_tree(self):
-        arena = TreeArena.from_clock_tree(small_tree())
+        arena = small_tree().as_arena()
         assert arena.num_nodes == 4
         assert list(arena.kinds) == [SINK_KIND, SINK_KIND, INTERNAL_KIND, SOURCE_KIND]
         assert arena.root == 3
@@ -107,23 +110,23 @@ class TestTreeArena:
         assert list(arena.groups[:2]) == [0, 1]
 
     def test_children_of_preserves_attach_order(self):
-        arena = TreeArena.from_clock_tree(small_tree())
+        arena = small_tree().as_arena()
         children, parent_index = arena.children_of(np.array([3, 2]))
         assert children.tolist() == [2, 0, 1]
         assert parent_index.tolist() == [0, 1, 1]
 
     def test_children_of_empty_frontier(self):
-        arena = TreeArena.from_clock_tree(small_tree())
+        arena = small_tree().as_arena()
         children, parent_index = arena.children_of(np.array([0, 1]))
         assert children.size == 0 and parent_index.size == 0
 
     def test_depth_levels_root_first(self):
-        arena = TreeArena.from_clock_tree(small_tree())
+        arena = small_tree().as_arena()
         levels = [level.tolist() for level in arena.depth_levels()]
         assert levels == [[3], [2], [0, 1]]
 
     def test_height_levels_leaves_first(self):
-        arena = TreeArena.from_clock_tree(small_tree())
+        arena = small_tree().as_arena()
         levels = [sorted(level.tolist()) for level in arena.height_levels()]
         assert levels == [[0, 1], [2], [3]]
 
@@ -148,18 +151,29 @@ class TestTreeArena:
         assert arena.reachable_mask().tolist() == [True, True, True, True, False]
 
     def test_cycle_detection(self):
-        arena = TreeArena.from_clock_tree(small_tree())
-        arena.parents[3] = 0  # root now claims a parent: 3 -> 2 -> {0 -> 3}
-        arena.child_offsets = np.array([0, 1, 1, 3, 4])
-        arena.child_ids = np.array([3, 0, 1, 2])
+        arena = small_tree().as_arena()
+        arena.depth_levels()  # a memo that the corrupted copy must not inherit
+        arena = replace(
+            arena,
+            parents=np.array([2, 2, 3, 0]),  # the root claims a parent: 3 -> 2 -> {0 -> 3}
+            child_offsets=np.array([0, 1, 1, 3, 4]),
+            child_ids=np.array([3, 0, 1, 2]),
+        )
         with pytest.raises(ValueError, match="cycle"):
             arena.depth_levels()
+        with pytest.raises(ValueError, match="cycle"):
+            arena.to_clock_tree().topological_order()
 
-    def test_rejects_non_contiguous_ids(self):
+    def test_unknown_node_ids_raise_key_error(self):
+        """Node ids are the rows 0..n-1; anything else is absent."""
         tree = small_tree()
-        tree._nodes.pop(0)  # leave a hole: ids 1..3 at positions 0..2
-        with pytest.raises(ValueError, match="contiguous node ids"):
-            TreeArena.from_clock_tree(tree)
+        for bad in (-1, 4, "2"):
+            assert bad not in tree
+            with pytest.raises(KeyError):
+                tree.node(bad)
+            with pytest.raises(KeyError):
+                tree.set_edge_length(bad, 1.0)
+        assert np.int64(2) in tree and tree.node(np.int64(2)).node_id == 2
 
     def test_as_arena_snapshot_is_cached_until_mutation(self):
         tree = small_tree()
@@ -205,17 +219,37 @@ class TestTreeArena:
         assert fresh is not stale
         assert fresh.num_nodes == stale.num_nodes + len(mapping)
 
-    def test_mark_mutated_invalidates_after_in_place_edits(self):
-        """Code outside the library that writes node attributes directly
-        must be able to invalidate the cache."""
+    def test_node_attribute_writes_raise(self):
+        """A node is a read-only view: every edit goes through the tree's
+        setters, so no write can bypass the arenas."""
         tree = small_tree()
-        stale = tree.as_arena()
-        tree.node(0).edge_length = 42.0  # bypasses set_edge_length
-        assert tree.as_arena() is stale  # direct writes are invisible...
-        tree.mark_mutated()
-        fresh = tree.as_arena()
-        assert fresh is not stale
-        assert fresh.edge_lengths[0] == 42.0
+        before = tree.as_arena()
+        node = tree.node(0)
+        for name, value in (
+            ("edge_length", 42.0), ("location", None), ("parent", None),
+            ("children", []), ("sink_cap", 2.0), ("group", None), ("name", "x"),
+            ("buffer", None), ("kind", "internal"), ("node_id", 1), ("_id", 1),
+            ("_tree", None), ("extra", 1),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(node, name, value)
+        with pytest.raises(AttributeError):
+            del node.edge_length
+        node.children.append(3)  # a new list per read, not the tree's
+        assert tree.as_arena() is before
+        assert node.children == [] and node.edge_length == 5.0
+
+    def test_views_read_the_columns_as_python_scalars(self):
+        tree = small_tree()
+        tree.set_location(2, Point(2.675, 0.5))
+        node = tree.node(2)
+        values = (node.edge_length, node.sink_cap, node.location.x, node.location.y)
+        assert all(type(value) is float for value in values)
+        assert type(node.parent) is int and type(tree.node(0).group) is int
+        assert round(node.location.x, 2) == round(2.675, 2) == 2.67
+        assert "np." not in repr(node)
+        tree.set_edge_length(2, 6.5)  # views see later edits
+        assert node.edge_length == 6.5
 
     def test_setters_refresh_rows_and_share_topology(self):
         """Attribute setters re-read only their rows: the next snapshot shares
@@ -232,7 +266,7 @@ class TestTreeArena:
         assert fresh.edge_lengths[0] == 7.5 and stale.edge_lengths[0] == 5.0
         assert fresh.buffer_mask.tolist() == [False, False, True, False]
         assert not stale.buffer_mask.any()
-        assert_arenas_equal(fresh, TreeArena.from_clock_tree(tree))
+        assert_arenas_equal(fresh, arena_of(tree))
 
         tree.attach(2, tree.add_sink(Point(1.0, 1.0), sink_cap=1.0), 3.0)
         rebuilt = tree.as_arena()
@@ -309,11 +343,38 @@ def _routed_base(kind: str) -> ClockTree:
 _CELLS = (None,) + tuple(default_library().cells)
 _EDITS = st.tuples(
     st.sampled_from(
-        ["location", "length", "buffer", "snapshot", "direct", "add_sink", "attach", "graft"]
+        ["location", "length", "buffer", "snapshot", "direct", "add_sink", "add_internal",
+         "add_source", "attach", "graft", "self_graft"]
     ),
     st.integers(min_value=0, max_value=10**6),
     st.floats(min_value=-100.0, max_value=1e5, allow_nan=False),
 )
+
+_FLOAT_COLUMNS = (
+    "edge_lengths", "xs", "ys", "sink_caps", "buffer_input_caps", "buffer_intrinsics",
+    "buffer_drive_res",
+)
+_EXACT_COLUMNS = ("kinds", "parents", "has_location", "groups", "has_group", "child_offsets",
+                  "child_ids", "buffer_mask")
+
+
+def arena_bits(arena: TreeArena) -> dict:
+    """Every column of ``arena`` as Python values, floats by ``float.hex``."""
+    bits = {name: [float.hex(v) for v in getattr(arena, name).tolist()] for name in _FLOAT_COLUMNS}
+    bits.update((name, getattr(arena, name).tolist()) for name in _EXACT_COLUMNS)
+    bits.update(names=list(arena.names), buffers=list(arena.buffers), root=arena.root,
+                technology=arena.technology)
+    return bits
+
+
+def view_bits(node) -> tuple:
+    """A node's fields, floats by ``float.hex``."""
+    location = node.location
+    return (
+        node.node_id, node.kind, None if location is None else (location.x.hex(), location.y.hex()),
+        node.parent, list(node.children), node.edge_length.hex(), node.sink_cap.hex(),
+        node.group, node.name, node.buffer,
+    )
 
 
 class TestSnapshotOracle:
@@ -323,45 +384,80 @@ class TestSnapshotOracle:
         edits=st.lists(_EDITS, min_size=1, max_size=30),
     )
     def test_snapshots_match_a_full_rebuild(self, kind, edits):
-        """Interleave setters, structural edits, ``mark_mutated`` and
-        ``as_arena``: every snapshot equals a rebuild taken at the same moment,
-        and no snapshot handed out earlier changes afterwards.  The "grown"
-        and "stitched" trees start from the arena the router or ECO built,
-        before any node object exists."""
+        """Apply the same public edits to a column tree and to the object
+        tree of ``tests/reference_tree.py``, interleaved with ``as_arena``:
+        every arena equals the reference's rebuild bit for bit, the node
+        views equal the reference's nodes, no arena handed out earlier
+        changes afterwards, and a node attribute write raises.  The "grown"
+        and "stitched" trees start from the arena the router or ECO built."""
         if kind in ("grown", "stitched"):
             tree = _arena_built(kind).to_clock_tree()
         else:
-            tree = TreeArena.from_clock_tree(_routed_base(kind)).to_clock_tree()
+            tree = _routed_base(kind).as_arena().to_clock_tree()
+        reference = ReferenceTree.of(tree)
         orphans = []
         taken = []
         for op, pick, value in edits + [("snapshot", 0, 0.0)]:
             node = pick % len(tree)
+            location = Point(value, value / 3.0)
+            both = (tree, reference)
             if op == "location":
-                tree.set_location(node, None if value < 0 else Point(value, value / 3.0))
+                for t in both:
+                    t.set_location(node, None if value < 0 else location)
             elif op == "length":
-                tree.set_edge_length(node, abs(value))
+                for t in both:
+                    t.set_edge_length(node, abs(value))
             elif op == "buffer":
-                tree.set_buffer(node, _CELLS[pick % len(_CELLS)])
+                for t in both:
+                    t.set_buffer(node, _CELLS[pick % len(_CELLS)])
             elif op == "direct":
-                tree.node(node).edge_length = abs(value)
-                tree.mark_mutated()
+                with pytest.raises(AttributeError):
+                    tree.node(node).edge_length = abs(value)
             elif op == "add_sink":
-                orphans.append(tree.add_sink(Point(value, 0.0), sink_cap=1.0, group=pick % 3))
+                ids = [t.add_sink(location, sink_cap=1.0, group=pick % 3) for t in both]
+                assert ids[0] == ids[1]
+                orphans.append(ids[0])
+            elif op == "add_internal" and orphans:
+                children = [orphans.pop()]
+                if orphans and pick % 2:
+                    children.append(orphans.pop())
+                lengths = [abs(value)] * len(children)
+                ids = [t.add_internal(children, lengths, location=location) for t in both]
+                assert ids[0] == ids[1]
+                orphans.append(ids[0])
+            elif op == "add_source" and orphans:
+                child = orphans.pop()
+                for t in both:
+                    t.add_source(location, child, abs(value), name="clk%d" % pick)
             elif op == "attach" and orphans:
                 orphan = orphans.pop()
                 parent = pick % len(tree)
-                if parent != orphan:
-                    tree.attach(parent, orphan, abs(value))
-            elif op == "graft":
-                donor = small_tree()
-                tree.copy_subtree_from(donor, pick % len(donor))
+                if parent != orphan and orphan not in tree.path_to_root(parent):
+                    for t in both:
+                        t.attach(parent, orphan, abs(value))
+            elif op in ("graft", "self_graft"):
+                if op == "graft":
+                    donors = (small_tree(), small_tree(ReferenceTree))
+                else:
+                    donors = both
+                root = pick % len(donors[0])
+                maps = [t.copy_subtree_from(d, root) for t, d in zip(both, donors)]
+                assert maps[0] == maps[1]
+                orphans.append(maps[0][root])
             elif op == "snapshot":
                 snapshot = tree.as_arena()
-                rebuild = TreeArena.from_clock_tree(tree)
-                assert_arenas_equal(snapshot, rebuild)
-                taken.append((snapshot, rebuild))
-                for earlier, its_rebuild in taken:
-                    assert_arenas_equal(earlier, its_rebuild)
+                assert tree.as_arena() is snapshot
+                assert arena_bits(snapshot) == arena_bits(arena_of(reference))
+                assert [view_bits(n) for n in tree.nodes()] == [
+                    view_bits(n) for n in reference.nodes()
+                ]
+                assert tree.total_wirelength() == reference.total_wirelength()
+                assert tree.snaking_wirelength() == reference.snaking_wirelength()
+                if tree.root_id is not None:
+                    assert tree.topological_order() == reference.topological_order()
+                taken.append((snapshot, arena_bits(snapshot)))
+                for earlier, bits in taken:
+                    assert arena_bits(earlier) == bits
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +471,7 @@ class TestRoundTrip:
     def test_rootless_tree_round_trips(self):
         tree = ClockTree()
         tree.add_sink(Point(0.0, 0.0), sink_cap=1.0)
-        rebuilt = TreeArena.from_clock_tree(tree).to_clock_tree()
+        rebuilt = tree.as_arena().to_clock_tree()
         assert rebuilt.root_id is None
         assert_trees_identical(rebuilt, tree)
 
@@ -420,21 +516,20 @@ def _stitch_base(kind: str) -> ClockTree:
 
 
 class ObjectComposite:
-    """The h-tree's composite assembled node by node, as the router did
-    before it appended arena rows: ``copy_subtree_from``, ``add_internal``
-    and ``add_source`` on a ``ClockTree``, loci re-keyed through the copy's
-    id map."""
+    """The h-tree's composite assembled node by node: ``copy_subtree_from``,
+    ``add_internal`` and ``add_source`` on the object tree of
+    ``tests/reference_tree.py``, loci re-keyed through the copy's id map."""
 
-    def __init__(self, arena: TreeArena) -> None:
-        self.tree = ClockTree(technology=arena.technology)
+    def __init__(self, tree: ClockTree) -> None:
+        self.reference = ReferenceTree(technology=tree.technology)
         self.loci = {}
 
     @property
-    def arena(self) -> TreeArena:
-        return self.tree.as_arena()
+    def tree(self) -> ClockTree:
+        return arena_of(self.reference).to_clock_tree()
 
-    def graft(self, leaf: TreeArena, root: int, leaf_loci) -> int:
-        id_map = self.tree.copy_subtree_from(leaf.to_clock_tree(), root)
+    def graft(self, leaf: ClockTree, root: int, leaf_loci) -> int:
+        id_map = self.reference.copy_subtree_from(leaf, root)
         for old_id, locus in leaf_loci.items():
             if old_id in id_map:
                 self.loci[id_map[old_id]] = locus
@@ -442,8 +537,8 @@ class ObjectComposite:
 
     def add(self, kind, children, lengths, location, name) -> int:
         if kind == SOURCE_KIND:
-            return self.tree.add_source(location, children[0], lengths[0], name=name)
-        return self.tree.add_internal(children, lengths, location=location, name=name)
+            return self.reference.add_source(location, children[0], lengths[0], name=name)
+        return self.reference.add_internal(children, lengths, location=location, name=name)
 
 
 def _disjoint_roots(tree: ClockTree, picks) -> list:
@@ -467,7 +562,7 @@ class TestArenaConstruction:
         assert order.tolist() == tree.topological_order()
         for node_id in range(0, len(tree), 7):
             below = order[pre[node_id] : pre[node_id] + size[node_id]].tolist()
-            assert below == list(ClockTree().copy_subtree_from(tree, node_id))
+            assert below == list(ReferenceTree().copy_subtree_from(tree, node_id))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -478,33 +573,38 @@ class TestArenaConstruction:
     def test_gathered_slices_equal_the_preorder_copy(self, kind, picks, ascending):
         """Gathering subtree slices gives, column for column (NaN-aware,
         names, buffers and CSR order included), the arena of the tree that
-        ``copy_subtree_from`` builds by grafting the same subtrees node by
-        node into an empty tree, in the same order."""
+        the reference ``copy_subtree_from`` builds by grafting the same
+        subtrees node by node into an empty tree, in the same order; so do
+        the column tree's grafts."""
         base = _stitch_base(kind)
         roots = _disjoint_roots(base, picks)
         if ascending:
             roots.sort()
-        expected = ClockTree(technology=base.technology)
+        expected = ReferenceTree(technology=base.technology)
+        grafted = ClockTree(technology=base.technology)
         copied_from = {}
         for root in roots:
-            for old_id, new_id in expected.copy_subtree_from(base, root).items():
+            id_map = expected.copy_subtree_from(base, root)
+            assert grafted.copy_subtree_from(base, root) == id_map
+            for old_id, new_id in id_map.items():
                 copied_from[new_id] = old_id
         got, rows = base.as_arena().gather_subtrees(roots)
-        assert_arenas_equal(got, TreeArena.from_clock_tree(expected))
+        assert_arenas_equal(got, arena_of(expected))
+        assert_arenas_equal(grafted.as_arena(), arena_of(expected))
         assert rows.tolist() == [copied_from[k] for k in range(len(expected))]
 
     @pytest.mark.parametrize("kind", ["random", "blocked", "buffered", "wide", "htree"])
     def test_routes_build_the_arena_of_their_nodes(self, kind):
-        """The arena a route grew (refreshed by the embedding or the repair
-        where they edited nodes) equals a rebuild from its node objects."""
+        """The arena a route grew (with the embedding's and the repair's
+        edits) equals a row by row conversion of its node views."""
         tree = _stitch_base(kind)
-        assert_arenas_equal(tree.as_arena(), TreeArena.from_clock_tree(tree))
+        assert_arenas_equal(tree.as_arena(), arena_of(tree))
 
     @pytest.mark.parametrize("family", ["random", "blocked"])
     @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_htree_appends_what_the_node_grafts_build(self, family, levels, monkeypatch):
-        """The h-tree's arena rows (ids, child order, every column) and its
-        loci equal what grafting the leaves node by node builds."""
+        """The h-tree's tree (ids, child order, every column) and its loci
+        equal what grafting the leaves node by node builds."""
         if family == "blocked":
             instance = InstanceSpec.from_family("blocked", 400, seed=1, groups=3).build()
         else:
@@ -527,7 +627,7 @@ class TestArenaConstruction:
         for seed in range(3):
             routing = _stitched(routing, seed)
             tree = routing.tree.as_arena().to_clock_tree()
-            assert_arenas_equal(routing.tree.as_arena(), TreeArena.from_clock_tree(tree))
+            assert_arenas_equal(routing.tree.as_arena(), arena_of(tree))
 
 
 # ----------------------------------------------------------------------

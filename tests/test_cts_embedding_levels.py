@@ -26,7 +26,6 @@ import repro.core.ast_dme as ast_dme
 from repro.api.registry import get_router
 from repro.api.spec import InstanceSpec
 from repro.core.ast_dme import AstDmeConfig
-from repro.cts.arena import TreeArena
 from repro.cts.embedding import embed_levels
 from repro.cts.tree import ClockTree
 from repro.eco import EcoConfig, eco_reroute
@@ -131,7 +130,7 @@ def test_the_error_the_walk_meets_first_is_raised():
     right = tree.add_internal([near], [1.0])
     top = tree.add_internal([left, right], [0.0, 0.0])
     tree.add_source(Point(5000.0, 0.0), top, 0.0)
-    arena = TreeArena.from_clock_tree(tree)
+    arena = tree.as_arena()
     loci = np.zeros((arena.num_nodes, 4))
     for node in (deep, left, right, top):
         locus = Trr.from_point(Point(5000.0, 0.0))

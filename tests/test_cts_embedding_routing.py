@@ -39,7 +39,7 @@ class TestEmbedTree:
 
     def test_root_without_location_needs_source_location(self):
         tree, m0, loci = build_unembedded_tree()
-        tree.root().location = None
+        tree.set_location(tree.root_id, None)
         with pytest.raises(ValueError):
             embed_tree(tree, loci)
         embed_tree(tree, loci, source_location=Point(1000.0, 500.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -251,14 +252,21 @@ class TestSubtreeSignature:
             tree.set_edge_length(node.node_id, node.edge_length + 1e-3)
         elif edit == "unplace":
             tree.set_location(node.node_id, None)
-        else:
+        else:  # no setter: through the arena's columns
+            arena, row = tree.as_arena(), node.node_id
             if edit == "cap":
-                node.sink_cap += 1e-3
+                caps = arena.sink_caps.copy()
+                caps[row] = node.sink_cap + 1e-3
+                arena = replace(arena, sink_caps=caps)
             elif edit == "group":
-                node.group = None
+                has_group = arena.has_group.copy()
+                has_group[row] = False
+                arena = replace(arena, has_group=has_group)
             else:
-                node.name = "renamed"
-            tree.mark_mutated()
+                names = list(arena.names)
+                names[row] = "renamed"
+                arena = replace(arena, names=names)
+            tree = arena.to_clock_tree()
         assert not preserved_subtrees_identical(base.tree, tree, roots)
 
     def test_copied_nodes_keep_the_loci_of_their_sources(self):

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.analysis.skew import skew_report
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RouterSpec, RunSpec
-from repro.cts.arena import TreeArena
 from repro.cts.tree import ClockNode, ClockTree
 from repro.delay.buffer import default_library
 from repro.delay.elmore import (
@@ -76,7 +75,8 @@ def routed_tree(family: str, size: str) -> ClockTree:
 
 
 def private_copy(tree: ClockTree) -> ClockTree:
-    return TreeArena.from_clock_tree(tree).to_clock_tree()
+    """A tree over ``tree``'s arena, which copies a column before writing it."""
+    return tree.as_arena().to_clock_tree()
 
 
 def outcome(view, tree):
@@ -163,8 +163,7 @@ class TestEngineEqualsObjectWalk:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_views_build_no_node_objects(self, family, monkeypatch):
-        """The views read the arena: on a routed tree that has not built its
-        node objects, they build none."""
+        """The dict views read the arena: they create no node views."""
         tree = private_copy(routed_tree(family, "small"))
         created = []
         init = ClockNode.__init__

@@ -275,8 +275,8 @@ class TestTracedRuns:
         assert get_tracer().enabled is False
 
     def test_validation_builds_no_node_objects(self, traced):
-        """The route builds its tree as an arena and validation reads that
-        arena, so a validated run emits no ``cts.materialize`` span."""
+        """The tree has one form, its columns, so nothing converts it: a
+        validated run emits no ``cts.materialize`` span."""
         assert "run.validate" in {e["name"] for e in traced.trace}
         assert "cts.materialize" not in {e["name"] for e in traced.trace}
 

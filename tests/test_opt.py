@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.analysis.validate import validate_result
 from repro.api.registry import RouterSpec
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
+from repro.cts.arena import SINK_KIND
 from repro.delay.elmore import sink_delays, subtree_capacitances
 from repro.delay.technology import Technology
 from repro.opt import (
@@ -350,10 +352,11 @@ class TestArraySkewScoring:
         )
 
     def test_sinks_without_a_group_score_as_group_zero(self):
-        tree = run(_blocked_spec(num_sinks=80, groups=4), keep_tree=True).routing.tree
-        for sink in tree.sinks()[::3]:
-            sink.group = None
-        tree.mark_mutated()
+        arena = run(_blocked_spec(num_sinks=80, groups=4), keep_tree=True).routing.tree.as_arena()
+        has_group = arena.has_group.copy()
+        has_group[np.flatnonzero(arena.kinds == SINK_KIND)[::3]] = False
+        tree = replace(arena, has_group=has_group).to_clock_tree()
+        assert [sink.group for sink in tree.sinks()[:4]].count(None) == 2
         ctx = _context(tree)
         got = ctx.group_spreads()
         assert list(got.items()) == list(

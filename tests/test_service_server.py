@@ -359,3 +359,37 @@ class TestObservability:
         hot = client.eco(spec, trace=True)
         assert hot.cached is True
         assert hot.result.trace == []
+
+
+class TestPoolFallback:
+    def test_pool_failure_warns_once_and_routes_in_thread(self, monkeypatch):
+        """A process pool that cannot start falls back to in-thread routing
+        with one RuntimeWarning naming the exception; later requests route
+        in-thread without trying the pool again."""
+        import repro.service.server as server_module
+        from repro.api.runner import run_safe
+
+        attempts = []
+
+        def no_pool(*args, **kwargs):
+            attempts.append(1)
+            raise OSError("no process pool here")
+
+        monkeypatch.setattr(server_module, "ProcessPoolExecutor", no_pool)
+        service = server_module.RoutingService(ServiceConfig(port=0, workers=2))
+        try:
+            specs = [_spec(seed=seed) for seed in (5, 6)]
+            with pytest.warns(RuntimeWarning) as caught:
+                results = [service._run_one_blocking(spec) for spec in specs]
+        finally:
+            service.close()
+        (warning,) = caught
+        assert "OSError: no process pool here" in str(warning.message)
+        assert len(attempts) == 1
+
+        def stable(result):
+            d = result.to_dict()
+            d.pop("route_seconds"), d.pop("total_seconds"), d.pop("stats")
+            return d
+
+        assert [stable(r) for r in results] == [stable(run_safe(spec)) for spec in specs]

@@ -4,14 +4,14 @@
 per-stage dict RC oracle.  Two sweeps hold the library to them:
 
 * corrupted routes -- small random, blocked and buffered ones drawn by
-  hypothesis, plus fixed 3000-sink routes whose ``sink_delays`` reads the
-  cached arena snapshot -- get exactly the reference's issue list wherever
-  the reference returns one.  Where it raises (a detached subtree or a parent
-  cycle), the library returns the structure issue and every issue but the
-  delay and skew ones, which are undefined off the root's tree.  Every clean
-  and corrupted case is validated twice: on a tree that has built its node
-  objects, and on the same tree built as an arena (its columns through
-  ``to_clock_tree()``), which validation must read without building any;
+  hypothesis, plus fixed 3000-sink routes -- get exactly the reference's
+  issue list wherever the reference returns one.  Where it raises (a
+  detached subtree or a parent cycle), the library returns the structure
+  issue and every issue but the delay and skew ones, which are undefined off
+  the root's tree.  Corruptions edit a copy of the route through the tree's
+  setters, or an arena's columns (``dataclasses.replace``, then
+  ``to_clock_tree()``), since node views are read-only; validation creates
+  no node views;
 * ``oracle_delays`` agrees with the reference oracle and with
   ``arena_elmore`` to 1e-12 relative, for 1, 4 and 6 segments per edge.
 """
@@ -31,15 +31,17 @@ from repro.analysis.validate import ValidationIssue, validate_result
 from repro.api.registry import RouterSpec
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
-from repro.cts.arena import TreeArena
+from repro.cts.tree import ClockNode
 from repro.delay.elmore import arena_elmore
 from repro.delay.rc_tree import oracle_delays
 from repro.geometry.obstacles import Rect
+from repro.geometry.point import Point
 from repro.opt import BUFFERED_PASSES, OptConfig
 
 pytest.importorskip("networkx")
 
 from tests import reference_validate as reference  # noqa: E402  (imports networkx)
+from tests.reference_tree import with_structure  # noqa: E402
 
 SKEW_BOUND_PS = 10.0
 
@@ -51,7 +53,6 @@ CORRUPTIONS = (
     "unembedded",
     "blockage",
     "sink_cap",
-    "stale",
 )
 
 #: The structure issue each corruption the reference cannot survive yields.
@@ -89,21 +90,23 @@ def routed(kind: str):
 
 def corrupted(base, corruption: str, pick: int):
     """A copy of ``base`` with one corruption applied, the same for every call."""
-    tree = TreeArena.from_clock_tree(base.tree).to_clock_tree()
+    arena = base.tree.as_arena()
+    tree = arena.to_clock_tree()  # copies a column before writing it
     result = replace(base, tree=tree)
     inner = [n for n in tree.nodes() if n.is_internal and n.parent is not None]
     node = inner[pick % len(inner)]
     sink = tree.sinks()[pick % len(tree.sinks())]
-    if corruption == "detach":
-        tree.node(node.parent).children.remove(node.node_id)
-        node.parent = None
-        tree.mark_mutated()
-    elif corruption == "cycle":
-        child = node.children[pick % len(node.children)]
-        tree.node(node.parent).children.remove(node.node_id)
-        node.parent = child
-        tree.node(child).children.append(node.node_id)
-        tree.mark_mutated()
+    if corruption in ("detach", "cycle"):
+        parents = arena.parents.tolist()
+        children = [n.children for n in tree.nodes()]
+        children[node.parent].remove(node.node_id)
+        if corruption == "detach":
+            parents[node.node_id] = -1
+        else:
+            child = node.children[pick % len(node.children)]
+            parents[node.node_id] = child
+            children[child].append(node.node_id)
+        result = replace(result, tree=with_structure(arena, parents, children).to_clock_tree())
     elif corruption == "short":
         parent = tree.node(node.parent)
         tree.set_edge_length(node.node_id, 0.5 * node.location.distance_to(parent.location))
@@ -117,57 +120,44 @@ def corrupted(base, corruption: str, pick: int):
         blockages = instance.obstacles + (Rect(x - 1.0, y - 1.0, x + 1.0, y + 1.0),)
         object.__setattr__(instance, "obstacles", blockages)
         result = replace(result, instance=instance)
-    elif corruption == "sink_cap":
-        sink.sink_cap = 2.0 * sink.sink_cap + 1.0
-        tree.mark_mutated()
-    else:  # "stale": an unmarked field write behind a cached snapshot
-        tree.as_arena()
-        node.edge_length += 1000.0
+    else:  # "sink_cap"
+        caps = arena.sink_caps.copy()
+        caps[sink.node_id] = 2.0 * sink.sink_cap + 1.0
+        result = replace(result, tree=replace(arena, sink_caps=caps).to_clock_tree())
     return result
 
 
-def as_arena_built(result):
-    """``result`` with its tree's columns rebuilt as a tree that has no node
-    objects, the form routes and ECO hand out."""
-    return replace(result, tree=TreeArena.from_clock_tree(result.tree).to_clock_tree())
+def validated(result):
+    """The issue list of ``result``, checking that validation creates no
+    node views."""
+    created = []
+    init = ClockNode.__init__
 
+    def counting_init(self, *args):
+        created.append(1)
+        init(self, *args)
 
-def with_node_objects(result):
-    """A copy of ``result`` whose tree has built its node objects."""
-    tree = TreeArena.from_clock_tree(result.tree).to_clock_tree()
-    tree.node(tree.root_id)
-    return replace(result, tree=tree)
-
-
-def validated_both_ways(build):
-    """The issue lists of ``build()``'s result, which has node objects,
-    validated as it is and as an arena-built tree, checking that the latter
-    builds none."""
-    result = build()
-    assert result.tree._has_node_objects()
-    with_objects = validate_result(result, intra_bound_ps=SKEW_BOUND_PS)
-    arena_built = as_arena_built(build())
-    without_objects = validate_result(arena_built, intra_bound_ps=SKEW_BOUND_PS)
-    assert not arena_built.tree._has_node_objects()
-    return with_objects, without_objects
+    with mock.patch.object(ClockNode, "__init__", counting_init):
+        issues = validate_result(result, intra_bound_ps=SKEW_BOUND_PS)
+    assert not created, "validation created %d node views" % len(created)
+    return issues
 
 
 def assert_matches_reference(base, corruption: str, pick: int) -> None:
-    results = validated_both_ways(lambda: corrupted(base, corruption, pick))
-    for issues, build in zip(results, (corrupted, lambda *a: as_arena_built(corrupted(*a)))):
-        try:
-            expected = reference.validate_result(
-                build(base, corruption, pick), intra_bound_ps=SKEW_BOUND_PS
-            )
-        except (KeyError, ValueError):
-            # The reference walks delays from the root and dies on exactly the
-            # trees its structure check exists for.  Everything but the delay
-            # and skew checks still applies.
-            assert corruption in STRUCTURE_ISSUES
-            with mock.patch.object(reference, "_check_delays", lambda tree: []):
-                expected = reference.validate_result(build(base, corruption, pick))
-            assert STRUCTURE_ISSUES[corruption] in issues
-        assert issues == expected
+    issues = validated(corrupted(base, corruption, pick))
+    try:
+        expected = reference.validate_result(
+            corrupted(base, corruption, pick), intra_bound_ps=SKEW_BOUND_PS
+        )
+    except (KeyError, ValueError):
+        # The reference walks delays from the root and dies on exactly the
+        # trees its structure check exists for.  Everything but the delay
+        # and skew checks still applies.
+        assert corruption in STRUCTURE_ISSUES
+        with mock.patch.object(reference, "_check_delays", lambda tree: []):
+            expected = reference.validate_result(corrupted(base, corruption, pick))
+        assert STRUCTURE_ISSUES[corruption] in issues
+    assert issues == expected
 
 
 class TestValidatorMatchesReference:
@@ -175,8 +165,7 @@ class TestValidatorMatchesReference:
     def test_clean_routes_agree(self, kind):
         base = routed(kind)
         expected = reference.validate_result(base, intra_bound_ps=SKEW_BOUND_PS)
-        with_objects, without_objects = validated_both_ways(lambda: with_node_objects(base))
-        assert with_objects == without_objects == expected
+        assert validated(base) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -200,9 +189,53 @@ class TestValidatorMatchesReference:
         assert any(issue.code == "blockage" for issue in issues)
 
     @pytest.mark.parametrize("kind", ["random", "blocked", "buffered", "large"])
-    def test_stale_snapshot_shows_up_as_delay_issues(self, kind):
-        issues = validate_result(corrupted(routed(kind), "stale", pick=7))
-        assert issues and {issue.code for issue in issues} == {"delay"}
+    def test_attribute_writes_raise(self, kind):
+        """A node field written behind the tree's back used to leave a stale
+        arena, which validation had to catch as delay issues.  Node views
+        refuse the write, and the tree and its arena stay clean."""
+        base = routed(kind)
+        tree = base.tree.as_arena().to_clock_tree()
+        before = tree.as_arena()
+        node = tree.node(tree.sinks()[7].parent)
+        with pytest.raises(AttributeError):
+            node.edge_length += 1000.0
+        assert tree.as_arena() is before
+        assert validated(replace(base, tree=tree)) == validated(base)
+
+
+class TestCoverageFallback:
+    """Tree sinks are matched by exact location first and by location
+    rounded to 6 decimals only where that fails; the reference matches by
+    rounded location alone."""
+
+    @staticmethod
+    def shifted(base, dx: float):
+        """``base`` with one sink moved by ``dx`` along x, and how its
+        rounded x compares to the instance sink's."""
+        tree = base.tree.as_arena().to_clock_tree()
+        sink = tree.sinks()[11]
+        x, y = sink.location.x, sink.location.y
+        moved = round(x, 6) if dx == 0.0 else x + dx
+        tree.set_location(sink.node_id, Point(moved, y))
+        return replace(base, tree=tree), moved != x, round(moved, 6) == round(x, 6)
+
+    @pytest.mark.parametrize("kind", ["random", "blocked", "large"])
+    def test_a_sub_rounding_offset_matches_through_the_fallback(self, kind):
+        base = routed(kind)
+        result, moved, same_key = self.shifted(base, 0.0)  # onto its rounded location
+        assert moved and same_key
+        issues = validated(result)
+        assert not [issue for issue in issues if issue.code == "coverage"]
+        assert issues == reference.validate_result(result, intra_bound_ps=SKEW_BOUND_PS)
+
+    @pytest.mark.parametrize("kind", ["random", "blocked", "large"])
+    def test_a_larger_offset_is_reported(self, kind):
+        base = routed(kind)
+        result, moved, same_key = self.shifted(base, 1e-5)
+        assert moved and not same_key
+        issues = validated(result)
+        assert [issue.code for issue in issues if issue.code == "coverage"] == ["coverage"]
+        assert issues == reference.validate_result(result, intra_bound_ps=SKEW_BOUND_PS)
 
 
 class TestOracleMatchesReference:

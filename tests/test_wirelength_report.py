@@ -1,9 +1,11 @@
-"""``wirelength_report`` reads the arena snapshot, bit for bit the object walk.
+"""The wirelength sums read the tree's columns, bit for bit the object walk.
 
-The report sums the snapshot's edge columns in node order; the property test
-holds every field to ``ClockTree.total_wirelength`` /
-``snaking_wirelength`` and the root's child edges by ``float.hex`` on the
-router families and on buffered, repaired blocked trees.
+``ClockTree.total_wirelength`` and ``snaking_wirelength`` add the edge
+columns in node order; ``wirelength_report`` and ``RoutingResult.wirelength``
+take their totals from them.  The property test holds every report field,
+both methods and the result's wirelength by ``float.hex`` to the node-by-node
+walk of the object tree in ``tests/reference_tree.py``, on the router
+families and on buffered, repaired blocked trees.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.api.spec import InstanceSpec, RunSpec
 from repro.cts.tree import ClockTree
 from repro.geometry.point import Point
 from repro.opt import BUFFERED_PASSES, OptConfig
+from tests.reference_tree import ReferenceTree
 
 FAMILIES = {
     "ast-dme": lambda seed: RunSpec(
@@ -40,13 +43,14 @@ FAMILIES = {
 
 
 def walk(tree):
-    """The report's fields from the node objects."""
-    root = tree.root()
+    """The report's fields from the object tree's walks."""
+    reference = ReferenceTree.of(tree)
+    root = reference.root()
     return (
-        tree.total_wirelength(),
-        tree.snaking_wirelength(),
-        sum((tree.node(child).edge_length for child in root.children), 0.0),
-        sum(1 for node in tree.nodes() if node.parent is not None),
+        reference.total_wirelength(),
+        reference.snaking_wirelength(),
+        sum((reference.node(child).edge_length for child in root.children), 0.0),
+        sum(1 for node in reference.nodes() if node.parent is not None),
     )
 
 
@@ -63,8 +67,12 @@ def same_bits(a, b) -> bool:
 @settings(max_examples=12, deadline=None)
 @given(family=st.sampled_from(sorted(FAMILIES)), seed=st.integers(min_value=0, max_value=40))
 def test_report_matches_the_object_walk(family, seed):
-    tree = run(FAMILIES[family](seed), keep_tree=True).routing.tree
-    assert same_bits(fields(wirelength_report(tree)), walk(tree))
+    routing = run(FAMILIES[family](seed), keep_tree=True).routing
+    tree = routing.tree
+    expected = walk(tree)
+    assert same_bits(fields(wirelength_report(tree)), expected)
+    sums = (tree.total_wirelength(), tree.snaking_wirelength(), routing.wirelength)
+    assert same_bits(sums, expected[:2] + expected[:1])
 
 
 def test_unplaced_edges_snake_nothing():
