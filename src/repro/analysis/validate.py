@@ -239,10 +239,13 @@ def _check_blockages(arena, obstacles: ObstacleSet) -> List[ValidationIssue]:
     ]
     # Detours are undefined from inside a blockage (already reported above).
     parents, free = arena.parents, arena.has_location & ~inside
+    xs, ys = arena.xs.tolist(), arena.ys.tolist()
     for node_id in np.flatnonzero((parents >= 0) & free & free[parents]).tolist():
         parent = int(parents[node_id])
         try:
-            needed = obstacles.detour_distance(_location(arena, parent), _location(arena, node_id))
+            needed = obstacles.detour_distance(
+                Point(xs[parent], ys[parent]), Point(xs[node_id], ys[node_id])
+            )
         except ValueError:
             # Overlapping blockages can enclose an endpoint without any single
             # rectangle containing it; that is an issue, not a crash.

@@ -100,8 +100,15 @@ def _run(spec: RunSpec, keep_tree: bool) -> RunResult:
             validate_kwargs["locus_tolerance"] = spec.locus_tolerance
         if spec.validate:
             with stages.stage("validate_seconds", "run.validate") as validate_span:
+                # Validation's detours come from the instance's one set (an
+                # empty set computes none).
+                obstacles = routing.instance.obstacle_set()
+                detours_before = obstacles.detours_computed
                 issues = validate_result(routing, **validate_kwargs)
-                validate_span.set(issues=len(issues))
+                validate_span.set(
+                    issues=len(issues),
+                    detours_computed=obstacles.detours_computed - detours_before,
+                )
         else:
             issues = []
     return RunResult(

@@ -225,16 +225,15 @@ def _free_points(
     obstacles: ObstacleSet,
     draw: Callable[[int], "np.ndarray"],
 ) -> List[Point]:
-    """``num`` points drawn by ``draw`` and re-drawn while inside a blockage."""
+    """``num`` points drawn by ``draw`` and re-drawn while inside a blockage.
+
+    Each draw asks for the points still missing, so its free points, in
+    order, are all kept."""
     points: List[Point] = []
     while len(points) < num:
         batch = draw(num - len(points))
-        for x, y in batch:
-            candidate = Point(float(x), float(y))
-            if not obstacles.blocks_point(candidate):
-                points.append(candidate)
-                if len(points) == num:
-                    break
+        free = batch[~obstacles.blocks_points(batch[:, 0], batch[:, 1])]
+        points.extend(Point(x, y) for x, y in free.tolist())
     return points
 
 

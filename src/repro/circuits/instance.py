@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.geometry.obstacles import ObstacleSet, Rect
 from repro.geometry.point import Point
@@ -55,11 +57,15 @@ class ClockInstance:
             blocked = self.obstacle_set()
             if blocked.blocks_point(self.source):
                 raise ValueError("the clock source lies inside a blockage")
-            for sink in self.sinks:
-                if blocked.blocks_point(sink.location):
-                    raise ValueError(
-                        "sink %d at %r lies inside a blockage" % (sink.sink_id, sink.location)
-                    )
+            n = len(self.sinks)
+            xs = np.fromiter((s.location.x for s in self.sinks), dtype=np.float64, count=n)
+            ys = np.fromiter((s.location.y for s in self.sinks), dtype=np.float64, count=n)
+            inside = np.flatnonzero(blocked.blocks_points(xs, ys))
+            if inside.size:
+                sink = self.sinks[inside[0]]
+                raise ValueError(
+                    "sink %d at %r lies inside a blockage" % (sink.sink_id, sink.location)
+                )
 
     # ------------------------------------------------------------------
     # Basic queries

@@ -409,6 +409,7 @@ class AstDme:
 
         embed_start = time.perf_counter()
         with get_tracer().span("dme.embed") as embed_span:
+            detours_before = 0 if obstacles is None else obstacles.detours_computed
             groups = [s.group for s in sinks]
             with_sinks = prefix.appended(
                 kinds=np.full(n, SINK_KIND, dtype=np.int8),
@@ -429,6 +430,8 @@ class AstDme:
             arena, stats.obstacle_detour = embed_levels(arena, merged.loci, obstacles)
             tree = arena.to_clock_tree()
             embed_span.add("obstacle_detour", stats.obstacle_detour)
+            detours_after = 0 if obstacles is None else obstacles.detours_computed
+            embed_span.set(detours_computed=detours_after - detours_before)
         stats.embed_seconds += time.perf_counter() - embed_start
         return tree, loci
 

@@ -74,10 +74,12 @@ def embed_levels(arena, loci: np.ndarray, obstacles: Optional[ObstacleSet] = Non
         ys[nodes] = (cu - cv) / 2.0
         placed[nodes] = True
         if obstacles is not None:
-            blocked = obstacles.blocks_points(xs[nodes], ys[nodes])
+            blocked = obstacles.blocks_points(xs[nodes], ys[nodes]).tolist()
+            from_xs, from_ys = px[fresh].tolist(), py[fresh].tolist()
+            to_xs, to_ys = xs[nodes].tolist(), ys[nodes].tolist()
             for k, node in enumerate(nodes.tolist()):
-                parent = Point(float(px[fresh[k]]), float(py[fresh[k]]))
-                nearest = Point(float(xs[node]), float(ys[node]))
+                parent = Point(from_xs[k], from_ys[k])
+                nearest = Point(to_xs[k], to_ys[k])
                 if not blocked[k] and obstacles.l_shape_path(parent, nearest) is not None:
                     continue
                 try:
@@ -98,17 +100,20 @@ def embed_levels(arena, loci: np.ndarray, obstacles: Optional[ObstacleSet] = Non
                     targets[k], distance[k], edges[targets[k]]
                 )
                 errors.append(((parents[checked[k]], targets[k], 1), ValueError(message)))
-        for k in checked.tolist() if obstacles is not None else ():
-            child = int(children[k])
-            ends = Point(float(px[k]), float(py[k])), Point(float(xs[child]), float(ys[child]))
-            try:
-                needed = obstacles.detour_distance(*ends)
-            except ValueError as error:
-                errors.append(((parents[k], child, 1), error))
-                continue
-            if needed > edges[child] + _TOL:
-                extensions.append(((parents[k], child), needed - float(edges[child])))
-                edges[child] = needed
+        else:
+            from_xs, from_ys = px.tolist(), py.tolist()
+            to_xs, to_ys = xs[children].tolist(), ys[children].tolist()
+            for k in checked.tolist():
+                child = int(children[k])
+                ends = Point(from_xs[k], from_ys[k]), Point(to_xs[k], to_ys[k])
+                try:
+                    needed = obstacles.detour_distance(*ends)
+                except ValueError as error:
+                    errors.append(((parents[k], child, 1), error))
+                    continue
+                if needed > edges[child] + _TOL:
+                    extensions.append(((parents[k], child), needed - float(edges[child])))
+                    edges[child] = needed
         frontier = nodes[placed[nodes]]
 
     # The walk's order: parents, then each parent's children, by preorder

@@ -11,7 +11,10 @@ blockage model the rest of the library builds on:
   the Hanan grid of the blockage corners) and the Manhattan *detour distance*
   that obstacle-aware embedding and validation are defined in terms of.
   Detour distances are memoised per set, since the opt passes ask for the
-  same edges again and again.
+  same edges again and again.  A set compiles its rectangles once, when it
+  is built: the predicates loop over a tuple of bounds with the float tests
+  of :class:`Rect`, and the escape route tests its whole grid against float64
+  columns of them.
 
 Wires may run along blockage *boundaries* -- only the open interior is
 forbidden, which matches the usual physical-design convention (routing over
@@ -156,6 +159,12 @@ class ObstacleSet:
         for rect in self.rects:
             if not isinstance(rect, Rect):
                 raise TypeError("ObstacleSet holds Rect instances, got %r" % (rect,))
+        # The compiled form (attributes, not fields, so ==, hash and repr
+        # stay the rects'): each rect's (xmin, ymin, xmax, ymax) for the
+        # scalar loops, and the same bounds as float64 columns for arrays.
+        bounds = tuple(rect.to_tuple() for rect in self.rects)
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_columns", np.array(bounds, dtype=np.float64).reshape(-1, 4).T)
 
     @classmethod
     def from_tuples(cls, tuples: Iterable[Sequence[float]]) -> "ObstacleSet":
@@ -188,21 +197,53 @@ class ObstacleSet:
     # Queries
     # ------------------------------------------------------------------
     def blocks_point(self, point: Point, tol: float = _TOL) -> bool:
-        """Whether ``point`` lies strictly inside any blockage."""
-        return any(rect.interior_contains(point, tol) for rect in self.rects)
+        """Whether ``point`` lies strictly inside any blockage
+        (:meth:`Rect.interior_contains` of any rect)."""
+        x, y = point.x, point.y
+        for xmin, ymin, xmax, ymax in self._bounds:
+            if xmin + tol < x < xmax - tol and ymin + tol < y < ymax - tol:
+                return True
+        return False
 
     def blocks_points(self, xs: np.ndarray, ys: np.ndarray, tol: float = _TOL) -> np.ndarray:
         """:meth:`blocks_point` of every ``(xs[i], ys[i])`` as a mask, with the
         same float tests (NaN coordinates are never blocked)."""
         blocked = np.zeros(len(xs), dtype=bool)
-        for r in self.rects:
-            inside_x = (r.xmin + tol < xs) & (xs < r.xmax - tol)
-            blocked |= inside_x & (r.ymin + tol < ys) & (ys < r.ymax - tol)
+        for xmin, ymin, xmax, ymax in self._bounds:
+            inside_x = (xmin + tol < xs) & (xs < xmax - tol)
+            blocked |= inside_x & (ymin + tol < ys) & (ys < ymax - tol)
         return blocked
 
     def blocks_segment(self, a: Point, b: Point, tol: float = _TOL) -> bool:
-        """Whether the axis-aligned segment ``a``-``b`` crosses any interior."""
-        return any(rect.blocks_segment(a, b, tol) for rect in self.rects)
+        """Whether the axis-aligned segment ``a``-``b`` crosses any interior
+        (:meth:`Rect.blocks_segment` of any rect, with its float tests; the
+        conditional expressions are its ``min``/``max`` clamps)."""
+        bounds = self._bounds
+        if not bounds:
+            return False
+        ax, ay, bx, by = a.x, a.y, b.x, b.y
+        if abs(ax - bx) <= tol:  # vertical (or degenerate)
+            if abs(ay - by) <= tol:
+                for xmin, ymin, xmax, ymax in bounds:
+                    if xmin + tol < ax < xmax - tol and ymin + tol < ay < ymax - tol:
+                        return True
+                return False
+            low, high = min(ay, by), max(ay, by)
+            for xmin, ymin, xmax, ymax in bounds:
+                if xmin + tol < ax < xmax - tol and (
+                    (ymax if ymax < high else high) - (ymin if ymin > low else low) > tol
+                ):
+                    return True
+            return False
+        if abs(ay - by) <= tol:  # horizontal
+            low, high = min(ax, bx), max(ax, bx)
+            for xmin, ymin, xmax, ymax in bounds:
+                if ymin + tol < ay < ymax - tol and (
+                    (xmax if xmax < high else high) - (xmin if xmin > low else low) > tol
+                ):
+                    return True
+            return False
+        raise ValueError("blockage queries require axis-aligned segments: %r -> %r" % (a, b))
 
     def blocks_path(self, points: Sequence[Point], tol: float = _TOL) -> bool:
         """Whether any consecutive segment of the polyline crosses an interior."""
@@ -300,53 +341,89 @@ class ObstacleSet:
         obstacle-free router's convention, so obstacle-aware runs only change
         shape where a blockage actually interferes.
         """
-        for corner in (Point(end.x, start.y), Point(start.x, end.y)):
-            path = _simplify([start, corner, end])
-            if not self.blocks_path(path):
-                return path
+        # Beyond the tolerance on both axes, _simplify would keep all three
+        # points, so the legs are tested as they are.
+        true_l = abs(start.x - end.x) > _TOL and abs(start.y - end.y) > _TOL
+        for x, y in ((end.x, start.y), (start.x, end.y)):
+            corner = Point(x, y)
+            if true_l:
+                if not (self.blocks_segment(start, corner) or self.blocks_segment(corner, end)):
+                    return [start, corner, end]
+            else:
+                path = _simplify([start, corner, end])
+                if not self.blocks_path(path):
+                    return path
         return None
 
     def _escape_route(self, start: Point, end: Point) -> List[Point]:
-        """Dijkstra over the Hanan grid of blockage corners + endpoints."""
+        """Dijkstra over the Hanan grid of blockage corners + endpoints.
+
+        Grid vertex ``(i, j)`` is ``(xs[i], ys[j])``, numbered ``i * ny + j``.
+        The vertices are tested in one :meth:`blocks_points` call and the
+        edges in one array test against the compiled columns, with the float
+        tests of :meth:`blocks_segment`.  An edge no longer than the
+        tolerance is degenerate there (blocked only at a blocked vertex); it
+        cannot overlap an interior by more than its length, so the array
+        test never cuts it either.
+        """
         xs = sorted({start.x, end.x} | {r.xmin for r in self.rects} | {r.xmax for r in self.rects})
         ys = sorted({start.y, end.y} | {r.ymin for r in self.rects} | {r.ymax for r in self.rects})
-        points: Dict[Tuple[int, int], Point] = {}
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                candidate = Point(x, y)
-                if not self.blocks_point(candidate):
-                    points[(i, j)] = candidate
+        nx, ny = len(xs), len(ys)
+        gx, gy = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+        free = ~self.blocks_points(np.repeat(gx, ny), np.tile(gy, nx)).reshape(nx, ny)
+        xmin, ymin, xmax, ymax = (column[:, None] for column in self._columns)
+        # x-edges (i, j)-(i + 1, j) and y-edges (i, j)-(i, j + 1) that cross an
+        # interior, as (rects, edges) tests reduced over the rects.
+        inside_y = (ymin + _TOL < gy) & (gy < ymax - _TOL)
+        overlap_x = np.minimum(gx[1:], xmax) - np.maximum(gx[:-1], xmin) > _TOL
+        cut_x = (inside_y[:, None, :] & overlap_x[:, :, None]).any(axis=0)
+        inside_x = (xmin + _TOL < gx) & (gx < xmax - _TOL)
+        overlap_y = np.minimum(gy[1:], ymax) - np.maximum(gy[:-1], ymin) > _TOL
+        cut_y = (inside_x[:, :, None] & overlap_y[:, None, :]).any(axis=0)
+        # Open edges join two free vertices.  The last row of x_open and the
+        # last column of y_open stay closed, so that a step off the grid
+        # (including a negative flat index) reads a closed edge.
+        x_open = np.zeros((nx, ny), dtype=bool)
+        x_open[:-1] = free[:-1] & free[1:] & ~cut_x
+        y_open = np.zeros((nx, ny), dtype=bool)
+        y_open[:, :-1] = free[:, :-1] & free[:, 1:] & ~cut_y
+        x_open, y_open = x_open.ravel().tolist(), y_open.ravel().tolist()
+        # Point.distance_to of grid neighbours: the other axis adds 0.0, which
+        # changes no bits.  (Padded at the end: the pad is never read.)
+        wx = [abs(a - b) for a, b in zip(xs, xs[1:])] + [0.0]
+        wy = [abs(a - b) for a, b in zip(ys, ys[1:])] + [0.0]
 
-        def neighbors(key: Tuple[int, int]) -> Iterator[Tuple[Tuple[int, int], float]]:
-            i, j = key
-            here = points[key]
-            for other in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                there = points.get(other)
-                if there is not None and not self.blocks_segment(here, there):
-                    yield other, here.distance_to(there)
-
-        source = (xs.index(start.x), ys.index(start.y))
-        target = (xs.index(end.x), ys.index(end.y))
-        distances: Dict[Tuple[int, int], float] = {source: 0.0}
-        previous: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        # (distance, key) entries: grid keys are int pairs, so ties resolve
-        # deterministically by grid position.
-        frontier: List[Tuple[float, Tuple[int, int]]] = [(0.0, source)]
-        visited = set()
+        source = xs.index(start.x) * ny + ys.index(start.y)
+        target = xs.index(end.x) * ny + ys.index(end.y)
+        inf = float("inf")
+        distances = [inf] * (nx * ny)
+        distances[source] = 0.0
+        previous = [-1] * (nx * ny)
+        visited = [False] * (nx * ny)
+        # (distance, vertex) entries: vertex numbers order as (i, j) pairs,
+        # so ties resolve deterministically by grid position.
+        frontier: List[Tuple[float, int]] = [(0.0, source)]
         while frontier:
             dist, key = heapq.heappop(frontier)
-            if key in visited:
+            if visited[key]:
                 continue
-            visited.add(key)
+            visited[key] = True
             if key == target:
                 break
-            for other, weight in neighbors(key):
-                candidate = dist + weight
-                if candidate < distances.get(other, float("inf")) - 1e-12:
-                    distances[other] = candidate
-                    previous[other] = key
-                    heapq.heappush(frontier, (candidate, other))
-        if target not in visited:
+            i, j = divmod(key, ny)
+            for other, is_open, weight in (
+                (key - ny, x_open[key - ny], wx[i - 1]),
+                (key + ny, x_open[key], wx[i]),
+                (key - 1, y_open[key - 1], wy[j - 1]),
+                (key + 1, y_open[key], wy[j]),
+            ):
+                if is_open:
+                    candidate = dist + weight
+                    if candidate < distances[other] - 1e-12:
+                        distances[other] = candidate
+                        previous[other] = key
+                        heapq.heappush(frontier, (candidate, other))
+        if not visited[target]:
             raise ValueError(
                 "no obstacle-avoiding path from %r to %r" % (start, end)
             )
@@ -354,12 +431,13 @@ class ObstacleSet:
         while keys[-1] != source:
             keys.append(previous[keys[-1]])
         keys.reverse()
-        return _simplify([points[key] for key in keys])
+        return _simplify([Point(xs[key // ny], ys[key % ny]) for key in keys])
 
 
 def path_length(points: Sequence[Point]) -> float:
-    """Total Manhattan length of a polyline (0 for fewer than two points)."""
-    return sum(points[i].distance_to(points[i + 1]) for i in range(len(points) - 1))
+    """Total Manhattan length of a polyline (0 for fewer than two points):
+    ``sum`` of each leg's :meth:`Point.distance_to`, in order."""
+    return sum([abs(a.x - b.x) + abs(a.y - b.y) for a, b in zip(points, points[1:])])
 
 
 def _simplify(points: Sequence[Point]) -> List[Point]:

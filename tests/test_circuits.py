@@ -13,6 +13,7 @@ from repro.circuits.instance import ClockInstance, Sink
 from repro.circuits.io import load_instance, save_instance
 from repro.circuits.r_circuits import R_CIRCUIT_SINK_COUNTS, available_circuits, make_r_circuit
 from repro.delay.technology import Technology
+from repro.geometry.obstacles import Rect
 from repro.geometry.point import Point
 
 
@@ -29,6 +30,23 @@ class TestSinkAndInstance:
     def test_empty_instance_raises(self):
         with pytest.raises(ValueError):
             ClockInstance("empty", tuple(), Point(0, 0))
+
+    def test_blockages_name_the_source_or_the_first_sink_inside(self):
+        """Sinks are tested in one array query; the error still names the
+        first sink (in sink order) inside a blockage."""
+        blockage = (Rect(0.0, 0.0, 10.0, 10.0),)
+        sinks = (
+            Sink(4, Point(20.0, 20.0), 1.0),
+            Sink(7, Point(5.0, 5.0), 1.0),
+            Sink(2, Point(6.0, 6.0), 1.0),
+            Sink(9, Point(10.0, 5.0), 1.0),  # on the boundary: legal
+        )
+        with pytest.raises(ValueError, match=r"^sink 7 at Point\(x=5.0, y=5.0\) lies inside"):
+            ClockInstance("inside", sinks, Point(30.0, 30.0), obstacles=blockage)
+        with pytest.raises(ValueError, match="the clock source lies inside a blockage"):
+            ClockInstance("source", sinks[::3], Point(5.0, 5.0), obstacles=blockage)
+        legal = ClockInstance("legal", sinks[::3], Point(30.0, 30.0), obstacles=blockage)
+        assert legal.num_sinks == 2
 
     def test_group_queries(self, small_instance):
         assert small_instance.num_groups == 4

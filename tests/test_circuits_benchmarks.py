@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.circuits import benchmarks
 from repro.circuits.benchmarks import (
     BenchmarkFormatError,
     GENERATOR_FAMILIES,
@@ -135,6 +136,28 @@ class TestGeneratorFamilies:
             assert 0.0 <= sink.location.y <= 9_000.0
             assert not obstacles.blocks_point(sink.location)
         assert not obstacles.blocks_point(instance.source)
+
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    def test_array_query_keeps_the_one_by_one_draws(self, family, monkeypatch):
+        """Each draw is tested in one array query; the per-point loop it
+        replaced accepts the same points from the same random draws, re-draws
+        included."""
+
+        def one_by_one(rng, num, obstacles, draw):
+            points = []
+            while len(points) < num:
+                for x, y in draw(num - len(points)):
+                    candidate = Point(float(x), float(y))
+                    if not obstacles.blocks_point(candidate):
+                        points.append(candidate)
+                        if len(points) == num:
+                            break
+            return points
+
+        kwargs = {} if family == "blocked" else {"num_blockages": 6}
+        fast = generate_instance(family, "f", 300, seed=5, layout_size=9_000.0, **kwargs)
+        monkeypatch.setattr(benchmarks, "_free_points", one_by_one)
+        assert generate_instance(family, "f", 300, seed=5, layout_size=9_000.0, **kwargs) == fast
 
     def test_blocked_default_blockage_count_scales(self):
         small = blocked_instance("s", 30, seed=1)

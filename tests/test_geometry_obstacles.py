@@ -1,5 +1,7 @@
 """Unit and property tests for the rectilinear blockage layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from repro.analysis.validate import validate_routes, validate_tree
 from repro.api.registry import get_router
 from repro.cts.routing import route_edges
-from repro.geometry.obstacles import ObstacleSet, Rect, _simplify, path_length
+from repro.geometry.obstacles import _TOL, ObstacleSet, Rect, _simplify, path_length
 from repro.geometry.point import Point
+from tests.reference_geometry import ReferenceObstacles
+from tests.reference_geometry import path_length as reference_path_length
 
 # ----------------------------------------------------------------------
 # Rect
@@ -124,6 +128,26 @@ class TestObstacleSet:
         assert freed == Point(5.0, 10.0)
         assert not obstacles.blocks_point(freed)
 
+    def test_compiled_bounds_are_not_part_of_the_value(self):
+        rects = (Rect(0.0, 0.0, 1.0, 2.0), Rect(3.0, 3.0, 4.0, 5.0))
+        obstacles = ObstacleSet(rects)
+        assert [f.name for f in dataclasses.fields(ObstacleSet)] == ["rects", "_memo"]
+        assert repr(obstacles) == "ObstacleSet(rects=%r)" % (rects,)
+        assert obstacles == ObstacleSet(list(rects)) and hash(obstacles) == hash((rects,))
+        assert obstacles._bounds == ((0.0, 0.0, 1.0, 2.0), (3.0, 3.0, 4.0, 5.0))
+        assert obstacles._columns.tolist() == [[0.0, 3.0], [0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+
+    def test_diagonal_segment_raises_only_with_rects(self):
+        """``any`` over no rects never asked a rect, so it never raised."""
+        a, b = Point(-1.0, -1.0), Point(2.0, 2.0)
+        assert ObstacleSet().blocks_segment(a, b) is False
+        with pytest.raises(ValueError, match="axis-aligned"):
+            ObstacleSet((Rect(5.0, 5.0, 6.0, 6.0),)).blocks_segment(a, b)
+
+    def test_path_length_sums_from_an_int_zero(self):
+        assert path_length([]) == 0 and type(path_length([Point(1.0, 2.0)])) is int
+        assert path_length([Point(0.0, 0.0), Point(3.0, 0.0), Point(3.0, -4.0)]) == 7.0
+
     def test_simplify_drops_duplicates_and_collinear_points(self):
         points = [
             Point(0.0, 0.0),
@@ -211,6 +235,181 @@ class TestRoutingProperties:
         assert not obstacles.blocks_point(freed)
         if not obstacles.blocks_point(point):
             assert freed == point
+
+
+# ----------------------------------------------------------------------
+# The compiled set against the per-rect oracle (tests/reference_geometry.py)
+# ----------------------------------------------------------------------
+#: Offsets that put coordinates exactly on a grid line, just inside or just
+#: outside the query tolerance of it, or between two lines closer than it.
+_NUDGES = (0.0, _TOL, -_TOL, 0.5 * _TOL, -0.5 * _TOL, 2.0 * _TOL)
+
+
+def _grid(low, high):
+    """Multiples of 5 (so rects share edges, touch, overlap and nest), some
+    nudged off them."""
+    return st.builds(
+        lambda k, nudge: 5.0 * k + nudge, st.integers(low, high), st.sampled_from(_NUDGES)
+    )
+
+
+def _extent():
+    """Rect sides: zero, thinner than the tolerance, or grid multiples."""
+    return st.one_of(
+        st.sampled_from((0.0, 0.5 * _TOL, _TOL)),
+        st.builds(lambda k, nudge: 5.0 * k + abs(nudge), st.integers(1, 3), st.sampled_from(_NUDGES)),
+    )
+
+
+def _rect():
+    return st.builds(
+        lambda x, y, w, h: Rect(x, y, x + w, y + h), _grid(0, 8), _grid(0, 8), _extent(), _extent()
+    )
+
+
+@st.composite
+def _scenes(draw, max_rects=5, max_segments=6):
+    """A rect set (possibly empty) and endpoint pairs around it.
+
+    Endpoint coordinates sit on the rects' own edges or on the grid, exactly
+    or nudged by up to twice the tolerance, so they land on boundaries, just
+    inside or outside them, and on Hanan lines closer together than the
+    tolerance.  The pairs are equal, collinear on either axis (or off by less
+    than the tolerance), or general: an L or a diagonal."""
+    rects = draw(st.lists(_rect(), max_size=max_rects))
+    lines = (
+        sorted({r.xmin for r in rects} | {r.xmax for r in rects}),
+        sorted({r.ymin for r in rects} | {r.ymax for r in rects}),
+    )
+
+    def coordinate(axis):
+        if lines[axis] and draw(st.booleans()):
+            base = draw(st.sampled_from(lines[axis]))
+        else:
+            base = 5.0 * draw(st.integers(-1, 12))
+        return base + draw(st.sampled_from(_NUDGES))
+
+    segments = []
+    for _ in range(draw(st.integers(1, max_segments))):
+        a = Point(coordinate(0), coordinate(1))
+        kind = draw(st.sampled_from(("equal", "vertical", "horizontal", "near", "general")))
+        if kind == "equal":
+            b = Point(a.x, a.y)
+        elif kind == "vertical":
+            b = Point(a.x, coordinate(1))
+        elif kind == "horizontal":
+            b = Point(coordinate(0), a.y)
+        elif kind == "near":
+            b = Point(a.x + draw(st.sampled_from((0.5 * _TOL, -0.5 * _TOL, _TOL))), coordinate(1))
+        else:
+            b = Point(coordinate(0), coordinate(1))
+        segments.append((a, b))
+    return rects, segments
+
+
+def _bits(value):
+    """A value's type, and a float's exact bits (a one-point path has
+    length int 0)."""
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def _outcome(query, *args):
+    """A query's answer by :func:`_bits`, or its error's message."""
+    try:
+        return "ok", _bits(query(*args))
+    except ValueError as error:
+        return "error", str(error)
+
+
+def _assert_predicates_match(rects, segments):
+    compiled, oracle = ObstacleSet(tuple(rects)), ReferenceObstacles(rects)
+    for a, b in segments:
+        for point in (a, b):
+            assert compiled.blocks_point(point) is oracle.blocks_point(point)
+        assert _outcome(compiled.blocks_segment, a, b) == _outcome(oracle.blocks_segment, a, b)
+        path = [a, Point(b.x, a.y), b]
+        assert _outcome(compiled.blocks_path, path) == _outcome(oracle.blocks_path, path)
+
+
+def _assert_paths_match(rects, segments):
+    compiled, oracle = ObstacleSet(tuple(rects)), ReferenceObstacles(rects)
+    for a, b in segments:
+        assert compiled.l_shape_path(a, b) == oracle.l_shape_path(a, b)
+        routed = _outcome(compiled.route, a, b)
+        assert routed == _outcome(oracle.route, a, b)
+        if routed[0] == "ok":
+            path = routed[1][1]
+            assert _bits(path_length(path)) == _bits(reference_path_length(path))
+        if rects and not (oracle.blocks_point(a) or oracle.blocks_point(b)):
+            # The escape route itself, also where an L-shape exists.
+            escaped = _outcome(compiled._escape_route, a, b)
+            assert escaped == _outcome(oracle.escape_route, a, b)
+
+
+def _assert_detours_match(rects, queries):
+    """Detours equal by ``float.hex`` and errors equal, query by query; then
+    the memo (keys in insertion order, values by bits) and its counter."""
+    compiled, oracle = ObstacleSet(tuple(rects)), ReferenceObstacles(rects)
+    for a, b in queries:
+        assert _outcome(compiled.detour_distance, a, b) == _outcome(oracle.detour_distance, a, b)
+    assert compiled.detours_computed == oracle.computed
+    memo = compiled._memo.distances
+    assert list(memo) == list(oracle.distances)
+    assert [_bits(v) for v in memo.values()] == [_bits(v) for v in oracle.distances.values()]
+
+
+def _transposed(scene):
+    rects, segments = scene
+    return (
+        [Rect(r.ymin, r.xmin, r.ymax, r.xmax) for r in rects],
+        [(Point(a.y, a.x), Point(b.y, b.x)) for a, b in segments],
+    )
+
+
+#: Scenes on the exact tolerance boundaries, where random draws rarely land.
+#: A wire running _TOL inside a rect's edge is legal, and the line on the
+#: edge itself is blocked by a second rect reaching 1.5 _TOL over it, so a
+#: boundary test that is off by one comparison changes the escape route.
+#: Around the rect at the origin, a wire overlaps the interior by exactly
+#: _TOL (exact at 0.0), which does not block either.
+_BOUNDARY_SCENES = [
+    ([Rect(10.0, 10.0, 20.0, 20.0), Rect(8.0, 0.0, 22.0, 10.0 + 1.5 * _TOL)],
+     [(Point(5.0, 10.0 + _TOL), Point(25.0, 10.0 + _TOL))]),
+    ([Rect(10.0, 0.0, 20.0, 10.0), Rect(8.0, 10.0 - 1.5 * _TOL, 22.0, 20.0)],
+     [(Point(5.0, 10.0 - _TOL), Point(25.0, 10.0 - _TOL))]),
+    ([Rect(0.0, 0.0, 10.0, 10.0)],
+     [(Point(-5.0, 5.0), Point(_TOL, 5.0)), (Point(15.0, 5.0), Point(10.0 - _TOL, 5.0))]),
+]
+_BOUNDARY_SCENES += [_transposed(scene) for scene in _BOUNDARY_SCENES]
+
+
+class TestCompiledSetMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_scenes())
+    def test_predicates_return_equal_booleans(self, scene):
+        _assert_predicates_match(*scene)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scenes())
+    def test_l_shapes_routes_and_escapes_are_equal_point_for_point(self, scene):
+        _assert_paths_match(*scene)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scenes(), st.randoms())
+    def test_detour_sequences_leave_equal_memos(self, scene, rng):
+        """Over a sequence that repeats queries, reverses them and includes
+        failing ones."""
+        rects, segments = scene
+        queries = segments + [(b, a) for a, b in segments]
+        queries += [rng.choice(queries) for _ in range(len(queries))]
+        _assert_detours_match(rects, queries)
+
+    @pytest.mark.parametrize("scene", _BOUNDARY_SCENES)
+    def test_tolerance_boundaries(self, scene):
+        rects, segments = scene
+        _assert_predicates_match(rects, segments)
+        _assert_paths_match(rects, segments)
+        _assert_detours_match(rects, segments + [(b, a) for a, b in segments])
 
 
 class TestRoutedTreeProperties:

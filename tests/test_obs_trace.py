@@ -327,3 +327,55 @@ class TestOptPassSpans:
         spans = self._opt_spans(InstanceSpec.from_random(60, seed=3, groups=4))
         assert spans
         assert all(span["attrs"]["detours_computed"] == 0 for span in spans)
+
+
+class TestGeometryCountsOnSpans:
+    """``dme.embed`` and ``run.validate`` report, like ``opt.pass``, the
+    detours the instance's obstacle set computed during the span."""
+
+    @staticmethod
+    def _counted(events):
+        return {
+            event["name"]: event["attrs"]["detours_computed"]
+            for event in events
+            if "detours_computed" in event["attrs"] and event["name"] != "opt.pass"
+        }
+
+    def test_blocked_route_embed_counts_the_sets_detours(self):
+        from repro.api.registry import get_router
+
+        instance = InstanceSpec.from_family("blocked", 200, seed=0, groups=4).build()
+        obstacles = instance.obstacle_set()
+        with get_tracer().session() as session:
+            get_router("ast-dme", {"skew_bound_ps": 10.0}).route(instance)
+        assert obstacles.detours_computed > 0
+        assert self._counted(session.events) == {"dme.embed": obstacles.detours_computed}
+
+    def test_validation_after_route_and_repair_reads_the_memo(self):
+        spec = RunSpec(
+            instance=InstanceSpec.from_family("blocked", 200, seed=0, groups=4),
+            router=RouterSpec("ast-dme", {"skew_bound_ps": 10.0}),
+            validate=True,
+            opt=OptConfig(enabled=True, passes=BUFFERED_PASSES, max_cap=1200.0),
+        )
+        result = run(spec, keep_tree=True, trace=True)
+        assert result.ok
+        counted = self._counted(result.trace)
+        assert counted["run.validate"] == 0
+        passes = sum(e["attrs"]["detours_computed"] for e in result.trace if e["name"] == "opt.pass")
+        total = result.routing.instance.obstacle_set().detours_computed
+        assert counted["dme.embed"] + passes == total
+
+    def test_obstacle_free_run_reads_zero_everywhere(self):
+        spec = RunSpec(
+            instance=InstanceSpec.from_random(60, seed=3, groups=4),
+            router=RouterSpec("ast-dme", {"skew_bound_ps": 10.0}),
+            validate=True,
+            opt=OptConfig(enabled=True, passes=BUFFERED_PASSES, max_cap=1200.0),
+        )
+        result = run(spec, trace=True)
+        assert result.ok
+        assert self._counted(result.trace) == {"dme.embed": 0, "run.validate": 0}
+        assert all(
+            e["attrs"]["detours_computed"] == 0 for e in result.trace if e["name"] == "opt.pass"
+        )
