@@ -43,6 +43,7 @@ from repro.delay.rc_tree import arena_oracle_delays
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
+from repro.geometry.trr import Trr
 
 __all__ = [
     "DEFAULT_LOCUS_TOLERANCE",
@@ -281,25 +282,24 @@ def _check_instance_coverage(arena, instance) -> List[ValidationIssue]:
     """Every instance sink has a tree sink of its load and group at its
     location rounded to 6 decimals, and the tree source is the instance's.
 
-    Tree sinks are bucketed by exact location; only an instance sink whose
-    exact bucket holds no match is looked up by rounded location (those
-    buckets are built on first need).  Equal floats round equally, so the
-    issues are the ones rounded buckets alone give."""
+    Exact matches come from one sorted join (:func:`_exact_matches`); only
+    an instance sink without one is looked up by rounded location, in
+    instance order (those buckets are built on first need).  Equal floats
+    round equally, so the issues are the ones rounded buckets alone give."""
     sinks = np.flatnonzero(arena.kinds == SINK_KIND)
-    columns = (arena.xs, arena.ys, arena.sink_caps, arena.groups, arena.has_group)
-    xs, ys, caps, groups, grouped = (column[sinks].tolist() for column in columns)
-    loads = [(cap, g if has else None) for cap, g, has in zip(caps, groups, grouped)]
-    exact, rounded = _buckets(zip(xs, ys), loads), None
     issues: List[ValidationIssue] = []
     if len(sinks) != instance.num_sinks:
         issues.append(ValidationIssue("coverage", "tree has %d sinks but the instance has %d" % (
             len(sinks), instance.num_sinks)))
-    for sink in instance.sinks:
+    unmatched = np.flatnonzero(~_exact_matches(arena, sinks, instance.sinks)).tolist()
+    if unmatched:
+        columns = (arena.xs, arena.ys, arena.sink_caps, arena.groups, arena.has_group)
+        xs, ys, caps, groups, grouped = (column[sinks].tolist() for column in columns)
+        loads = [(cap, g if has else None) for cap, g, has in zip(caps, groups, grouped)]
+        rounded = _buckets(((round(a, 6), round(b, 6)) for a, b in zip(xs, ys)), loads)
+    for k in unmatched:
+        sink = instance.sinks[k]
         x, y = sink.location.x, sink.location.y
-        if _has_match(exact.get((x, y), ()), sink):
-            continue
-        if rounded is None:
-            rounded = _buckets(((round(a, 6), round(b, 6)) for a, b in zip(xs, ys)), loads)
         if not _has_match(rounded.get((round(x, 6), round(y, 6)), ()), sink):
             issues.append(ValidationIssue("coverage", (
                 "instance sink %d (group %d) has no matching tree sink"
@@ -309,6 +309,43 @@ def _check_instance_coverage(arena, instance) -> List[ValidationIssue]:
         issues.append(ValidationIssue("coverage", (
             "tree source at %r does not match the instance source %r" % (root, instance.source))))
     return issues
+
+
+def _exact_matches(arena, sinks: np.ndarray, instance_sinks) -> np.ndarray:
+    """Per instance sink, whether a grouped tree sink (node ids ``sinks``)
+    has its exact location and group and a load within 1e-9 of its own.
+
+    One ``lexsort`` of the tree and instance sinks together by ``(x, y,
+    group, cap)``, tree sinks first among equal keys.  Within one ``(x, y,
+    group)`` run, the tree caps nearest an instance sink's are the last tree
+    row before it and the first one after it, so only those two are
+    compared.  An ungrouped tree sink never matches (its group is None)."""
+    n = len(instance_sinks)
+    tree = sinks[arena.has_group[sinks]]
+    xs = np.concatenate((arena.xs[tree], np.fromiter(
+        (s.location.x for s in instance_sinks), dtype=np.float64, count=n)))
+    ys = np.concatenate((arena.ys[tree], np.fromiter(
+        (s.location.y for s in instance_sinks), dtype=np.float64, count=n)))
+    groups = np.concatenate((arena.groups[tree], np.fromiter(
+        (s.group for s in instance_sinks), dtype=np.int64, count=n)))
+    caps = np.concatenate((arena.sink_caps[tree], np.fromiter(
+        (s.cap for s in instance_sinks), dtype=np.float64, count=n)))
+    order = np.lexsort((caps, groups, ys, xs))
+    xs, ys, groups, caps = xs[order], ys[order], groups[order], caps[order]
+    rows = np.arange(len(order))
+    is_tree = order < len(tree)
+    # The nearest tree row at or before / at or after each row (-1 / past the end: none).
+    before = np.maximum.accumulate(np.where(is_tree, rows, -1))
+    after = np.minimum.accumulate(np.where(is_tree, rows, len(order))[::-1])[::-1]
+    matched = np.zeros(len(order), dtype=bool)
+    for near in (before, after):
+        has = (near >= 0) & (near < len(order))
+        near = np.where(has, near, rows)
+        matched |= has & (xs[near] == xs) & (ys[near] == ys) & (groups[near] == groups) & (
+            np.abs(caps - caps[near]) <= 1e-9)
+    found = np.zeros(n, dtype=bool)
+    found[order[~is_tree] - len(tree)] = matched[~is_tree]
+    return found
 
 
 def _buckets(keys, loads) -> dict:
@@ -330,14 +367,14 @@ def _check_loci(arena, result, tolerance: float) -> List[ValidationIssue]:
     # diameter (nearest_free_point walks to a blocking rectangle's boundary);
     # anything further off-locus is a bug, blockages or not.
     max_escape = max(rect.width + rect.height for rect in obstacles) if obstacles else 0.0
-    ids = np.fromiter(result.loci, dtype=np.int64, count=len(result.loci))
-    rows = np.array([(t.ulo, t.uhi, t.vlo, t.vhi) for t in result.loci.values()]).reshape(-1, 4)
+    ids = np.flatnonzero(~np.isnan(result.loci).any(axis=1))  # NaN rows have no locus
+    rows = result.loci[ids]
     u, v = arena.xs[ids] + arena.ys[ids], arena.xs[ids] - arena.ys[ids]  # Trr.contains_point
     inside = (rows[:, 0] - tolerance <= u) & (u <= rows[:, 1] + tolerance)
     inside &= (rows[:, 2] - tolerance <= v) & (v <= rows[:, 3] + tolerance)
     issues: List[ValidationIssue] = []
     for node_id in ids[arena.has_location[ids] & ~inside].tolist():
-        location, locus = _location(arena, node_id), result.loci[node_id]
+        location, locus = _location(arena, node_id), Trr(*result.loci[node_id].tolist())
         if (
             obstacles is not None
             and not obstacles.blocks_point(location)

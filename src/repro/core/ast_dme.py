@@ -113,9 +113,10 @@ class AstDmeConfig:
     allow_snaking: bool = True
     #: Fraction of the intra-group skew bound each cross-group merge may spend
     #: as positional freedom when its split is resolved lazily (see
-    #: repro.core.merge_batch.resolve_split).  Small values guarantee later
-    #: shared-group merges stay feasible; large values chase wirelength more
-    #: aggressively.
+    #: repro.core.merge_batch.resolve_split).  Smaller values limit the slack
+    #: later shared-group merges declare in ``MergeStats.max_violation`` when
+    #: no offset keeps every shared group within its bound, but do not remove
+    #: it; larger values chase wirelength more aggressively.
     sdr_skew_budget: float = 0.45
 
     def __post_init__(self) -> None:
@@ -173,7 +174,11 @@ class RoutingResult:
     instance: ClockInstance
     stats: MergeStats
     association: GroupAssociation
-    loci: Dict[int, Trr]
+    #: Placement loci as float64 ``(ulo, uhi, vlo, vhi)`` rows by node id, one
+    #: per node the router built.  A node without a locus has a NaN row: the
+    #: sinks, the source and nodes ECO copied without one.  A node added to
+    #: the tree after routing has an id past the rows and no locus.
+    loci: np.ndarray
     elapsed_seconds: float
     #: Report of the post-construction optimizer (repro.opt), when it ran.
     opt: Optional["OptReport"] = None
@@ -214,9 +219,9 @@ class MergedTree:
 
     Ids ``first_id .. source_id - 1`` are the new merge nodes in creation
     order and ``source_id`` is the clock source; ``child_a``/``child_b`` and
-    ``loci`` hold their children and placement loci.  ``parent`` and
-    ``edge`` hold the parent and booked wire of every node below them, the
-    input rows' nodes included.
+    ``loci`` hold their children and placement loci (``loci`` is NaN on
+    every other row).  ``parent`` and ``edge`` hold the parent and booked
+    wire of every node below them, the input rows' nodes included.
     """
 
     child_a: np.ndarray
@@ -227,16 +232,15 @@ class MergedTree:
     first_id: int
     source_id: int
 
-    def append_to(
-        self, prefix: TreeArena, source: Point
-    ) -> Tuple[TreeArena, Dict[int, Trr]]:
-        """``prefix`` grown by the merge nodes and the source, and their loci.
+    def append_to(self, prefix: TreeArena, source: Point) -> Tuple[TreeArena, np.ndarray]:
+        """``prefix`` grown by the merge nodes and the source, and the loci.
 
         ``prefix`` must hold exactly the ``first_id`` nodes the rows refer
         to, so the new nodes get the ids the loop gave them; the rows' nodes
         are adopted by their merge nodes.  The merge nodes are left unplaced,
         for the embedding (:func:`~repro.cts.embedding.embed_levels`, with
-        :attr:`loci` as its locus rows).  Only the loci become Python objects.
+        :attr:`loci` as its locus rows).  The loci returned are :attr:`loci`
+        itself, one row per node of the grown arena.
         """
         if prefix.num_nodes != self.first_id:
             raise ValueError(
@@ -269,11 +273,7 @@ class MergedTree:
             ),
             root=last,
         )
-        loci = {
-            node_id: Trr(row[0], row[1], row[2], row[3])
-            for node_id, row in enumerate(self.loci[first:last].tolist(), start=first)
-        }
-        return arena, loci
+        return arena, self.loci
 
 
 def point_loci(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -283,19 +283,15 @@ def point_loci(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.stack((u, u, v, v), axis=1)
 
 
-def copied_loci(
-    loci: Dict[int, Trr], copied_from: np.ndarray, offset: int = 0
-) -> Dict[int, Trr]:
-    """The loci of the rows :meth:`TreeArena.gather_subtrees` copied from
-    ``copied_from``: row ``k``'s node's locus as node ``offset + k``'s, in
-    ascending row order (ECO and the h-tree re-key their copies with it)."""
-    values = list(loci.values())
-    keys = np.fromiter(loci, dtype=np.int64, count=len(values))
-    locus_of = np.full(max(keys.max(initial=-1), copied_from.max(initial=-1)) + 1, -1)
-    locus_of[keys] = np.arange(len(keys))
-    entries = locus_of[copied_from]
-    rows = np.flatnonzero(entries >= 0)
-    return dict(zip((rows + offset).tolist(), [values[k] for k in entries[rows].tolist()]))
+def copied_loci(loci: np.ndarray, copied_from: np.ndarray) -> np.ndarray:
+    """The locus rows of the nodes :meth:`TreeArena.gather_subtrees` copied
+    from ``copied_from``: row ``k`` is node ``copied_from[k]``'s row of
+    ``loci``, NaN for an id past its rows (ECO and the h-tree carry their
+    copies' loci with it)."""
+    rows = np.full((len(copied_from), 4), np.nan)
+    known = copied_from < len(loci)
+    rows[known] = loci[copied_from[known]]
+    return rows
 
 
 class AstDme:
@@ -362,7 +358,7 @@ class AstDme:
         obstacles: Optional[ObstacleSet] = None,
         stubs: Sequence[int] = (),
         stub_summary: Optional[SubtreeSummary] = None,
-    ) -> Tuple[ClockTree, Dict[int, Trr]]:
+    ) -> Tuple[ClockTree, np.ndarray]:
         """Grow ``prefix`` into one tree over ``stubs`` and ``sinks``, driven from ``source``.
 
         This is the construction step of Fig. 6.  :meth:`route` runs it on an
@@ -379,8 +375,9 @@ class AstDme:
         top-down, level by level (:func:`~repro.cts.embedding.embed_levels`,
         obstacle aware with ``obstacles``); the detour extension goes to
         ``stats.obstacle_detour``.  The stubs' subtrees are not touched.
-        Returns the tree (:meth:`TreeArena.to_clock_tree`) and the merge
-        nodes' loci by node id.
+        Returns the tree (:meth:`TreeArena.to_clock_tree`) and its locus
+        rows by node id (:attr:`MergedTree.loci`: NaN off the merge nodes,
+        the prefix's rows included).
         """
         first = prefix.num_nodes
         n = len(sinks)
@@ -485,7 +482,7 @@ class AstDme:
         t_child_b = np.full(total_nodes, -1, dtype=np.int64)
         t_parent = np.full(total_nodes, -1, dtype=np.int64)
         t_edge = np.zeros(total_nodes, dtype=np.float64)
-        t_loci = np.zeros((total_nodes, 4), dtype=np.float64)
+        t_loci = np.full((total_nodes, 4), np.nan)
         next_id = first_id
 
         selector = config.order_policy().make_selector()
@@ -521,20 +518,16 @@ class AstDme:
                     else None
                 )
                 with tracer.span("dme.select"):
-                    pairs = selector.pairs_for_pass_arrays(
-                        loci, node_id.tolist(), max_delays
-                    )
+                    a_idx, b_idx = selector.pairs_for_pass_arrays(loci, node_id, max_delays)
                 stats.select_seconds += time.perf_counter() - select_start
-                if not pairs:
+                num_pairs = len(a_idx)
+                if not num_pairs:
                     raise RuntimeError("merging-order policy returned no pairs")
                 stats.passes += 1
-                pass_span.set(pairs=len(pairs))
+                pass_span.set(pairs=num_pairs)
 
                 merge_start = time.perf_counter()
                 with tracer.span("dme.merge") as merge_span:
-                    num_pairs = len(pairs)
-                    a_idx = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=num_pairs)
-                    b_idx = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=num_pairs)
                     # Spend deferred cross-group freedom now that the partners
                     # are known: the a-sides towards their partners' loci, then
                     # the b-sides towards the a-sides' updated loci.  The pairs

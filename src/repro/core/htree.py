@@ -35,12 +35,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.circuits.instance import ClockInstance, Sink
-from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, RoutingResult, copied_loci
+from repro.core.ast_dme import (
+    AstDme,
+    AstDmeConfig,
+    MergeStats,
+    RoutingResult,
+    copied_loci,
+    point_loci,
+)
 from repro.core.group_constraints import GroupAssociation
 from repro.cts.arena import INTERNAL_KIND, SOURCE_KIND
 from repro.cts.tree import ClockTree
@@ -48,7 +55,6 @@ from repro.delay.elmore import subtree_summary
 from repro.delay.wire import wire_delay, wire_length_for_delay
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
-from repro.geometry.trr import Trr
 
 __all__ = ["HTreeRouter"]
 
@@ -79,26 +85,32 @@ class _Handoff:
 
 @dataclass
 class _Composite:
-    """The composite tree and its loci."""
+    """The composite tree and its locus rows, one per node."""
 
     tree: ClockTree
-    loci: Dict[int, Trr] = field(default_factory=dict)
+    loci: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
 
-    def graft(self, leaf: ClockTree, root: int, leaf_loci: Dict[int, Trr]) -> int:
+    def graft(self, leaf: ClockTree, root: int, leaf_loci: np.ndarray) -> int:
         """Graft a detached copy of ``leaf``'s subtree below ``root`` and its
-        loci; returns the copy's id."""
+        locus rows; returns the copy's id."""
         id_map = self.tree.copy_subtree_from(leaf, root)
         copied_from = np.fromiter(id_map, dtype=np.int64, count=len(id_map))
-        self.loci.update(copied_loci(leaf_loci, copied_from, id_map[root]))
+        self.loci = np.concatenate((self.loci, copied_loci(leaf_loci, copied_from)))
         return id_map[root]
 
     def add(self, kind: int, children: List[int], lengths: List[float], location: Point,
             name: str) -> int:
         """Add a placed node driving ``children`` over ``lengths`` of wire;
-        a source becomes the root.  Returns its id."""
+        a source becomes the root, without a locus, and any other node is
+        its own point locus.  Returns its id."""
         if kind == SOURCE_KIND:
-            return self.tree.add_source(location, children[0], lengths[0], name=name)
-        return self.tree.add_internal(children, lengths, location=location, name=name)
+            node_id = self.tree.add_source(location, children[0], lengths[0], name=name)
+            row = np.full((1, 4), np.nan)
+        else:
+            node_id = self.tree.add_internal(children, lengths, location=location, name=name)
+            row = point_loci(np.array([location.x]), np.array([location.y]))
+        self.loci = np.concatenate((self.loci, row))
+        return node_id
 
 
 class HTreeRouter:
@@ -241,7 +253,6 @@ class HTreeRouter:
         junction_id = composite.add(
             INTERNAL_KIND, [part.node_id for part in parts], lengths, center, "htree-junction"
         )
-        composite.loci[junction_id] = Trr.from_point(center)
         return _Handoff(junction_id, center, cap, lo, hi)
 
     def _realise_leaf(
@@ -268,7 +279,6 @@ class HTreeRouter:
             INTERNAL_KIND, [copy_id], [float(leaf.edge_lengths[child])], region.center,
             "htree-tap",
         )
-        composite.loci[tap_id] = Trr.from_point(region.center)
         # Delays relative to the tap, which the leaf run's source was: in the
         # composite tree the source drives the trunk root instead.
         summary = subtree_summary(leaf, [leaf.root], [0])

@@ -29,7 +29,9 @@ from :meth:`MergeOrderPolicy.make_selector` and call
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from repro.cts.neighbor_index import NeighborIndex
 
@@ -83,8 +85,6 @@ class MergeOrderPolicy:
         delay vector; the per-subtree scalar reference lives in
         ``tests/test_core_merging_order.py``.
         """
-        import numpy as np
-
         n = len(loci_arr)
         largest = float(max_delays.max())
         if largest <= 0.0:
@@ -131,18 +131,22 @@ class MergePairSelector:
         return self._index.incremental_passes
 
     # ------------------------------------------------------------------
-    def pairs_for_pass_arrays(self, loci_arr, node_ids, max_delays=None) -> List[Tuple[int, int]]:
+    def pairs_for_pass_arrays(
+        self, loci_arr, node_ids, max_delays=None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Indices of the subtree pairs to merge in the current pass.
 
         ``loci_arr`` is the ``(n, 4)`` locus-interval array of the active
         subtrees, ``node_ids`` the parallel stable keys and ``max_delays`` the
         per-subtree max delay vector (only read when delay-target ordering is
-        enabled).
+        enabled).  Returns the a- and b-side index arrays, pair ``t`` being
+        ``(a[t], b[t])`` with ``a[t] < b[t]``, in selection order.
         """
         policy = self.policy
         n = len(loci_arr)
         if n < 2:
-            return []
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
         if policy.multi_merge:
             max_pairs = max(1, int(round(policy.merge_fraction * (n // 2))))
         else:
@@ -154,4 +158,4 @@ class MergePairSelector:
             else None
         )
         pairing = self._index.select_pairs(loci_arr, node_ids, max_pairs, bias)
-        return list(pairing.pairs)
+        return pairing.a, pairing.b

@@ -217,7 +217,9 @@ class NeighborIndex:
             self._rebuild(loci_to_array(loci), np.arange(len(loci), dtype=np.int64))
             self._keys = None
             return
-        key_arr = np.asarray(keys, dtype=np.int64)
+        # A copy: the merge loop passes its node-id column, whose memory it
+        # reuses for its next pass, and the cached keys must outlive it.
+        key_arr = np.array(keys, dtype=np.int64)
         if len(key_arr) != len(loci):
             raise ValueError("keys must have one entry per locus")
         if self._keys is None or not self._try_incremental(loci, key_arr):
@@ -237,10 +239,11 @@ class NeighborIndex:
         flat = int(np.argmin(costs))
         row, rank = divmod(flat, costs.shape[1])
         partner = int(self._cand_pos[row, rank])
-        pairing = NeighborPairing()
-        pairing.pairs.append((min(row, partner), max(row, partner)))
-        pairing.costs.append(float(costs[row, rank]))
-        return pairing
+        return NeighborPairing(
+            np.array([min(row, partner)], dtype=np.int64),
+            np.array([max(row, partner)], dtype=np.int64),
+            np.array([costs[row, rank]], dtype=np.float64),
+        )
 
     def _emit_candidates(self) -> CandidateArrays:
         """Cached candidate lists as :class:`CandidateArrays` (no dedupe).

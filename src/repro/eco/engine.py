@@ -291,9 +291,8 @@ def eco_reroute(
         reused = stitched.num_nodes
         new_roots = np.flatnonzero(stitched.parents < 0)  # one per frontier root, in order
         preserved_roots: Dict[int, int] = dict(zip(frontier.tolist(), new_roots.tolist()))
-        # Copied nodes keep their loci, in ascending new id order like a copy
-        # made node by node.
-        new_loci = copied_loci(base.loci, copied_from)
+        # Copied nodes keep their loci (the stitched tree's first rows).
+        stitched_loci = copied_loci(base.loci, copied_from)
 
         # Sinks that must be (re)created: added sinks, moved sinks, and clean-id
         # sinks the blockage scan displaced (inside a new blockage is impossible
@@ -342,7 +341,7 @@ def eco_reroute(
             association.associate(groups[0], group)
     obstacles = new_instance.obstacle_set() if new_instance.has_obstacles else None
     with tracer.span("eco.remerge") as remerge_span:
-        new_tree, merge_loci = AstDme(config.router, constraints).grow(
+        new_tree, new_loci = AstDme(config.router, constraints).grow(
             stitched,
             fresh_sinks,
             new_instance.source,
@@ -353,7 +352,7 @@ def eco_reroute(
             stubs=new_roots,
             stub_summary=stubs,
         )
-        new_loci.update(merge_loci)
+        new_loci[:reused] = stitched_loci
         remerge_span.set(passes=stats.passes)
     # Clean subtrees inherit the base's violation slack (post-detour,
     # post-repair spreads the re-merge cannot shrink); validation of the

@@ -435,9 +435,11 @@ class ObstacleSet:
 
 
 def path_length(points: Sequence[Point]) -> float:
-    """Total Manhattan length of a polyline (0 for fewer than two points):
-    ``sum`` of each leg's :meth:`Point.distance_to`, in order."""
-    return sum([abs(a.x - b.x) + abs(a.y - b.y) for a, b in zip(points, points[1:])])
+    """Total Manhattan length of a polyline (0.0 for fewer than two points):
+    ``sum`` of each leg's :meth:`Point.distance_to`, in order, from ``0.0``,
+    so a one-point path's length is a float too (a sum of non-negative
+    floats started at ``0.0`` keeps every bit)."""
+    return sum([abs(a.x - b.x) + abs(a.y - b.y) for a, b in zip(points, points[1:])], 0.0)
 
 
 def _simplify(points: Sequence[Point]) -> List[Point]:

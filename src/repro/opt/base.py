@@ -18,7 +18,6 @@ from repro.delay.elmore import SinkGroups, arena_elmore
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
-from repro.geometry.trr import Trr
 from repro.opt.config import OptConfig
 from repro.opt.report import PassOutcome
 
@@ -84,7 +83,7 @@ class OptContext:
         config: OptConfig,
         bound_for: Callable[[int], float],
         obstacles: Optional[ObstacleSet] = None,
-        loci: Optional[Dict[int, Trr]] = None,
+        loci: Optional[np.ndarray] = None,
         single_group: bool = False,
     ) -> None:
         if obstacles is not None and not obstacles:
@@ -93,7 +92,9 @@ class OptContext:
         self.config = config
         self.bound_for = bound_for
         self.obstacles = obstacles
-        self.loci = loci or {}
+        #: Placement locus rows by node id (``RoutingResult.loci``); a node
+        #: with a NaN row or an id past the rows has no locus.
+        self.loci = np.empty((0, 4)) if loci is None else loci
         #: When the routing ignored the instance's grouping (the EXT-BST /
         #: greedy-DME baselines), the repair must too: sink nodes still carry
         #: their original group ids for reporting, but the bound spans all of

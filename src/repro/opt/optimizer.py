@@ -10,7 +10,7 @@ through the re-embedding pass, its node locations) is modified in place.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.delay.rc_tree import oracle_delays
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
-from repro.geometry.trr import Trr
 from repro.obs.trace import get_tracer
 from repro.opt.base import OptContext, OptPass, get_pass
 from repro.opt.config import OptConfig
@@ -79,7 +78,7 @@ class Optimizer:
         tree,
         bound_for: Optional[Callable[[int], float]] = None,
         obstacles: Optional[ObstacleSet] = None,
-        loci: Optional[Dict[int, Trr]] = None,
+        loci: Optional[np.ndarray] = None,
         single_group: bool = False,
     ) -> OptReport:
         """Optimize ``tree`` in place and return the report.
@@ -90,7 +89,8 @@ class Optimizer:
                 config's ``skew_bound_ps`` wins over it when set (see
                 :meth:`resolve_bound`).
             obstacles: routing blockages of the instance, if any.
-            loci: per-node placement loci (required for re-embedding moves).
+            loci: placement locus rows by node id, NaN where a node has none
+                (``RoutingResult.loci``; required for re-embedding moves).
             single_group: treat all sinks as one group, matching routers that
                 ran with the instance's grouping disabled.
         """

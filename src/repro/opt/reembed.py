@@ -20,7 +20,10 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
+import numpy as np
+
 from repro.geometry.point import Point
+from repro.geometry.trr import Trr
 from repro.opt.base import OptContext, TreeColumns
 from repro.opt.report import PassOutcome
 
@@ -41,7 +44,8 @@ class ReembedPass:
         started = time.perf_counter()
         outcome = PassOutcome(name=self.name, iteration=iteration)
         obstacles = ctx.obstacles
-        if obstacles is None or not ctx.loci:
+        located = (~np.isnan(ctx.loci).any(axis=1)).tolist()  # has a locus, by id
+        if obstacles is None or not any(located):
             outcome.seconds = time.perf_counter() - started
             return outcome
 
@@ -51,8 +55,8 @@ class ReembedPass:
         columns = TreeColumns(tree)
         movable = [
             nid
-            for nid, parent in enumerate(columns.parents)
-            if parent >= 0 and not columns.is_sink[nid] and nid in ctx.loci
+            for nid, parent in enumerate(columns.parents[: len(located)])
+            if parent >= 0 and not columns.is_sink[nid] and located[nid]
         ]
         locations = ctx.locations()  # kept in step with every move
 
@@ -135,7 +139,8 @@ class ReembedPass:
             return None
 
         best, best_value = here, base
-        for raw in self._candidates(ctx.loci[nid], parent, children, hanan_x, hanan_y):
+        locus = Trr(*ctx.loci[nid].tolist())
+        for raw in self._candidates(locus, parent, children, hanan_x, hanan_y):
             try:
                 candidate = obstacles.nearest_free_point(raw)
             except ValueError:

@@ -59,6 +59,7 @@ __all__ = [
     "merge_subtrees",
     "embed_tree",
     "route_reference",
+    "assert_loci_rows",
 ]
 
 _TOL = 1e-6
@@ -233,11 +234,12 @@ def merge_subtrees(
     selector = router.config.order_policy().make_selector()
     want_bias = router.config.delay_target_weight > 0.0
     while len(subtrees) > 1:
-        pairs = selector.pairs_for_pass_arrays(
+        side_a, side_b = selector.pairs_for_pass_arrays(
             loci_to_array([s.locus for s in subtrees]),
-            [s.node_id for s in subtrees],
+            np.array([s.node_id for s in subtrees], dtype=np.int64),
             np.array([s.max_delay for s in subtrees]) if want_bias else None,
         )
+        pairs = list(zip(side_a.tolist(), side_b.tolist()))
         if not pairs:
             raise RuntimeError("merging-order policy returned no pairs")
         stats.passes += 1
@@ -294,6 +296,18 @@ def merge_subtrees(
     tree.add_source(source, root.node_id, root.locus.distance_to_point(source))
     stats.neighbor_full_rebuilds = selector.full_rebuilds
     stats.neighbor_incremental_passes = selector.incremental_passes
+
+
+def assert_loci_rows(rows: np.ndarray, loci: Dict[int, Trr]) -> None:
+    """``rows`` (a ``RoutingResult.loci``) holds the locus of every node in
+    ``loci`` by ``float.hex``, and NaN rows at exactly the ids ``loci`` lacks."""
+    assert rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1] == 4
+    missing = np.isnan(rows).any(axis=1)
+    assert np.isnan(rows[missing]).all()
+    assert np.flatnonzero(~missing).tolist() == sorted(loci)
+    for node_id, locus in loci.items():
+        expected = [float(v).hex() for v in (locus.ulo, locus.uhi, locus.vlo, locus.vhi)]
+        assert [v.hex() for v in rows[node_id].tolist()] == expected, node_id
 
 
 def route_reference(

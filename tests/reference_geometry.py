@@ -119,5 +119,5 @@ class ReferenceObstacles:
 
 
 def path_length(points: Sequence[Point]) -> float:
-    """Total Manhattan length of a polyline (0 for fewer than two points)."""
-    return sum(points[i].distance_to(points[i + 1]) for i in range(len(points) - 1))
+    """Total Manhattan length of a polyline (0.0 for fewer than two points)."""
+    return sum((points[i].distance_to(points[i + 1]) for i in range(len(points) - 1)), 0.0)

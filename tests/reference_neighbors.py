@@ -2,7 +2,10 @@
 
 The library selects merge pairs with one engine, the incremental
 :class:`~repro.cts.neighbor_index.NeighborIndex`.  The two engines it
-replaced live here, so tests can check that it selects exactly what they do:
+replaced live here, so tests can check that it selects exactly what they do,
+and so does the greedy both run, :func:`select_from_candidates`, in the form
+that sorts every candidate before walking them (the library sorts and walks
+one cost band at a time):
 
 ``scalar``
     The seed implementation: a KD-tree rebuilt every pass and one scalar
@@ -24,11 +27,58 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.core.merging_order import MergeOrderPolicy, MergePairSelector
-from repro.cts.nearest_neighbor import NeighborPairing, select_merge_pairs
+from repro.cts.nearest_neighbor import CandidateArrays, NeighborPairing, select_merge_pairs
 from repro.geometry.trr import Trr
 
 #: Selection engines a route can run on: the library's and the two oracles.
 STRATEGIES = ("incremental", "rebuild", "scalar")
+
+
+def pairing_of(pairs: Sequence[Tuple[int, int]], costs: Sequence[float]) -> NeighborPairing:
+    """A :class:`NeighborPairing` of ``pairs`` and their ``costs``, in order."""
+    rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return NeighborPairing(rows[:, 0].copy(), rows[:, 1].copy(), np.array(costs, dtype=float))
+
+
+def select_from_candidates(
+    candidates: CandidateArrays,
+    num_loci: int,
+    max_pairs: Optional[int] = None,
+    cost_bias: Optional[Sequence[float]] = None,
+) -> NeighborPairing:
+    """Greedy disjoint selection over candidate pairs in ascending cost order.
+
+    The cost of a pair is ``distance + bias[i] + bias[j]`` (bias omitted when
+    ``cost_bias`` is ``None``); ties keep candidate enumeration order (stable
+    sort), matching the scalar reference.
+    """
+    if cost_bias is None:
+        costs = candidates.dist
+    else:
+        bias = np.asarray(cost_bias, dtype=float)
+        costs = candidates.dist + bias[candidates.i] + bias[candidates.j]
+    order = np.argsort(costs, kind="stable")
+
+    limit = max_pairs if max_pairs is not None else num_loci // 2
+    limit = max(1, min(limit, num_loci // 2))
+
+    used = bytearray(num_loci)
+    pairs: List[Tuple[int, int]] = []
+    pair_costs: List[float] = []
+    for i, j, cost in zip(
+        candidates.i[order].tolist(),
+        candidates.j[order].tolist(),
+        costs[order].tolist(),
+    ):
+        if used[i] or used[j]:
+            continue
+        used[i] = 1
+        used[j] = 1
+        pairs.append((i, j))
+        pair_costs.append(cost)
+        if len(pairs) >= limit:
+            break
+    return pairing_of(pairs, pair_costs)
 
 
 def scalar_candidate_pairs(
@@ -96,22 +146,25 @@ def scalar_select_merge_pairs(
     limit = max(1, min(limit, n // 2))
 
     used = set()
-    pairing = NeighborPairing()
+    pairs: List[Tuple[int, int]] = []
+    pair_costs: List[float] = []
     for item in candidates:
-        if len(pairing) >= limit:
+        if len(pairs) >= limit:
             break
         _, i, j = item
         if i in used or j in used:
             continue
         used.add(i)
         used.add(j)
-        pairing.pairs.append((i, j))
-        pairing.costs.append(pair_cost(item))
-    return pairing
+        pairs.append((i, j))
+        pair_costs.append(pair_cost(item))
+    return pairing_of(pairs, pair_costs)
 
 
 class StatelessIndex:
-    """Stands in for a selector's ``NeighborIndex``: selects afresh per pass."""
+    """Stands in for a selector's ``NeighborIndex``: selects afresh per pass,
+    and returns the index's :class:`NeighborPairing`, whose ``a``/``b``
+    index arrays the selector hands to the merge loop."""
 
     full_rebuilds = 0
     incremental_passes = 0

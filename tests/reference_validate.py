@@ -30,6 +30,7 @@ from repro.delay.elmore import sink_delays
 from repro.delay.rc_tree import RcTree
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet
+from repro.geometry.trr import Trr
 
 __all__ = ["oracle_delays", "validate_result", "validate_tree"]
 
@@ -88,7 +89,13 @@ def validate_result(
     max_escape = (
         max(rect.width + rect.height for rect in obstacles) if obstacles else 0.0
     )
-    for node_id, locus in result.loci.items():
+    # Locus rows by node id; a NaN row means the node has no locus.
+    loci = {
+        node_id: Trr(*row)
+        for node_id, row in enumerate(result.loci.tolist())
+        if not any(value != value for value in row)
+    }
+    for node_id, locus in loci.items():
         node = result.tree.node(node_id)
         if node.location is None or locus.contains_point(node.location, tol=locus_tolerance):
             continue

@@ -20,6 +20,7 @@ from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
 from repro.geometry.obstacles import ObstacleSet, Rect
 from repro.geometry.point import Point
+from repro.geometry.trr import Trr
 from tests.reference_tree import with_structure
 
 
@@ -281,8 +282,9 @@ class TestBlockageValidation:
         obstacles = blocked.obstacle_set()
         victim = next(
             node_id
-            for node_id, locus in result.loci.items()
-            if obstacles.blocks_point(locus.nearest_point_to(wild))
+            for node_id, row in enumerate(result.loci.tolist())
+            if not any(v != v for v in row)
+            and obstacles.blocks_point(Trr(*row).nearest_point_to(wild))
         )
         result.tree.set_location(victim, wild)
         # Give the booked lengths room so only the locus check can fire.

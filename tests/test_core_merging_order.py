@@ -84,12 +84,14 @@ def scalar_delay_bias(policy, subtrees):
 
 
 def pairs_for_pass(policy, subtrees):
-    """One pass of a fresh selector over ``subtrees``."""
-    return policy.make_selector().pairs_for_pass_arrays(
+    """One pass of a fresh selector over ``subtrees``, as a list of pairs."""
+    a, b = policy.make_selector().pairs_for_pass_arrays(
         loci_to_array([s.locus for s in subtrees]),
-        [s.node_id for s in subtrees],
+        np.array([s.node_id for s in subtrees], dtype=np.int64),
         np.array([s.max_delay for s in subtrees]),
     )
+    assert a.dtype == b.dtype == np.int64
+    return list(zip(a.tolist(), b.tolist()))
 
 
 class TestMergeOrderPolicy:

@@ -50,7 +50,7 @@ from repro.eco import EcoConfig, EcoDelta, SinkAdd, SinkMove, eco_reroute
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.opt import BUFFERED_PASSES, OptConfig
-from tests.reference_dme import merge_subtrees, route_reference
+from tests.reference_dme import assert_loci_rows, merge_subtrees, route_reference
 from tests.reference_tree import ReferenceTree, arena_of
 
 
@@ -518,7 +518,9 @@ def _stitch_base(kind: str) -> ClockTree:
 class ObjectComposite:
     """The h-tree's composite assembled node by node: ``copy_subtree_from``,
     ``add_internal`` and ``add_source`` on the object tree of
-    ``tests/reference_tree.py``, loci re-keyed through the copy's id map."""
+    ``tests/reference_tree.py``, with a dict of loci: the leaf routes' locus
+    rows re-keyed through the copy's id map, and each junction and tap its
+    own point."""
 
     def __init__(self, tree: ClockTree) -> None:
         self.reference = ReferenceTree(technology=tree.technology)
@@ -530,15 +532,17 @@ class ObjectComposite:
 
     def graft(self, leaf: ClockTree, root: int, leaf_loci) -> int:
         id_map = self.reference.copy_subtree_from(leaf, root)
-        for old_id, locus in leaf_loci.items():
-            if old_id in id_map:
-                self.loci[id_map[old_id]] = locus
+        for old_id, row in enumerate(leaf_loci.tolist()):
+            if old_id in id_map and not np.isnan(row).any():
+                self.loci[id_map[old_id]] = Trr(*row)
         return id_map[root]
 
     def add(self, kind, children, lengths, location, name) -> int:
         if kind == SOURCE_KIND:
             return self.reference.add_source(location, children[0], lengths[0], name=name)
-        return self.reference.add_internal(children, lengths, location=location, name=name)
+        node_id = self.reference.add_internal(children, lengths, location=location, name=name)
+        self.loci[node_id] = Trr.from_point(location)
+        return node_id
 
 
 def _disjoint_roots(tree: ClockTree, picks) -> list:
@@ -614,7 +618,8 @@ class TestArenaConstruction:
         monkeypatch.setattr(htree, "_Composite", ObjectComposite)
         expected = router.route(instance)
         assert_arenas_equal(got.tree.as_arena(), expected.tree.as_arena())
-        assert got.loci == expected.loci
+        assert_loci_rows(got.loci, expected.loci)
+        assert len(got.loci) == len(got.tree)
         assert got.wirelength == expected.wirelength
 
     @pytest.mark.parametrize("family,groups", [("random", 4), ("random", 70), ("blocked", 2)])
@@ -654,15 +659,6 @@ STAT_COUNTERS = (
 )
 
 
-def assert_loci_identical(got, expected) -> None:
-    assert set(got) == set(expected)
-    for node_id, locus in expected.items():
-        other = got[node_id]
-        assert (other.ulo, other.uhi, other.vlo, other.vhi) == (
-            locus.ulo, locus.uhi, locus.vlo, locus.vhi,
-        )
-
-
 def assert_merges_identical(got_stats, expected_stats, got_assoc, expected_assoc) -> None:
     for name in STAT_COUNTERS:
         assert getattr(got_stats, name) == getattr(expected_stats, name), name
@@ -689,7 +685,8 @@ class TestBackendIdentity:
             expected = route_reference(AstDme(routed.config), instance, single_group=True)
         assert got.wirelength == expected.wirelength
         assert_trees_identical(got.tree, expected.tree)
-        assert_loci_identical(got.loci, expected.loci)
+        assert_loci_rows(got.loci, expected.loci)
+        assert len(got.loci) == len(got.tree)
         assert_merges_identical(
             got.stats, expected.stats, got.association, expected.association
         )
@@ -784,5 +781,5 @@ def test_random_stub_rows_merge_identically(data, weight):
     got_tree = got_arena.to_clock_tree()
 
     assert_trees_identical(got_tree, expected_tree)
-    assert_loci_identical(got_loci, expected_loci)
+    assert_loci_rows(got_loci, expected_loci)
     assert_merges_identical(got_stats, expected_stats, got_assoc, expected_assoc)

@@ -11,21 +11,31 @@ loop relies on:
   evolving population selects exactly what a stateless full rebuild selects;
 * the degenerate ``k_candidates + 1 > n`` populations (n = 2, 3) are handled
   uniformly by every path.
+
+A hypothesis property holds the library's band greedy
+(:func:`~repro.cts.nearest_neighbor.select_from_candidates`) to the
+full-sort greedy of ``tests/reference_neighbors.py`` on drawn candidate sets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cts.nearest_neighbor import (
+    BAND_FACTOR,
+    CandidateArrays,
     NeighborPairing,
     candidate_pairs,
+    select_from_candidates,
     select_merge_pairs,
 )
 from repro.cts.neighbor_index import NeighborIndex
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
+from tests import reference_neighbors
 from tests.reference_neighbors import scalar_candidate_pairs, scalar_select_merge_pairs
 
 #: The library's one-shot selection and the seed's per-pair oracle.
@@ -253,3 +263,92 @@ def test_index_degenerate_populations_match_reference():
         ref = select_merge_pairs(loci, max_pairs=1)
         assert_same_pairing(got, ref)
         assert index.exhaustive_passes == 1
+
+
+# ----------------------------------------------------------------------
+# The band greedy against the full-sort greedy
+# ----------------------------------------------------------------------
+#: Tie-heavy costs: small integers, both zeros, infinity and NaN.
+_TIED_COSTS = (0.0, -0.0, 1.0, 1.0, 2.0, 3.0, 0.5, float("inf"), float("nan"))
+
+
+@st.composite
+def candidate_sets(draw):
+    """Candidate arrays as the index emits them, a bias and a pair limit.
+
+    Costs come from a tie-heavy pool or from small random floats; some
+    candidates repeat an earlier pair with its distance (``dedupe=False``
+    lists a pair once per endpoint); ``star`` sets give one locus every
+    cheapest candidate, so a first band picks one pair and the band doubles.
+    """
+    n = draw(st.integers(min_value=2, max_value=40))
+    count = draw(st.integers(min_value=0, max_value=160))
+    tied = draw(st.booleans())
+    star = draw(st.booleans())
+    dist, ii, jj = [], [], []
+    for t in range(count):
+        if ii and draw(st.integers(min_value=0, max_value=4)) == 0:
+            k = draw(st.integers(min_value=0, max_value=len(ii) - 1))
+            i, j, d = ii[k], jj[k], dist[k]
+        else:
+            if star and t % 4:
+                i, j = 0, draw(st.integers(min_value=1, max_value=n - 1))
+            else:
+                i = draw(st.integers(min_value=0, max_value=n - 2))
+                j = draw(st.integers(min_value=i + 1, max_value=n - 1))
+            if tied:
+                d = draw(st.sampled_from(_TIED_COSTS))
+            else:
+                d = draw(st.floats(min_value=0.0, max_value=10.0, width=16))
+            if star and i == 0:
+                d = min(d, 0.25)  # the star's edges are the cheapest
+        ii.append(i)
+        jj.append(j)
+        dist.append(d)
+    candidates = CandidateArrays(
+        dist=np.array(dist, dtype=float),
+        i=np.array(ii, dtype=np.int64),
+        j=np.array(jj, dtype=np.int64),
+    )
+    bias_kind = draw(st.sampled_from(["none", "zero", "negative", "mixed"]))
+    if bias_kind == "none":
+        bias = None
+    elif bias_kind == "zero":
+        bias = [0.0] * n
+    else:
+        values = (-2.0, -1.0, -0.5, -0.0) if bias_kind == "negative" else (-1.0, 0.0, 0.5, 1.0)
+        bias = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    max_pairs = draw(st.sampled_from([1, 2, n // 2, None]))
+    return candidates, n, max_pairs, bias
+
+
+def _hexed(pairing: NeighborPairing):
+    return pairing.pairs, [float.hex(cost) for cost in pairing.costs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(candidate_sets())
+def test_band_greedy_matches_the_full_sort(drawn):
+    """The same pairs, in the same order, with costs equal bit for bit."""
+    candidates, n, max_pairs, bias = drawn
+    got = select_from_candidates(candidates, n, max_pairs, bias)
+    expected = reference_neighbors.select_from_candidates(candidates, n, max_pairs, bias)
+    assert _hexed(got) == _hexed(expected)
+    assert got.a.dtype == got.b.dtype == np.int64 and got.cost.dtype == np.float64
+
+
+def test_a_star_exhausts_the_first_band():
+    """Every cheap candidate shares locus 0, so the first band (``BAND_FACTOR``
+    per pair) yields one pair and the later, doubled bands the rest."""
+    n, limit = 60, 10
+    star = [(0, j, 0.0) for j in range(1, n)]
+    rest = [(i, i + 1, 1.0 + i) for i in range(1, n - 1)]
+    i, j, d = (np.array(column) for column in zip(*(star + rest)))
+    candidates = CandidateArrays(dist=d.astype(float), i=i.astype(np.int64), j=j.astype(np.int64))
+    assert len(star) > BAND_FACTOR * limit
+    got = select_from_candidates(candidates, n, limit)
+    assert got.pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13),
+                         (14, 15), (16, 17), (18, 19)]
+    assert _hexed(got) == _hexed(
+        reference_neighbors.select_from_candidates(candidates, n, limit)
+    )

@@ -144,9 +144,15 @@ class TestObstacleSet:
         with pytest.raises(ValueError, match="axis-aligned"):
             ObstacleSet((Rect(5.0, 5.0, 6.0, 6.0),)).blocks_segment(a, b)
 
-    def test_path_length_sums_from_an_int_zero(self):
-        assert path_length([]) == 0 and type(path_length([Point(1.0, 2.0)])) is int
+    def test_path_length_sums_from_a_float_zero(self):
+        assert path_length([]) == 0.0 and type(path_length([Point(1.0, 2.0)])) is float
         assert path_length([Point(0.0, 0.0), Point(3.0, 0.0), Point(3.0, -4.0)]) == 7.0
+
+    def test_coincident_endpoints_memoise_a_float(self):
+        obstacles = ObstacleSet((Rect(5.0, 5.0, 6.0, 6.0),))
+        point = Point(1.0, 2.0)
+        assert obstacles.detour_distance(point, point).hex() == "0x0.0p+0"
+        assert [type(v) for v in obstacles._memo.distances.values()] == [float]
 
     def test_simplify_drops_duplicates_and_collinear_points(self):
         points = [
@@ -308,8 +314,7 @@ def _scenes(draw, max_rects=5, max_segments=6):
 
 
 def _bits(value):
-    """A value's type, and a float's exact bits (a one-point path has
-    length int 0)."""
+    """A value's type, and a float's exact bits."""
     return type(value).__name__, value.hex() if isinstance(value, float) else value
 
 
@@ -414,6 +419,18 @@ class TestCompiledSetMatchesOracle:
 
 class TestRoutedTreeProperties:
     """End-to-end: routed trees with blockages vs. the same instance without."""
+
+    def test_a_blocked_route_memoises_only_floats(self):
+        """The embedding and validation ask for the detour between coincident
+        points too; every memoised detour is a float all the same."""
+        from repro.api.spec import InstanceSpec
+
+        instance = InstanceSpec.from_family("blocked", 400, seed=2, groups=4).build()
+        routing = get_router("ast-dme", {"skew_bound_ps": 10.0}).route(instance)
+        validate_tree(routing.tree, instance)
+        memo = instance.obstacle_set()._memo.distances
+        assert any(x0 == x1 and y0 == y1 for x0, y0, x1, y1 in memo)
+        assert {type(value) for value in memo.values()} == {float}
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

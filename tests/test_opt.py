@@ -585,12 +585,15 @@ class TestApiIntegration:
         # passes a loose one.
         tree = blocked_routing.tree
         victim = next(
-            node_id for node_id in blocked_routing.loci if tree.node(node_id).location
+            node_id
+            for node_id, row in enumerate(blocked_routing.loci.tolist())
+            if not any(v != v for v in row) and tree.node(node_id).location
         )
         from repro.geometry.point import Point
+        from repro.geometry.trr import Trr
 
         original = tree.node(victim).location
-        locus = blocked_routing.loci[victim]
+        locus = Trr(*blocked_routing.loci[victim].tolist())
         near = locus.nearest_point_to(original)
         try:
             tree.set_location(victim, Point(near.x + 0.01, near.y))

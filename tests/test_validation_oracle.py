@@ -23,14 +23,21 @@ import functools
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.validate import ValidationIssue, validate_result
+from repro.analysis.validate import (
+    ValidationIssue,
+    _check_instance_coverage,
+    _exact_matches,
+    validate_result,
+)
 from repro.api.registry import RouterSpec
 from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
+from repro.cts.arena import SINK_KIND
 from repro.cts.tree import ClockNode
 from repro.delay.elmore import arena_elmore
 from repro.delay.rc_tree import oracle_delays
@@ -236,6 +243,129 @@ class TestCoverageFallback:
         issues = validated(result)
         assert [issue.code for issue in issues if issue.code == "coverage"] == ["coverage"]
         assert issues == reference.validate_result(result, intra_bound_ps=SKEW_BOUND_PS)
+
+
+#: Coverage corruptions: a tree sink moved below or above the 6-decimal
+#: rounding, its load changed by 1e-10 or 1e-8, its group swapped with
+#: another's or dropped, a second instance sink (and maybe its tree sink) put
+#: on a first one's location with a different load, and -0.0 against 0.0.
+COVERAGE_CORRUPTIONS = (
+    "move", "cap", "swap_groups", "ungroup", "stack", "negative_zero",
+)
+
+
+def coverage_corrupted(base, edits):
+    """``base``'s tree and instance with the coverage ``edits`` applied.
+
+    Sink node ``k`` of a route is instance sink ``k``; every edit writes the
+    arena's columns or replaces instance sinks."""
+    arena = base.tree.as_arena()
+    xs, ys = arena.xs.copy(), arena.ys.copy()
+    caps, groups, grouped = arena.sink_caps.copy(), arena.groups.copy(), arena.has_group.copy()
+    sinks = list(base.instance.sinks)
+    n = len(sinks)
+    for kind, pick, variant in edits:
+        k, other = pick % n, (pick // n + 1 + pick) % n
+        if kind == "move":
+            column = (xs, ys)[variant % 2]
+            step = (1e-7, -1e-7, 1e-5, -1e-5, 0.0)[variant // 2 % 5]
+            column[k] = round(column[k], 6) if step == 0.0 else column[k] + step
+        elif kind == "cap":
+            caps[k] += (1e-10, -1e-10, 1e-8, -1e-8)[variant % 4]
+        elif kind == "swap_groups":
+            groups[k], groups[other] = groups[other], groups[k]
+        elif kind == "ungroup":
+            grouped[k] = False
+        elif kind == "stack":
+            sink = sinks[other]
+            cap = sink.cap + (0.5, 1e-10, 0.0)[variant % 3]
+            sinks[other] = replace(sink, location=sinks[k].location, cap=cap)
+            if variant % 2:
+                xs[other], ys[other], caps[other] = xs[k], ys[k], cap
+        else:  # "negative_zero"
+            sinks[k] = replace(sinks[k], location=Point(-0.0, sinks[k].location.y))
+            xs[k] = (0.0, -0.0)[variant % 2]
+    tree = replace(
+        arena, xs=xs, ys=ys, sink_caps=caps, groups=groups, has_group=grouped
+    ).to_clock_tree()
+    return tree, replace(base.instance, sinks=tuple(sinks))
+
+
+def exact_buckets(tree, instance):
+    """Per instance sink, whether a tree sink at its exact location has its
+    group and a load within 1e-9: a dict bucket per location."""
+    buckets = {}
+    for node in tree.sinks():
+        buckets.setdefault((node.location.x, node.location.y), []).append(node)
+    return [
+        any(
+            abs(node.sink_cap - sink.cap) <= 1e-9 and node.group == sink.group
+            for node in buckets.get((sink.location.x, sink.location.y), ())
+        )
+        for sink in instance.sinks
+    ]
+
+
+class TestCoverageJoinMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "blocked"]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(COVERAGE_CORRUPTIONS),
+                st.integers(min_value=0, max_value=10**6),
+                st.integers(min_value=0, max_value=9),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_corrupted_coverage(self, kind, edits):
+        """The sorted join reports the reference's coverage issues, in order,
+        and finds every exact match a bucket by exact location finds, so
+        only the sinks without one take the rounded fallback."""
+        tree, instance = coverage_corrupted(routed(kind), edits)
+        arena = tree.as_arena()
+        issues = _check_instance_coverage(arena, instance)
+        assert issues == reference._check_instance_coverage(tree, instance)
+        sinks = np.flatnonzero(arena.kinds == SINK_KIND)
+        assert _exact_matches(arena, sinks, instance.sinks).tolist() == exact_buckets(
+            tree, instance
+        )
+
+    def test_loads_of_two_groups_interleave_at_one_location(self):
+        """Two sinks of different groups at one location, with loads that
+        interleave within the tolerance: sorted by load alone, an instance
+        sink's neighbour would be the other group's tree sink.  The join
+        still finds each one's exact match."""
+        base = routed("random")
+        arena = base.tree.as_arena()
+        sinks = list(base.instance.sinks)
+        k = 3
+        o = next(i for i, sink in enumerate(sinks) if sink.group != sinks[k].group)
+        cap = sinks[k].cap
+        sinks[o] = replace(sinks[o], location=sinks[k].location, cap=cap + 3e-10)
+        xs, ys, caps = arena.xs.copy(), arena.ys.copy(), arena.sink_caps.copy()
+        xs[o], ys[o], caps[o], caps[k] = xs[k], ys[k], cap + 3e-10, cap + 6e-10
+        tree = replace(arena, xs=xs, ys=ys, sink_caps=caps).to_clock_tree()
+        instance = replace(base.instance, sinks=tuple(sinks))
+        sinks_ids = np.flatnonzero(tree.as_arena().kinds == SINK_KIND)
+        assert _exact_matches(tree.as_arena(), sinks_ids, instance.sinks).all()
+        assert all(exact_buckets(tree, instance))
+        assert _check_instance_coverage(tree.as_arena(), instance) == []
+
+    def test_the_corruptions_report_issues(self):
+        """Each corruption class can make the check fire (the sweep above
+        would otherwise compare empty lists)."""
+        base = routed("random")
+        for edit in [("move", 3, 4), ("move", 3, 5), ("cap", 3, 2), ("swap_groups", 3, 0),
+                     ("ungroup", 3, 0), ("stack", 3, 0)]:
+            tree, instance = coverage_corrupted(base, [edit])
+            assert _check_instance_coverage(tree.as_arena(), instance), edit
+        for edit in [("move", 3, 0), ("move", 3, 1), ("cap", 3, 0), ("negative_zero", 3, 0),
+                     ("negative_zero", 3, 1), ("stack", 3, 1)]:
+            tree, instance = coverage_corrupted(base, [edit])
+            assert not _check_instance_coverage(tree.as_arena(), instance), edit
 
 
 class TestOracleMatchesReference:
