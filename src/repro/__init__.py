@@ -71,6 +71,7 @@ from repro.analysis import validate_routes
 from repro.circuits import (
     ClockInstance,
     Sink,
+    SinkTable,
     available_circuits,
     available_families,
     clustered_groups,
@@ -148,6 +149,7 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "Sink",
+    "SinkTable",
     "SkewConstraints",
     "SkewReport",
     "Subtree",

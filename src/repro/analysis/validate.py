@@ -298,7 +298,7 @@ def _check_instance_coverage(arena, instance) -> List[ValidationIssue]:
         loads = [(cap, g if has else None) for cap, g, has in zip(caps, groups, grouped)]
         rounded = _buckets(((round(a, 6), round(b, 6)) for a, b in zip(xs, ys)), loads)
     for k in unmatched:
-        sink = instance.sinks[k]
+        sink = instance.sinks[k]  # a Sink, for the message
         x, y = sink.location.x, sink.location.y
         if not _has_match(rounded.get((round(x, 6), round(y, 6)), ()), sink):
             issues.append(ValidationIssue("coverage", (
@@ -312,8 +312,9 @@ def _check_instance_coverage(arena, instance) -> List[ValidationIssue]:
 
 
 def _exact_matches(arena, sinks: np.ndarray, instance_sinks) -> np.ndarray:
-    """Per instance sink, whether a grouped tree sink (node ids ``sinks``)
-    has its exact location and group and a load within 1e-9 of its own.
+    """Per instance sink (a :class:`~repro.circuits.instance.SinkTable`),
+    whether a grouped tree sink (node ids ``sinks``) has its exact location
+    and group and a load within 1e-9 of its own.
 
     One ``lexsort`` of the tree and instance sinks together by ``(x, y,
     group, cap)``, tree sinks first among equal keys.  Within one ``(x, y,
@@ -322,14 +323,10 @@ def _exact_matches(arena, sinks: np.ndarray, instance_sinks) -> np.ndarray:
     compared.  An ungrouped tree sink never matches (its group is None)."""
     n = len(instance_sinks)
     tree = sinks[arena.has_group[sinks]]
-    xs = np.concatenate((arena.xs[tree], np.fromiter(
-        (s.location.x for s in instance_sinks), dtype=np.float64, count=n)))
-    ys = np.concatenate((arena.ys[tree], np.fromiter(
-        (s.location.y for s in instance_sinks), dtype=np.float64, count=n)))
-    groups = np.concatenate((arena.groups[tree], np.fromiter(
-        (s.group for s in instance_sinks), dtype=np.int64, count=n)))
-    caps = np.concatenate((arena.sink_caps[tree], np.fromiter(
-        (s.cap for s in instance_sinks), dtype=np.float64, count=n)))
+    xs = np.concatenate((arena.xs[tree], instance_sinks.xs))
+    ys = np.concatenate((arena.ys[tree], instance_sinks.ys))
+    groups = np.concatenate((arena.groups[tree], instance_sinks.groups))
+    caps = np.concatenate((arena.sink_caps[tree], instance_sinks.caps))
     order = np.lexsort((caps, groups, ys, xs))
     xs, ys, groups, caps = xs[order], ys[order], groups[order], caps[order]
     rows = np.arange(len(order))

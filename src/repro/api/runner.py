@@ -16,14 +16,30 @@ from repro.obs.trace import StageSpans, get_tracer
 __all__ = ["run", "run_safe"]
 
 
+#: The run's top-level stages, in run order.  With ``other_seconds``, the
+#: residual, they add up to ``wall_seconds``.
+_STAGE_KEYS = (
+    "build_seconds",
+    "route_seconds",
+    "opt_seconds",
+    "delay_seconds",
+    "wire_seconds",
+    "validate_seconds",
+)
+
+
 def _run_stats(stages: StageSpans, routing, started: float) -> dict:
     """Assemble ``RunResult.stats`` from the stage spans and routing stats.
 
-    Per-stage construction times (select/merge/embed) come from the router's
-    :class:`MergeStats` when it recorded them; report/validate times from the
-    runner's own :class:`~repro.obs.trace.StageSpans`.  ``peak_rss_mb`` is
-    the process high-water mark at the end of the run (see
-    :func:`repro.obs.metrics.peak_rss_mb` for its semantics).
+    The top-level stages (``_STAGE_KEYS``) come from the runner's own
+    :class:`~repro.obs.trace.StageSpans`, except ``route_seconds``, the
+    router's own clock; a stage that did not run has no key.
+    ``other_seconds`` is ``wall_seconds`` minus the stages: router set-up,
+    result assembly and whatever else ran between them.  Per-stage
+    construction times (select/merge/embed, inside ``route_seconds``) come
+    from the router's :class:`MergeStats` when it recorded them.
+    ``peak_rss_mb`` is the process high-water mark at the end of the run
+    (see :func:`repro.obs.metrics.peak_rss_mb` for its semantics).
     """
     stats = dict(stages.seconds)
     merge_stats = getattr(routing, "stats", None)
@@ -33,6 +49,9 @@ def _run_stats(stages: StageSpans, routing, started: float) -> dict:
             stats[name] = float(value)
     stats["route_seconds"] = float(routing.elapsed_seconds)
     stats["wall_seconds"] = time.perf_counter() - started
+    stats["other_seconds"] = stats["wall_seconds"] - sum(
+        stats.get(key, 0.0) for key in _STAGE_KEYS
+    )
     stats["peak_rss_mb"] = peak_rss_mb()
     return stats
 
@@ -70,7 +89,9 @@ def _run(spec: RunSpec, keep_tree: bool) -> RunResult:
     with get_tracer().span(
         "run", router=spec.router.name, label=spec.label
     ) as run_span:
-        instance = spec.instance.build()
+        with stages.stage("build_seconds", "run.build") as build_span:
+            instance = spec.instance.build()
+            build_span.set(num_sinks=instance.num_sinks)
         run_span.set(
             instance=instance.name,
             num_sinks=instance.num_sinks,
@@ -94,7 +115,8 @@ def _run(spec: RunSpec, keep_tree: bool) -> RunResult:
 
         with stages.stage("delay_seconds", "run.delay"):
             skew = skew_report(routing.tree)
-        wire = wirelength_report(routing.tree)
+        with stages.stage("wire_seconds", "run.wire"):
+            wire = wirelength_report(routing.tree)
         validate_kwargs = {"intra_bound_ps": spec.effective_bound_ps()}
         if spec.locus_tolerance is not None:
             validate_kwargs["locus_tolerance"] = spec.locus_tolerance

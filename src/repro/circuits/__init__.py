@@ -15,7 +15,7 @@ substitution rationale).  Instances can be saved to / loaded from a simple
 text format for reproducibility.
 """
 
-from repro.circuits.instance import ClockInstance, Sink
+from repro.circuits.instance import ClockInstance, Sink, SinkTable
 from repro.circuits.r_circuits import R_CIRCUIT_SINK_COUNTS, available_circuits, make_r_circuit
 from repro.circuits.grouping import (
     clustered_groups,
@@ -41,6 +41,7 @@ __all__ = [
     "ClockInstance",
     "R_CIRCUIT_SINK_COUNTS",
     "Sink",
+    "SinkTable",
     "available_circuits",
     "available_families",
     "blocked_instance",

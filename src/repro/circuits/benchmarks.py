@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.circuits.instance import ClockInstance, Sink
+from repro.circuits.instance import ClockInstance, Sink, SinkTable
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.geometry.obstacles import ObstacleSet, Rect
 from repro.geometry.point import Point
@@ -224,35 +224,34 @@ def _free_points(
     num: int,
     obstacles: ObstacleSet,
     draw: Callable[[int], "np.ndarray"],
-) -> List[Point]:
-    """``num`` points drawn by ``draw`` and re-drawn while inside a blockage.
+) -> "np.ndarray":
+    """``(num, 2)`` points drawn by ``draw`` and re-drawn while inside a blockage.
 
     Each draw asks for the points still missing, so its free points, in
     order, are all kept."""
-    points: List[Point] = []
-    while len(points) < num:
-        batch = draw(num - len(points))
+    batches: List["np.ndarray"] = []
+    found = 0
+    while found < num:
+        batch = draw(num - found)
         free = batch[~obstacles.blocks_points(batch[:, 0], batch[:, 1])]
-        points.extend(Point(x, y) for x, y in free.tolist())
-    return points
+        batches.append(free)
+        found += len(free)
+    return np.concatenate(batches)
 
 
 def _build(
     name: str,
-    locations: List[Point],
+    points: "np.ndarray",
     caps: "np.ndarray",
     num_groups: int,
     source: Point,
     technology: Technology,
     obstacles: ObstacleSet,
 ) -> ClockInstance:
-    sinks = tuple(
-        Sink(sink_id=i, location=location, cap=float(caps[i]), group=i % num_groups)
-        for i, location in enumerate(locations)
-    )
+    ids = np.arange(len(points), dtype=np.int64)
     return ClockInstance(
         name=name,
-        sinks=sinks,
+        sinks=SinkTable(ids, points[:, 0], points[:, 1], caps, ids % num_groups),
         source=source,
         technology=technology,
         obstacles=obstacles.rects,
@@ -294,9 +293,9 @@ def clustered_instance(
         offsets = rng.normal(0.0, spread, size=(n, 2))
         return np.clip(centres[which] + offsets, 0.0, layout_size)
 
-    locations = _free_points(rng, num_sinks, obstacles, draw)
+    points = _free_points(rng, num_sinks, obstacles, draw)
     caps = rng.uniform(cap_range[0], cap_range[1], size=num_sinks)
-    return _build(name, locations, caps, num_groups, centre, technology, obstacles)
+    return _build(name, points, caps, num_groups, centre, technology, obstacles)
 
 
 def ring_instance(
@@ -327,9 +326,9 @@ def ring_instance(
         ys = layout_size / 2.0 + radius * np.sin(angles)
         return np.clip(np.stack([xs, ys], axis=1), 0.0, layout_size)
 
-    locations = _free_points(rng, num_sinks, obstacles, draw)
+    points = _free_points(rng, num_sinks, obstacles, draw)
     caps = rng.uniform(cap_range[0], cap_range[1], size=num_sinks)
-    return _build(name, locations, caps, num_groups, centre, technology, obstacles)
+    return _build(name, points, caps, num_groups, centre, technology, obstacles)
 
 
 def blocked_instance(
@@ -358,9 +357,9 @@ def blocked_instance(
     def draw(n: int) -> "np.ndarray":
         return rng.uniform(0.0, layout_size, size=(n, 2))
 
-    locations = _free_points(rng, num_sinks, obstacles, draw)
+    points = _free_points(rng, num_sinks, obstacles, draw)
     caps = rng.uniform(cap_range[0], cap_range[1], size=num_sinks)
-    return _build(name, locations, caps, num_groups, centre, technology, obstacles)
+    return _build(name, points, caps, num_groups, centre, technology, obstacles)
 
 
 #: The registry of generator families (name -> factory with the shared

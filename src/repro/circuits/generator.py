@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.circuits.instance import ClockInstance, Sink
+from repro.circuits.instance import ClockInstance, SinkTable
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.geometry.point import Point
 
@@ -61,14 +61,7 @@ def random_instance(
     ys = rng.uniform(0.0, layout_size, size=num_sinks)
     caps = rng.uniform(lo, hi, size=num_sinks)
 
-    sinks = tuple(
-        Sink(
-            sink_id=i,
-            location=Point(float(xs[i]), float(ys[i])),
-            cap=float(caps[i]),
-            group=i % num_groups,
-        )
-        for i in range(num_sinks)
-    )
+    ids = np.arange(num_sinks, dtype=np.int64)
+    sinks = SinkTable(ids, xs, ys, caps, ids % num_groups)
     centre = source or Point(layout_size / 2.0, layout_size / 2.0)
     return ClockInstance(name=name, sinks=sinks, source=centre, technology=technology)

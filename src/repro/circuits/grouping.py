@@ -19,7 +19,8 @@ the tests use to check that the two generators really produce the two regimes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +43,11 @@ def _grid_shape(num_groups: int) -> tuple:
     return rows, cols
 
 
+def _regrouped(instance: ClockInstance, groups: np.ndarray, name: str) -> ClockInstance:
+    """``instance`` with the group column ``groups`` (instance order)."""
+    return replace(instance, sinks=instance.sinks.with_groups(groups), name=name)
+
+
 def clustered_groups(
     instance: ClockInstance, num_groups: int, name: Optional[str] = None
 ) -> ClockInstance:
@@ -59,13 +65,14 @@ def clustered_groups(
     rows, cols = _grid_shape(num_groups)
     width = max(xmax - xmin, 1e-9)
     height = max(ymax - ymin, 1e-9)
-    assignment: Dict[int, int] = {}
-    for sink in instance.sinks:
-        col = min(int((sink.location.x - xmin) / width * cols), cols - 1)
-        row = min(int((sink.location.y - ymin) / height * rows), rows - 1)
-        assignment[sink.sink_id] = (row * cols + col) % num_groups
-    return instance.with_groups(
-        assignment, name=name or "%s-clustered-%d" % (instance.name, num_groups)
+    sinks = instance.sinks
+    # astype truncates toward zero, like int() on each sink's cell coordinate.
+    col = np.minimum(((sinks.xs - xmin) / width * cols).astype(np.int64), cols - 1)
+    row = np.minimum(((sinks.ys - ymin) / height * rows).astype(np.int64), rows - 1)
+    return _regrouped(
+        instance,
+        (row * cols + col) % num_groups,
+        name or "%s-clustered-%d" % (instance.name, num_groups),
     )
 
 
@@ -79,24 +86,24 @@ def intermingled_groups(
 
     Every group receives at least one sink (the first ``num_groups`` sinks in
     a shuffled order seed the groups) so that instances remain well formed for
-    any group count up to the sink count.
+    any group count up to the sink count.  The shuffle and the draws are one
+    array call each; numpy gives them the stream of shuffling the sink list
+    and drawing each remaining sink's group in turn.
     """
     if num_groups < 1:
         raise ValueError("num_groups must be at least 1")
-    if num_groups > instance.num_sinks:
+    n = instance.num_sinks
+    if num_groups > n:
         raise ValueError("cannot form more groups than there are sinks")
     rng = np.random.default_rng(seed)
-    sink_ids = [s.sink_id for s in instance.sinks]
-    shuffled = list(sink_ids)
+    shuffled = np.arange(n, dtype=np.int64)
     rng.shuffle(shuffled)
-    assignment: Dict[int, int] = {}
-    for index, sink_id in enumerate(shuffled):
-        if index < num_groups:
-            assignment[sink_id] = index
-        else:
-            assignment[sink_id] = int(rng.integers(0, num_groups))
-    return instance.with_groups(
-        assignment, name=name or "%s-intermingled-%d" % (instance.name, num_groups)
+    groups = np.empty(n, dtype=np.int64)
+    groups[shuffled] = np.concatenate(
+        (np.arange(num_groups, dtype=np.int64), rng.integers(0, num_groups, size=n - num_groups))
+    )
+    return _regrouped(
+        instance, groups, name or "%s-intermingled-%d" % (instance.name, num_groups)
     )
 
 
@@ -110,10 +117,10 @@ def striped_groups(
     """
     if num_groups < 1:
         raise ValueError("num_groups must be at least 1")
-    ordered = sorted(instance.sinks, key=lambda s: s.sink_id)
-    assignment = {s.sink_id: i % num_groups for i, s in enumerate(ordered)}
-    return instance.with_groups(
-        assignment, name=name or "%s-striped-%d" % (instance.name, num_groups)
+    rank = np.empty(instance.num_sinks, dtype=np.int64)
+    rank[np.argsort(instance.sinks.ids, kind="stable")] = np.arange(instance.num_sinks)
+    return _regrouped(
+        instance, rank % num_groups, name or "%s-striped-%d" % (instance.name, num_groups)
     )
 
 
@@ -129,15 +136,10 @@ def grouping_mixing_index(instance: ClockInstance, neighbors: int = 5) -> float:
     sinks = instance.sinks
     if len(sinks) <= neighbors:
         neighbors = max(1, len(sinks) - 1)
-    coords = np.array([[s.location.x, s.location.y] for s in sinks])
-    groups = np.array([s.group for s in sinks])
-    tree = cKDTree(coords)
-    _, idx = tree.query(coords, k=neighbors + 1)
-    cross = 0
-    total = 0
-    for i in range(len(sinks)):
-        for j in np.atleast_1d(idx[i])[1:]:
-            total += 1
-            if groups[int(j)] != groups[i]:
-                cross += 1
+    coords = np.column_stack((sinks.xs, sinks.ys))
+    groups = sinks.groups
+    _, idx = cKDTree(coords).query(coords, k=neighbors + 1)
+    near = idx[:, 1:]
+    cross = int(np.count_nonzero(groups[near] != groups[:, np.newaxis]))
+    total = near.size
     return cross / total if total else 0.0

@@ -62,7 +62,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.opt.report import OptReport
 
-from repro.circuits.instance import ClockInstance, Sink
+from repro.circuits.instance import ClockInstance, SinkTable
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
 from repro.core.merge_batch import (
     CASE_LABELS,
@@ -265,13 +265,13 @@ class MergedTree:
             sink_caps=np.zeros(merges + 1),
             groups=np.zeros(merges + 1, dtype=np.int64),
             has_group=np.zeros(merges + 1, dtype=bool),
-            names=[None] * merges + ["clk"],
             child_counts=np.append(np.full(merges, 2, dtype=np.int64), 1),
             child_ids=np.append(
                 np.stack((self.child_a[first:last], self.child_b[first:last]), axis=1),
                 self.child_a[last],
             ),
             root=last,
+            labels={merges: "clk"},
         )
         return arena, self.loci
 
@@ -350,7 +350,7 @@ class AstDme:
     def grow(
         self,
         prefix: TreeArena,
-        sinks: Sequence[Sink],
+        sinks: SinkTable,
         source: Point,
         group_ids: List[int],
         stats: MergeStats,
@@ -366,8 +366,11 @@ class AstDme:
 
         ``stubs`` are ids of placed subtree roots in ``prefix``; row ``k`` of
         ``stub_summary`` (:func:`~repro.delay.elmore.subtree_summary`)
-        describes ``stubs[k]``.  The sinks take the ids after the prefix's
-        nodes, in order.  With one group column, every sink falls in it.
+        describes ``stubs[k]``.  The sinks (instance columns) take the ids
+        after the prefix's nodes, in order, and carry their instance ids in
+        the tree's ``sink_ids`` column.  With one group column, every sink
+        falls in it; otherwise every sink's group must be one of
+        ``group_ids``.
 
         Each stub and sink becomes one merge row at its point, and
         :meth:`merge_rows` merges them.  The sinks, the merge nodes and the
@@ -383,20 +386,12 @@ class AstDme:
         n = len(sinks)
         stub_ids = np.asarray(stubs, dtype=np.int64)
         row_ids = np.concatenate((stub_ids, np.arange(first, first + n, dtype=np.int64)))
-        sink_xs = np.fromiter((s.location.x for s in sinks), dtype=np.float64, count=n)
-        sink_ys = np.fromiter((s.location.y for s in sinks), dtype=np.float64, count=n)
-        xs = np.concatenate((prefix.xs[stub_ids], sink_xs))
-        ys = np.concatenate((prefix.ys[stub_ids], sink_ys))
-        gindex = {g: k for k, g in enumerate(group_ids)}
-        single = len(group_ids) == 1
-        sink_gidx = np.fromiter(
-            (0 if single else gindex[s.group] for s in sinks), dtype=np.int64, count=n
-        )
+        xs = np.concatenate((prefix.xs[stub_ids], sinks.xs))
+        ys = np.concatenate((prefix.ys[stub_ids], sinks.ys))
         present = np.zeros((n, len(group_ids)), dtype=bool)
-        present[np.arange(n), sink_gidx] = True
-        cap = np.fromiter((s.cap for s in sinks), dtype=np.float64, count=n)
+        present[np.arange(n), _group_columns(sinks.groups, group_ids)] = True
+        cap = sinks.caps
         delays = np.zeros((n, len(group_ids), 2), dtype=np.float64)
-        sink_caps = cap
         if stub_summary is not None:
             cap = np.concatenate((stub_summary.caps, cap))
             delays = np.concatenate((stub_summary.delays, delays))
@@ -407,21 +402,20 @@ class AstDme:
         embed_start = time.perf_counter()
         with get_tracer().span("dme.embed") as embed_span:
             detours_before = 0 if obstacles is None else obstacles.detours_computed
-            groups = [s.group for s in sinks]
             with_sinks = prefix.appended(
                 kinds=np.full(n, SINK_KIND, dtype=np.int8),
                 parents=np.concatenate((prefix.parents, np.full(n, -1, dtype=np.int64))),
                 edge_lengths=np.concatenate((prefix.edge_lengths, np.zeros(n))),
-                xs=sink_xs,
-                ys=sink_ys,
+                xs=sinks.xs,
+                ys=sinks.ys,
                 has_location=np.ones(n, dtype=bool),
-                sink_caps=sink_caps,
-                groups=np.array([0 if g is None else g for g in groups], dtype=np.int64),
-                has_group=np.array([g is not None for g in groups], dtype=bool),
-                names=["sink-%d" % s.sink_id for s in sinks],
+                sink_caps=sinks.caps,
+                groups=sinks.groups,
+                has_group=np.ones(n, dtype=bool),
                 child_counts=np.zeros(n, dtype=np.int64),
                 child_ids=np.empty(0, dtype=np.int64),
                 root=prefix.root,
+                sink_ids=sinks.ids,
             )
             arena, loci = merged.append_to(with_sinks, source)
             arena, stats.obstacle_detour = embed_levels(arena, merged.loci, obstacles)
@@ -648,6 +642,20 @@ _Pendings = namedtuple(
     "_Pendings",
     "child_a child_b locus_a locus_b distance cap_a cap_b balance budget delays side_a",
 )
+
+
+def _group_columns(groups: np.ndarray, group_ids: List[int]) -> np.ndarray:
+    """Each sink's dense group column: 0 with one column, else the position
+    of its group in the ascending ``group_ids`` (KeyError for a group not
+    there)."""
+    if len(group_ids) == 1:
+        return np.zeros(len(groups), dtype=np.int64)
+    ids = np.asarray(group_ids, dtype=np.int64)
+    columns = np.minimum(np.searchsorted(ids, groups), len(ids) - 1)
+    missing = np.flatnonzero(ids[columns] != groups)
+    if missing.size:
+        raise KeyError(int(groups[missing[0]]))
+    return columns
 
 
 def _compact(buffers: List[np.ndarray], keep: np.ndarray, appended: Sequence[np.ndarray]):

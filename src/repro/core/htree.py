@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.circuits.instance import ClockInstance, Sink
+from repro.circuits.instance import ClockInstance, SinkTable
 from repro.core.ast_dme import (
     AstDme,
     AstDmeConfig,
@@ -61,9 +61,9 @@ __all__ = ["HTreeRouter"]
 
 @dataclass
 class _Region:
-    """One node of the recursive trunk partition."""
+    """One node of the recursive trunk partition: its sinks' instance rows."""
 
-    sinks: List[Sink]
+    rows: np.ndarray
     center: Point
     children: List["_Region"] = field(default_factory=list)
 
@@ -130,7 +130,9 @@ class HTreeRouter:
             return AstDme(self.config).route(instance, single_group=True)
         start = time.perf_counter()
         obstacles = instance.obstacle_set() if instance.has_obstacles else None
-        region = self._build_region(list(instance.sinks), self.trunk_levels, 0, obstacles)
+        region = self._build_region(
+            instance.sinks, np.arange(instance.num_sinks), self.trunk_levels, 0, obstacles
+        )
         composite = _Composite(ClockTree(technology=instance.technology))
         stats = MergeStats()
         top = self._realise(region, instance, composite, stats, obstacles)
@@ -159,48 +161,48 @@ class HTreeRouter:
     # ------------------------------------------------------------------
     def _build_region(
         self,
-        sinks: List[Sink],
+        sinks: SinkTable,
+        rows: np.ndarray,
         level: int,
         axis: int,
         obstacles: Optional[ObstacleSet],
     ) -> _Region:
-        region = _Region(sinks=sinks, center=self._tap_point(sinks, obstacles))
-        if level <= 0 or len(sinks) < 2:
+        in_region = sinks.rows(rows)
+        region = _Region(rows=rows, center=self._tap_point(in_region, obstacles))
+        if level <= 0 or len(rows) < 2:
             return region
-        lo, hi = self._split(sinks, axis)
+        lo, hi = self._split(in_region, rows, axis)
         region.children = [
-            self._build_region(lo, level - 1, 1 - axis, obstacles),
-            self._build_region(hi, level - 1, 1 - axis, obstacles),
+            self._build_region(sinks, lo, level - 1, 1 - axis, obstacles),
+            self._build_region(sinks, hi, level - 1, 1 - axis, obstacles),
         ]
         return region
 
     @staticmethod
-    def _split(sinks: List[Sink], axis: int) -> Tuple[List[Sink], List[Sink]]:
-        xmin, ymin, xmax, ymax = Point.bounding_box(s.location for s in sinks)
+    def _split(region: SinkTable, rows: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The instance ``rows`` of the ``region``'s sinks on either side of its
+        bounding box's centre along ``axis``, each in the order of ``rows``."""
+        xs, ys = region.xs, region.ys
+        xmin, ymin, xmax, ymax = region.bounding_box()
         if axis == 0:
             mid = (xmin + xmax) / 2.0
-            lo = [s for s in sinks if s.location.x <= mid]
-            hi = [s for s in sinks if s.location.x > mid]
+            lo, hi = rows[xs <= mid], rows[xs > mid]
         else:
             mid = (ymin + ymax) / 2.0
-            lo = [s for s in sinks if s.location.y <= mid]
-            hi = [s for s in sinks if s.location.y > mid]
-        if lo and hi:
+            lo, hi = rows[ys <= mid], rows[ys > mid]
+        if len(lo) and len(hi):
             return lo, hi
         # Degenerate geometry (collinear or coincident sinks): the geometric
-        # centre leaves one side empty, so fall back to a median split.
-        ordered = sorted(
-            sinks,
-            key=(lambda s: (s.location.x, s.location.y, s.sink_id))
-            if axis == 0
-            else (lambda s: (s.location.y, s.location.x, s.sink_id)),
-        )
+        # centre leaves one side empty, so fall back to a median split, in
+        # (x, y, id) order along x and (y, x, id) order along y.
+        keys = (region.ids, ys, xs) if axis == 0 else (region.ids, xs, ys)
+        ordered = rows[np.lexsort(keys)]
         half = len(ordered) // 2
         return ordered[:half], ordered[half:]
 
     @staticmethod
-    def _tap_point(sinks: List[Sink], obstacles: Optional[ObstacleSet]) -> Point:
-        xmin, ymin, xmax, ymax = Point.bounding_box(s.location for s in sinks)
+    def _tap_point(sinks: SinkTable, obstacles: Optional[ObstacleSet]) -> Point:
+        xmin, ymin, xmax, ymax = sinks.bounding_box()
         point = Point((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
         if obstacles is not None and obstacles.blocks_point(point):
             point = obstacles.nearest_free_point(point)
@@ -265,7 +267,7 @@ class HTreeRouter:
         sub = replace(
             instance,
             name="%s-htree-leaf" % instance.name,
-            sinks=tuple(region.sinks),
+            sinks=instance.sinks.rows(region.rows),
             source=region.center,
         )
         result = AstDme(self.config).route(sub, single_group=True)

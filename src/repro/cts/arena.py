@@ -17,7 +17,7 @@ Layout (``n`` nodes, ``e = n - #roots`` edges)::
     sink_caps     (n,)  float64  load capacitance (0 for non-sinks)
     groups        (n,)  int64    sink group id (only valid where has_group)
     has_group     (n,)  bool
-    names         list[Optional[str]]
+    sink_ids      (n,)  int64    instance sink id, -1 off the sinks
     root          int            root node id, -1 when the tree has no root
     child_offsets (n+1,) int64   CSR row pointers into child_ids
     child_ids     (e,)  int64    children in attach order (order matters:
@@ -25,6 +25,11 @@ Layout (``n`` nodes, ``e = n - #roots`` edges)::
                                  walk follows it)
     buffers       list[Optional[BufferCell]], with the cells' input caps,
                   intrinsic delays and drive resistances as (n,) columns
+    labels        dict[int, str]  node id -> name, for the few names no
+                                 sink id gives (the source's ``clk``, ...)
+
+A node's name (:meth:`TreeArena.name_of`) is its label if it has one,
+else ``sink-<id>`` when its sink id is set, else None.
 
 Node ids are contiguous ``0..n-1`` in creation order, and ``child_ids``
 keeps each node's children in attach order, so any order-sensitive float
@@ -45,7 +50,7 @@ changes attribute columns while sharing the topology and the derived orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +61,16 @@ INTERNAL_KIND = 1
 SOURCE_KIND = 2
 #: ``ClockNode.kind`` of each kind code.
 _KIND_NAMES = ("sink", "internal", "source")
+
+
+def node_name(labels: Mapping[int, str], sink_ids: np.ndarray, node_id: int) -> Optional[str]:
+    """A node's name: its label, else ``sink-<id>`` when its sink id is set
+    (not -1), else None."""
+    label = labels.get(node_id)
+    if label is not None:
+        return label
+    sink_id = sink_ids.item(node_id)
+    return None if sink_id < 0 else "sink-%d" % sink_id
 
 
 def _memo():
@@ -75,11 +90,13 @@ class TreeArena:
     sink_caps: np.ndarray
     groups: np.ndarray
     has_group: np.ndarray
-    names: List[Optional[str]]
+    sink_ids: np.ndarray
     root: int
     child_offsets: np.ndarray
     child_ids: np.ndarray
     technology: object = None
+    #: Node id -> name, for the names no sink id gives.
+    labels: Dict[int, str] = field(default_factory=dict)
     #: Buffered-node annotations (see repro.delay.buffer): ``buffers`` keeps
     #: the cells themselves for lossless round-trips, the parallel arrays feed
     #: the vectorized Elmore kernels.  All-False mask on buffer-free trees.
@@ -106,6 +123,10 @@ class TreeArena:
     def has_buffers(self) -> bool:
         """Whether any node of this snapshot carries a buffer cell."""
         return self.buffer_mask is not None and bool(self.buffer_mask.any())
+
+    def name_of(self, node_id: int) -> Optional[str]:
+        """The node's label, else ``sink-<id>`` when it has a sink id, else None."""
+        return node_name(self.labels, self.sink_ids, node_id)
 
     def child_counts(self) -> np.ndarray:
         return self.child_offsets[1:] - self.child_offsets[:-1]
@@ -258,8 +279,6 @@ class TreeArena:
         child_offsets = np.zeros(total + 1, dtype=np.int64)
         np.cumsum(counts, out=child_offsets[1:])
         children, _ = self.children_of(rows)
-        ids = rows.tolist()
-        names = self.names
         buffers = self.buffers
         arena = TreeArena(
             kinds=self.kinds[rows],
@@ -271,12 +290,17 @@ class TreeArena:
             sink_caps=self.sink_caps[rows],
             groups=self.groups[rows],
             has_group=self.has_group[rows],
-            names=[names[i] for i in ids],
+            sink_ids=self.sink_ids[rows],
             root=-1,
             child_offsets=child_offsets,
             child_ids=new_id[children],
             technology=self.technology,
-            buffers=[buffers[i] for i in ids],
+            labels={
+                new_id.item(node): label
+                for node, label in self.labels.items()
+                if new_id.item(node) >= 0
+            },
+            buffers=[buffers[i] for i in rows.tolist()],
             buffer_mask=self.buffer_mask[rows],
             buffer_input_caps=self.buffer_input_caps[rows],
             buffer_intrinsics=self.buffer_intrinsics[rows],
@@ -295,21 +319,28 @@ class TreeArena:
         sink_caps: np.ndarray,
         groups: np.ndarray,
         has_group: np.ndarray,
-        names: List[Optional[str]],
         child_counts: np.ndarray,
         child_ids: np.ndarray,
         root: int,
+        sink_ids: Optional[np.ndarray] = None,
+        labels: Optional[Mapping[int, str]] = None,
     ) -> "TreeArena":
         """A new arena: this one's rows followed by ``len(kinds)`` new ones.
 
         ``parents`` and ``edge_lengths`` cover every row, the old ones
         included, since a new row may adopt an old root; the other columns
-        cover the new rows only (``groups`` is read where ``has_group``).
-        The new rows' children, in attach order, are ``child_ids``, split by
-        ``child_counts``; old rows keep theirs.  New rows carry no buffer.
-        ``self`` is left unchanged.
+        cover the new rows only (``groups`` is read where ``has_group``;
+        ``sink_ids`` defaults to -1).  ``labels`` names new rows by their
+        position among them.  The new rows' children, in attach order, are
+        ``child_ids``, split by ``child_counts``; old rows keep theirs.  New
+        rows carry no buffer.  ``self`` is left unchanged.
         """
         added = len(kinds)
+        first = self.num_nodes
+        if sink_ids is None:
+            sink_ids = np.full(added, -1, dtype=np.int64)
+        merged_labels = dict(self.labels)
+        merged_labels.update((first + k, label) for k, label in (labels or {}).items())
         offsets = np.concatenate(
             (self.child_offsets, self.child_offsets[-1] + np.cumsum(child_counts))
         )
@@ -324,11 +355,12 @@ class TreeArena:
             sink_caps=np.concatenate((self.sink_caps, sink_caps)),
             groups=np.concatenate((self.groups, np.where(has_group, groups, 0))),
             has_group=np.concatenate((self.has_group, has_group)),
-            names=self.names + names,
+            sink_ids=np.concatenate((self.sink_ids, sink_ids)).astype(np.int64, copy=False),
             root=root,
             child_offsets=offsets.astype(np.int64, copy=False),
             child_ids=np.concatenate((self.child_ids, child_ids)).astype(np.int64, copy=False),
             technology=self.technology,
+            labels=merged_labels,
             buffers=self.buffers + [None] * added,
             buffer_mask=np.concatenate((self.buffer_mask, np.zeros(added, dtype=bool))),
             buffer_input_caps=np.concatenate((self.buffer_input_caps, zeros)),

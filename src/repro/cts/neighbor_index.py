@@ -291,6 +291,10 @@ class NeighborIndex:
         surv_pos = np.flatnonzero(surv_mask)
         m = len(surv_pos)
         n = len(keys)
+        # The fresh rows alone exceed the staleness share, which the dirty
+        # survivors only add to: no repair can pass the check below.
+        if (n - m) / n > self.staleness_threshold:
+            return False
         # The routers remove merged subtrees (order-preserving) and append the
         # merge results; anything else is handled by a full rebuild.
         if n < m or not np.array_equal(keys[:m], prev_keys[surv_pos]):

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.geometry.obstacles import ObstacleSet, path_length
 from repro.geometry.point import Point
 
@@ -142,7 +144,8 @@ def route_edges(
 ) -> Dict[int, RectilinearRoute]:
     """Realise every embedded edge of ``tree`` as a rectilinear path.
 
-    Returns a mapping from child node id to its route.  Every node of the tree
+    Returns a mapping from child node id to its route, in node id order, read
+    from the columns of one ``tree.as_arena()``.  Every node of the tree
     must already have a location (the routers embed every node they build);
     the length of each returned route equals the booked edge length to
     within floating-point tolerance.  With ``obstacles``, no returned segment
@@ -151,33 +154,34 @@ def route_edges(
     """
     if obstacles is not None and not obstacles:
         obstacles = None
+    arena = tree.as_arena()
+    xs, ys, placed = arena.xs.tolist(), arena.ys.tolist(), arena.has_location.tolist()
+    booked_lengths = arena.edge_lengths.tolist()
+    parents = arena.parents.tolist()
     routes: Dict[int, RectilinearRoute] = {}
-    for node in tree.nodes():
-        if node.parent is None:
-            continue
-        parent = tree.node(node.parent)
-        if node.location is None or parent.location is None:
+    for node_id in np.flatnonzero(arena.parents >= 0).tolist():
+        parent_id = parents[node_id]
+        if not (placed[node_id] and placed[parent_id]):
             raise ValueError(
-                "edge %d -> %d is not embedded; embed the tree first"
-                % (parent.node_id, node.node_id)
+                "edge %d -> %d is not embedded; embed the tree first" % (parent_id, node_id)
             )
-        path = _edge_path(parent.location, node.location, obstacles)
+        booked = booked_lengths[node_id]
+        path = _edge_path(
+            Point(xs[parent_id], ys[parent_id]), Point(xs[node_id], ys[node_id]), obstacles
+        )
         realised = path_length(path)
-        extra = node.edge_length - realised
+        extra = booked - realised
         if extra < -_TOL and obstacles is not None:
             raise ValueError(
                 "edge %d -> %d books %.6g wire but its blockage-avoiding path "
                 "needs %.6g; embed the tree with the same obstacles first"
-                % (parent.node_id, node.node_id, node.edge_length, realised)
+                % (parent_id, node_id, booked, realised)
             )
         if extra > _TOL:
             # Insert the serpentine just before the final landing point so the
             # child pin itself stays where the embedding put it.
             path = _insert_snake(path, extra, snake_pitch, obstacles)
-        routes[node.node_id] = RectilinearRoute(
-            parent_id=parent.node_id,
-            child_id=node.node_id,
-            points=path,
-            booked_length=node.edge_length,
+        routes[node_id] = RectilinearRoute(
+            parent_id=parent_id, child_id=node_id, points=path, booked_length=booked
         )
     return routes

@@ -22,7 +22,14 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cts.arena import _KIND_NAMES, INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
+from repro.cts.arena import (
+    _KIND_NAMES,
+    INTERNAL_KIND,
+    SINK_KIND,
+    SOURCE_KIND,
+    TreeArena,
+    node_name,
+)
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.geometry.point import Point
 
@@ -45,12 +52,15 @@ _ARRAYS = (
     ("sink_caps", np.float64),
     ("groups", np.int64),
     ("has_group", bool),
+    ("sink_ids", np.int64),
     ("buffer_mask", bool),
     ("buffer_input_caps", np.float64),
     ("buffer_intrinsics", np.float64),
     ("buffer_drive_res", np.float64),
 )
-_LISTS = ("names", "buffers")
+#: The columns held as Python containers: the buffer cells by node, and the
+#: labels (node id -> name).
+_OBJECTS = ("buffers", "labels")
 
 
 def _scalar(column: str) -> property:
@@ -64,12 +74,14 @@ class ClockNode:
     Every attribute reads the tree's columns when asked, as a Python value, so
     a view sees the tree's later edits; assigning an attribute raises.  Edit
     the tree through its setters instead.  ``buffer`` is the cell driving the
-    node's subtree (None = unbuffered; see repro.delay.buffer).
+    node's subtree (None = unbuffered; see repro.delay.buffer).  ``sink_id``
+    is the instance sink the node stands for (None off the sinks), and
+    ``name`` its label, else ``sink-<id>``, else None.
     """
 
     __slots__ = ("_tree", "_id")
     _FIELDS = ("node_id", "kind", "location", "parent", "children", "edge_length",
-               "sink_cap", "group", "name", "buffer")
+               "sink_cap", "group", "sink_id", "name", "buffer")
 
     def __init__(self, tree: "ClockTree", node_id: int) -> None:
         object.__setattr__(self, "_tree", tree)
@@ -84,7 +96,8 @@ class ClockNode:
     node_id = property(lambda node: node._id)
     edge_length = _scalar("edge_lengths")
     sink_cap = _scalar("sink_caps")
-    name = property(lambda node: node._tree._names[node._id])
+    name = property(lambda node: node_name(node._tree._labels, node._tree._columns["sink_ids"],
+                                           node._id))
     buffer = property(lambda node: node._tree._buffers[node._id])
     is_sink = property(lambda node: node.kind == SINK)
     is_source = property(lambda node: node.kind == SOURCE)
@@ -111,6 +124,11 @@ class ClockNode:
         """Child ids in attach order (a new list on every read)."""
         offsets, child_ids = self._tree._children()
         return child_ids[offsets[self._id] : offsets[self._id + 1]].tolist()
+
+    @property
+    def sink_id(self) -> Optional[int]:
+        sink_id = self._tree._columns["sink_ids"].item(self._id)
+        return None if sink_id < 0 else sink_id
 
     @property
     def group(self) -> Optional[int]:
@@ -160,8 +178,8 @@ class ClockTree:
         self._columns: Dict[str, np.ndarray] = {
             name: np.empty(0, dtype=dtype) for name, dtype in _ARRAYS
         }
-        self._names: List[Optional[str]] = []
         self._buffers: List[Optional["BufferCell"]] = []
+        self._labels: Dict[int, str] = {}
         #: Every child id in attach order (``_num_edges`` of them); the CSR
         #: children are this list sorted stably by parent.
         self._edges = np.empty(0, dtype=np.int64)
@@ -181,12 +199,12 @@ class ClockTree:
         (``TreeArena.to_clock_tree``)."""
         self._size = arena.num_nodes
         self._columns = {name: getattr(arena, name) for name, _ in _ARRAYS}
-        self._names = arena.names
         self._buffers = arena.buffers
+        self._labels = arena.labels
         self._edges = arena.child_ids
         self._num_edges = len(arena.child_ids)
         self._root = arena.root
-        self._shared = {name for name, _ in _ARRAYS} | set(_LISTS)
+        self._shared = {name for name, _ in _ARRAYS} | set(_OBJECTS)
         self._arena = self._latest = arena
         self._csr = (arena.child_offsets, arena.child_ids)
         return self
@@ -200,11 +218,20 @@ class ClockTree:
         sink_cap: float,
         group: Optional[int] = None,
         name: Optional[str] = None,
+        sink_id: Optional[int] = None,
     ) -> int:
-        """Add a sink (leaf) node and return its id."""
+        """Add a sink (leaf) node and return its id.
+
+        ``sink_id`` is the instance sink the node stands for; without a
+        ``name`` the node is named ``sink-<sink_id>``.
+        """
         if sink_cap < 0.0:
             raise ValueError("sink capacitance must be non-negative")
-        return self._add_row(SINK_KIND, location, sink_cap, group, name)
+        if sink_id is not None and sink_id < 0:
+            raise ValueError("sink ids must be non-negative")
+        return self._add_row(
+            SINK_KIND, location, sink_cap, group, name, -1 if sink_id is None else sink_id
+        )
 
     def add_internal(
         self,
@@ -289,7 +316,7 @@ class ClockTree:
 
         Every node below (and including) ``root_id`` is copied with a fresh
         contiguous id, in preorder; child order, locations, edge lengths, sink
-        caps, groups, names and buffers are preserved exactly, so the copy is
+        caps, groups, sink ids, labels and buffers are preserved exactly, so the copy is
         bit-identical to the source subtree.  The copied root arrives detached
         (no parent, edge length 0) ready to be adopted via :meth:`attach` or
         :meth:`add_internal` / :meth:`add_source`.
@@ -305,9 +332,9 @@ class ClockTree:
         for name, _ in _ARRAYS:
             self._columns[name][rows] = getattr(sub, name)
         self._columns["parents"][rows] = np.where(sub.parents >= 0, sub.parents + offset, -1)
-        self._writable(*_LISTS)
-        self._names.extend(sub.names)
+        self._writable(*_OBJECTS)
         self._buffers.extend(sub.buffers)
+        self._labels.update((node + offset, label) for node, label in sub.labels.items())
         edges, used = sub.child_ids + offset, self._num_edges
         self._edges = _room(self._edges, used, len(edges))
         self._edges[used : used + len(edges)] = edges
@@ -316,7 +343,7 @@ class ClockTree:
         self._structure_changed()
         return dict(zip(copied_from.tolist(), range(offset, offset + count)))
 
-    def _add_row(self, kind: int, location, sink_cap: float, group, name) -> int:
+    def _add_row(self, kind: int, location, sink_cap: float, group, name, sink_id=-1) -> int:
         node_id = self._size
         self._grow(1)
         placed = location is not None
@@ -324,14 +351,15 @@ class ClockTree:
             kinds=kind, parents=-1, edge_lengths=0.0, xs=location.x if placed else np.nan,
             ys=location.y if placed else np.nan, has_location=placed, sink_caps=sink_cap,
             groups=0 if group is None else group, has_group=group is not None,
-            buffer_mask=False, buffer_input_caps=0.0, buffer_intrinsics=0.0,
+            sink_ids=sink_id, buffer_mask=False, buffer_input_caps=0.0, buffer_intrinsics=0.0,
             buffer_drive_res=0.0,
         )
         for column, value in row.items():
             self._columns[column][node_id] = value
-        self._writable(*_LISTS)
-        self._names.append(name)
+        self._writable(*_OBJECTS)
         self._buffers.append(None)
+        if name is not None:
+            self._labels[node_id] = name
         self._size += 1
         self._structure_changed()
         return node_id
@@ -349,10 +377,10 @@ class ClockTree:
         self._arena = None
         for name in self._shared.intersection(names):
             self._shared.discard(name)
-            if name == "names":
-                self._names = list(self._names)
-            elif name == "buffers":
+            if name == "buffers":
                 self._buffers = list(self._buffers)
+            elif name == "labels":
+                self._labels = dict(self._labels)
             else:
                 self._columns[name] = self._columns[name].copy()
 
@@ -375,6 +403,7 @@ class ClockTree:
 
     def _column(self, name: str) -> np.ndarray:
         return self._columns[name][: self._size]
+
 
     def _children(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(child_offsets, child_ids)``: the children in CSR form, attach order."""
@@ -494,7 +523,7 @@ class ClockTree:
         arena = self._arena
         if arena is None:
             columns = {name: self._column(name) for name, _ in _ARRAYS}
-            columns.update(names=self._names, buffers=self._buffers, technology=self.technology)
+            columns.update(labels=self._labels, buffers=self._buffers, technology=self.technology)
             if self._latest is not None:
                 del columns["kinds"], columns["parents"]
                 arena = self._latest.with_attributes(**columns)
@@ -502,7 +531,7 @@ class ClockTree:
                 offsets, child_ids = self._children()
                 arena = TreeArena(root=self._root, child_offsets=offsets, child_ids=child_ids,
                                   **columns)
-            self._shared = {name for name, _ in _ARRAYS} | set(_LISTS)
+            self._shared = {name for name, _ in _ARRAYS} | set(_OBJECTS)
             self._arena = self._latest = arena
         return arena
 

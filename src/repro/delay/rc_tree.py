@@ -147,25 +147,31 @@ class RcTree:
 
         Sink capacitances become grounded caps on the corresponding leaf nodes;
         each edge becomes a discretised distributed line.  Node keys reuse the
-        clock-tree node ids so that delays can be compared directly.
+        clock-tree node ids so that delays can be compared directly.  Read
+        from the columns of one ``tree.as_arena()``, in topological order.
 
         A single RC network cannot model buffer isolation, so buffered trees
         are rejected; use :func:`oracle_delays`, which composes one network
         per buffer stage.
         """
-        for node in tree.nodes():
-            if node.buffer is not None:
-                raise ValueError(
-                    "tree contains buffers; a single RC network cannot model "
-                    "buffer isolation -- use repro.delay.rc_tree.oracle_delays"
-                )
-        root = tree.root()
-        rc = cls(root.node_id, technology=tree.technology)
-        rc.add_cap(root.node_id, root.sink_cap)
-        for node_id in tree.topological_order():
-            for child in tree.children_of(node_id):
-                rc.add_wire(child.node_id, node_id, child.edge_length, segments_per_edge)
-                rc.add_cap(child.node_id, child.sink_cap)
+        arena = tree.as_arena()
+        if arena.has_buffers():
+            raise ValueError(
+                "tree contains buffers; a single RC network cannot model "
+                "buffer isolation -- use repro.delay.rc_tree.oracle_delays"
+            )
+        root = arena.root
+        if root < 0:
+            raise ValueError("the tree has no root yet")
+        caps, lengths = arena.sink_caps.tolist(), arena.edge_lengths.tolist()
+        offsets, child_ids = arena.child_offsets.tolist(), arena.child_ids.tolist()
+        rc = cls(root, technology=tree.technology)
+        rc.add_cap(root, caps[root])
+        # Parents before children, each node's children in attach order.
+        for node_id in arena.subtree_rows([root])[0].tolist():
+            for child in child_ids[offsets[node_id] : offsets[node_id + 1]]:
+                rc.add_wire(child, node_id, lengths[child], segments_per_edge)
+                rc.add_cap(child, caps[child])
         return rc
 
     def graph(self):

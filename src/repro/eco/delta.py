@@ -13,9 +13,11 @@ delta, so the assignment is deterministic and cacheable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
-from repro.circuits.instance import ClockInstance, Sink
+import numpy as np
+
+from repro.circuits.instance import ClockInstance, SinkTable
 from repro.geometry.obstacles import Rect
 from repro.geometry.point import Point
 
@@ -37,6 +39,8 @@ class SinkAdd:
     def __post_init__(self) -> None:
         if self.cap < 0.0:
             raise EcoDeltaError("added sink capacitance must be non-negative")
+        if self.group is None:
+            raise EcoDeltaError("an added sink needs a group")
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class EcoDelta:
 
     def added_sink_ids(self, instance: ClockInstance) -> Tuple[int, ...]:
         """The ids :meth:`apply` will assign to the added sinks."""
-        next_id = max(s.sink_id for s in instance.sinks) + 1
+        next_id = int(instance.sinks.ids.max()) + 1
         return tuple(range(next_id, next_id + len(self.add)))
 
     # ------------------------------------------------------------------
@@ -100,45 +104,44 @@ class EcoDelta:
         Raises :class:`EcoDeltaError` when the delta references unknown sink
         ids, removes every sink, or leaves a kept sink (or the source) inside
         an added blockage.
+
+        The new instance's columns are the old ones with the moved rows
+        rewritten, the removed rows dropped and the added sinks appended.
         """
-        known = {s.sink_id for s in instance.sinks}
-        unknown = sorted(
-            {m.sink_id for m in self.move if m.sink_id not in known}
-            | {r for r in self.remove if r not in known}
-        )
+        sinks = instance.sinks
+        moved = np.array([m.sink_id for m in self.move], dtype=np.int64)
+        removed = np.array(self.remove, dtype=np.int64)
+        referenced = np.concatenate((moved, removed))
+        unknown = sorted(set(referenced[~np.isin(referenced, sinks.ids)].tolist()))
         if unknown:
             raise EcoDeltaError(
                 "delta references unknown sink ids %s (instance %r has %d sinks)"
                 % (unknown, instance.name, instance.num_sinks)
             )
-        removed = set(self.remove)
-        moved = {m.sink_id: m.location for m in self.move}
-        sinks: List[Sink] = []
-        for sink in instance.sinks:
-            if sink.sink_id in removed:
-                continue
-            if sink.sink_id in moved:
-                sinks.append(replace(sink, location=moved[sink.sink_id]))
-            else:
-                sinks.append(sink)
-        next_id = max(known) + 1
-        for entry in self.add:
-            sinks.append(
-                Sink(
-                    sink_id=next_id,
-                    location=entry.location,
-                    cap=entry.cap,
-                    group=entry.group,
-                )
-            )
-            next_id += 1
-        if not sinks:
+        xs, ys = sinks.xs.copy(), sinks.ys.copy()
+        if self.move:
+            order = np.argsort(sinks.ids, kind="stable")
+            rows = order[np.searchsorted(sinks.ids, moved, sorter=order)]
+            xs[rows] = [m.location.x for m in self.move]
+            ys[rows] = [m.location.y for m in self.move]
+        kept = ~np.isin(sinks.ids, removed)
+        if not kept.any() and not self.add:
             raise EcoDeltaError("the delta removes every sink of the instance")
+        columns = (
+            (sinks.ids, self.added_sink_ids(instance)),
+            (xs, [a.location.x for a in self.add]),
+            (ys, [a.location.y for a in self.add]),
+            (sinks.caps, [a.cap for a in self.add]),
+            (sinks.groups, [a.group for a in self.add]),
+        )
+        table = SinkTable(
+            *(np.concatenate((old[kept], np.array(new, dtype=old.dtype))) for old, new in columns)
+        )
         try:
             return replace(
                 instance,
                 name="%s+eco" % instance.name,
-                sinks=tuple(sinks),
+                sinks=table,
                 obstacles=instance.obstacles + self.add_blockages,
             )
         except ValueError as exc:

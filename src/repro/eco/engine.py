@@ -191,8 +191,8 @@ def eco_reroute(
 
     Raises:
         EcoDeltaError: when the delta does not apply to the base instance.
-        ValueError: when the base result is not a fully embedded tree with
-            the standard ``sink-<id>`` node naming.
+        ValueError: when the base result is not a fully embedded tree whose
+            sink nodes carry their instance sink ids (``sink_ids``).
     """
     start = time.perf_counter()
     instance = base.instance
@@ -211,26 +211,25 @@ def eco_reroute(
     # 1. Dirty nodes.
     # ------------------------------------------------------------------
     with tracer.span("eco.cone") as cone_span:
-        base_ids = {s.sink_id for s in instance.sinks}
-        surviving = [s for s in new_instance.sinks if s.sink_id in base_ids]
-        added = [s for s in new_instance.sinks if s.sink_id not in base_ids]
+        new_sinks = new_instance.sinks
+        # Survivors keep their base ids; every other id is an added sink.
+        old = np.isin(new_sinks.ids, instance.sinks.ids)
         partner_ids: Set[int] = set()
-        if surviving and added:
+        if old.any() and not old.all():
             # Each added sink's nearest survivor, the first on ties like
             # ``min(surviving, key=distance)``: |dx| + |dy| in
             # ``manhattan_distance`` operand order is exact elementwise.
-            xs = np.fromiter((s.location.x for s in surviving), np.float64, len(surviving))
-            ys = np.fromiter((s.location.y for s in surviving), np.float64, len(surviving))
-            for sink in added:
-                nearest = np.argmin(np.abs(xs - sink.location.x) + np.abs(ys - sink.location.y))
-                partner_ids.add(surviving[int(nearest)].sink_id)
+            xs, ys, survivor_ids = new_sinks.xs[old], new_sinks.ys[old], new_sinks.ids[old]
+            for x, y in zip(new_sinks.xs[~old].tolist(), new_sinks.ys[~old].tolist()):
+                nearest = np.argmin(np.abs(xs - x) + np.abs(ys - y))
+                partner_ids.add(survivor_ids.item(nearest))
 
         wanted = removed_ids | moved_ids | partner_ids
         sink_nodes = _sink_nodes_by_id(arena, wanted)
         missing = sorted(sid for sid in wanted if sid not in sink_nodes)
         if missing:
             raise ValueError(
-                "base tree has no sink-<id> node for sink ids %s; "
+                "base tree has no sink node for sink ids %s; "
                 "ECO needs a tree built by the standard routers" % missing
             )
 
@@ -298,27 +297,17 @@ def eco_reroute(
         # sinks the blockage scan displaced (inside a new blockage is impossible
         # -- delta.apply rejects that -- but a sink whose edge needs a detour
         # rebuild lands here).
-        recreate: Set[int] = set(moved_ids)
-        for nid in dirty:
-            if arena.kinds[nid] != SINK_KIND:
-                continue
-            name = arena.names[nid] or ""
-            try:
-                sid = int(name[5:]) if name.startswith("sink-") else None
-            except ValueError:
-                sid = None
-            if sid is None:
-                raise ValueError(
-                    "dirty sink node %d has non-standard name %r; "
-                    "ECO needs a tree built by the standard routers" % (nid, name)
-                )
-            if sid not in removed_ids:
-                recreate.add(sid)
-        fresh_sinks = [
-            sink
-            for sink in new_instance.sinks
-            if sink.sink_id not in base_ids or sink.sink_id in recreate
-        ]
+        dirty_nodes = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+        dirty_sinks = dirty_nodes[arena.kinds[dirty_nodes] == SINK_KIND]
+        dirty_ids = arena.sink_ids[dirty_sinks]
+        if (dirty_ids < 0).any():
+            raise ValueError(
+                "dirty sink node %d has no sink id; "
+                "ECO needs a tree built by the standard routers"
+                % dirty_sinks[np.argmax(dirty_ids < 0)]
+            )
+        recreate = moved_ids | set(dirty_ids.tolist())
+        fresh_sinks = new_sinks.rows(~old | np.isin(new_sinks.ids, list(recreate)))
         total_sinks = int(stubs.sinks.sum()) + len(fresh_sinks)
         if total_sinks != new_instance.num_sinks:
             raise RuntimeError(
@@ -391,13 +380,14 @@ def eco_reroute(
 
 
 # ----------------------------------------------------------------------
-def _signature_columns(arena: TreeArena, roots) -> Tuple[List[Tuple], List]:
+def _signature_columns(arena: TreeArena, roots) -> Tuple[Tuple[np.ndarray, ...], List, np.ndarray]:
     """The signature columns of the subtrees below ``roots``, one after another.
 
     One row per node in preorder: kind code, location (0.0 where unplaced,
     with the placed flag), edge length (0.0 at each subtree root), sink cap,
-    group (0 where ungrouped, with the grouped flag) and child count.
-    Returns the array columns and the names.
+    group (0 where ungrouped, with the grouped flag), child count and sink
+    id.  Returns the array columns, the ``(row, label)`` pairs of the
+    labelled rows in row order, and the node id of each row.
     """
     rows, starts = arena.subtree_rows(roots)
     placed = arena.has_location[rows]
@@ -414,9 +404,16 @@ def _signature_columns(arena: TreeArena, roots) -> Tuple[List[Tuple], List]:
         grouped,
         np.where(grouped, arena.groups[rows], 0),
         arena.child_counts()[rows],
+        arena.sink_ids[rows],
     )
-    names = arena.names
-    return columns, [names[i] for i in rows.tolist()]
+    position = np.full(arena.num_nodes, -1, dtype=np.int64)
+    position[rows] = np.arange(len(rows), dtype=np.int64)
+    labels = sorted(
+        (position.item(node), label)
+        for node, label in arena.labels.items()
+        if position.item(node) >= 0
+    )
+    return columns, labels, rows
 
 
 def subtree_signature(tree: ClockTree, root_id: int) -> Tuple:
@@ -428,8 +425,10 @@ def subtree_signature(tree: ClockTree, root_id: int) -> Tuple:
     node in preorder.  Two subtrees with equal signatures are bit-identical
     copies.  Read from the tree's arena.
     """
-    columns, names = _signature_columns(tree.as_arena(), [root_id])
-    kinds, placed, xs, ys, edges, caps, grouped, groups, counts = (c.tolist() for c in columns)
+    arena = tree.as_arena()
+    columns, _, rows = _signature_columns(arena, [root_id])
+    kinds, placed, xs, ys, edges, caps, grouped, groups, counts, _ = (c.tolist() for c in columns)
+    names = [arena.name_of(node) for node in rows.tolist()]
     return tuple(
         (
             _KIND_NAMES[kinds[k]],
@@ -449,35 +448,27 @@ def preserved_subtrees_identical(
 ) -> bool:
     """Whether every stitched frontier subtree is bit-identical to its source.
 
-    Compares the :func:`subtree_signature` of every pair at once, column by
-    column on the two trees' arenas.
+    Compares what :func:`subtree_signature` covers for every pair at once,
+    column by column on the two trees' arenas, with the sink-id column and
+    the labels standing for the names.
     """
-    base_columns, base_names = _signature_columns(base_tree.as_arena(), list(preserved_roots))
-    new_columns, new_names = _signature_columns(
+    base_columns, base_labels, _ = _signature_columns(base_tree.as_arena(), list(preserved_roots))
+    new_columns, new_labels, _ = _signature_columns(
         new_tree.as_arena(), list(preserved_roots.values())
     )
-    return base_names == new_names and all(
+    return base_labels == new_labels and all(
         np.array_equal(mine, theirs) for mine, theirs in zip(base_columns, new_columns)
     )
 
 
 def _sink_nodes_by_id(arena: TreeArena, wanted: Set[int]) -> Dict[int, int]:
-    """Instance sink id -> tree node id for the ``wanted`` sink ids.
-
-    The scan resolves the standard ``sink-<id>`` names through a precomputed
-    name set -- one dict lookup per node instead of a string parse, which
-    matters on the ECO hot path where ``wanted`` is tiny.
-    """
-    mapping: Dict[int, int] = {}
-    names = {"sink-%d" % sid: sid for sid in wanted}
-    if not names:
-        return mapping
-    kinds = arena.kinds
-    for node_id, name in enumerate(arena.names):
-        sid = names.get(name)
-        if sid is not None and kinds[node_id] == SINK_KIND:
-            mapping[sid] = node_id
-    return mapping
+    """Instance sink id -> tree node id for the ``wanted`` sink ids: one
+    ``np.isin`` over the tree's ``sink_ids`` column (the last node wins if
+    two carry one id)."""
+    if not wanted:
+        return {}
+    nodes = np.flatnonzero(np.isin(arena.sink_ids, list(wanted)))
+    return dict(zip(arena.sink_ids[nodes].tolist(), nodes.tolist()))
 
 
 def _repair_if_violating(routing: RoutingResult, repair: Optional[OptConfig]) -> bool:

@@ -24,7 +24,7 @@ from repro.cts.arena import INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.geometry.point import Point
 
-__all__ = ["Node", "ReferenceTree", "arena_of", "with_structure"]
+__all__ = ["Node", "ReferenceTree", "arena_of", "label_of", "with_structure"]
 
 _KIND_CODES = {"sink": SINK_KIND, "internal": INTERNAL_KIND, "source": SOURCE_KIND}
 
@@ -41,8 +41,16 @@ class Node:
     edge_length: float = 0.0
     sink_cap: float = 0.0
     group: Optional[int] = None
-    name: Optional[str] = None
+    label: Optional[str] = None
     buffer: Optional[object] = None
+    sink_id: Optional[int] = None
+
+    @property
+    def name(self) -> Optional[str]:
+        """The label, else ``sink-<id>`` when the node has a sink id."""
+        if self.label is not None:
+            return self.label
+        return None if self.sink_id is None else "sink-%d" % self.sink_id
 
     @property
     def is_sink(self) -> bool:
@@ -70,23 +78,25 @@ class ReferenceTree:
         self._nodes[node_id] = Node(node_id, kind, **fields)
         return node_id
 
-    def add_sink(self, location, sink_cap, group=None, name=None) -> int:
+    def add_sink(self, location, sink_cap, group=None, name=None, sink_id=None) -> int:
         if sink_cap < 0.0:
             raise ValueError("sink capacitance must be non-negative")
-        return self._add("sink", location=location, sink_cap=sink_cap, group=group, name=name)
+        return self._add(
+            "sink", location=location, sink_cap=sink_cap, group=group, label=name, sink_id=sink_id
+        )
 
     def add_internal(self, children, edge_lengths, location=None, name=None) -> int:
         if len(children) != len(edge_lengths):
             raise ValueError("children and edge_lengths must have the same length")
         if not children:
             raise ValueError("an internal node needs at least one child")
-        node_id = self._add("internal", location=location, name=name)
+        node_id = self._add("internal", location=location, label=name)
         for child_id, length in zip(children, edge_lengths):
             self.attach(node_id, child_id, length)
         return node_id
 
     def add_source(self, location, child, edge_length, name="clk") -> int:
-        node_id = self._add("source", location=location, name=name)
+        node_id = self._add("source", location=location, label=name)
         self.attach(node_id, child, edge_length)
         self.root_id = node_id
         return node_id
@@ -133,8 +143,9 @@ class ReferenceTree:
                 0.0 if parent is None else node.edge_length,
                 node.sink_cap,
                 node.group,
-                node.name,
+                label_of(node),
                 node.buffer,
+                node.sink_id,
             )
             if parent is not None:
                 self._nodes[parent].children.append(new_id)
@@ -148,7 +159,8 @@ class ReferenceTree:
         for node in tree.nodes():
             copy._nodes[node.node_id] = Node(
                 node.node_id, node.kind, node.location, node.parent, list(node.children),
-                node.edge_length, node.sink_cap, node.group, node.name, node.buffer,
+                node.edge_length, node.sink_cap, node.group, label_of(node), node.buffer,
+                node.sink_id,
             )
         copy.root_id = tree.root_id
         return copy
@@ -203,6 +215,13 @@ class ReferenceTree:
         return extra
 
 
+def label_of(node) -> Optional[str]:
+    """The name of ``node`` (a reference node or a column tree's view) that
+    its sink id does not give: its label."""
+    default = None if node.sink_id is None else "sink-%d" % node.sink_id
+    return None if node.name == default else node.name
+
+
 def arena_of(tree) -> TreeArena:
     """The arena of ``tree``'s nodes, converted row by row.  Requires
     contiguous node ids."""
@@ -226,11 +245,14 @@ def arena_of(tree) -> TreeArena:
         sink_caps=np.array([node.sink_cap for node in nodes], dtype=np.float64),
         groups=np.array([0 if g is None else g for g in groups], dtype=np.int64),
         has_group=np.array([g is not None for g in groups], dtype=bool),
-        names=[node.name for node in nodes],
+        sink_ids=np.array(
+            [-1 if node.sink_id is None else node.sink_id for node in nodes], dtype=np.int64
+        ),
         root=-1 if tree.root_id is None else tree.root_id,
         child_offsets=child_offsets,
         child_ids=np.array([child for node in nodes for child in node.children], dtype=np.int64),
         technology=tree.technology,
+        labels={node.node_id: label_of(node) for node in nodes if label_of(node) is not None},
         buffers=cells,
         buffer_mask=np.array([c is not None for c in cells], dtype=bool),
         buffer_input_caps=np.array(

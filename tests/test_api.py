@@ -688,6 +688,37 @@ class TestRunResultStats:
         assert stats["peak_rss_mb"] > 0.0
         assert stats["wall_seconds"] >= stats["route_seconds"] > 0.0
 
+    def test_stages_and_the_residual_add_up_to_the_wall(self, result):
+        stats = result.stats
+        stages = [
+            stats[key] for key in ("build_seconds", "route_seconds", "delay_seconds", "wire_seconds")
+        ]
+        assert min(stages) > 0.0
+        assert "opt_seconds" not in stats and "validate_seconds" not in stats
+        assert stats["other_seconds"] >= 0.0
+        assert sum(stages) + stats["other_seconds"] == pytest.approx(
+            stats["wall_seconds"], rel=0.0, abs=1e-9
+        )
+
+    def test_every_stage_adds_up_with_opt_and_validation(self):
+        from repro.opt import OptConfig
+
+        result = run(
+            RunSpec(
+                instance=InstanceSpec.from_random(80, seed=2, groups=2),
+                opt=OptConfig(enabled=True),
+                validate=True,
+            )
+        )
+        stats = result.stats
+        keys = ("build_seconds", "route_seconds", "opt_seconds", "delay_seconds",
+                "wire_seconds", "validate_seconds")
+        assert min(stats[key] for key in keys) > 0.0
+        assert stats["other_seconds"] >= 0.0
+        assert sum(stats[key] for key in keys) + stats["other_seconds"] == pytest.approx(
+            stats["wall_seconds"], rel=0.0, abs=1e-9
+        )
+
     def test_stage_seconds_come_from_the_router(self, result):
         # The construction stages the router timed are surfaced verbatim.
         for key in ("select_seconds", "merge_seconds", "embed_seconds"):

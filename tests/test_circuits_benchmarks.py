@@ -1,5 +1,6 @@
 """Tests for benchmark ingestion (ISPD-CNS-style files) and generator families."""
 
+import numpy as np
 import pytest
 
 from repro.circuits import benchmarks
@@ -152,7 +153,7 @@ class TestGeneratorFamilies:
                         points.append(candidate)
                         if len(points) == num:
                             break
-            return points
+            return np.array([(p.x, p.y) for p in points])  # _free_points' (num, 2) rows
 
         kwargs = {} if family == "blocked" else {"num_blockages": 6}
         fast = generate_instance(family, "f", 300, seed=5, layout_size=9_000.0, **kwargs)

@@ -275,7 +275,7 @@ class TestTreeArena:
 
 ARENA_COLUMNS = (
     "kinds", "parents", "edge_lengths", "xs", "ys", "has_location", "sink_caps",
-    "groups", "has_group", "child_offsets", "child_ids", "buffer_mask",
+    "groups", "has_group", "sink_ids", "child_offsets", "child_ids", "buffer_mask",
     "buffer_input_caps", "buffer_intrinsics", "buffer_drive_res",
 )
 
@@ -286,7 +286,7 @@ def assert_arenas_equal(got: TreeArena, expected: TreeArena) -> None:
         column, reference = getattr(got, name), getattr(expected, name)
         assert column.dtype == reference.dtype, name
         np.testing.assert_array_equal(column, reference, err_msg=name)
-    assert got.names == expected.names
+    assert got.labels == expected.labels
     assert got.buffers == expected.buffers
     assert got.root == expected.root
     assert got.technology == expected.technology
@@ -354,15 +354,15 @@ _FLOAT_COLUMNS = (
     "edge_lengths", "xs", "ys", "sink_caps", "buffer_input_caps", "buffer_intrinsics",
     "buffer_drive_res",
 )
-_EXACT_COLUMNS = ("kinds", "parents", "has_location", "groups", "has_group", "child_offsets",
-                  "child_ids", "buffer_mask")
+_EXACT_COLUMNS = ("kinds", "parents", "has_location", "groups", "has_group", "sink_ids",
+                  "child_offsets", "child_ids", "buffer_mask")
 
 
 def arena_bits(arena: TreeArena) -> dict:
     """Every column of ``arena`` as Python values, floats by ``float.hex``."""
     bits = {name: [float.hex(v) for v in getattr(arena, name).tolist()] for name in _FLOAT_COLUMNS}
     bits.update((name, getattr(arena, name).tolist()) for name in _EXACT_COLUMNS)
-    bits.update(names=list(arena.names), buffers=list(arena.buffers), root=arena.root,
+    bits.update(labels=dict(arena.labels), buffers=list(arena.buffers), root=arena.root,
                 technology=arena.technology)
     return bits
 

@@ -174,6 +174,20 @@ def test_staleness_threshold_forces_rebuild():
     assert index.incremental_passes == 0
 
 
+def test_a_mostly_fresh_population_skips_the_repair():
+    """When the fresh rows alone exceed the staleness share, the repair gives
+    up once it has counted the survivors: before it reads the cached
+    candidate lists (multi-merge replaces about half the rows each pass)."""
+    rng = np.random.default_rng(71)
+    loci = random_loci(rng, 120)
+    keys = list(range(120))
+    index = NeighborIndex()
+    index.select_pairs(loci, keys, max_pairs=1)
+    fresh = random_loci(rng, 40)  # 40 of 120 rows: a third, over 0.25
+    index._cand_pos = None  # any read of the cached lists would raise
+    assert not index._try_incremental(loci[40:] + fresh, np.arange(40, 160))
+
+
 def test_incremental_pass_counted():
     rng = np.random.default_rng(53)
     loci = random_loci(rng, 120)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cts.routing import RectilinearRoute, _l_shape, _serpentine, route_edges
+from repro.cts.routing import (
+    RectilinearRoute,
+    _edge_path,
+    _insert_snake,
+    _l_shape,
+    _serpentine,
+    route_edges,
+)
 from repro.cts.tree import ClockTree
 from repro.geometry.obstacles import ObstacleSet, Rect
 from repro.geometry.point import Point
@@ -185,3 +192,45 @@ class TestRouteEdgesWithObstacles:
         assert {
             k: r.points for k, r in route_edges(tree, obstacles=far_away).items()
         } == {k: r.points for k, r in route_edges(tree).items()}
+
+
+def view_walk_routes(tree, snake_pitch=10.0, obstacles=None):
+    """``route_edges`` as the walk over node views it replaced (the oracle)."""
+    if obstacles is not None and not obstacles:
+        obstacles = None
+    routes = {}
+    for node in tree.nodes():
+        if node.parent is None:
+            continue
+        parent = tree.node(node.parent)
+        path = _edge_path(parent.location, node.location, obstacles)
+        extra = node.edge_length - path_length(path)
+        if extra > 1e-6:
+            path = _insert_snake(path, extra, snake_pitch, obstacles)
+        routes[node.node_id] = RectilinearRoute(
+            parent_id=parent.node_id,
+            child_id=node.node_id,
+            points=path,
+            booked_length=node.edge_length,
+        )
+    return routes
+
+
+class TestColumnWalk:
+    @pytest.mark.parametrize("family", ["random", "blocked"])
+    def test_routes_match_the_view_walk(self, family):
+        """The columns of one arena give every route, in node order, that
+        walking the node views gives."""
+        from repro.api.runner import run
+        from repro.api.spec import InstanceSpec, RunSpec
+
+        if family == "blocked":
+            instance = InstanceSpec.from_family("blocked", 400, seed=2, groups=4)
+        else:
+            instance = InstanceSpec.from_random(300, seed=2, groups=4)
+        routing = run(RunSpec(instance=instance), keep_tree=True).routing
+        obstacles = routing.instance.obstacle_set() or None
+        got = route_edges(routing.tree, snake_pitch=25.0, obstacles=obstacles)
+        expected = view_walk_routes(routing.tree, snake_pitch=25.0, obstacles=obstacles)
+        assert list(got) == list(expected)
+        assert got == expected

@@ -139,6 +139,44 @@ class TestOracleAgainstFastEvaluator:
             assert oracle[sink_id] == pytest.approx(fast_value, rel=1e-9)
 
 
+def view_walk_network(tree, segments_per_edge=4):
+    """``RcTree.from_clock_tree`` as the walk over node views it replaced."""
+    root = tree.root()
+    rc = RcTree(root.node_id, technology=tree.technology)
+    rc.add_cap(root.node_id, root.sink_cap)
+    for node_id in tree.topological_order():
+        for child in tree.children_of(node_id):
+            rc.add_wire(child.node_id, node_id, child.edge_length, segments_per_edge)
+            rc.add_cap(child.node_id, child.sink_cap)
+    return rc
+
+
+class TestColumnWalk:
+    @pytest.mark.parametrize("family", ["random", "blocked"])
+    def test_the_network_matches_the_view_walk(self, family):
+        """The same nodes, caps, resistances and child order, inserted in the
+        same order, so the delays match to the bit."""
+        from repro.api.runner import run
+        from repro.api.spec import InstanceSpec, RunSpec
+
+        if family == "blocked":
+            instance = InstanceSpec.from_family("blocked", 300, seed=4, groups=3)
+        else:
+            instance = InstanceSpec.from_random(200, seed=4, groups=3)
+        tree = run(RunSpec(instance=instance), keep_tree=True).routing.tree
+        got = RcTree.from_clock_tree(tree, segments_per_edge=3)
+        expected = view_walk_network(tree, segments_per_edge=3)
+        for name in ("_caps", "_parent", "_children", "_resistance"):
+            assert list(getattr(got, name).items()) == list(getattr(expected, name).items())
+        assert got.elmore_delays() == expected.elmore_delays()
+
+    def test_an_unrooted_tree_is_rejected(self, tech):
+        tree = ClockTree(technology=tech)
+        tree.add_sink(Point(0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="no root"):
+            RcTree.from_clock_tree(tree)
+
+
 class TestGraphView:
     """The lazily built, cached networkx view (analysis-only; never used by
     construction or delay evaluation)."""

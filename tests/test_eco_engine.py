@@ -234,7 +234,9 @@ class TestSubtreeSignature:
                 stack.extend(reversed(node.children))
             assert subtree_signature(tree, root_id) == tuple(expected)
 
-    @pytest.mark.parametrize("edit", ["x", "y", "length", "cap", "group", "name", "unplace"])
+    @pytest.mark.parametrize(
+        "edit", ["x", "y", "length", "cap", "group", "sink_id", "name", "unplace"]
+    )
     def test_any_edit_inside_a_preserved_subtree_is_detected(self, edit):
         base, config = _route(n=60, seed=4)
         outcome = eco_reroute(base, EcoDelta(remove=(3,)), EcoConfig(router=config))
@@ -263,10 +265,14 @@ class TestSubtreeSignature:
                 has_group = arena.has_group.copy()
                 has_group[row] = False
                 arena = replace(arena, has_group=has_group)
+            elif edit == "sink_id":
+                sink_ids = arena.sink_ids.copy()
+                sink_ids[row] += 1
+                arena = replace(arena, sink_ids=sink_ids)
             else:
-                names = list(arena.names)
-                names[row] = "renamed"
-                arena = replace(arena, names=names)
+                labels = dict(arena.labels)
+                labels[row] = "renamed"
+                arena = replace(arena, labels=labels)
             tree = arena.to_clock_tree()
         assert not preserved_subtrees_identical(base.tree, tree, roots)
 

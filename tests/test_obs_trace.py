@@ -259,6 +259,15 @@ class TestTracedRuns:
         ):
             assert abs(totals[span_name] - traced.stats[stats_key]) < 1e-3
 
+    def test_build_and_wire_spans_are_their_stats(self, traced):
+        """The build and wirelength stages are ``StageSpans`` too: each span
+        carries the very number its stats entry holds."""
+        (build,) = [e for e in traced.trace if e["name"] == "run.build"]
+        (wire,) = [e for e in traced.trace if e["name"] == "run.wire"]
+        assert build["seconds"] == traced.stats["build_seconds"]
+        assert wire["seconds"] == traced.stats["wire_seconds"]
+        assert build["attrs"]["num_sinks"] == 60
+
     def test_root_span_carries_run_attributes(self, traced):
         (root,) = [e for e in traced.trace if e["name"] == "run"]
         assert root["attrs"]["router"] == "ast-dme"
