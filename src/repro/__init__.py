@@ -91,7 +91,6 @@ from repro.core import (
     GroupAssociation,
     RoutingResult,
     SkewConstraints,
-    Subtree,
 )
 from repro.cts import ClockNode, ClockTree, ExtBst, GreedyDme, route_edges
 from repro.delay import DEFAULT_TECHNOLOGY, RcTree, Technology, elmore_delays, sink_delays
@@ -152,7 +151,6 @@ __all__ = [
     "SinkTable",
     "SkewConstraints",
     "SkewReport",
-    "Subtree",
     "TableRow",
     "Technology",
     "Trr",

@@ -14,22 +14,16 @@ group sets (Fig. 6 of the paper):
                                        groups, snaking when necessary
                                        (Eqs. 5.1-5.3).
 
+The merges of a pass are planned together by the array kernels of
+:mod:`repro.core.merge_batch`; the scalar statement of the same equations
+(one merge at a time) is the test oracle ``tests/reference_merge.py``.
+
 The two baselines of the evaluation, greedy-DME (zero skew) and EXT-BST
 (a single global 10 ps bound), are the same engine run with all sinks in one
 group; their thin wrappers live in :mod:`repro.cts`.
 """
 
-from repro.core.balancing import (
-    MergeEdges,
-    balance_split,
-    feasible_offset_interval,
-    offset_at_split,
-    solve_merge,
-    split_for_offset,
-)
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
-from repro.core.subtree import Subtree
-from repro.core.merge_cases import MergeDecision, classify_pair, plan_merge
 from repro.core.merging_order import MergeOrderPolicy
 from repro.core.ast_dme import AstDme, AstDmeConfig, RoutingResult
 
@@ -37,17 +31,7 @@ __all__ = [
     "AstDme",
     "AstDmeConfig",
     "GroupAssociation",
-    "MergeDecision",
-    "MergeEdges",
     "MergeOrderPolicy",
     "RoutingResult",
     "SkewConstraints",
-    "Subtree",
-    "balance_split",
-    "classify_pair",
-    "feasible_offset_interval",
-    "offset_at_split",
-    "plan_merge",
-    "solve_merge",
-    "split_for_offset",
 ]

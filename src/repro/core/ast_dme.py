@@ -7,10 +7,11 @@ re-merge runs as well:
 1. *Bottom-up merging.*  Every sink starts as a one-node subtree.  In each
    pass a merging-order policy proposes disjoint nearest pairs; the pass
    plans all of its merges at once (:func:`repro.core.merge_batch.plan_merges`,
-   the batched form of :func:`repro.core.merge_cases.plan_merge`), which
-   dispatches on whether the subtrees share sink groups and produces each new
-   root's placement locus, the two wire lengths (possibly snaked) and the
-   merged per-group delay intervals.  Merging continues until one subtree
+   the batched form of the scalar ``plan_merge`` that
+   ``tests/reference_merge.py`` keeps as its oracle), which dispatches on
+   whether the subtrees share sink groups and produces each new root's
+   placement locus, the two wire lengths (possibly snaked) and the merged
+   per-group delay intervals.  Merging continues until one subtree
    remains, which is then connected to the clock source.  This loop is
    :meth:`AstDme.merge_rows`.
 2. *Top-down embedding.*  Concrete locations are chosen for every new merge
@@ -109,8 +110,6 @@ class AstDmeConfig:
     delay_target_weight: float = 0.0
     #: KD-tree candidates examined per subtree during pair selection.
     neighbor_candidates: int = 8
-    #: Allow wire snaking in constrained merges (required for exactness).
-    allow_snaking: bool = True
     #: Fraction of the intra-group skew bound each cross-group merge may spend
     #: as positional freedom when its split is resolved lazily (see
     #: repro.core.merge_batch.resolve_split).  Smaller values limit the slack
@@ -543,7 +542,6 @@ class AstDme:
                         bounds,
                         r,
                         c,
-                        config.allow_snaking,
                     )
 
                     # Record the new merge nodes: ids continue in pair order.

@@ -1,21 +1,23 @@
 """Array-at-a-time merge planning and lazy-split resolution.
 
-This module is the batched counterpart of :mod:`repro.core.merge_cases` and
-:mod:`repro.core.balancing`: the same arithmetic, evaluated over whole arrays
-of candidate pairs at once.  It backs the router's construction loop
-(:meth:`repro.core.ast_dme.AstDme.merge_rows`).  Its lazy-split scan,
-:func:`resolve_split`, runs over all pending splits of one side of a pass at
-once, and it is the only one: the object reference loop in
-``tests/reference_dme.py`` resolves its pending splits through it too.
+This module states the merge equations of the paper (the case dispatch of
+Fig. 6 and Eqs. 5.1-5.3) over whole arrays of candidate pairs at once.  It
+backs the router's construction loop
+(:meth:`repro.core.ast_dme.AstDme.merge_rows`), which routes and ECO
+re-merges share.  Its lazy-split scan, :func:`resolve_split`, runs over all
+pending splits of one side of a pass at once, and it is the only one: the
+object reference loop in ``tests/reference_dme.py`` resolves its pending
+splits through it too.
 
 Bit identity is a hard requirement, not an aspiration: the loop must produce
 float-for-float the same trees as the scalar merge equations applied one
-merge at a time, which the identity tests against the reference loop
-assert.  Every expression here therefore mirrors its scalar
-original term by term -- same association, same operand order, same clamps --
-because IEEE-754 addition and multiplication are not associative and numpy
-evaluates ``a + b + c`` exactly like Python does only when written
-identically.  Three scalar subtleties deserve calling out:
+merge at a time, which ``tests/reference_merge.py`` keeps as the oracle
+(``plan_merge``, ``solve_merge``, ``balance_locus``) and the identity tests
+against the reference loop assert.  Every expression here therefore mirrors
+its scalar original term by term -- same association, same operand order,
+same clamps -- because IEEE-754 addition and multiplication are not
+associative and numpy evaluates ``a + b + c`` exactly like Python does only
+when written identically.  Three scalar subtleties deserve calling out:
 
 * ``solve_merge`` with snaking disallowed always lands in the detour-free
   split branch: the clamp pulls the target into ``[g_lo, g_hi]`` and
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.merge_cases import DISJOINT, SAME_GROUP, SHARED
 from repro.geometry.trr import region_distances
 
 __all__ = [
@@ -59,7 +60,14 @@ __all__ = [
     "resolve_split",
 ]
 
-_EPS = 1e-9  # keep in sync with repro.core.balancing._EPS
+#: Tolerance of the edge-length and empty-locus checks.
+_EPS = 1e-9
+
+#: Merge-case labels (Fig. 6): no shared group, one group on both sides and
+#: nothing else, or at least one group shared among others.
+DISJOINT = "disjoint"
+SAME_GROUP = "same_group"
+SHARED = "shared"
 
 #: Merge-case codes (array-friendly stand-ins for the string labels).
 DISJOINT_CODE = 0
@@ -80,10 +88,9 @@ RESOLVE_CHUNK = 256
 class BatchMergePlan:
     """The decisions of one pass's merges, one array entry per pair.
 
-    Field-for-field the arrays hold what the scalar
-    :class:`~repro.core.merge_cases.MergeDecision` objects would: wire
-    lengths, snaking, violation, merged capacitance / delay intervals and the
-    merge locus rows.
+    Field-for-field the arrays hold what the scalar ``MergeDecision`` objects
+    of ``tests/reference_merge.py`` would: wire lengths, snaking, violation,
+    merged capacitance / delay intervals and the merge locus rows.
     """
 
     case_codes: np.ndarray  # (P,) int8
@@ -107,7 +114,7 @@ def _wire_delay(length, cap, r: float, c: float):
 
 
 def merge_loci(rows_a: np.ndarray, rows_b: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.geometry.sdr.balance_locus` over TRR rows.
+    """Vectorized scalar ``balance_locus`` (``tests/reference_merge.py``) over TRR rows.
 
     Expansion by ``max(e, 0)``, interval intersection, and the same clamping
     of empty-but-within-tolerance axes as ``Trr.intersection``; raises the
@@ -147,9 +154,8 @@ def plan_merges(
     bounds: np.ndarray,
     r: float,
     c: float,
-    allow_snaking: bool,
 ) -> BatchMergePlan:
-    """Batched :func:`repro.core.merge_cases.plan_merge` over ``P`` pairs.
+    """Batched scalar ``plan_merge`` (``tests/reference_merge.py``) over ``P`` pairs.
 
     ``bounds`` maps dense group index to the group's skew bound.  All arrays
     are per-pair gathers of the active-subtree state.
@@ -199,10 +205,10 @@ def plan_merges(
         )
         violation[shared_rows] = np.where(feasible, 0.0, (offset_lo - offset_hi) / 2.0)
 
-    # solve_merge: rows without snaking permission (all disjoint rows, and
-    # every row when the config disables snaking) clamp the target into the
-    # detour-free range and therefore always take the split branch.
-    may_snake = has_shared if allow_snaking else np.zeros(len(dist), dtype=bool)
+    # solve_merge: rows without snaking permission (the disjoint rows) clamp
+    # the target into the detour-free range and therefore always take the
+    # split branch.
+    may_snake = has_shared
     clamped = np.minimum(np.maximum(target, g_lo), g_hi)
     target = np.where(may_snake, target, clamped)
 

@@ -16,10 +16,9 @@ The candidate search is one engine, the incremental
 :class:`~repro.cts.neighbor_index.NeighborIndex`: it is maintained across
 passes, recomputes only the candidate lists the previous pass invalidated,
 and rebuilds from scratch when a pass invalidated too many of them.  It
-selects exactly the pairs a stateless
-:func:`~repro.cts.nearest_neighbor.select_merge_pairs` call selects each
-pass; ``tests/reference_neighbors.py`` keeps that engine and the seed's
-per-pair one as oracles (see ``docs/performance.md``).
+selects exactly the pairs a stateless selection (``select_merge_pairs``)
+selects each pass; ``tests/reference_neighbors.py`` keeps that engine and
+the seed's per-pair one as oracles (see ``docs/performance.md``).
 
 Routers hold per-run selection state in a :class:`MergePairSelector` obtained
 from :meth:`MergeOrderPolicy.make_selector` and call

@@ -33,9 +33,8 @@ class ExtBst:
 
         base = config or AstDmeConfig()
         # dataclasses.replace keeps every other field (present and future)
-        # instead of copying a hand-maintained list; snaking is required for
-        # the baseline's exactness, so it is always forced on.
-        self.config = replace(base, skew_bound_ps=skew_bound_ps, allow_snaking=True)
+        # instead of copying a hand-maintained list.
+        self.config = replace(base, skew_bound_ps=skew_bound_ps)
         self._engine = AstDme(self.config)
 
     def route(self, instance: "ClockInstance") -> "RoutingResult":

@@ -38,7 +38,7 @@ class GreedyDme:
         base = config or AstDmeConfig()
         # Zero-skew means a 0 ps bound; everything else is inherited via
         # dataclasses.replace so no configuration field is silently dropped.
-        self.config = replace(base, skew_bound_ps=0.0, allow_snaking=True)
+        self.config = replace(base, skew_bound_ps=0.0)
         self._engine = AstDme(self.config)
 
     def route(self, instance: "ClockInstance") -> "RoutingResult":

@@ -5,20 +5,20 @@ are closest; its multi-merge variant merges many mutually disjoint nearest
 pairs per pass, which cuts the number of neighbour-graph rebuilds and is one
 of the two merging-order enhancements the paper adopts (Chapter V.F).
 
-This module is purely geometric: callers pass the placement loci of the active
-subtrees (plus an optional additive cost bias per subtree, used by the
-delay-target enhancement) and get back a set of disjoint pairs ordered by
-cost.  Candidate generation uses a KD-tree on locus centres in rotated
+This module is purely geometric: it holds the candidate generation and the
+greedy selection that :class:`repro.cts.neighbor_index.NeighborIndex`, the
+routers' one pair-selection engine, runs over the ``(n, 4)`` locus rows of
+the active subtrees (plus an optional additive cost bias per subtree, used
+by the delay-target enhancement), returning a set of disjoint pairs ordered
+by cost.  Candidate generation uses a KD-tree on locus centres in rotated
 coordinates with the Chebyshev metric, followed by exact locus-to-locus
 distances on the candidates, computed with the batch kernels of
-:mod:`repro.geometry.trr` (array-of-intervals representation, numpy
-broadcasting).
+:mod:`repro.geometry.trr` (numpy broadcasting).
 
-:func:`select_merge_pairs` is the stateless one-shot call.  The routers run
-:class:`repro.cts.neighbor_index.NeighborIndex` instead, which maintains the
-candidate lists across merging passes and selects exactly what a fresh call
-here would.  The seed's per-pair implementation is kept in
-``tests/reference_neighbors.py`` as the oracle both are checked against.
+The index maintains the candidate lists across merging passes and selects
+exactly what a fresh selection over the same loci would.  That stateless
+selection (``select_merge_pairs``) and the seed's per-pair implementation
+are kept in ``tests/reference_neighbors.py`` as its oracles.
 """
 
 from __future__ import annotations
@@ -29,16 +29,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.geometry.trr import Trr, loci_to_array, pair_distances
+from repro.geometry.trr import pair_distances
 
 __all__ = [
     "NeighborPairing",
     "CandidateArrays",
     "locus_centres",
-    "candidate_pairs",
     "candidate_pairs_from_array",
     "select_from_candidates",
-    "select_merge_pairs",
 ]
 
 
@@ -129,19 +127,17 @@ def query_neighbors(
     )
 
 
-def candidates_from_neighbors(
-    arr: np.ndarray, neighbors: np.ndarray, dedupe: bool = True
-) -> CandidateArrays:
+def candidates_from_neighbors(arr: np.ndarray, neighbors: np.ndarray) -> CandidateArrays:
     """Candidate pairs from per-locus neighbour index lists.
 
     ``neighbors[r]`` lists candidate partners of locus ``r`` (self-references
-    are ignored).  Enumeration order and deduplication reproduce the scalar
-    reference: scan rows in order, keep the first occurrence of each unordered
-    pair.  ``dedupe=False`` skips the duplicate removal (a pair listed by both
-    of its endpoints then appears twice): greedy selection is invariant to
-    duplicates -- the stable cost sort keeps first occurrences ahead of their
-    copies and a copy of a selected pair is skipped by the disjointness check
-    -- and the hot per-pass paths save the sort that deduplication costs.
+    are ignored), enumerated as the scalar reference scans them: rows in
+    order.  A pair listed by both of its endpoints appears twice, where the
+    scalar reference keeps its first occurrence only: greedy selection is
+    invariant to duplicates -- the stable cost sort keeps first occurrences
+    ahead of their copies and a copy of a selected pair is skipped by the
+    disjointness check -- so the per-pass paths save the sort that
+    deduplication costs.
     """
     n = len(arr)
     k = neighbors.shape[1] if neighbors.ndim > 1 else 1
@@ -152,13 +148,6 @@ def candidates_from_neighbors(
     flat_j = flat_j[keep]
     lo = np.minimum(flat_i, flat_j)
     hi = np.maximum(flat_i, flat_j)
-    if dedupe:
-        # First occurrence of each unordered pair, in original enumeration order.
-        keys = lo * np.int64(n) + hi
-        _, first = np.unique(keys, return_index=True)
-        order = np.sort(first)
-        lo = lo[order]
-        hi = hi[order]
     return CandidateArrays(dist=pair_distances(arr, lo, hi), i=lo, j=hi)
 
 
@@ -176,29 +165,20 @@ def candidate_pairs_from_array(
     k_candidates: int = 8,
     exhaustive_threshold: int = 48,
 ) -> CandidateArrays:
-    """:func:`candidate_pairs` on an already-stacked ``(n, 4)`` interval array."""
-    if len(arr) <= exhaustive_threshold:
-        return all_pairs_candidates(arr)
-    _, neighbors = query_neighbors(locus_centres(arr), k_candidates)
-    return candidates_from_neighbors(arr, neighbors, dedupe=False)
-
-
-def candidate_pairs(
-    loci: Sequence[Trr],
-    k_candidates: int = 8,
-    exhaustive_threshold: int = 48,
-) -> CandidateArrays:
-    """Candidate merge pairs for the given loci.
+    """Candidate merge pairs for the ``(n, 4)`` locus rows ``arr``.
 
     Below ``exhaustive_threshold`` every pair is a candidate; above it, each
     locus contributes its ``k_candidates`` nearest centres (KD-tree, Chebyshev
     metric in rotated coordinates), exactly like the scalar reference.
     """
-    return candidate_pairs_from_array(loci_to_array(loci), k_candidates, exhaustive_threshold)
+    if len(arr) <= exhaustive_threshold:
+        return all_pairs_candidates(arr)
+    _, neighbors = query_neighbors(locus_centres(arr), k_candidates)
+    return candidates_from_neighbors(arr, neighbors)
 
 
 # ----------------------------------------------------------------------
-# Selection (shared with the incremental index)
+# Selection
 # ----------------------------------------------------------------------
 #: Candidates in the first band of :func:`select_from_candidates`, per pair it
 #: may pick; each later band doubles.  The first pass of a 50k route walks the
@@ -265,40 +245,3 @@ def select_from_candidates(
         k *= 2
     chosen = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
     return NeighborPairing(candidates.i[chosen], candidates.j[chosen], costs[chosen])
-
-
-# ----------------------------------------------------------------------
-# Public entry point
-# ----------------------------------------------------------------------
-def select_merge_pairs(
-    loci: Sequence[Trr],
-    max_pairs: Optional[int] = None,
-    cost_bias: Optional[Sequence[float]] = None,
-    k_candidates: int = 8,
-    exhaustive_threshold: int = 48,
-) -> NeighborPairing:
-    """Select disjoint nearest pairs among the given loci.
-
-    Args:
-        loci: placement loci of the active subtrees.
-        max_pairs: maximum number of disjoint pairs to return (``None`` means
-            as many as fit; ``1`` gives the strict single-merge order).
-        cost_bias: optional per-subtree additive bias; the cost of a pair is
-            ``distance + bias[i] + bias[j]``.  Negative biases give priority.
-        k_candidates: neighbours considered per subtree when the KD-tree path
-            is used.
-        exhaustive_threshold: below this many subtrees every pair is examined
-            exactly instead of going through the KD-tree.
-
-    Returns:
-        A :class:`NeighborPairing` with the selected index pairs in increasing
-        cost order.  At least one pair is returned whenever two or more loci
-        are supplied.
-    """
-    n = len(loci)
-    if n < 2:
-        return NeighborPairing()
-    if cost_bias is not None and len(cost_bias) != n:
-        raise ValueError("cost_bias must have one entry per locus")
-    candidates = candidate_pairs(loci, k_candidates, exhaustive_threshold)
-    return select_from_candidates(candidates, n, max_pairs, cost_bias)

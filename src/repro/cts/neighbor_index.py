@@ -39,10 +39,13 @@ merging loop does.  Pass ``keys=None`` to disable incremental reuse.
 
 The candidate *sets* produced this way are identical to a full rebuild
 (modulo exact distance ties at the ``k``-th neighbour, which cannot occur for
-generic instances), so the index selects exactly what a stateless
-:func:`~repro.cts.nearest_neighbor.select_merge_pairs` call selects.  It is
-the routers' only pair-selection engine; that stateless call and the seed's
-per-pair engine (``tests/reference_neighbors.py``) are its test oracles.
+generic instances), so the index selects exactly what a stateless selection
+over the same loci selects.  It is the routers' only pair-selection engine;
+that stateless selection (``select_merge_pairs``) and the seed's per-pair
+engine, both in ``tests/reference_neighbors.py``, are its test oracles.
+
+Loci are passed as ``(n, 4)`` float rows ``(ulo, uhi, vlo, vhi)``, the form
+the merge loop holds them in.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from repro.cts.nearest_neighbor import (
     query_neighbors,
     select_from_candidates,
 )
-from repro.geometry.trr import Trr, loci_to_array, region_distances
+from repro.geometry.trr import region_distances
 
 __all__ = ["NeighborIndex"]
 
@@ -83,8 +86,8 @@ def _pair_block(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Exact TRR distances between ``rows[t]`` and every region in ``cands[t]``.
 
     ``rows`` is ``(r, 4)`` and ``cands`` is ``(r, w, 4)``; the result is
-    ``(r, w)``, via the one shared batch kernel so the index and the
-    stateless selection evaluate the identical arithmetic.
+    ``(r, w)``, via the one shared batch kernel so a rebuild and a repair
+    evaluate the identical arithmetic.
     """
     return region_distances(rows[:, np.newaxis, :], cands)
 
@@ -93,12 +96,12 @@ class NeighborIndex:
     """Maintained candidate neighbour lists over an evolving population.
 
     Call :meth:`select_pairs` (or :meth:`candidate_pairs`) once per merging
-    pass with the current loci and a parallel sequence of stable integer keys
-    (the routers use subtree node ids).  Between calls the index diffs the
-    population by key, repairs invalidated lists incrementally and falls back
-    to a full rebuild when the pass changed too much (``staleness_threshold``)
-    or the population diff does not look like "remove some, append new"
-    (defensive).
+    pass with the current ``(n, 4)`` locus rows and a parallel sequence of
+    stable integer keys (the routers use subtree node ids).  Between calls
+    the index diffs the population by key, repairs invalidated lists
+    incrementally and falls back to a full rebuild when the pass changed too
+    much (``staleness_threshold``) or the population diff does not look like
+    "remove some, append new" (defensive).
 
     Internally the candidate lists store *positions* into the current
     population (remapped cheaply as rows are removed), so selection needs no
@@ -149,16 +152,19 @@ class NeighborIndex:
     # ------------------------------------------------------------------
     def select_pairs(
         self,
-        loci: Sequence[Trr],
+        loci: np.ndarray,
         keys: Optional[Sequence[int]] = None,
         max_pairs: Optional[int] = None,
         cost_bias: Optional[Sequence[float]] = None,
     ) -> NeighborPairing:
-        """Disjoint nearest pairs for the current population.
+        """Disjoint nearest pairs among the ``(n, 4)`` locus rows ``loci``.
 
-        Same contract as :func:`repro.cts.nearest_neighbor.select_merge_pairs`
-        (and identical selections), but candidate lists are maintained across
-        calls and the strict single-merge order (``max_pairs=1``) takes a
+        ``max_pairs`` caps the number of disjoint pairs (``None`` means as
+        many as fit; ``1`` gives the strict single-merge order) and
+        ``cost_bias`` adds ``bias[i] + bias[j]`` to the distance of pair
+        ``(i, j)``.  The pairs come back in increasing cost order, the same
+        selection a fresh stateless call would make, but candidate lists are
+        maintained across calls and the strict single-merge order takes a
         cached-``argmin`` fast path instead of sorting every candidate.
         """
         n = len(loci)
@@ -170,7 +176,7 @@ class NeighborIndex:
             self.reset()
             self.exhaustive_passes += 1
             candidates = candidate_pairs_from_array(
-                loci_to_array(loci), self.k_candidates, self.exhaustive_threshold
+                loci, self.k_candidates, self.exhaustive_threshold
             )
             return select_from_candidates(candidates, n, max_pairs, cost_bias)
 
@@ -185,21 +191,20 @@ class NeighborIndex:
 
     # ------------------------------------------------------------------
     def candidate_pairs(
-        self, loci: Sequence[Trr], keys: Optional[Sequence[int]] = None
+        self, loci: np.ndarray, keys: Optional[Sequence[int]] = None
     ) -> CandidateArrays:
-        """Candidate merge pairs for the current population.
+        """Candidate merge pairs for the ``(n, 4)`` locus rows ``loci``.
 
         ``keys`` are stable per-subtree identifiers (``None`` disables
         incremental reuse); candidate arrays index into ``loci`` positionally,
-        exactly like the stateless
-        :func:`~repro.cts.nearest_neighbor.candidate_pairs`.
+        exactly like :func:`~repro.cts.nearest_neighbor.candidate_pairs_from_array`.
         """
         n = len(loci)
         if n <= self.exhaustive_threshold or self.k_candidates + 1 >= n:
             self.reset()
             self.exhaustive_passes += 1
             return candidate_pairs_from_array(
-                loci_to_array(loci), self.k_candidates, self.exhaustive_threshold
+                loci, self.k_candidates, self.exhaustive_threshold
             )
         self._ensure(loci, keys)
         return self._emit_candidates()
@@ -207,14 +212,14 @@ class NeighborIndex:
     # ------------------------------------------------------------------
     # Internal machinery
     # ------------------------------------------------------------------
-    def _ensure(self, loci: Sequence[Trr], keys: Optional[Sequence[int]]) -> None:
+    def _ensure(self, loci: np.ndarray, keys: Optional[Sequence[int]]) -> None:
         """Bring the cached candidate lists up to date for this population."""
         if keys is None:
             # Positional keys carry no identity across calls: rebuild, and
             # leave no cached keys behind so a later *keyed* call can never
             # diff against positions and silently reuse stale lists.
             self.reset()
-            self._rebuild(loci_to_array(loci), np.arange(len(loci), dtype=np.int64))
+            self._rebuild(loci, np.arange(len(loci), dtype=np.int64))
             self._keys = None
             return
         # A copy: the merge loop passes its node-id column, whose memory it
@@ -223,7 +228,7 @@ class NeighborIndex:
         if len(key_arr) != len(loci):
             raise ValueError("keys must have one entry per locus")
         if self._keys is None or not self._try_incremental(loci, key_arr):
-            self._rebuild(loci_to_array(loci), key_arr)
+            self._rebuild(loci, key_arr)
 
     def _select_single(self, cost_bias: Optional[Sequence[float]]) -> NeighborPairing:
         """The cheapest pair by cached-cost ``argmin`` (single-merge order).
@@ -246,11 +251,11 @@ class NeighborIndex:
         )
 
     def _emit_candidates(self) -> CandidateArrays:
-        """Cached candidate lists as :class:`CandidateArrays` (no dedupe).
+        """Cached candidate lists as :class:`CandidateArrays` (duplicates kept).
 
         Row-major enumeration with self-candidates dropped -- the order of
-        ``candidates_from_neighbors(..., dedupe=False)`` exactly, with the
-        exact distances read from the cache instead of recomputed.
+        ``candidates_from_neighbors`` exactly, with the exact distances read
+        from the cache instead of recomputed.
         """
         n, w = self._cand_pos.shape
         flat_i = np.repeat(np.arange(n, dtype=np.int64), w)
@@ -277,14 +282,14 @@ class NeighborIndex:
             self._pair_d[block] = _pair_block(arr[block], arr[self._cand_pos[block]])
         self._pair_d[self._cand_pos == np.arange(len(arr))[:, np.newaxis]] = np.inf
         self._keys = keys
-        # A copy: ``loci_to_array`` passes the caller's (n, 4) array through,
-        # and the merge loop reuses that memory for its next pass.
+        # A copy: ``arr`` is the caller's (n, 4) array, and the merge loop
+        # reuses that memory for its next pass.
         self._arr = arr.copy()
         self._centres = centres
         self.full_rebuilds += 1
 
     # ------------------------------------------------------------------
-    def _try_incremental(self, loci: Sequence[Trr], keys: np.ndarray) -> bool:
+    def _try_incremental(self, loci: np.ndarray, keys: np.ndarray) -> bool:
         """Repair the cached lists for the new population; False -> rebuild."""
         prev_keys = self._keys
         surv_mask = np.isin(prev_keys, keys, assume_unique=True)
@@ -313,8 +318,7 @@ class NeighborIndex:
         if (int(np.count_nonzero(dirty)) + num_fresh) / n > self.staleness_threshold:
             return False
 
-        # Slicing keeps this agnostic to list-of-Trr vs (n, 4) array input.
-        fresh_arr = loci_to_array(loci[m:n])
+        fresh_arr = loci[m:n]
         arr = np.concatenate([self._arr[surv_pos], fresh_arr])
         centres = np.concatenate([self._centres[surv_pos], locus_centres(fresh_arr)])
         fresh_rows = np.arange(m, n, dtype=np.int64)

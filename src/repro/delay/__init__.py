@@ -29,7 +29,6 @@ from repro.delay.buffer import (
 from repro.delay.wire import (
     wire_capacitance,
     wire_delay,
-    wire_delay_derivative,
     wire_length_for_delay,
 )
 from repro.delay.elmore import elmore_delays, sink_delays, subtree_capacitances
@@ -49,6 +48,5 @@ __all__ = [
     "subtree_capacitances",
     "wire_capacitance",
     "wire_delay",
-    "wire_delay_derivative",
     "wire_length_for_delay",
 ]

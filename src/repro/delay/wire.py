@@ -16,7 +16,6 @@ from repro.delay.technology import Technology
 __all__ = [
     "wire_delay",
     "wire_capacitance",
-    "wire_delay_derivative",
     "wire_length_for_delay",
 ]
 
@@ -39,17 +38,6 @@ def wire_capacitance(length: float, tech: Technology) -> float:
     if length < 0.0:
         raise ValueError("wire length must be non-negative")
     return tech.unit_capacitance * length
-
-
-def wire_delay_derivative(length: float, downstream_cap: float, tech: Technology) -> float:
-    """Derivative of :func:`wire_delay` with respect to length.
-
-    The delay is strictly increasing in length (for positive unit parameters),
-    which is what makes the balancing equations solvable in closed form.
-    """
-    r = tech.unit_resistance
-    c = tech.unit_capacitance
-    return r * (c * length + downstream_cap)
 
 
 def wire_length_for_delay(target_delay: float, downstream_cap: float, tech: Technology) -> float:

@@ -13,10 +13,8 @@ Public classes and helpers:
 * :class:`Trr` -- tilted rectangular region, the universal placement locus.
 * :func:`manhattan_distance`, :func:`to_rotated`, :func:`from_rotated` --
   metric and coordinate transforms.
-* :func:`arc_from_endpoints`, :func:`arc_endpoints` -- Manhattan arcs as
-  degenerate TRRs.
-* :func:`balance_locus`, :func:`shortest_distance_locus` -- merge loci used by
-  the DME-family routers.
+* :func:`repro.geometry.trr.region_distances` -- TRR distances over arrays of
+  ``(ulo, uhi, vlo, vhi)`` rows, the form the routers hold their loci in.
 * :class:`Rect`, :class:`ObstacleSet` -- rectilinear routing blockages with
   detour-distance and obstacle-avoiding path queries.
 """
@@ -27,29 +25,19 @@ from repro.geometry.manhattan import (
     chebyshev_distance,
     from_rotated,
     interval_gap,
-    interval_overlap,
     manhattan_distance,
     to_rotated,
 )
 from repro.geometry.trr import Trr
-from repro.geometry.arc import arc_endpoints, arc_from_endpoints, is_manhattan_arc
-from repro.geometry.sdr import balance_locus, merge_locus, shortest_distance_locus
 
 __all__ = [
     "ObstacleSet",
     "Point",
     "Rect",
     "Trr",
-    "arc_endpoints",
-    "arc_from_endpoints",
-    "balance_locus",
     "chebyshev_distance",
     "from_rotated",
     "interval_gap",
-    "interval_overlap",
-    "is_manhattan_arc",
     "manhattan_distance",
-    "merge_locus",
-    "shortest_distance_locus",
     "to_rotated",
 ]

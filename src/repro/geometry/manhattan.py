@@ -17,7 +17,6 @@ __all__ = [
     "manhattan_distance",
     "chebyshev_distance",
     "interval_gap",
-    "interval_overlap",
     "interval_intersection",
 ]
 
@@ -58,13 +57,6 @@ def interval_gap(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
     if lo1 > hi2:
         return lo1 - hi2
     return 0.0
-
-
-def interval_overlap(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
-    """Length of the overlap of two closed intervals (0 when disjoint)."""
-    lo = max(lo1, lo2)
-    hi = min(hi1, hi2)
-    return max(0.0, hi - lo)
 
 
 def interval_intersection(

@@ -17,14 +17,11 @@ instances.
 Batch kernels
 -------------
 The DME-family routers evaluate TRR-to-TRR distances in bulk (every merging
-pass scores thousands of candidate pairs), so this module also exposes an
-array-of-intervals representation and numpy-broadcast distance kernels:
+pass scores thousands of candidate pairs) and hold their loci as ``(n, 4)``
+float arrays of ``(ulo, uhi, vlo, vhi)`` rows, so this module also exposes
+numpy-broadcast distance kernels over such rows:
 
-* :func:`loci_to_array` stacks a sequence of regions into an ``(n, 4)`` float
-  array of ``(ulo, uhi, vlo, vhi)`` rows;
-* :func:`pairwise_distances` (also available as
-  :meth:`Trr.pairwise_distances`) computes the full ``(n, m)`` distance
-  matrix between two such arrays;
+* :func:`region_distances` broadcasts two row arrays against each other;
 * :func:`pair_distances` gathers the distances of explicit ``(i, j)`` index
   pairs from one array.
 
@@ -36,24 +33,14 @@ subtraction), so their results are bit-identical to the scalar path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.manhattan import (
-    interval_gap,
-    interval_intersection,
-    interval_overlap,
-)
+from repro.geometry.manhattan import interval_gap, interval_intersection
 from repro.geometry.point import Point
 
-__all__ = [
-    "Trr",
-    "loci_to_array",
-    "region_distances",
-    "pairwise_distances",
-    "pair_distances",
-]
+__all__ = ["Trr", "region_distances", "pair_distances"]
 
 _EPS = 1e-9
 
@@ -157,29 +144,9 @@ class Trr:
         gap_v = interval_gap(self.vlo, self.vhi, other.vlo, other.vhi)
         return max(gap_u, gap_v)
 
-    @classmethod
-    def pairwise_distances(
-        cls, loci_a: Sequence["Trr"], loci_b: Optional[Sequence["Trr"]] = None
-    ) -> "np.ndarray":
-        """The ``(len(loci_a), len(loci_b))`` matrix of region distances.
-
-        Vectorised equivalent of calling :meth:`distance_to` for every pair;
-        ``loci_b=None`` computes the self-distance matrix of ``loci_a``.  See
-        :func:`pairwise_distances` for the array-of-intervals form.
-        """
-        arr_a = loci_to_array(loci_a)
-        arr_b = None if loci_b is None else loci_to_array(loci_b)
-        return pairwise_distances(arr_a, arr_b)
-
     def distance_to_point(self, point: Point) -> float:
         """Manhattan distance from ``point`` to this region."""
         return self.distance_to(Trr.from_point(point))
-
-    def overlap_measure(self, other: "Trr") -> float:
-        """A rough measure of how much two regions overlap (0 when disjoint)."""
-        return interval_overlap(
-            self.ulo, self.uhi, other.ulo, other.uhi
-        ) * interval_overlap(self.vlo, self.vhi, other.vlo, other.vhi)
 
     def contains_point(self, point: Point, tol: float = _EPS) -> bool:
         """Whether ``point`` lies inside the region (within ``tol``)."""
@@ -269,31 +236,6 @@ class Trr:
 # ----------------------------------------------------------------------
 # Batch kernels (array-of-intervals representation)
 # ----------------------------------------------------------------------
-def loci_to_array(loci: Sequence[Trr]) -> np.ndarray:
-    """Stack regions into an ``(n, 4)`` array of ``(ulo, uhi, vlo, vhi)`` rows.
-
-    The array form is what the batch distance kernels and the neighbour index
-    operate on; row ``r`` corresponds to ``loci[r]``.  An ``(n, 4)`` float
-    array (or a sequence of 4-element rows, as produced by slicing one)
-    passes through unchanged, which lets the arena construction loop feed its
-    native locus arrays to every selection engine.
-    """
-    if isinstance(loci, np.ndarray) and loci.ndim == 2 and loci.shape[1] == 4:
-        return np.ascontiguousarray(loci, dtype=float)
-    n = len(loci)
-    out = np.empty((n, 4), dtype=float)
-    if n and isinstance(loci[0], np.ndarray):
-        for index, row in enumerate(loci):
-            out[index] = row
-        return out
-    for index, locus in enumerate(loci):
-        out[index, 0] = locus.ulo
-        out[index, 1] = locus.uhi
-        out[index, 2] = locus.vlo
-        out[index, 3] = locus.vhi
-    return out
-
-
 def region_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Broadcasted region-to-region distances between interval arrays.
 
@@ -308,22 +250,6 @@ def region_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     gap_u = np.maximum(b[..., 0] - a[..., 1], a[..., 0] - b[..., 1])
     gap_v = np.maximum(b[..., 2] - a[..., 3], a[..., 2] - b[..., 3])
     return np.maximum(np.maximum(gap_u, gap_v), 0.0)
-
-
-def pairwise_distances(
-    arr_a: np.ndarray, arr_b: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Region-to-region Manhattan distances between two interval arrays.
-
-    ``arr_a`` is ``(n, 4)`` and ``arr_b`` is ``(m, 4)`` (``None`` means
-    ``arr_a`` itself); the result is the ``(n, m)`` matrix whose entries equal
-    ``Trr.distance_to`` of the corresponding regions exactly.
-    """
-    if arr_b is None:
-        arr_b = arr_a
-    a = np.asarray(arr_a, dtype=float).reshape(-1, 4)
-    b = np.asarray(arr_b, dtype=float).reshape(-1, 4)
-    return region_distances(a[:, np.newaxis, :], b[np.newaxis, :, :])
 
 
 def pair_distances(arr: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ the construction's guarantee on the finished tree:
   delays (naive global-delay iteration limit-cycles on multi-group trees; see
   docs/optimization.md).  At every internal node the per-group delay intervals
   of the children are aligned into a ``safety * bound`` window: children that
-  run early are lengthened (:func:`wire_length_for_delay`, realised later as
-  obstacle-safe serpentines by :func:`repro.cts.routing.route_edges`) and
-  children that run late are shortened where their booked length exceeds the
+  run early are lengthened (:func:`wire_length_for_delay`; the repair books
+  the length, and an export realises it as obstacle-safe serpentines on
+  request through :func:`repro.cts.routing.route_edges`) and children that
+  run late are shortened where their booked length exceeds the
   blockage-avoiding *required* length.
 
 * **Greedy polish** (the endgame): when group-interval conflicts leave

@@ -3,8 +3,8 @@
 Routes and ECO re-merges run one bottom-up loop,
 :meth:`repro.core.ast_dme.AstDme.merge_rows`, over struct-of-arrays rows.
 This module keeps the loop it replaced, term for term: one
-:class:`~repro.core.subtree.Subtree` per active subtree, each merge planned
-by the scalar :func:`~repro.core.merge_cases.plan_merge` and added to the
+:class:`~tests.reference_merge.Subtree` per active subtree, each merge planned
+by the scalar :func:`~tests.reference_merge.plan_merge` and added to the
 clock tree as it happens, and the free split of every unconstrained merge
 held as a :class:`PendingSplit` until the merged subtree's next partner is
 known.  The identity tests in ``tests/test_cts_arena.py`` compare the two
@@ -40,16 +40,15 @@ from repro.circuits.instance import ClockInstance
 from repro.core.ast_dme import AstDme, MergeStats, RoutingResult
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
 from repro.core.merge_batch import resolve_split
-from repro.core.merge_cases import DISJOINT, MergeDecision, plan_merge
-from repro.core.subtree import Subtree
 from repro.cts.embedding import _obstacle_aware_location
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
-from repro.geometry.sdr import merge_locus
-from repro.geometry.trr import Trr, loci_to_array
+from repro.geometry.trr import Trr
+from tests.reference_merge import DISJOINT, MergeDecision, Subtree, merge_locus, plan_merge
+from tests.reference_neighbors import loci_to_array
 
 __all__ = [
     "PendingSplit",
@@ -226,7 +225,7 @@ def merge_subtrees(
     The object form of :meth:`~repro.core.ast_dme.AstDme.merge_rows` with
     ``router``'s configuration: each pass selects disjoint nearest pairs,
     resolves pending splits towards the partners, plans each merge with
-    :func:`~repro.core.merge_cases.plan_merge` and adds its node to ``tree``.
+    :func:`~tests.reference_merge.plan_merge` and adds its node to ``tree``.
     Every merge node's placement locus goes into ``loci``.
     """
     tech = tree.technology
@@ -256,9 +255,7 @@ def merge_subtrees(
                 sub_b, sub_a.locus, tech, tree, loci,
                 max_deviation=_skew_budget(router, sub_b, constraints),
             )
-            decision = plan_merge(
-                sub_a, sub_b, constraints, tech, allow_snaking=router.config.allow_snaking
-            )
+            decision = plan_merge(sub_a, sub_b, constraints, tech)
             node_id = tree.add_internal(
                 children=[sub_a.node_id, sub_b.node_id],
                 edge_lengths=[decision.edges.ea, decision.edges.eb],

@@ -11,8 +11,12 @@ one cost band at a time):
     The seed implementation: a KD-tree rebuilt every pass and one scalar
     ``Trr.distance_to`` call per candidate pair.
 ``rebuild``
-    The stateless vectorised :func:`repro.cts.nearest_neighbor.select_merge_pairs`,
-    run afresh every pass.
+    The stateless vectorised :func:`select_merge_pairs`, run afresh every
+    pass: the library's candidate generation and band greedy over a fresh
+    candidate set, with no state kept between calls.
+
+:func:`loci_to_array` stacks ``Trr`` objects into the ``(n, 4)`` locus rows
+the library takes.
 
 :func:`use_selector` swaps either engine in for a whole route by patching
 :meth:`MergeOrderPolicy.make_selector`, so ``AstDme.route`` and the object
@@ -27,11 +31,88 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.core.merging_order import MergeOrderPolicy, MergePairSelector
-from repro.cts.nearest_neighbor import CandidateArrays, NeighborPairing, select_merge_pairs
+from repro.cts import nearest_neighbor
+from repro.cts.nearest_neighbor import (
+    CandidateArrays,
+    NeighborPairing,
+    candidate_pairs_from_array,
+)
 from repro.geometry.trr import Trr
 
 #: Selection engines a route can run on: the library's and the two oracles.
 STRATEGIES = ("incremental", "rebuild", "scalar")
+
+
+def loci_to_array(loci: Sequence[Trr]) -> np.ndarray:
+    """Stack regions into an ``(n, 4)`` array of ``(ulo, uhi, vlo, vhi)`` rows.
+
+    Row ``r`` corresponds to ``loci[r]``.  An ``(n, 4)`` float array (or a
+    sequence of 4-element rows, as produced by slicing one) passes through
+    unchanged, so the selection engines here take the merge loop's native
+    locus arrays as well.
+    """
+    if isinstance(loci, np.ndarray) and loci.ndim == 2 and loci.shape[1] == 4:
+        return np.ascontiguousarray(loci, dtype=float)
+    n = len(loci)
+    out = np.empty((n, 4), dtype=float)
+    if n and isinstance(loci[0], np.ndarray):
+        for index, row in enumerate(loci):
+            out[index] = row
+        return out
+    for index, locus in enumerate(loci):
+        out[index, 0] = locus.ulo
+        out[index, 1] = locus.uhi
+        out[index, 2] = locus.vlo
+        out[index, 3] = locus.vhi
+    return out
+
+
+def candidate_pairs(
+    loci: Sequence[Trr],
+    k_candidates: int = 8,
+    exhaustive_threshold: int = 48,
+) -> CandidateArrays:
+    """Candidate merge pairs for the given loci.
+
+    Below ``exhaustive_threshold`` every pair is a candidate; above it, each
+    locus contributes its ``k_candidates`` nearest centres (KD-tree, Chebyshev
+    metric in rotated coordinates), exactly like the scalar reference.
+    """
+    return candidate_pairs_from_array(loci_to_array(loci), k_candidates, exhaustive_threshold)
+
+
+def select_merge_pairs(
+    loci: Sequence[Trr],
+    max_pairs: Optional[int] = None,
+    cost_bias: Optional[Sequence[float]] = None,
+    k_candidates: int = 8,
+    exhaustive_threshold: int = 48,
+) -> NeighborPairing:
+    """Select disjoint nearest pairs among the given loci.
+
+    Args:
+        loci: placement loci of the active subtrees.
+        max_pairs: maximum number of disjoint pairs to return (``None`` means
+            as many as fit; ``1`` gives the strict single-merge order).
+        cost_bias: optional per-subtree additive bias; the cost of a pair is
+            ``distance + bias[i] + bias[j]``.  Negative biases give priority.
+        k_candidates: neighbours considered per subtree when the KD-tree path
+            is used.
+        exhaustive_threshold: below this many subtrees every pair is examined
+            exactly instead of going through the KD-tree.
+
+    Returns:
+        A :class:`NeighborPairing` with the selected index pairs in increasing
+        cost order.  At least one pair is returned whenever two or more loci
+        are supplied.
+    """
+    n = len(loci)
+    if n < 2:
+        return NeighborPairing()
+    if cost_bias is not None and len(cost_bias) != n:
+        raise ValueError("cost_bias must have one entry per locus")
+    candidates = candidate_pairs(loci, k_candidates, exhaustive_threshold)
+    return nearest_neighbor.select_from_candidates(candidates, n, max_pairs, cost_bias)
 
 
 def pairing_of(pairs: Sequence[Tuple[int, int]], costs: Sequence[float]) -> NeighborPairing:
@@ -119,7 +200,7 @@ def scalar_select_merge_pairs(
     k_candidates: int = 8,
     exhaustive_threshold: int = 48,
 ) -> NeighborPairing:
-    """:func:`~repro.cts.nearest_neighbor.select_merge_pairs`, per pair."""
+    """:func:`select_merge_pairs`, per pair."""
     n = len(loci)
     if n < 2:
         return NeighborPairing()

@@ -646,8 +646,6 @@ class TestConfigPropagation:
         for field_ in fields(AstDmeConfig):
             if field_.name == "skew_bound_ps":
                 assert shim.config.skew_bound_ps == 2.5
-            elif field_.name == "allow_snaking":
-                assert shim.config.allow_snaking is True  # forced for exactness
             else:
                 assert getattr(shim.config, field_.name) == getattr(base, field_.name), field_.name
 
@@ -657,8 +655,6 @@ class TestConfigPropagation:
         for field_ in fields(AstDmeConfig):
             if field_.name == "skew_bound_ps":
                 assert shim.config.skew_bound_ps == 0.0
-            elif field_.name == "allow_snaking":
-                assert shim.config.allow_snaking is True
             else:
                 assert getattr(shim.config, field_.name) == getattr(base, field_.name), field_.name
 

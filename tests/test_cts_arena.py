@@ -41,7 +41,6 @@ from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, SubtreeRows
 from repro.core import htree
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
 from repro.core.htree import HTreeRouter
-from repro.core.subtree import Subtree
 from repro.cts.arena import INTERNAL_KIND, SINK_KIND, SOURCE_KIND, TreeArena
 from repro.cts.tree import ClockTree
 from repro.delay.buffer import default_library
@@ -51,6 +50,7 @@ from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.opt import BUFFERED_PASSES, OptConfig
 from tests.reference_dme import assert_loci_rows, merge_subtrees, route_reference
+from tests.reference_merge import Subtree
 from tests.reference_tree import ReferenceTree, arena_of
 
 
@@ -647,7 +647,6 @@ BACKEND_SCENARIOS = [
     ("ext-bst", 1, "random", {}),
     ("greedy-dme", 1, "random", {"multi_merge": False}),
     ("ast-dme", 8, "random", {"delay_target_weight": 0.3}),
-    ("ast-dme", 8, "random", {"allow_snaking": False}),
     # Beyond the 64 groups that used to drop to the object loop.
     ("ast-dme", 70, "random", {}),
 ]

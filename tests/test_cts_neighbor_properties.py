@@ -3,12 +3,15 @@
 Seeded-random loops (100 instances each) assert the invariants the merging
 loop relies on:
 
-* ``select_merge_pairs`` always returns mutually disjoint pairs with costs
-  sorted ascending, and so does the ``scalar`` seed engine kept in
-  ``tests/reference_neighbors.py``;
+* ``select_merge_pairs`` (the stateless selection over the library's
+  candidate generation and band greedy, kept in
+  ``tests/reference_neighbors.py``) always returns mutually disjoint pairs
+  with costs sorted ascending, and so does the ``scalar`` seed engine kept
+  there too;
 * ``select_merge_pairs`` selects exactly what that ``scalar`` oracle selects;
 * a :class:`~repro.cts.neighbor_index.NeighborIndex` maintained across an
-  evolving population selects exactly what a stateless full rebuild selects;
+  evolving population (given as ``(n, 4)`` locus rows) selects exactly what a
+  stateless full rebuild selects;
 * the degenerate ``k_candidates + 1 > n`` populations (n = 2, 3) are handled
   uniformly by every path.
 
@@ -28,17 +31,21 @@ from repro.cts.nearest_neighbor import (
     BAND_FACTOR,
     CandidateArrays,
     NeighborPairing,
-    candidate_pairs,
     select_from_candidates,
-    select_merge_pairs,
 )
 from repro.cts.neighbor_index import NeighborIndex
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from tests import reference_neighbors
-from tests.reference_neighbors import scalar_candidate_pairs, scalar_select_merge_pairs
+from tests.reference_neighbors import (
+    candidate_pairs,
+    loci_to_array,
+    scalar_candidate_pairs,
+    scalar_select_merge_pairs,
+    select_merge_pairs,
+)
 
-#: The library's one-shot selection and the seed's per-pair oracle.
+#: The stateless vectorised selection and the seed's per-pair oracle.
 ENGINES = {"vectorized": select_merge_pairs, "scalar": scalar_select_merge_pairs}
 
 
@@ -133,7 +140,7 @@ def test_incremental_index_matches_stateless_rebuild():
         for pass_no in range(4):
             max_pairs = [1, None, 2, 1][pass_no]
             ref = select_merge_pairs(loci, max_pairs=max_pairs)
-            got = index.select_pairs(loci, keys, max_pairs=max_pairs)
+            got = index.select_pairs(loci_to_array(loci), keys, max_pairs=max_pairs)
             assert_same_pairing(got, ref)
             removals = int(rng.integers(1, max(2, len(loci) // 10))) * 2
             loci, keys, next_key = _evolve(rng, loci, keys, next_key, removals)
@@ -148,7 +155,7 @@ def test_incremental_candidate_sets_match_rebuild():
         next_key = n
         index = NeighborIndex()
         for _pass in range(3):
-            got = index.candidate_pairs(loci, keys)
+            got = index.candidate_pairs(loci_to_array(loci), keys)
             ref = candidate_pairs(loci)
             got_set = set(zip(got.i.tolist(), got.j.tolist()))
             ref_set = set(zip(ref.i.tolist(), ref.j.tolist()))
@@ -162,13 +169,13 @@ def test_staleness_threshold_forces_rebuild():
     loci = random_loci(rng, 120)
     keys = list(range(120))
     index = NeighborIndex(staleness_threshold=0.1)
-    index.select_pairs(loci, keys, max_pairs=1)
+    index.select_pairs(loci_to_array(loci), keys, max_pairs=1)
     assert index.full_rebuilds == 1
     # Remove half the population: far beyond a 10% staleness budget.
     loci2 = loci[:60]
     keys2 = keys[:60]
     ref = select_merge_pairs(loci2, max_pairs=1)
-    got = index.select_pairs(loci2, keys2, max_pairs=1)
+    got = index.select_pairs(loci_to_array(loci2), keys2, max_pairs=1)
     assert_same_pairing(got, ref)
     assert index.full_rebuilds == 2
     assert index.incremental_passes == 0
@@ -182,10 +189,10 @@ def test_a_mostly_fresh_population_skips_the_repair():
     loci = random_loci(rng, 120)
     keys = list(range(120))
     index = NeighborIndex()
-    index.select_pairs(loci, keys, max_pairs=1)
+    index.select_pairs(loci_to_array(loci), keys, max_pairs=1)
     fresh = random_loci(rng, 40)  # 40 of 120 rows: a third, over 0.25
     index._cand_pos = None  # any read of the cached lists would raise
-    assert not index._try_incremental(loci[40:] + fresh, np.arange(40, 160))
+    assert not index._try_incremental(loci_to_array(loci[40:] + fresh), np.arange(40, 160))
 
 
 def test_incremental_pass_counted():
@@ -194,9 +201,9 @@ def test_incremental_pass_counted():
     keys = list(range(120))
     next_key = 120
     index = NeighborIndex()
-    index.select_pairs(loci, keys, max_pairs=1)
+    index.select_pairs(loci_to_array(loci), keys, max_pairs=1)
     loci, keys, next_key = _evolve(rng, loci, keys, next_key, 2)
-    index.select_pairs(loci, keys, max_pairs=1)
+    index.select_pairs(loci_to_array(loci), keys, max_pairs=1)
     assert index.full_rebuilds == 1
     assert index.incremental_passes == 1
 
@@ -208,7 +215,7 @@ def test_keys_none_disables_reuse():
     for _ in range(3):
         loci = random_loci(rng, 80)
         ref = select_merge_pairs(loci, max_pairs=1)
-        got = index.select_pairs(loci, max_pairs=1)
+        got = index.select_pairs(loci_to_array(loci), max_pairs=1)
         assert_same_pairing(got, ref)
 
 
@@ -216,11 +223,11 @@ def test_keys_none_never_poisons_a_later_keyed_call():
     """A keyed call after keys=None must not diff against positional keys."""
     rng = np.random.default_rng(67)
     index = NeighborIndex()
-    index.select_pairs(random_loci(rng, 60))  # keys=None: no cached identity
+    index.select_pairs(loci_to_array(random_loci(rng, 60)))  # keys=None: no cached identity
     loci = random_loci(rng, 60)
     keys = list(range(0, 58)) + [1000, 1001]  # overlaps arange(60) by value
     ref = select_merge_pairs(loci, max_pairs=2)
-    got = index.select_pairs(loci, keys, max_pairs=2)
+    got = index.select_pairs(loci_to_array(loci), keys, max_pairs=2)
     assert_same_pairing(got, ref)
 
 
@@ -228,9 +235,9 @@ def test_index_rejects_mismatched_keys_and_bias():
     loci = random_loci(np.random.default_rng(0), 60)
     index = NeighborIndex()
     with pytest.raises(ValueError, match="keys"):
-        index.select_pairs(loci, keys=[1, 2, 3])
+        index.select_pairs(loci_to_array(loci), keys=[1, 2, 3])
     with pytest.raises(ValueError, match="cost_bias"):
-        index.select_pairs(loci, keys=list(range(60)), cost_bias=[0.0])
+        index.select_pairs(loci_to_array(loci), keys=list(range(60)), cost_bias=[0.0])
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +280,7 @@ def test_index_degenerate_populations_match_reference():
     for n in (2, 3, 5):
         loci = random_loci(rng, n)
         index = NeighborIndex(k_candidates=8)
-        got = index.select_pairs(loci, keys=list(range(n)), max_pairs=1)
+        got = index.select_pairs(loci_to_array(loci), keys=list(range(n)), max_pairs=1)
         ref = select_merge_pairs(loci, max_pairs=1)
         assert_same_pairing(got, ref)
         assert index.exhaustive_passes == 1
@@ -291,8 +298,8 @@ def candidate_sets(draw):
     """Candidate arrays as the index emits them, a bias and a pair limit.
 
     Costs come from a tie-heavy pool or from small random floats; some
-    candidates repeat an earlier pair with its distance (``dedupe=False``
-    lists a pair once per endpoint); ``star`` sets give one locus every
+    candidates repeat an earlier pair with its distance (the candidate lists
+    name a pair once per endpoint); ``star`` sets give one locus every
     cheapest candidate, so a first band picks one pair and the band doubles.
     """
     n = draw(st.integers(min_value=2, max_value=40))

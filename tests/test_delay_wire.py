@@ -3,12 +3,7 @@
 import pytest
 
 from repro.delay.technology import Technology
-from repro.delay.wire import (
-    wire_capacitance,
-    wire_delay,
-    wire_delay_derivative,
-    wire_length_for_delay,
-)
+from repro.delay.wire import wire_capacitance, wire_delay, wire_length_for_delay
 
 
 @pytest.fixture
@@ -44,13 +39,6 @@ class TestWireCapacitance:
     def test_negative_length_raises(self, tech):
         with pytest.raises(ValueError):
             wire_capacitance(-5.0, tech)
-
-
-class TestDerivative:
-    def test_derivative_matches_finite_difference(self, tech):
-        length, cap, h = 1234.0, 47.0, 1e-3
-        numeric = (wire_delay(length + h, cap, tech) - wire_delay(length - h, cap, tech)) / (2 * h)
-        assert wire_delay_derivative(length, cap, tech) == pytest.approx(numeric, rel=1e-6)
 
 
 class TestInversion:

@@ -1,39 +1,10 @@
-"""Tests for repro.geometry.arc and repro.geometry.sdr."""
+"""Tests for the scalar merge loci of tests/reference_merge.py."""
 
 import pytest
 
-from repro.geometry.arc import arc_endpoints, arc_from_endpoints, is_manhattan_arc
 from repro.geometry.point import Point
-from repro.geometry.sdr import balance_locus, merge_locus, shortest_distance_locus
 from repro.geometry.trr import Trr
-
-
-class TestManhattanArc:
-    def test_point_is_an_arc(self):
-        assert is_manhattan_arc(Point(1, 1), Point(1, 1))
-
-    def test_slope_plus_one_is_an_arc(self):
-        assert is_manhattan_arc(Point(0, 0), Point(5, 5))
-
-    def test_slope_minus_one_is_an_arc(self):
-        assert is_manhattan_arc(Point(0, 0), Point(5, -5))
-
-    def test_axis_aligned_segment_is_not_an_arc(self):
-        assert not is_manhattan_arc(Point(0, 0), Point(5, 0))
-
-    def test_arc_from_endpoints_roundtrip(self):
-        arc = arc_from_endpoints(Point(0, 0), Point(3, 3))
-        p, q = arc_endpoints(arc)
-        assert {p, q} == {Point(0, 0), Point(3, 3)}
-
-    def test_arc_from_invalid_endpoints_raises(self):
-        with pytest.raises(ValueError):
-            arc_from_endpoints(Point(0, 0), Point(4, 1))
-
-    def test_endpoints_of_fat_region_raises(self):
-        region = Trr.from_point(Point(0, 0)).expanded(2.0)
-        with pytest.raises(ValueError):
-            arc_endpoints(region)
+from tests.reference_merge import balance_locus, merge_locus
 
 
 class TestMergeLoci:
@@ -61,19 +32,3 @@ class TestMergeLoci:
         b = Trr.from_point(Point(10, 0))
         with pytest.raises(ValueError):
             balance_locus(a, b, 1.0, 2.0)
-
-    def test_shortest_distance_locus_total_cost_is_distance(self):
-        a = Trr.from_point(Point(0, 0)).expanded(1.0)
-        b = Trr.from_point(Point(20, 6)).expanded(2.0)
-        d = a.distance_to(b)
-        for split in (0.0, 0.25, 0.5, 1.0):
-            locus = shortest_distance_locus(a, b, split)
-            for p in locus.sample_points():
-                cost = a.distance_to_point(p) + b.distance_to_point(p)
-                assert cost <= d + 1e-6
-
-    def test_shortest_distance_locus_invalid_split(self):
-        a = Trr.from_point(Point(0, 0))
-        b = Trr.from_point(Point(10, 0))
-        with pytest.raises(ValueError):
-            shortest_distance_locus(a, b, 1.5)

@@ -7,7 +7,6 @@ from repro.geometry.manhattan import (
     from_rotated,
     interval_gap,
     interval_intersection,
-    interval_overlap,
     manhattan_distance,
     to_rotated,
 )
@@ -50,11 +49,6 @@ class TestIntervals:
     def test_gap_overlapping_is_zero(self):
         assert interval_gap(0, 4, 3, 5) == 0
         assert interval_gap(0, 4, 4, 5) == 0
-
-    def test_overlap(self):
-        assert interval_overlap(0, 4, 3, 5) == 1
-        assert interval_overlap(0, 1, 2, 3) == 0
-        assert interval_overlap(0, 10, 2, 3) == 1
 
     def test_intersection(self):
         assert interval_intersection(0, 4, 3, 5) == (3, 4)

@@ -107,13 +107,6 @@ class TestIntersection:
         assert bound.contains(a)
         assert bound.contains(b)
 
-    def test_overlap_measure_positive_iff_overlapping_area(self):
-        a = Trr.from_point(Point(0, 0)).expanded(3.0)
-        b = Trr.from_point(Point(2, 0)).expanded(3.0)
-        c = Trr.from_point(Point(100, 0)).expanded(3.0)
-        assert a.overlap_measure(b) > 0.0
-        assert a.overlap_measure(c) == 0.0
-
 
 class TestPointQueries:
     def test_nearest_point_inside_is_itself(self):

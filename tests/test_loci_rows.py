@@ -32,7 +32,6 @@ from repro.api.runner import run
 from repro.api.spec import InstanceSpec, RunSpec
 from repro.core.ast_dme import AstDme, AstDmeConfig, MergeStats, copied_loci
 from repro.core.group_constraints import GroupAssociation
-from repro.core.subtree import Subtree
 from repro.cts.tree import ClockTree
 from repro.eco import EcoConfig, EcoDelta, SinkAdd, SinkMove, eco_reroute
 from repro.eco import engine as eco_engine
@@ -40,6 +39,7 @@ from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.opt import BUFFERED_PASSES, OptConfig
 from tests.reference_dme import assert_loci_rows, merge_subtrees, route_reference
+from tests.reference_merge import Subtree
 
 
 def _instance(family: str, num_sinks: int, seed: int, groups: int):
