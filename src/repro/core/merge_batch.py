@@ -23,12 +23,15 @@ when written identically.  Three scalar subtleties deserve calling out:
   split branch: the clamp pulls the target into ``[g_lo, g_hi]`` and
   ``g_lo <= 0 <= g_hi`` always holds, so the batched disjoint case needs no
   snaking arithmetic at all.
-* Python's banker's ``round(x, 6)`` (used by the lazy-split tie-break) does
-  not match ``np.round`` bit for bit.  ``resolve_split`` exploits that
-  ``round`` is monotone: the minimal rounded distance equals the rounding of
-  the minimal distance, so only a tiny superset of near-minimal samples is
-  re-rounded with Python's ``round`` to find the scalar-identical winner,
-  and only in rows whose minimum lies below the balanced split's distance.
+* Python's banker's ``round(x, 6)`` (used by the lazy-split tie-break) is
+  correctly rounded, which ``np.round`` is not.  ``resolve_split`` compares
+  integer decimal classes instead (:func:`_decimal_classes`: ``rint(x *
+  1e6)``, with Python's ``round`` only where the product lies within a few
+  ulps of a half-integer), and exploits that ``round`` is monotone: the
+  minimal rounded distance equals the rounding of the minimal distance, so
+  only a tiny superset of near-minimal samples is classed to find the
+  scalar-identical winner, and only in rows whose minimum lies below the
+  balanced split's distance.
 * Masked branches are evaluated on gathered index subsets
   (``np.flatnonzero``), never via ``np.where`` over full arrays, so sqrt /
   division never see operands the scalar code would not have produced.
@@ -317,7 +320,7 @@ def resolve_split(
     ties.  Python's ``round`` is monotone, so the minimal rounded distance is
     the rounding of the minimal distance; only samples within a whisker of
     the minimum can share that rounded value, and just those few are
-    re-rounded with Python's ``round`` to keep the comparison exact.  Rows
+    compared, by their exact decimal classes (:func:`_decimal_classes`).  Rows
     with ``distance <= 0`` return 0.0; the others are scanned
     ``RESOLVE_CHUNK`` at a time.  The per-sample scalar reference,
     ``resolution_for_target``, lives in the tests.
@@ -332,6 +335,31 @@ def resolve_split(
             max_deviation[rows, None],
         )
     return splits
+
+
+#: How close (in ulps of ``x * 1e6``) to a half-integer a product must lie
+#: before :func:`_decimal_classes` asks Python's ``round`` for its class.
+_HALF_ULPS = 4
+
+
+def _decimal_classes(values: np.ndarray) -> np.ndarray:
+    """``round(x, 6)`` of every value as an integer class: ``n`` with
+    ``round(x, 6) == n / 10**6``, held as a float.
+
+    Classes compare as the rounded values do (``round`` is monotone and
+    distinct classes round to distinct floats).  ``rint(x * 1e6)`` is the
+    class wherever the rounded product cannot sit on the wrong side of a
+    half-integer; within ``_HALF_ULPS`` ulps of one, Python's correctly
+    rounded ``round`` decides.
+    """
+    scaled = values * 1e6
+    classes = np.rint(scaled)
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= _HALF_ULPS * np.spacing(
+        np.abs(scaled)
+    )
+    for index in np.flatnonzero(near_half).tolist():
+        classes[index] = np.rint(round(float(values[index]), 6) * 1e6)
+    return classes
 
 
 def _resolve_chunk(la, lb, d, cap_a, cap_b, bal, target, r, c, max_deviation):
@@ -371,15 +399,14 @@ def _resolve_chunk(la, lb, d, cap_a, cap_b, bal, target, r, c, max_deviation):
     dmin = np.where(valid, sample_d, np.inf).min(axis=1)
     result = bal[:, 0].copy()
     rows = np.flatnonzero(dmin < dists[:, 0])
-    best = np.array([round(x, 6) for x in dmin[rows].tolist()])
-    takes = best < np.array([round(x, 6) for x in dists[rows, 0].tolist()])
+    best = _decimal_classes(dmin[rows])
+    takes = best < _decimal_classes(dists[rows, 0])
     rows, best = rows[takes], best[takes]
     # Superset of every sample that can round to the row's best: round(x, 6)
     # == b implies x <= b + 5e-7 + ulp and b <= dmin + 5e-7 + ulp.
     near = valid[rows] & (sample_d[rows] <= dmin[rows, None] + 2e-6)
     hit, col = np.nonzero(near)
-    rounded = np.array([round(x, 6) for x in sample_d[rows[hit], col].tolist()])
-    exact = rounded == best[hit]
+    exact = _decimal_classes(sample_d[rows[hit], col]) == best[hit]
     hit, col = hit[exact], col[exact]
     # Per row the sample nearest the balanced split wins, the earliest on ties.
     tie = np.abs(raw[rows[hit], col] - bal[rows[hit], 0])

@@ -110,6 +110,7 @@ class TreeArena:
     #: an init field, so ``dataclasses.replace`` starts without them;
     #: :meth:`with_attributes` shares the orders.
     _depth_levels: Optional[List[np.ndarray]] = _memo()
+    _depth_children: Optional[List[Tuple[np.ndarray, np.ndarray]]] = _memo()
     _height_levels: Optional[List[np.ndarray]] = _memo()
     _reachable: Optional[np.ndarray] = _memo()
     _preorder: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = _memo()
@@ -168,6 +169,21 @@ class TreeArena:
                 raise ValueError("tree structure contains a cycle")
             self._depth_levels = levels
         return self._depth_levels
+
+    def depth_children(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(children, parents)`` of every :meth:`depth_levels` level but the
+        last: the level's children in :meth:`children_of` order, and each
+        one's parent.  The top-down passes' gathers, memoised with the
+        levels."""
+        if self._depth_children is None:
+            levels = self.depth_levels()
+            self._depth_children = [
+                (children, level[parent_index])
+                for level, (children, parent_index) in zip(
+                    levels, map(self.children_of, levels[:-1])
+                )
+            ]
+        return self._depth_children
 
     def height_levels(self) -> List[np.ndarray]:
         """Node ids grouped by height above the leaves: levels[0] are leaves,
@@ -383,7 +399,8 @@ class TreeArena:
         if topology:
             raise ValueError("with_attributes keeps the topology; got %s" % sorted(topology))
         arena = replace(self, **columns)
-        for name in ("_depth_levels", "_height_levels", "_reachable", "_preorder"):
+        shared = ("_depth_levels", "_depth_children", "_height_levels", "_reachable", "_preorder")
+        for name in shared:
             setattr(arena, name, getattr(self, name))
         return arena
 

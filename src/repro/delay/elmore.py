@@ -16,6 +16,9 @@ reachable from the root.  :class:`SinkGroups` reduces node-indexed delays to
 per-group ``(lo, hi)`` ranges, for the skew report and the optimizer alike.
 :func:`subtree_summary` reduces them per subtree instead, as its root sees
 them: the stubs an ECO re-merges and the leaves the h-tree grafts.
+:func:`buffer_trial_delays` evaluates a batch of one-buffer edits of a
+snapshot at once, each column what :func:`arena_elmore` would return for the
+tree with that buffer set.
 
 The independent :func:`repro.delay.rc_tree.oracle_delays` re-derives the same
 numbers through an explicit segmented RC network; validation, the optimizer
@@ -36,6 +39,7 @@ __all__ = [
     "SinkGroups",
     "SubtreeSummary",
     "subtree_summary",
+    "buffer_trial_delays",
 ]
 
 
@@ -101,6 +105,11 @@ class SinkGroups:
         self.keys: List[int] = keys[order].tolist()
         self.sink_ids = np.asarray(sink_ids, dtype=np.int64)
         self.slots = slot[inverse]
+        # The sinks sorted by slot, and where each slot's run starts: every
+        # group has a sink, so ``ranges`` reduces each run at once.
+        by_slot = np.argsort(self.slots, kind="stable")
+        self._sorted_ids = self.sink_ids[by_slot]
+        self._starts = np.searchsorted(self.slots[by_slot], np.arange(len(self.keys)))
 
     @classmethod
     def of(cls, arena, single_group: bool = False) -> "SinkGroups":
@@ -116,12 +125,16 @@ class SinkGroups:
         return cls(sink_ids, np.zeros_like(groups) if single_group else groups)
 
     def ranges(self, delays: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-group ``(lo, hi)`` sink delays of a node-indexed delay array."""
-        values = delays[self.sink_ids]
-        lo = np.full(len(self.keys), np.inf)
-        hi = np.full(len(self.keys), -np.inf)
-        np.minimum.at(lo, self.slots, values)
-        np.maximum.at(hi, self.slots, values)
+        """Per-group ``(lo, hi)`` sink delays of a node-indexed delay array.
+
+        An ``(n, K)`` array of ``K`` delay columns gives ``(G, K)`` ranges.
+        """
+        values = delays[self._sorted_ids]
+        if not self.keys:
+            empty = np.empty((0,) + values.shape[1:])
+            return empty, empty.copy()
+        lo = np.minimum.reduceat(values, self._starts, axis=0)
+        hi = np.maximum.reduceat(values, self._starts, axis=0)
         return lo, hi
 
     def roof_sinks(self, delays: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -256,7 +269,9 @@ def _arena_delays(arena, caps: np.ndarray, internal=None) -> np.ndarray:
     """Top-down delay propagation over depth levels (root component included).
 
     Buffered parents add their stage delay ``intrinsic + drive * C_internal``
-    in front of every child edge; the buffer-free path adds nothing.
+    in front of every child edge; the buffer-free path adds nothing, and
+    neither does a level without a buffered node: an unbuffered stage is
+    +0.0, which changes no delay (none is -0.0).
     """
     tech = arena.technology
     r = tech.unit_resistance
@@ -271,15 +286,142 @@ def _arena_delays(arena, caps: np.ndarray, internal=None) -> np.ndarray:
         stage[mask] = arena.buffer_intrinsics[mask] + (
             arena.buffer_drive_res[mask] * internal[mask]
         )
-    for level in arena.depth_levels():
-        children, parent_index = arena.children_of(level)
-        if not children.size:
-            continue
+    for level, (children, owners) in zip(arena.depth_levels(), arena.depth_children()):
         lengths = arena.edge_lengths[children]
-        base = delays[level[parent_index]]
-        if buffered:
-            base = base + stage[level[parent_index]]
+        base = delays[owners]
+        if buffered and mask[level].any():
+            base = base + stage[owners]
         delays[children] = base + r * lengths * (
             c * lengths / 2.0 + caps[children]
         )
+    return delays
+
+
+def buffer_trial_delays(arena, nodes: Sequence[int], cells: Sequence) -> np.ndarray:
+    """``(n, K)`` delays of ``K`` one-buffer edits of a snapshot, one per column.
+
+    Column ``k`` is, bit for bit, the ``delays`` of :func:`arena_elmore` for
+    the tree with buffer cell ``cells[k]`` set at the unbuffered node
+    ``nodes[k]`` (and nothing else changed).  Only the trial node's root path
+    sees a new capacitance: the path stops at the first buffered ancestor,
+    whose stage delay changes instead, and without one the root's
+    source-resistance term changes too.  The paths are re-derived with the
+    capacitance pass's slot-order additions, all columns climbing together;
+    one top-down pass then carries every column at once, with the changed
+    edge terms and stage delays applied as sparse per-level patches that
+    repeat :func:`_arena_delays`' expressions term for term.
+    """
+    n, width = arena.num_nodes, len(nodes)
+    if not width:
+        return np.zeros((n, 0))
+    tech = arena.technology
+    r = tech.unit_resistance
+    c = tech.unit_capacitance
+    caps = arena_elmore(arena)[0]
+    lengths = arena.edge_lengths
+    edge_caps = c * lengths
+    parents = arena.parents
+    offsets = arena.child_offsets
+    counts = arena.child_counts()
+    buffered = arena.buffer_mask if arena.buffer_mask is not None else np.zeros(n, dtype=bool)
+
+    def slot_sums(owners, child, seen):
+        """The capacitance pass's total at each of ``owners``, with its
+        ``child`` (-1: none) seen at ``seen``."""
+        total = arena.sink_caps[owners]
+        owned = counts[owners]
+        starts = offsets[owners]
+        for slot in range(int(owned.max()) if owners.size else 0):
+            rows = slice(None) if owned.min() > slot else np.flatnonzero(owned > slot)
+            kids = arena.child_ids[starts[rows] + slot]
+            value = np.where(kids == child[rows], seen[rows], caps[kids])
+            total[rows] = total[rows] + (value + edge_caps[kids])
+        return total
+
+    def stages(owners, internal):
+        return arena.buffer_intrinsics[owners] + arena.buffer_drive_res[owners] * internal
+
+    # Stage delays of the snapshot's own buffers (their internal loads).
+    stage = np.zeros(n, dtype=np.float64)
+    own = np.flatnonzero(buffered)
+    stage[own] = stages(own, slot_sums(own, np.full(len(own), -1), np.zeros(len(own))))
+
+    # Climb every trial's path at once, collecting per column the nodes whose
+    # edge term (below the path's top) and stage delay (the trial node, the
+    # buffer that stops the path) change, and the root delay.
+    child = np.asarray(nodes, dtype=np.int64)
+    column = np.arange(width, dtype=np.int64)
+    seen = np.array([cell.input_cap for cell in cells], dtype=np.float64)
+    intrinsics = np.array([cell.intrinsic_delay for cell in cells], dtype=np.float64)
+    drives = np.array([cell.drive_resistance for cell in cells], dtype=np.float64)
+    stage_patches = [(child, column, intrinsics + drives * caps[child])]
+    edges, stops = [], []
+    roots = np.zeros(width, dtype=np.float64)
+    if arena.root >= 0:
+        roots[:] = tech.source_resistance * caps[arena.root]
+    while column.size:
+        parent = parents[child]
+        top = parent < 0
+        if top.any():
+            roots[column[top]] = tech.source_resistance * seen[top]
+            keep = ~top
+            child, column, seen, parent = child[keep], column[keep], seen[keep], parent[keep]
+        edges.append((child, column, seen))
+        total = slot_sums(parent, child, seen)
+        stop = buffered[parent]
+        if stop.any():
+            stops.append((parent[stop], column[stop], total[stop]))
+            keep = ~stop
+            parent, column, total = parent[keep], column[keep], total[keep]
+        child, seen = parent, total
+    if stops:
+        owner, owner_column, internal = (np.concatenate(part) for part in zip(*stops))
+        stage_patches.append((owner, owner_column, stages(owner, internal)))
+    edge_kid, edge_column, edge_seen = (np.concatenate(part) for part in zip(*edges))
+    edge_length = lengths[edge_kid]
+    edge_value = r * edge_length * (c * edge_length / 2.0 + edge_seen)
+
+    # A stage patch reaches every child of its node: spread it over them.
+    owner, owner_column, owner_value = (np.concatenate(part) for part in zip(*stage_patches))
+    spread = counts[owner]
+    first = np.repeat(np.cumsum(spread) - spread, spread)
+    stage_kid = arena.child_ids[np.repeat(offsets[owner], spread) + np.arange(len(first)) - first]
+    stage_owner = np.repeat(owner, spread)
+    stage_column = np.repeat(owner_column, spread)
+    stage_value = np.repeat(owner_value, spread)
+
+    # Sort both patch lists by their child's depth, to slice them per level.
+    levels = arena.depth_levels()
+    depth = np.empty(n, dtype=np.int64)
+    for index, level in enumerate(levels):
+        depth[level] = index
+    stage_order = np.argsort(depth[stage_kid], kind="stable")
+    edge_order = np.argsort(depth[edge_kid], kind="stable")
+    stage_bounds = np.searchsorted(depth[stage_kid][stage_order], np.arange(len(levels) + 1))
+    edge_bounds = np.searchsorted(depth[edge_kid][edge_order], np.arange(len(levels) + 1))
+    staged_levels = set(depth[own].tolist())
+
+    delays = np.zeros((n, width), dtype=np.float64)
+    if arena.root >= 0:
+        delays[arena.root] = roots
+    edge_terms = r * lengths * (c * lengths / 2.0 + caps)
+    row_of = np.zeros(n, dtype=np.int64)  # a patched child's row in its level
+    for index, (children, owners) in enumerate(arena.depth_children()):
+        base = delays[owners]
+        if index in staged_levels:  # as in _arena_delays
+            base += stage[owners][:, None]
+        staged = stage_order[stage_bounds[index + 1] : stage_bounds[index + 2]]
+        edged = edge_order[edge_bounds[index + 1] : edge_bounds[index + 2]]
+        if staged.size or edged.size:
+            row_of[children] = np.arange(len(children), dtype=np.int64)
+        if staged.size:
+            rows, columns = row_of[stage_kid[staged]], stage_column[staged]
+            base[rows, columns] = delays[stage_owner[staged], columns] + stage_value[staged]
+        if edged.size:
+            rows, columns = row_of[edge_kid[edged]], edge_column[edged]
+            patched = base[rows, columns] + edge_value[edged]
+        base += edge_terms[children][:, None]
+        if edged.size:
+            base[rows, columns] = patched
+        delays[children] = base
     return delays

@@ -9,7 +9,7 @@ the ``repro optimize`` CLI without touching library code.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class OptContext:
     The context owns the expensive invariants: per-edge *required* lengths
     (the blockage-avoiding detour distance each booked length must cover) are
     cached and only recomputed when a pass reports geometry changes via
-    :meth:`invalidate_geometry`.
+    :meth:`invalidate_geometry` or :meth:`nodes_moved`.
 
     Skew is scored on arrays: :meth:`elmore` runs one arena Elmore pass per
     tree snapshot, and :attr:`sink_groups`, fixed here since no pass adds or
@@ -102,6 +102,7 @@ class OptContext:
         self.single_group = single_group
         self.technology: Technology = tree.technology
         self._required: Optional[Dict[int, float]] = None
+        self._required_columns: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._locations: Optional[List[Optional[Point]]] = None
         #: The sinks by :meth:`group_of`; its key order is the order of
         #: :meth:`group_spreads`.
@@ -156,15 +157,26 @@ class OptContext:
 
     def skew_violations(self, delays: Optional[np.ndarray] = None) -> int:
         """Number of groups whose intra-group skew exceeds the bound."""
-        spreads = self.group_spreads(delays)
-        return sum(1 for g, s in spreads.items() if s > self.bound_for(g) + 1e-9)
+        return int(self.skew_scores(delays)[0])
 
     def worst_excess(self, delays: Optional[np.ndarray] = None) -> float:
         """Largest per-group skew excess over its bound (<= 0 when repaired)."""
-        spreads = self.group_spreads(delays)
-        return max(
-            (s - self.bound_for(g) for g, s in spreads.items()), default=0.0
-        )
+        return float(self.skew_scores(delays)[1])
+
+    def skew_scores(self, delays: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`skew_violations` and :meth:`worst_excess` at once; for an
+        ``(n, K)`` matrix of delay columns, one of each per column.  The
+        excess is 0 when there is no group."""
+        if delays is None:
+            delays = self.elmore()[1]
+        lo, hi = self.sink_groups.ranges(delays)
+        spreads = hi - lo
+        bounds = np.array([self.bound_for(g) for g in self.sink_groups.keys])
+        bounds = bounds.reshape(bounds.shape + (1,) * (spreads.ndim - 1))
+        violations = np.count_nonzero(spreads > bounds + 1e-9, axis=0)
+        if not len(bounds):
+            return violations, np.zeros(delays.shape[1:])
+        return violations, (spreads - bounds).max(axis=0)
 
     def cap_violations(self) -> int:
         """Nodes whose driver-seen capacitance exceeds ``config.max_cap``.
@@ -223,10 +235,66 @@ class OptContext:
                 }
         return self._required
 
+    def required_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`required_lengths` by node id: ``(has, lengths)``, where
+        ``has[v]`` says whether the edge above ``v`` has a required length
+        and ``lengths[v]`` is it (0 elsewhere).  Cached alongside it."""
+        if self._required_columns is None:
+            required = self.required_lengths()
+            ids = np.fromiter(required.keys(), dtype=np.int64, count=len(required))
+            has = np.zeros(len(self.tree), dtype=bool)
+            lengths = np.zeros(len(self.tree), dtype=np.float64)
+            has[ids] = True
+            lengths[ids] = np.fromiter(required.values(), dtype=np.float64, count=len(required))
+            self._required_columns = (has, lengths)
+        return self._required_columns
+
     def invalidate_geometry(self) -> None:
         """Drop cached geometry after a pass moved embedded nodes."""
         self._required = None
+        self._required_columns = None
         self._locations = None
+
+    def nodes_moved(self, node_ids: Iterable[int]) -> None:
+        """Bring cached geometry up to date after a pass moved ``node_ids``.
+
+        The same as :meth:`invalidate_geometry` followed by a recompute, for
+        less: only the moved nodes' locations and the required lengths of the
+        edges that touch them are recomputed, in child-id order, so the
+        detours the obstacle set computes (and the order it memoises them
+        in) are those of a full recompute.  A node that was placed or
+        unplaced adds or drops edges, so that drops the caches instead.
+        """
+        arena = self.tree.as_arena()
+        moved = sorted(set(node_ids))
+        if self._locations is not None:
+            for node in moved:
+                placed = arena.has_location.item(node)
+                self._locations[node] = (
+                    Point(arena.xs.item(node), arena.ys.item(node)) if placed else None
+                )
+        if self._required is None:
+            return
+        kids = arena.children_of(np.asarray(moved, dtype=np.int64))[0]
+        points = self.locations()
+        edges = []
+        for child in sorted(set(moved).union(kids.tolist())):
+            parent = arena.parents.item(child)
+            if parent < 0:
+                continue
+            placed = points[child] is not None and points[parent] is not None
+            if placed != (child in self._required):
+                self.invalidate_geometry()
+                return
+            if placed:
+                edges.append((child, parent))
+        for child, parent in edges:
+            if self.obstacles is None:
+                required = points[parent].distance_to(points[child])
+            else:
+                required = self.obstacles.detour_distance(points[parent], points[child])
+            self._required[child] = required
+        self._required_columns = None
 
     def required_total(self) -> float:
         """Sum of every edge's minimum legal booked length.
@@ -244,7 +312,8 @@ class OptPass(Protocol):
 
     ``run`` mutates ``ctx.tree`` (and possibly node locations) in place and
     returns a :class:`PassOutcome` describing what changed.  A pass that moves
-    nodes must call ``ctx.invalidate_geometry()``.
+    nodes must call ``ctx.invalidate_geometry()`` or name them to
+    ``ctx.nodes_moved()``.
     """
 
     name: str

@@ -144,19 +144,29 @@ class Optimizer:
                     spent_before = ctx.wire_net_added
                     before = _quality(ctx)
                     outcome = opt_pass.run(ctx, iteration)
-                    if outcome.changed and not _acceptable(before, _quality(ctx)):
+                    reason = _rejection(before, _quality(ctx)) if outcome.changed else None
+                    if reason is not None:
                         # A pass may never degrade the tree: restore and move
                         # on.  (Recovery's conservative trim guards, for
                         # instance, use the pre-trim group roofs, which its
-                        # own trims lower.)
-                        _restore(tree, snapshot)
-                        ctx.invalidate_geometry()
+                        # own trims lower.)  Required lengths depend on the
+                        # locations alone: only those of the edges that touch
+                        # a node moved back are refreshed.
+                        moved = _restore(tree, snapshot)
+                        if moved.size:
+                            ctx.nodes_moved(moved.tolist())
                         ctx.wire_net_added = spent_before
                         outcome.reverted = True
+                        outcome.revert_reason = reason
                     pass_span.set(
                         changed=outcome.changed,
                         reverted=outcome.reverted,
+                        revert_reason=outcome.revert_reason,
                         detours_computed=_detours_computed(ctx) - detours_before,
+                        trials=outcome.trials,
+                        trial_batches=outcome.trial_batches,
+                        sweeps_by_levels=outcome.sweeps_by_levels,
+                        sweeps_by_nodes=outcome.sweeps_by_nodes,
                     )
                 if outcome.reverted:
                     report.passes.append(outcome)
@@ -185,9 +195,10 @@ class Optimizer:
         return report
 
 
-def _restore(tree, snapshot) -> None:
+def _restore(tree, snapshot) -> np.ndarray:
     """Undo a pass through the tree's setters, touching only changed nodes:
-    ``snapshot`` is the tree's arena from before the pass (arenas never change)."""
+    ``snapshot`` is the tree's arena from before the pass (arenas never change).
+    Returns the ids of the nodes the pass had moved."""
     now = tree.as_arena()
     lengths = snapshot.edge_lengths
     for node_id in np.flatnonzero(now.edge_lengths != lengths).tolist():
@@ -202,6 +213,7 @@ def _restore(tree, snapshot) -> None:
     for node_id in np.flatnonzero(now.buffer_mask | snapshot.buffer_mask).tolist():
         if now.buffers[node_id] != snapshot.buffers[node_id]:
             tree.set_buffer(node_id, snapshot.buffers[node_id])
+    return np.flatnonzero(moved)
 
 
 def _detours_computed(ctx: OptContext) -> int:
@@ -234,23 +246,25 @@ def _quality(ctx: OptContext) -> tuple:
     )
 
 
-def _acceptable(before: tuple, after: tuple) -> bool:
-    """Whether a pass's effect counts as progress.
+#: The components of :func:`_quality`, by the names a revert reports.
+_QUALITY_NAMES = ("skew_violations", "cap_violations", "excess", "floor", "wirelength")
+
+
+def _rejection(before: tuple, after: tuple) -> Optional[str]:
+    """Why a pass's effect does not count as progress, or None when it does.
 
     Fewer violating groups always wins; then fewer over-loaded drivers; then
     a smaller skew excess; then a lower geometric floor (re-embedding's
     contribution); at an otherwise equal state the pass must have reclaimed
-    wire.
+    wire.  The reason is the name of the component that decided.
     """
-    if after[0] != before[0]:
-        return after[0] < before[0]
-    if after[1] != before[1]:
-        return after[1] < before[1]
-    if abs(after[2] - before[2]) > 1e-6:
-        return after[2] < before[2]
-    if abs(after[3] - before[3]) > 1e-6:
-        return after[3] < before[3]
-    return after[4] < before[4] - 1e-6
+    for index in (0, 1):
+        if after[index] != before[index]:
+            return None if after[index] < before[index] else _QUALITY_NAMES[index]
+    for index in (2, 3):
+        if abs(after[index] - before[index]) > 1e-6:
+            return None if after[index] < before[index] else _QUALITY_NAMES[index]
+    return None if after[4] < before[4] - 1e-6 else _QUALITY_NAMES[4]
 
 
 def _oracle_max_diff(ctx: OptContext) -> float:

@@ -13,6 +13,13 @@ required detour turns former forced-detour wire into trimmable slack, which
 the skew-repair and wirelength-recovery passes then harvest with exact delay
 accounting.  Candidates stay on the node's placement locus (or its legitimate
 blockage escape), so ``validate_result``'s locus checks keep passing.
+
+Only nodes whose incident edges detour by more than ``_MIN_DETOUR`` are worth
+revisiting, and few are.  One array pass at the start finds the others
+(:func:`_settled`): it sums the context's cached required lengths -- the
+memoised detours the per-node test would read -- and the Manhattan lengths of
+each node's incident edges in that test's order.  A settled node is skipped
+until its own location or a neighbour's moves.
 """
 
 from __future__ import annotations
@@ -59,11 +66,15 @@ class ReembedPass:
             if parent >= 0 and not columns.is_sink[nid] and located[nid]
         ]
         locations = ctx.locations()  # kept in step with every move
+        # Settled nodes pass the detour test on the pass's starting geometry;
+        # a move unsettles the node and its neighbours.
+        settled = _settled(ctx, np.asarray(movable, dtype=np.int64)).tolist()
+        moved: List[int] = []
 
         for _ in range(_SWEEPS):
             moved_this_sweep = 0
             for nid in movable:
-                if locations[nid] is None:
+                if locations[nid] is None or settled[nid]:
                     continue
                 best = self._improve_node(
                     ctx, nid, columns.parents[nid], columns.children(nid), locations,
@@ -72,25 +83,32 @@ class ReembedPass:
                 if best is not None:
                     tree.set_location(nid, best)
                     locations[nid] = best
+                    moved.append(nid)
                     moved_this_sweep += 1
+                    settled[nid] = settled[columns.parents[nid]] = False
+                    for cid in columns.children(nid):
+                        settled[cid] = False
             outcome.nodes_moved += moved_this_sweep
             if moved_this_sweep == 0:
                 break
 
         if outcome.nodes_moved:
-            ctx.invalidate_geometry()
+            ctx.nodes_moved(moved)
             # A move can shrink an incident edge's required length (that is
             # the point) but can also grow another incident edge's; booked
             # lengths must keep covering the detour for the tree to stay
             # realisable and validation-clean.
-            lengths = columns.lengths  # moves change no length
-            for nid, needed in ctx.required_lengths().items():
-                if lengths[nid] < needed - 1e-9:
-                    extension = needed - lengths[nid]
-                    tree.set_edge_length(nid, needed)
-                    ctx.spend_wire(extension)
-                    outcome.wire_added += extension
-                    outcome.edges_modified += 1
+            has, required = ctx.required_columns()
+            lengths = tree.as_arena().edge_lengths  # moves change no length
+            short = np.flatnonzero(has & (lengths < required - 1e-9))
+            for nid, needed, length in zip(
+                short.tolist(), required[short].tolist(), lengths[short].tolist()
+            ):
+                extension = needed - length
+                tree.set_edge_length(nid, needed)
+                ctx.spend_wire(extension)
+                outcome.wire_added += extension
+                outcome.edges_modified += 1
         outcome.seconds = time.perf_counter() - started
         return outcome
 
@@ -154,3 +172,37 @@ class ReembedPass:
             if value < best_value - 1e-6:
                 best, best_value = candidate, value
         return None if best == here else best
+
+
+def _settled(ctx: OptContext, movable: np.ndarray) -> np.ndarray:
+    """Node-indexed mask of the ``movable`` nodes that pass
+    :meth:`ReembedPass._improve_node`'s detour test as the tree stands.
+
+    Per node: its parent edge's required length plus each child edge's, in
+    attach order, against the same edges' Manhattan lengths, summed in the
+    same order; the node is settled when ``base - manhattan <=
+    _MIN_DETOUR``.  A node with an incident edge lacking a required length
+    is never settled.
+    """
+    arena = ctx.tree.as_arena()
+    has, required = ctx.required_columns()
+    xs, ys = arena.xs, arena.ys
+    parents = arena.parents[movable]
+    known = has[movable]
+    base = required[movable]
+    # Point.distance_to, operand for operand: parent to node, node to child.
+    manhattan = np.abs(xs[parents] - xs[movable]) + np.abs(ys[parents] - ys[movable])
+    counts = arena.child_counts()[movable]
+    starts = arena.child_offsets[movable]
+    for slot in range(int(counts.max()) if counts.size else 0):
+        rows = np.flatnonzero(counts > slot)
+        kids = arena.child_ids[starts[rows] + slot]
+        node = movable[rows]
+        known[rows] &= has[kids]
+        base[rows] = base[rows] + required[kids]
+        manhattan[rows] = manhattan[rows] + (
+            np.abs(xs[node] - xs[kids]) + np.abs(ys[node] - ys[kids])
+        )
+    settled = np.zeros(arena.num_nodes, dtype=bool)
+    settled[movable] = known & (base - manhattan <= _MIN_DETOUR)
+    return settled

@@ -7,7 +7,7 @@ Both report classes are plain serialisable data so they can ride inside
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = ["PassOutcome", "OptReport"]
 
@@ -27,6 +27,18 @@ class PassOutcome:
     buffers_inserted: int = 0
     #: True when the optimizer rejected and undid this pass's changes.
     reverted: bool = False
+    #: Why the optimizer reverted the pass: the first quality component
+    #: that got worse (``skew_violations``, ``cap_violations``, ``excess``,
+    #: ``floor`` or ``wirelength``); None when it was kept.
+    revert_reason: Optional[str] = None
+    #: Tentative buffers judged and batched Elmore passes that judged them
+    #: (the buffer-insertion pass only).
+    trials: int = 0
+    trial_batches: int = 0
+    #: Alignment sweeps run level by level, and those rerun node by node
+    #: because the wire budget bound (the skew-repair pass only).
+    sweeps_by_levels: int = 0
+    sweeps_by_nodes: int = 0
 
     @property
     def changed(self) -> bool:
@@ -47,6 +59,11 @@ class PassOutcome:
             "seconds": self.seconds,
             "buffers_inserted": self.buffers_inserted,
             "reverted": self.reverted,
+            "revert_reason": self.revert_reason,
+            "trials": self.trials,
+            "trial_batches": self.trial_batches,
+            "sweeps_by_levels": self.sweeps_by_levels,
+            "sweeps_by_nodes": self.sweeps_by_nodes,
         }
 
     @classmethod

@@ -5,7 +5,7 @@ obstacle-aware embedding extends edges whose booked wire cannot cover their
 blockage detour, silently shifting whole subtrees late.  This pass restores
 the construction's guarantee on the finished tree:
 
-* **Alignment sweep** (the workhorse): one bottom-up walk in *subtree-relative*
+* **Alignment sweep** (the workhorse): one bottom-up pass in *subtree-relative*
   delay coordinates -- the same coordinates the merge phase used, in which an
   edit inside a subtree never invalidates bookkeeping elsewhere, so every
   trim/extension is computed against exact values rather than stale global
@@ -17,6 +17,14 @@ the construction's guarantee on the finished tree:
   request through :func:`repro.cts.routing.route_edges`) and children that
   run late are shortened where their booked length exceeds the
   blockage-avoiding *required* length.
+
+  The sweep runs over arrays, one height level at a time, with the merge
+  loop's ``(n, G)`` interval layout (:class:`_Sweep`), and books what a walk
+  over the nodes in reversed preorder books, bit for bit
+  (``tests/reference_repair.py`` keeps that walk as its oracle).  Nodes of
+  one level interact only through the global wire budget; a replay of the
+  recorded edits in the walk's order finds the nodes where the budget binds,
+  and those run one at a time.
 
 * **Greedy polish** (the endgame): when group-interval conflicts leave
   residual violations, candidate over-booked edges are trimmed one at a time,
@@ -32,7 +40,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.delay.wire import wire_delay, wire_length_for_delay
+from repro.cts.arena import SINK_KIND
+from repro.delay.wire import wire_length_for_delay
 from repro.opt.base import OptContext, TreeColumns
 from repro.opt.report import PassOutcome
 
@@ -40,30 +49,19 @@ __all__ = ["SkewRepairPass"]
 
 _TOL = 1e-9
 _LEN_TOL = 1e-6
+#: The fewest walk positions an alignment sweep looks ahead after the wire
+#: budget bound a node; it looks twice as far as the distance to the previous
+#: such node, and the look-ahead doubles each time the budget does not bind.
+_RESUME_WINDOW = 16
+#: What an alignment sweep assumes of the wire budget: that it never binds,
+#: that it stops every node at its first extension, or nothing (one node at a
+#: time, checked as it goes).
+_UNLIMITED, _EXHAUSTED, _LIVE = range(3)
+#: Kinds of recorded edits: a trim, an extension, and an extension the
+#: budget stopped (no edit).
+_TRIM, _EXTEND, _STOP = range(3)
 #: Candidate edges the greedy polish ranks per move.
 _POLISH_CANDIDATES = 48
-
-
-def _trim_for_delay(
-    length: float, downstream_cap: float, target: float, avail: float, tech
-) -> Tuple[float, float]:
-    """Trim amount whose delay reduction equals ``target``, capped at ``avail``.
-
-    Shortening a wire of ``length`` driving ``downstream_cap`` by ``y`` removes
-    ``r * y * (C + c*length - c*y/2)`` of Elmore delay; this inverts that
-    expression.  Returns ``(trim_length, actual_delay_reduction)``.
-    """
-    r = tech.unit_resistance
-    c = tech.unit_capacitance
-    linear = r * (downstream_cap + c * length)
-    discriminant = linear * linear - 2.0 * r * c * target
-    if discriminant < 0.0:
-        y = avail
-    else:
-        y = min(avail, (linear - math.sqrt(discriminant)) / (r * c))
-    y = max(0.0, min(y, length))
-    actual = r * y * (downstream_cap + c * length - c * y / 2.0)
-    return y, actual
 
 
 class SkewRepairPass:
@@ -92,169 +90,25 @@ class SkewRepairPass:
     # Stage 1: exact bottom-up alignment in subtree-relative coordinates
     # ------------------------------------------------------------------
     def _alignment_sweep(self, ctx: OptContext, outcome: PassOutcome) -> bool:
-        tech = ctx.technology
-        unit_cap = tech.unit_capacitance
-        required = ctx.required_lengths()
-        safety = ctx.config.safety
-        columns = TreeColumns(ctx.tree)
-        lengths = columns.lengths
-        groups = ctx.node_groups
-
-        caps: Dict[int, float] = {}
-        ivals: Dict[int, Dict[int, List[float]]] = {}
-        changed = False
-
-        for nid in reversed(columns.order):
-            if columns.is_sink[nid]:
-                caps[nid] = columns.sink_caps[nid]
-                ivals[nid] = {groups[nid]: [0.0, 0.0]}
-                continue
-
-            children = columns.children(nid)
-            shifted: List[Dict[int, List[float]]] = []
-            for cid in children:
-                edge = wire_delay(lengths[cid], caps[cid], tech)
-                shifted.append(
-                    {g: [lo + edge, hi + edge] for g, (lo, hi) in ivals[cid].items()}
-                )
-
-            if len(children) > 1:
-                if self._align_children(
-                    ctx, columns, children, shifted, caps, required, safety, outcome
-                ):
-                    changed = True
-
-            merged: Dict[int, List[float]] = {}
-            total_cap = columns.sink_caps[nid]
-            for cid, intervals in zip(children, shifted):
-                total_cap += caps[cid] + unit_cap * lengths[cid]
-                for g, (lo, hi) in intervals.items():
-                    if g in merged:
-                        merged[g][0] = min(merged[g][0], lo)
-                        merged[g][1] = max(merged[g][1], hi)
-                    else:
-                        merged[g] = [lo, hi]
-            buffer = columns.buffers[nid]
-            if buffer is not None:
-                # Same decoupling as the Elmore engine: upstream sees only
-                # the buffer input pin, and every sink below arrives one
-                # stage delay later than the buffer input does.
-                stage = buffer.intrinsic_delay + buffer.drive_resistance * total_cap
-                for interval in merged.values():
-                    interval[0] += stage
-                    interval[1] += stage
-                total_cap = buffer.input_cap
-            caps[nid] = total_cap
-            ivals[nid] = merged
-        return changed
-
-    def _align_children(
-        self,
-        ctx: OptContext,
-        columns: TreeColumns,
-        children: List[int],
-        shifted: List[Dict[int, List[float]]],
-        caps: Dict[int, float],
-        required: Dict[int, float],
-        safety: float,
-        outcome: PassOutcome,
-    ) -> bool:
-        """Align the children's per-group intervals at one merge node."""
-        tech = ctx.technology
-        unit_cap = tech.unit_capacitance
-        lengths = columns.lengths
-        counts: Dict[int, int] = {}
-        for intervals in shifted:
-            for g in intervals:
-                counts[g] = counts.get(g, 0) + 1
-        shared = {g for g, c in counts.items() if c >= 2}
-        if not shared:
-            return False
-
-        changed = False
-        # Trim late-running children down to the others' window first (frees
-        # wire), then lengthen early-running children up; the extension step
-        # repeats because raising one child can raise another's target.
-        for cindex, cid in enumerate(children):
-            if cid not in required:
-                continue  # unembedded edge: its minimum length is unknown
-            intervals = shifted[cindex]
-            avail = lengths[cid] - required[cid]
-            if avail <= _LEN_TOL:
-                continue
-            slack = math.inf
-            ahead = 0.0
-            for g in shared:
-                if g not in intervals:
-                    continue
-                others = [
-                    shifted[j][g][1]
-                    for j in range(len(children))
-                    if j != cindex and g in shifted[j]
-                ]
-                if not others:
-                    continue
-                window_floor = max(others) - safety * ctx.bound_for(g)
-                slack = min(slack, intervals[g][0] - window_floor)
-                ahead = max(ahead, intervals[g][1] - max(others))
-            if not math.isfinite(slack) or slack <= _TOL or ahead <= _TOL:
-                continue
-            trim_delay = min(slack, ahead)
-            y, actual = _trim_for_delay(lengths[cid], caps[cid], trim_delay, avail, tech)
-            if y <= _LEN_TOL:
-                continue
-            columns.set_length(cid, lengths[cid] - y)
-            ctx.spend_wire(-y)
-            outcome.wire_trimmed += y
+        """One alignment sweep (:class:`_Sweep`); True when it booked any
+        length."""
+        sweep = _Sweep(ctx)
+        if sweep.run():
+            outcome.sweeps_by_nodes += 1
+        else:
+            outcome.sweeps_by_levels += 1
+        spends = sweep.spends()
+        for _, amount, extension in spends:
+            if extension:
+                ctx.spend_wire(amount)
+                outcome.wire_added += amount
+            else:
+                ctx.spend_wire(-amount)
+                outcome.wire_trimmed += amount
             outcome.edges_modified += 1
-            changed = True
-            for g in intervals:
-                intervals[g][0] -= actual
-                intervals[g][1] -= actual
-
-        for _ in range(3):
-            extended = False
-            targets = {
-                g: max(
-                    intervals[g][1] for intervals in shifted if g in intervals
-                )
-                for g in shared
-            }
-            for cindex, cid in enumerate(children):
-                intervals = shifted[cindex]
-                need = 0.0
-                for g in shared:
-                    if g in intervals:
-                        need = max(
-                            need, targets[g] - safety * ctx.bound_for(g) - intervals[g][0]
-                        )
-                if need <= _TOL:
-                    continue
-                left = ctx.budget_left()
-                if left <= _LEN_TOL:
-                    return changed
-                length = lengths[cid]
-                x = wire_length_for_delay(need, caps[cid] + unit_cap * length, tech)
-                achieved = need
-                if x > left:
-                    # Clamp to the global net-added budget; the intervals
-                    # must then track the delay actually realised.
-                    x = left
-                    r = tech.unit_resistance
-                    achieved = r * x * (
-                        unit_cap * length + unit_cap * x / 2.0 + caps[cid]
-                    )
-                columns.set_length(cid, length + x)
-                ctx.spend_wire(x)
-                outcome.wire_added += x
-                outcome.edges_modified += 1
-                changed = extended = True
-                for g in intervals:
-                    intervals[g][0] += achieved
-                    intervals[g][1] += achieved
-            if not extended:
-                break
-        return changed
+        for kid in dict.fromkeys(kid for kid, _, _ in spends):
+            ctx.tree.set_edge_length(kid, sweep.lengths.item(kid))
+        return bool(spends)
 
     # ------------------------------------------------------------------
     # Stage 2: greedy exact-evaluation polish
@@ -328,6 +182,8 @@ class SkewRepairPass:
                     tree.set_edge_length(nid, baseline[nid] + delta)
                 ctx.spend_wire(net)
                 self._alignment_sweep(ctx, probe)
+                outcome.sweeps_by_levels += probe.sweeps_by_levels
+                outcome.sweeps_by_nodes += probe.sweeps_by_nodes
                 score = self._polish_score(ctx)
                 probed = tree.as_arena().edge_lengths
                 for node_id in np.flatnonzero(probed != baseline_column).tolist():
@@ -501,3 +357,341 @@ class SkewRepairPass:
                                 move.append((cid, x))
                     moves.append(move)
         return moves
+
+
+class _Sweep:
+    """One alignment sweep over arrays, one node set at a time.
+
+    Per node: the capacitance seen from upstream, and per group (the
+    ``G`` columns of ``ctx.sink_groups``) the ``[lo, hi]`` delays from the
+    node to its sinks with a ``present`` mask, the merge loop's layout.
+    :meth:`process` takes nodes whose children are all done -- one height
+    level, or one node -- and repeats the per-node walk's expressions term
+    for term: ``wire_delay`` for the shift, the trim inversion and
+    ``wire_length_for_delay`` for the edits, and ``min``/``max`` folds for
+    windows, targets and the merge.
+
+    The walk visits the nodes in reversed preorder, and nodes of one level
+    interact only through the wire budget: an extension stops its node when
+    ``budget_left() <= _LEN_TOL`` and is clamped to what is left.  So
+    :meth:`run` sweeps level by level under an assumption about the budget
+    -- that it never binds or, once spent, that it stops every node at its
+    first extension -- recording every edit with its place in the walk
+    (reversed preorder; in a node the trims, then each extension round, by
+    slot), and replays the edits in that order to check it.  Everything
+    before the first node where the assumption fails is what the walk
+    books.  That node is rerun alone with the budget checked as it goes,
+    and the sweep resumes level by level over the next nodes of the walk: a
+    look-ahead of twice the distance since the previous such node (at least
+    ``_RESUME_WINDOW``), which doubles while the assumption holds.
+    """
+
+    def __init__(self, ctx: OptContext) -> None:
+        arena = self.arena = ctx.tree.as_arena()
+        tech = ctx.technology
+        self.r = tech.unit_resistance
+        self.c = tech.unit_capacitance
+        self.lengths = arena.edge_lengths.copy()
+        self.has_required, self.required = ctx.required_columns()
+        groups = ctx.sink_groups
+        safety = ctx.config.safety
+        #: ``safety * bound`` of every group column.
+        self.window = np.array([safety * ctx.bound_for(g) for g in groups.keys], dtype=np.float64)
+        n, width = arena.num_nodes, len(groups.keys)
+        self.caps = np.zeros(n, dtype=np.float64)
+        self.lo = np.zeros((n, width), dtype=np.float64)
+        self.hi = np.zeros((n, width), dtype=np.float64)
+        self.present = np.zeros((n, width), dtype=bool)
+        self.present[groups.sink_ids, groups.slots] = True
+        self.caps[groups.sink_ids] = arena.sink_caps[groups.sink_ids]
+        self.counts = arena.child_counts()
+        self.merging = (arena.kinds != SINK_KIND) & arena.reachable_mask()
+        #: Every merge node's place in the walk (reversed preorder).
+        self.position = np.zeros(n, dtype=np.int64)
+        self.budget = ctx.wire_budget
+        #: Net wire added by the spends booked so far, in the walk's order.
+        self.spent = ctx.wire_net_added
+        #: What :meth:`process` assumes of the budget (``_UNLIMITED``,
+        #: ``_EXHAUSTED``), or ``_LIVE``: it checks and clamps against it,
+        #: one node at a time.
+        self.mode = _UNLIMITED
+        self._records: List[tuple] = []
+
+    def run(self) -> int:
+        """Sweep the tree; returns how many nodes the wire budget bound."""
+        order = self.arena.subtree_rows([self.arena.root])[0][::-1]
+        walk = order[self.merging[order]]
+        self.position[walk] = np.arange(len(walk))
+        start, window, bound, last = 0, len(walk), 0, 0
+        while start < len(walk):
+            # A prefix of what is left of the walk holds every child of its
+            # nodes that is not done yet, so it can go level by level.
+            chunk = np.zeros(self.arena.num_nodes, dtype=bool)
+            chunk[walk[start : start + window]] = True
+            spent = self.budget - self.spent <= _LEN_TOL
+            self.mode = _EXHAUSTED if spent else _UNLIMITED
+            for level in self.arena.height_levels():
+                nodes = level[chunk[level]]
+                if nodes.size:
+                    self.process(nodes)
+            binding = self._first_binding(chunk)
+            if binding is None:
+                start, window = start + window, 2 * window
+                continue
+            bound += 1
+            node, self.spent = binding
+            self._discard(chunk & (self.position >= self.position[node]))
+            self.mode = _LIVE
+            self.process(np.array([node], dtype=np.int64))
+            gap, last = self.position[node] - last, self.position[node]
+            start, window = last + 1, max(_RESUME_WINDOW, 2 * gap)
+        return bound
+
+    def _first_binding(self, nodes: np.ndarray):
+        """Replay the edits of the nodes of mask ``nodes`` in the walk's
+        order from ``self.spent``: the first node whose extension the budget
+        treats otherwise than assumed, and the net wire before that node's
+        edits; None (with ``self.spent`` past them all) when there is none."""
+        if math.isinf(self.budget):
+            return None
+        spent = self.spent
+        node_spent, last = spent, -1
+        for node, _, amount, kind in self._ordered(nodes):
+            if node != last:
+                node_spent, last = spent, node
+            if kind == _TRIM:
+                spent += -amount
+                continue
+            left = self.budget - spent
+            if kind == _STOP:
+                if left > _LEN_TOL:
+                    return node, node_spent
+            elif left <= _LEN_TOL or amount > left:
+                return node, node_spent
+            else:
+                spent += amount
+        self.spent = spent
+        return None
+
+    def _discard(self, nodes: np.ndarray) -> None:
+        """Forget what was computed for the nodes of mask ``nodes``: their
+        spends, and the lengths they gave their children's edges."""
+        self._records = [
+            tuple(column[~nodes[record[0]]] for column in record) for record in self._records
+        ]
+        kids = self.arena.children_of(np.flatnonzero(nodes))[0]
+        self.lengths[kids] = self.arena.edge_lengths[kids]
+
+    def _ordered(self, nodes: np.ndarray = None):
+        """``(node, edge, amount, kind)`` of the recorded edits in the walk's
+        order; only those of the nodes of mask ``nodes`` if given."""
+        if not self._records:
+            return []
+        node, phase, slot, kid, amount, kind = (
+            np.concatenate(column) for column in zip(*self._records)
+        )
+        order = np.lexsort((slot, phase, self.position[node]))
+        if nodes is not None:
+            order = order[nodes[node[order]]]
+        return list(
+            zip(node[order].tolist(), kid[order].tolist(), amount[order].tolist(),
+                kind[order].tolist())
+        )
+
+    def spends(self) -> List[Tuple[int, float, bool]]:
+        """``(edge, amount, is_extension)`` of every edit, in the walk's order."""
+        return [
+            (kid, amount, kind == _EXTEND)
+            for _, kid, amount, kind in self._ordered()
+            if kind != _STOP
+        ]
+
+    def _record(self, nodes, phase, slot, kids, amounts, kind) -> None:
+        count = len(kids)
+        self._records.append(
+            (nodes, np.full(count, phase), np.full(count, slot), kids, amounts,
+             np.full(count, kind))
+        )
+
+    # ------------------------------------------------------------------
+    def process(self, nodes: np.ndarray) -> None:
+        """Shift, align, merge and decouple ``nodes``."""
+        r, c = self.r, self.c
+        counts = self.counts[nodes]
+        kids, owner = self.arena.children_of(nodes)
+        first = np.cumsum(counts) - counts
+        slots = int(counts.max()) if counts.size else 0
+        length = self.lengths[kids]
+        kid_caps = self.caps[kids]
+        edge = (r * length * (c * length / 2.0 + kid_caps))[:, None]
+        lo = self.lo[kids] + edge
+        hi = self.hi[kids] + edge
+        present = self.present[kids]
+
+        fewest = int(counts.min()) if counts.size else 0
+
+        def slot_rows(rows, slot):
+            """Of ``rows`` (positions in ``nodes``), those with a child at
+            ``slot``, that child's position in ``kids``, and where they are
+            in ``rows``."""
+            if slot < fewest:
+                return rows, first[rows] + slot, np.arange(len(rows))
+            have = np.flatnonzero(counts[rows] > slot)
+            rows = rows[have]
+            return rows, first[rows] + slot, have
+
+        everyone = np.arange(len(nodes))
+        groups = np.zeros((len(nodes), self.lo.shape[1]), dtype=np.int64)
+        for slot in range(slots):
+            rows, at, _ = slot_rows(everyone, slot)
+            groups[rows] += present[at]
+        shared = groups >= 2
+        aligning = np.flatnonzero(shared.any(axis=1))
+        if aligning.size:
+            self._align(nodes, kids, owner, slots, slot_rows, aligning, shared, lo, hi, present)
+
+        merged_lo = np.full(groups.shape, np.inf)
+        merged_hi = np.full(groups.shape, -np.inf)
+        total = self.arena.sink_caps[nodes]
+        for slot in range(slots):
+            rows, at, _ = slot_rows(everyone, slot)
+            merged_lo[rows] = np.minimum(merged_lo[rows], np.where(present[at], lo[at], np.inf))
+            merged_hi[rows] = np.maximum(merged_hi[rows], np.where(present[at], hi[at], -np.inf))
+            child = kids[at]
+            total[rows] = total[rows] + (self.caps[child] + c * self.lengths[child])
+        mask = self.arena.buffer_mask
+        if mask is not None and mask[nodes].any():
+            # The Elmore engine's decoupling: upstream sees only the buffer
+            # input pin, and every sink below arrives one stage later.
+            rows = np.flatnonzero(mask[nodes])
+            buffered = nodes[rows]
+            stage = self.arena.buffer_intrinsics[buffered] + (
+                self.arena.buffer_drive_res[buffered] * total[rows]
+            )
+            merged_lo[rows] += stage[:, None]
+            merged_hi[rows] += stage[:, None]
+            total[rows] = self.arena.buffer_input_caps[buffered]
+        placed = groups > 0
+        self.lo[nodes] = np.where(placed, merged_lo, 0.0)
+        self.hi[nodes] = np.where(placed, merged_hi, 0.0)
+        self.present[nodes] = placed
+        self.caps[nodes] = total
+
+    def _align(self, nodes, kids, owner, slots, slot_rows, aligning, shared, lo, hi, present):
+        """Align the children's intervals at the ``aligning`` nodes: trim
+        late-running children first (frees wire), then lengthen early ones
+        in up to three rounds, since raising one child can raise another's
+        target."""
+        r, c = self.r, self.c
+        window = self.window
+        usable = shared[owner] & present  # (kid, group): shared and present
+        # Trims, one slot at a time: a trim moves the windows of later slots.
+        for slot in range(slots):
+            rows, at, _ = slot_rows(aligning, slot)
+            child = kids[at]
+            avail = self.lengths[child] - self.required[child]
+            keep = self.has_required[child] & (avail > _LEN_TOL)
+            rows, at, child, avail = rows[keep], at[keep], child[keep], avail[keep]
+            if not rows.size:
+                continue
+            others = np.full((len(rows), len(window)), -np.inf)
+            for other in range(slots):
+                if other != slot:
+                    _, other_at, index = slot_rows(rows, other)
+                    others[index] = np.maximum(
+                        others[index], np.where(present[other_at], hi[other_at], -np.inf)
+                    )
+            valid = usable[at]
+            slack = np.where(valid, lo[at] - (others - window), np.inf).min(axis=1)
+            ahead = np.maximum(0.0, np.where(valid, hi[at] - others, -np.inf).max(axis=1))
+            keep = np.isfinite(slack) & (slack > _TOL) & (ahead > _TOL)
+            rows, at, child, avail = rows[keep], at[keep], child[keep], avail[keep]
+            if not rows.size:
+                continue
+            length = self.lengths[child]
+            y, actual = _trim_arrays(
+                length, self.caps[child], np.minimum(slack[keep], ahead[keep]), avail, r, c
+            )
+            keep = y > _LEN_TOL
+            rows, at, child, y, actual = rows[keep], at[keep], child[keep], y[keep], actual[keep]
+            if not rows.size:
+                continue
+            self.lengths[child] = length[keep] - y
+            lo[at] -= actual[:, None]
+            hi[at] -= actual[:, None]
+            self._record(nodes[rows], 0, slot, child, y, _TRIM)
+            if self.mode == _LIVE:
+                self.spent += -y.item()
+
+        active = aligning
+        for round_ in range(1, 4):
+            targets = np.full((len(active), len(window)), -np.inf)
+            for slot in range(slots):
+                _, at, index = slot_rows(active, slot)
+                targets[index] = np.maximum(
+                    targets[index], np.where(present[at], hi[at], -np.inf)
+                )
+            extended = np.zeros(len(active), dtype=bool)
+            stopped = np.zeros(len(active), dtype=bool)
+            for slot in range(slots):
+                rows, at, index = slot_rows(active, slot)
+                need = np.where(usable[at], targets[index] - window - lo[at], -np.inf)
+                need = np.maximum(0.0, need.max(axis=1))
+                keep = (need > _TOL) & ~stopped[index]
+                rows, at, index, need = rows[keep], at[keep], index[keep], need[keep]
+                if not rows.size:
+                    continue
+                child = kids[at]
+                if self.mode == _EXHAUSTED:
+                    stopped[index] = True
+                    self._record(nodes[rows], round_, slot, child, np.zeros(len(rows)), _STOP)
+                    continue
+                length = self.lengths[child]
+                x = _length_for_delay(need, self.caps[child] + c * length, r, c)
+                achieved = need
+                if self.mode == _LIVE:  # one node: at most one child per slot
+                    left = self.budget - self.spent
+                    if left <= _LEN_TOL:
+                        return
+                    if x.item() > left:
+                        # Clamp to the global net-added budget; the
+                        # intervals then track the delay actually realised.
+                        x = np.array([left])
+                        achieved = r * x * (c * length + c * x / 2.0 + self.caps[child])
+                    self.spent += x.item()
+                self.lengths[child] = length + x
+                lo[at] += achieved[:, None]
+                hi[at] += achieved[:, None]
+                extended[index] = True
+                self._record(nodes[rows], round_, slot, child, x, _EXTEND)
+            active = active[extended]
+            if not active.size:
+                return
+
+
+def _trim_arrays(length, downstream_cap, target, avail, r, c):
+    """Per row, the trim whose delay reduction equals ``target``, capped at
+    ``avail``, and the reduction it achieves: ``(trim, reduction)``.
+
+    Shortening a wire of ``length`` driving ``downstream_cap`` by ``y``
+    removes ``r * y * (C + c*length - c*y/2)`` of Elmore delay; this inverts
+    that expression.
+    """
+    linear = r * (downstream_cap + c * length)
+    discriminant = linear * linear - 2.0 * r * c * target
+    y = avail.copy()
+    real = discriminant >= 0.0
+    y[real] = np.minimum(
+        avail[real], (linear[real] - np.sqrt(discriminant[real])) / (r * c)
+    )
+    y = np.maximum(0.0, np.minimum(y, length))
+    actual = r * y * (downstream_cap + c * length - c * y / 2.0)
+    return y, actual
+
+
+def _length_for_delay(target, downstream_cap, r, c):
+    """:func:`~repro.delay.wire.wire_length_for_delay` of positive targets."""
+    a = r * c / 2.0
+    b = r * downstream_cap
+    discriminant = b * b + 4.0 * a * target
+    return (2.0 * target) / (b + np.sqrt(discriminant))

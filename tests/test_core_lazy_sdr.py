@@ -4,9 +4,12 @@ reference loop's PendingSplit in tests/reference_dme.py).
 The per-sample scalar corridor scan that production used before the batched
 :func:`~repro.core.merge_batch.resolve_split` became the only one is kept
 here, verbatim, as the oracle the property tests compare against: one row
-through the one-row helper, and many rows in one kernel call.
+through the one-row helper, and many rows in one kernel call.  The kernel's
+tie rule compares ``round(x, 6)`` through integer decimal classes; those are
+held to the exact half-even rounding and to ``round``'s order.
 """
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -306,3 +309,36 @@ class TestResolvePending:
         resolve_pending(merged, None, TECH, tree, loci)
         assert tree.node(sink_a).edge_length == pytest.approx(1000.0)
         assert tree.node(sink_b).edge_length == pytest.approx(1000.0)
+
+
+# ----------------------------------------------------------------------
+# The tie rule's decimal classes
+# ----------------------------------------------------------------------
+finite = st.floats(0.0, 1e7, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def near_boundaries(draw):
+    """Values within a few ulps of a rounding boundary of ``round(x, 6)``."""
+    value = (draw(st.integers(0, 10**13)) + 0.5) / 1e6
+    for _ in range(draw(st.integers(0, 3))):
+        value = np.nextafter(value, draw(st.sampled_from([np.inf, -np.inf])))
+    return float(value)
+
+
+class TestDecimalClasses:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(finite, near_boundaries()), min_size=1, max_size=40))
+    def test_classes_are_what_round_rounds_to(self, values):
+        classes = merge_batch._decimal_classes(np.array(values)).tolist()
+        for value, cls in zip(values, classes):
+            exact = round(Fraction(value) * 10**6)  # half to even, exactly
+            assert cls == exact, value
+            assert round(value, 6) == float(Fraction(exact, 10**6))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(finite, near_boundaries()), st.one_of(finite, near_boundaries()))
+    def test_classes_order_as_rounded_values(self, a, b):
+        ca, cb = merge_batch._decimal_classes(np.array([a, b])).tolist()
+        assert (ca < cb) == (round(a, 6) < round(b, 6))
+        assert (ca == cb) == (round(a, 6) == round(b, 6))
